@@ -17,8 +17,7 @@
 // Either -topology or -figure selects the system. -substrate=sim runs the
 // message-level simulator (virtual ticks; -delay/-jitter shape per-message
 // delays), -substrate=tcp runs the loopback speakers (milliseconds; -wait
-// bounds the quiescence wait). -msgsim is a deprecated alias for
-// -substrate=sim.
+// bounds the quiescence wait).
 //
 // -codec selects the TCP speakers' wire format: the compact private codec
 // (default) or real BGP-4 messages per RFC 4271/4456/7911. The codec is
@@ -54,7 +53,6 @@ func main() {
 		maxSteps  = flag.Int("max-steps", 10000, "activation / event budget")
 		showTr    = flag.Bool("trace", false, "print per-event trace")
 		substrate = flag.String("substrate", "model", "execution substrate: model, sim or tcp")
-		useMsg    = flag.Bool("msgsim", false, "deprecated alias for -substrate=sim")
 		delay     = flag.Int64("delay", 10, "sim: base message delay")
 		jitter    = flag.Int64("jitter", 0, "sim: random extra delay bound")
 		mrai      = flag.Int64("mrai", 0, "minimum route advertisement interval, sim ticks / tcp ms (0 off)")
@@ -78,9 +76,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ibgpsim:", err)
 		os.Exit(1)
-	}
-	if *useMsg {
-		*substrate = "sim"
 	}
 	codec, err := cli.ParseCodec(*codecName)
 	if err != nil {

@@ -6,7 +6,9 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -80,22 +82,17 @@ var passRegistryPackages = []string{
 	"internal/lint",
 }
 
-// pooledWirePackages are the import-path suffixes of the wire hot path:
-// the substrates that serialise every routing message of a run. There the
-// codec must be driven through wire.AppendUpdate / wire.Append into a
-// reused or pooled buffer — wire.Encode allocates a fresh []byte per
-// message, which is exactly the per-message garbage the zero-alloc wire
-// path removed. Test files stay exempt: a one-shot Encode in a test is
-// convenience, not a hot path.
-var pooledWirePackages = []string{
-	"internal/msgsim",
-	"internal/speaker",
-}
-
-// freshBufWireFuncs are the wire codec entry points that allocate a fresh
-// output buffer on every call.
-var freshBufWireFuncs = map[string]bool{
-	"Encode": true,
+// ifaceMethodNames are method names that satisfy standard-library
+// interfaces (fmt.Stringer, error, json.Marshaler, sort.Interface,
+// heap.Interface, io.Reader/Writer/Closer, http.Handler, ...). Such methods
+// are called through the interface by code outside the module, so the
+// dead-export check cannot expect to see their names referenced.
+var ifaceMethodNames = map[string]bool{
+	"String": true, "GoString": true, "Format": true,
+	"Error": true, "Unwrap": true, "Is": true, "As": true,
+	"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true,
+	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
+	"Read": true, "Write": true, "Close": true, "ServeHTTP": true,
 }
 
 // globalRandFuncs are the top-level math/rand functions that draw from the
@@ -225,14 +222,14 @@ func Analyze(dirs []string) ([]Finding, error) {
 	a := &analyzer{fset: fset, pkgs: pkgs}
 	a.collectEnums()
 	for _, p := range a.pkgs {
-		det := inDetPackage(p.dir)
+		det := inPackages(p.dir, detPackages)
 		paths := make([]string, 0, len(p.files))
 		for path := range p.files {
 			paths = append(paths, path)
 		}
 		sort.Strings(paths)
 		internal := strings.Contains(filepath.ToSlash(p.dir)+"/", "internal/")
-		hot := inHotkeyPackage(p.dir)
+		hot := inPackages(p.dir, hotkeyPackages)
 		for _, path := range paths {
 			file := p.files[path]
 			a.checkSwitches(p, file)
@@ -247,14 +244,12 @@ func Analyze(dirs []string) ([]Finding, error) {
 			if hot && !strings.HasSuffix(path, "_test.go") {
 				a.checkHotKey(file)
 			}
-			if inPooledWirePackage(p.dir) && !strings.HasSuffix(path, "_test.go") {
-				a.checkWireEncode(file)
-			}
 		}
-		if inPassRegistryPackage(p.dir) {
+		if inPackages(p.dir, passRegistryPackages) {
 			a.checkPassCoverage(p)
 		}
 	}
+	a.checkDeadExports(dirs)
 	sort.Slice(a.findings, func(i, j int) bool {
 		fi, fj := a.findings[i], a.findings[j]
 		if fi.Pos.Filename != fj.Pos.Filename {
@@ -265,39 +260,11 @@ func Analyze(dirs []string) ([]Finding, error) {
 	return a.findings, nil
 }
 
-func inDetPackage(dir string) bool {
+// inPackages reports whether dir is one of the packages named by the
+// import-path suffixes.
+func inPackages(dir string, suffixes []string) bool {
 	d := filepath.ToSlash(dir)
-	for _, suffix := range detPackages {
-		if strings.HasSuffix(d, suffix) {
-			return true
-		}
-	}
-	return false
-}
-
-func inPassRegistryPackage(dir string) bool {
-	d := filepath.ToSlash(dir)
-	for _, suffix := range passRegistryPackages {
-		if strings.HasSuffix(d, suffix) {
-			return true
-		}
-	}
-	return false
-}
-
-func inPooledWirePackage(dir string) bool {
-	d := filepath.ToSlash(dir)
-	for _, suffix := range pooledWirePackages {
-		if strings.HasSuffix(d, suffix) {
-			return true
-		}
-	}
-	return false
-}
-
-func inHotkeyPackage(dir string) bool {
-	d := filepath.ToSlash(dir)
-	for _, suffix := range hotkeyPackages {
+	for _, suffix := range suffixes {
 		if strings.HasSuffix(d, suffix) {
 			return true
 		}
@@ -613,43 +580,58 @@ func (a *analyzer) checkHotKey(file *ast.File) {
 	}
 }
 
-// checkWireEncode flags calls of fresh-buffer wire codec functions in the
-// wire hot path (internal/msgsim, internal/speaker, non-test files):
-// wire.Encode allocates a new []byte per message, and a substrate that
-// serialises every routing message of a run must instead reuse buffers via
-// wire.AppendUpdate / wire.Append (freelist on msgsim, sync.Pool on the
-// speaker). The import's local name is tracked so aliased imports don't
-// dodge the check.
-func (a *analyzer) checkWireEncode(file *ast.File) {
-	wireName := ""
-	for _, imp := range file.Imports {
-		if !strings.HasSuffix(strings.Trim(imp.Path.Value, `"`), "internal/wire") {
-			continue
-		}
-		wireName = "wire"
-		if imp.Name != nil {
-			wireName = imp.Name.Name
-		}
-	}
-	if wireName == "" || wireName == "_" || wireName == "." {
+// checkDeadExports flags exported functions and methods declared in
+// non-test files under internal/ whose name appears nowhere else in the
+// module — not in another package, a command, the benchmark, or a test.
+// internal/ has no importers outside the module, so such a declaration is
+// surface nothing can reach: delete it, or unexport it if only its own
+// file needs it. The match is by name, like every check here: a name
+// shared with a live declaration, a struct field or an interface method
+// counts as referenced. The check runs only when the module root (the
+// directory holding go.mod) is among the parsed directories, because only
+// then is the set of references complete.
+func (a *analyzer) checkDeadExports(dirs []string) {
+	if !slices.ContainsFunc(dirs, func(dir string) bool {
+		_, err := os.Stat(filepath.Join(dir, "go.mod"))
+		return err == nil
+	}) {
 		return
 	}
-	ast.Inspect(file, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
+	declNames := map[*ast.Ident]bool{}
+	var decls []*ast.FuncDecl
+	for _, p := range a.pkgs {
+		internal := strings.Contains(filepath.ToSlash(p.dir)+"/", "internal/")
+		for path, file := range p.files {
+			for _, decl := range file.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				declNames[fd.Name] = true
+				if internal && !strings.HasSuffix(path, "_test.go") && fd.Name.IsExported() &&
+					!(fd.Recv != nil && ifaceMethodNames[fd.Name.Name]) {
+					decls = append(decls, fd)
+				}
+			}
 		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || !freshBufWireFuncs[sel.Sel.Name] {
-			return true
+	}
+	referenced := map[string]bool{}
+	for _, p := range a.pkgs {
+		for _, file := range p.files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && !declNames[id] {
+					referenced[id.Name] = true
+				}
+				return true
+			})
 		}
-		if id, ok := sel.X.(*ast.Ident); ok && id.Name == wireName && id.Obj == nil {
-			a.report(call.Pos(), "wire-encode",
-				"%s.%s allocates a fresh buffer per message in the wire hot path — "+
-					"use %s.AppendUpdate into a pooled or reused buffer instead", wireName, sel.Sel.Name, wireName)
+	}
+	for _, fd := range decls {
+		if !referenced[fd.Name.Name] {
+			a.report(fd.Name.Pos(), "deadexport",
+				"exported %s is referenced nowhere in the module: delete it, or unexport it", fd.Name.Name)
 		}
-		return true
-	})
+	}
 }
 
 // checkEmptyInterface flags the pre-generics spelling interface{}: the

@@ -492,86 +492,77 @@ func main() {
 	}
 }
 
-// TestSeededWireEncode proves the wire-encode check flags fresh-buffer
-// wire.Encode calls in the wire hot-path packages (including aliased
-// imports), while leaving test files, other packages, the pooled
-// AppendUpdate entry point, and locally-shadowed identifiers alone.
-func TestSeededWireEncode(t *testing.T) {
-	findings := analyzeTree(t, map[string]string{
-		"internal/msgsim/sim.go": `package msgsim
+// TestSeededDeadExport proves the deadexport check flags an exported
+// function and an exported method under internal/ that nothing names, and
+// leaves alone: names another package, a test or an interface references,
+// the fixed interface-method names, unexported and test-file declarations,
+// and packages outside internal/. Without the module root in the parsed
+// set the check stays off, since the references would be incomplete.
+func TestSeededDeadExport(t *testing.T) {
+	tree := map[string]string{
+		"go.mod": "module repro\n",
+		"internal/foo/foo.go": `package foo
 
-import "repro/internal/wire"
+type T struct{}
 
-func send(u *wire.Update) ([]byte, error) {
-	return wire.Encode(u)
-}
+func Orphan() {}
 
-func sendPooled(buf []byte, u *wire.Update) ([]byte, error) {
-	return wire.AppendUpdate(buf, u)
-}
+func (T) OrphanMethod() {}
+
+func UsedElsewhere() {}
+
+func UsedByTest() {}
+
+func (T) Tick() {}
+
+func (T) String() string { return "" }
+
+func (T) Len() int { return 0 }
+
+func unexported() {}
 `,
-		"internal/speaker/out.go": `package speaker
+		"internal/foo/foo_test.go": `package foo
 
-import w "repro/internal/wire"
+func TestOnly() { UsedByTest() }
 
-func serialize(u *w.Update) ([]byte, error) {
-	return w.Encode(u)
-}
+func HelperNobodyCalls() {}
 `,
-		"internal/speaker/out_test.go": `package speaker
+		"internal/bar/bar.go": `package bar
 
-import "repro/internal/wire"
+import "repro/internal/foo"
 
-func encodeForTest(u *wire.Update) ([]byte, error) {
-	return wire.Encode(u)
-}
+type ticker interface{ Tick() }
+
+var _ = foo.UsedElsewhere
 `,
-		"internal/msgsim/shadow.go": `package msgsim
+		"cmd/tool/main.go": `package main
 
-type codec struct{}
+func ExportedInMain() {}
 
-func (codec) Encode(u any) ([]byte, error) { return nil, nil }
-
-func local(u any) ([]byte, error) {
-	var wire codec
-	return wire.Encode(u)
-}
+func main() {}
 `,
-		"internal/churn/soak.go": `package churn
-
-import "repro/internal/wire"
-
-func snapshot(u *wire.Update) ([]byte, error) {
-	return wire.Encode(u)
-}
-`,
-	})
-	if !hasFinding(findings, "wire-encode", "wire.Encode") {
-		t.Errorf("fresh-buffer wire.Encode in internal/msgsim not flagged; findings: %v", findings)
 	}
-	if !hasFinding(findings, "wire-encode", "w.Encode") {
-		t.Errorf("aliased wire.Encode in internal/speaker not flagged; findings: %v", findings)
+	findings := analyzeTree(t, tree)
+	for _, want := range []string{"Orphan ", "OrphanMethod "} {
+		if !hasFinding(findings, "deadexport", "exported "+want) {
+			t.Errorf("unreferenced %snot flagged; findings: %v", want, findings)
+		}
 	}
 	count := 0
 	for _, f := range findings {
-		if f.Check == "wire-encode" {
+		if f.Check == "deadexport" {
 			count++
-			if strings.HasSuffix(f.Pos.Filename, "_test.go") {
-				t.Errorf("wire-encode flagged a test file: %v", f)
-			}
-			if strings.Contains(f.Pos.Filename, "churn") {
-				t.Errorf("wire-encode flagged a package outside the wire hot path: %v", f)
-			}
-			if strings.Contains(f.Pos.Filename, "shadow") {
-				t.Errorf("wire-encode flagged a locally-shadowed identifier: %v", f)
-			}
-			if strings.Contains(f.Msg, "AppendUpdate(") {
-				t.Errorf("wire-encode flagged the pooled AppendUpdate entry point: %v", f)
-			}
 		}
 	}
 	if count != 2 {
-		t.Errorf("want exactly 2 wire-encode findings, got %d: %v", count, findings)
+		t.Errorf("want exactly 2 deadexport findings, got %d: %v", count, findings)
+	}
+
+	delete(tree, "go.mod")
+	for _, f := range analyzeTree(t, tree) {
+		if f.Check == "deadexport" {
+			t.Errorf("deadexport ran without the module root parsed: %v", f)
+		}
 	}
 }
 

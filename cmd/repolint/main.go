@@ -1,5 +1,5 @@
 // Command repolint is this repository's own correctness linter. It runs
-// six purely syntactic go/ast checks that encode invariants the paper
+// eight purely syntactic go/ast checks that encode invariants the paper
 // reproduction depends on:
 //
 //   - exhaustive-switch: a switch over one of the behaviour-steering enums
@@ -33,6 +33,16 @@
 //
 //   - empty-interface: the pre-generics spelling interface{} is banned
 //     repo-wide in favour of any (Go 1.18+).
+//
+//   - pass-coverage: every lint pass registered in internal/lint must be
+//     named in that package's tests.
+//
+//   - deadexport: an exported function or method in a non-test file under
+//     internal/ whose name is referenced nowhere else in the module — no
+//     package, command, benchmark or test — is unreachable surface and
+//     fails. Methods with standard interface names (String, Error,
+//     MarshalJSON, Len/Less/Swap/Push/Pop, ...) are exempt. Runs only when
+//     the module root is among the linted directories (repolint ./...).
 //
 // Usage:
 //

@@ -288,33 +288,15 @@ func (s *PathSet) SetWords(ws []uint64) {
 	s.words = append(s.words[:0], ws...)
 }
 
-// Hash returns a 64-bit hash of the set's contents. Equal sets hash
-// equally regardless of internal capacity; the hash is not collision-free
-// and callers deduplicating by it must verify with Equal or the words.
-func (s PathSet) Hash() uint64 {
-	h := uint64(1469598103934665603) // FNV offset basis
-	for _, w := range s.words[:s.WordsLen()] {
-		h = hashMixWord(h, w)
-	}
-	return h
-}
-
-// hashMixWord folds one 64-bit word into a running hash. Shared by
-// PathSet.Hash and the word-vector hashing of the exploration arena so
-// both stay consistent.
-func hashMixWord(h, w uint64) uint64 {
-	h ^= w
-	h *= 1099511628211 // FNV prime
-	return h ^ (h >> 29)
-}
-
-// HashWords hashes a word vector with the same mixing function as
-// PathSet.Hash. It is the dedup hash of the state-interning arena in
-// package explore.
+// HashWords hashes a word vector (FNV-1a over 64-bit words with an extra
+// fold). It is the dedup hash of the state-interning arena in package
+// explore; it is not collision-free, so callers verify with the words.
 func HashWords(ws []uint64) uint64 {
-	h := uint64(1469598103934665603)
+	h := uint64(1469598103934665603) // FNV offset basis
 	for _, w := range ws {
-		h = hashMixWord(h, w)
+		h ^= w
+		h *= 1099511628211 // FNV prime
+		h ^= h >> 29
 	}
 	return h
 }

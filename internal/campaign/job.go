@@ -154,22 +154,13 @@ func (j CensusJob) Run(ctx context.Context, seed int64, m *Meter) SeedResult {
 	res.ModifiedConv = mr.Outcome == protocol.Converged
 
 	if (res.ClassicOsc || res.WaltonOsc) && ctx.Err() == nil {
-		if eq, err := equalizeMEDs(sys); err == nil {
+		if eq, err := workload.EqualizeMEDs(sys); err == nil {
 			res.MEDInduced = !j.oscillatesBySampling(ctx, eq, protocol.Classic, m) &&
 				!j.oscillatesBySampling(ctx, eq, protocol.Walton, m)
 		}
 	}
 	res.Fig13Like = res.ClassicOsc && res.WaltonOsc && res.ModifiedConv && res.MEDInduced
 	return res
-}
-
-// equalizeMEDs rebuilds the system with every MED zeroed (the E22 control).
-func equalizeMEDs(sys *topology.System) (*topology.System, error) {
-	spec := topology.ToSpec(sys)
-	for i := range spec.Exits {
-		spec.Exits[i].MED = 0
-	}
-	return topology.BuildSpec(spec)
 }
 
 // Fig13Job reproduces the paper's Figure 13 counterexample search as a

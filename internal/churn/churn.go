@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"repro/internal/bgp"
+	"repro/internal/faults"
 )
 
 // Spec shapes one churn workload. The zero value is invalid; start from
@@ -115,18 +116,6 @@ type Event struct {
 	Withdraw bool
 }
 
-// splitmix64 is the finalising mix of the SplitMix64 generator, the same
-// stateless hash package faults derives message fates from.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// unit maps a hash to a float in [0, 1).
-func unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }
-
 // Stream generates the event rounds of one workload and tracks, per
 // prefix, which exit paths are currently announced. Rounds are generated
 // strictly in order; the live sets after round r are the reference the
@@ -211,9 +200,9 @@ func (st *Stream) Next() []Event {
 	slots := make([]slot, k)
 	for i := 0; i < k; i++ {
 		key := uint64(st.spec.Seed)<<1 ^ uint64(uint32(r))<<24 ^ uint64(uint32(i))
-		h := splitmix64(key)
+		h := faults.SplitMix64(key)
 		slots[i] = slot{
-			offset: int64(splitmix64(h^1) % uint64(st.spec.Burst)),
+			offset: int64(faults.SplitMix64(h^1) % uint64(st.spec.Burst)),
 			h:      h,
 			idx:    i,
 		}
@@ -232,7 +221,7 @@ func (st *Stream) Next() []Event {
 	var out []Event
 	for _, sl := range slots {
 		h := sl.h
-		prefix := uint32(splitmix64(h^2) % uint64(st.spec.Prefixes))
+		prefix := uint32(faults.SplitMix64(h^2) % uint64(st.spec.Prefixes))
 		live := st.live[prefix]
 		if inFlap[prefix] == nil {
 			inFlap[prefix] = map[bgp.PathID]bool{}
@@ -242,9 +231,9 @@ func (st *Stream) Next() []Event {
 		eligibleLive := st.eligible(live, flap, true)
 		eligibleDown := st.eligible(live, flap, false)
 
-		if st.spec.FlapProb > 0 && unit(splitmix64(h^3)) < st.spec.FlapProb && len(eligibleLive) > 0 {
-			victim := eligibleLive[splitmix64(h^4)%uint64(len(eligibleLive))]
-			gap := 1 + int64(splitmix64(h^5)%uint64(st.spec.Burst))
+		if st.spec.FlapProb > 0 && faults.Unit(faults.SplitMix64(h^3)) < st.spec.FlapProb && len(eligibleLive) > 0 {
+			victim := eligibleLive[faults.SplitMix64(h^4)%uint64(len(eligibleLive))]
+			gap := 1 + int64(faults.SplitMix64(h^5)%uint64(st.spec.Burst))
 			back := sl.offset + gap
 			if back >= st.spec.Period {
 				back = st.spec.Period - 1
@@ -265,22 +254,22 @@ func (st *Stream) Next() []Event {
 			continue
 		}
 
-		wantWithdraw := unit(splitmix64(h^6)) < 0.5
+		wantWithdraw := faults.Unit(faults.SplitMix64(h^6)) < 0.5
 		switch {
 		case wantWithdraw && len(eligibleLive) > 1:
-			victim := eligibleLive[splitmix64(h^7)%uint64(len(eligibleLive))]
+			victim := eligibleLive[faults.SplitMix64(h^7)%uint64(len(eligibleLive))]
 			out = append(out, Event{At: sl.offset, Prefix: prefix, Path: victim, Withdraw: true})
 			delete(live, victim)
 			st.withdraws++
 		case len(eligibleDown) > 0:
-			id := eligibleDown[splitmix64(h^8)%uint64(len(eligibleDown))]
+			id := eligibleDown[faults.SplitMix64(h^8)%uint64(len(eligibleDown))]
 			out = append(out, Event{At: sl.offset, Prefix: prefix, Path: id})
 			live[id] = true
 			st.announces++
 		case len(eligibleLive) > 1:
 			// Wanted an announce but everything is live: withdraw instead so
 			// the slot still churns.
-			victim := eligibleLive[splitmix64(h^9)%uint64(len(eligibleLive))]
+			victim := eligibleLive[faults.SplitMix64(h^9)%uint64(len(eligibleLive))]
 			out = append(out, Event{At: sl.offset, Prefix: prefix, Path: victim, Withdraw: true})
 			delete(live, victim)
 			st.withdraws++

@@ -300,7 +300,7 @@ func newChecker(sys *topology.System, cfg Config) (*checker, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &checker{sys: sys, cfg: cfg, stream: stream, ref: ref, hash: splitmix64(uint64(cfg.Spec.Seed))}, nil
+	return &checker{sys: sys, cfg: cfg, stream: stream, ref: ref, hash: faults.SplitMix64(uint64(cfg.Spec.Seed))}, nil
 }
 
 func (c *checker) violate(round int, prefix uint32, kind, format string, args ...any) {
@@ -380,7 +380,7 @@ func (c *checker) check(round int, evs []Event, st state) bool {
 }
 
 // fold mixes one value into the rolling state hash.
-func (c *checker) fold(v uint64) { c.hash = splitmix64(c.hash ^ v) }
+func (c *checker) fold(v uint64) { c.hash = faults.SplitMix64(c.hash ^ v) }
 
 // aggregate assembles the deterministic summary after the last round.
 func (c *checker) aggregate(rounds int) Aggregate {

@@ -27,9 +27,12 @@ func plan(t testing.TB, drop float64, horizon int64) *faults.Plan {
 
 // smallSys generates the topogen Small family's seed-1 system: 7 routers,
 // two reflection levels, 4 exit paths.
-func smallSys(t testing.TB) *topology.System {
+func smallSys(t testing.TB) *topology.System { return genSys(t, topogen.Small()) }
+
+// genSys generates and builds the seed-1 system of a topogen family.
+func genSys(t testing.TB, family topogen.Spec) *topology.System {
 	t.Helper()
-	spec, err := topogen.Generate(topogen.Small(), 1)
+	spec, err := topogen.Generate(family, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,6 +84,28 @@ func TestSoakSimDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a.Agg, b.Agg) {
 		t.Fatalf("same config, different aggregates:\n%+v\n%+v", a.Agg, b.Agg)
+	}
+}
+
+// TestSoakSimStateHashPinned pins the rolling state hash of the mid-size
+// reference soak (172 routers: the topogen Default family at 5 clients per
+// PoP, seed 1, the default churn spec, 8 rounds, Modified, MRAI 10). The
+// hash folds every router's RIB after every round, so any change to
+// selection, the announcement rules, the refresh merge or the simulator's
+// ordering moves it; a refactor that claims to preserve behaviour must
+// leave it alone.
+func TestSoakSimStateHashPinned(t *testing.T) {
+	spec := topogen.Default()
+	spec.ClientsPerPoP = 5
+	rep, err := SoakSim(genSys(t, spec), Config{Spec: DefaultSpec(), Rounds: 8, Policy: protocol.Modified, MRAI: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() {
+		t.Fatalf("soak violations: %+v", rep.Violations)
+	}
+	if want := "d95c0c36e5654bc9"; rep.Agg.StateHash != want {
+		t.Fatalf("state hash %s, pinned %s", rep.Agg.StateHash, want)
 	}
 }
 

@@ -127,18 +127,18 @@ func (p *Plan) Validate(nodes int) error {
 	return nil
 }
 
-// splitmix64 is the finalising mix of the SplitMix64 generator: a cheap,
-// high-quality 64-bit hash used to derive per-message fates without any
-// shared RNG state.
-func splitmix64(x uint64) uint64 {
+// SplitMix64 is the finalising mix of the SplitMix64 generator: a cheap,
+// high-quality 64-bit hash used to derive per-message fates — and package
+// churn's event schedules — without any shared RNG state.
+func SplitMix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
 }
 
-// unit maps a hash to a float in [0, 1).
-func unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }
+// Unit maps a hash to a float in [0, 1).
+func Unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }
 
 // Fate decides the destiny of the seq-th message sent on the session
 // from -> to at time now. It is a pure function of the plan and its
@@ -153,27 +153,27 @@ func (p *Plan) Fate(now int64, from, to bgp.NodeID, seq int) Fate {
 	// One hash per independent decision, all derived from the same
 	// (seed, session, seq) key with distinct stream tags.
 	key := uint64(p.Seed)<<1 ^ uint64(uint32(from))<<40 ^ uint64(uint32(to))<<20 ^ uint64(uint32(seq))
-	h := splitmix64(key)
+	h := SplitMix64(key)
 	var f Fate
-	if p.Drop > 0 && unit(splitmix64(h^1)) < p.Drop {
+	if p.Drop > 0 && Unit(SplitMix64(h^1)) < p.Drop {
 		f.Drop = true
 		return f
 	}
-	if p.Duplicate > 0 && unit(splitmix64(h^2)) < p.Duplicate {
+	if p.Duplicate > 0 && Unit(SplitMix64(h^2)) < p.Duplicate {
 		f.Duplicate = true
 	}
-	if p.Reorder > 0 && unit(splitmix64(h^3)) < p.Reorder {
+	if p.Reorder > 0 && Unit(SplitMix64(h^3)) < p.Reorder {
 		f.Reorder = true
 	}
 	max := p.MaxExtraDelay
 	if max <= 0 {
 		max = 50
 	}
-	if p.Delay > 0 && unit(splitmix64(h^4)) < p.Delay {
-		f.ExtraDelay = 1 + int64(splitmix64(h^5)%uint64(max))
+	if p.Delay > 0 && Unit(SplitMix64(h^4)) < p.Delay {
+		f.ExtraDelay = 1 + int64(SplitMix64(h^5)%uint64(max))
 	}
 	if f.Duplicate {
-		f.DupDelay = 1 + int64(splitmix64(h^6)%uint64(max))
+		f.DupDelay = 1 + int64(SplitMix64(h^6)%uint64(max))
 	}
 	return f
 }
@@ -240,16 +240,16 @@ func RandomPlan(seed int64, n int, cfg RandomConfig) (*Plan, error) {
 			return nil, errors.New("faults: resets need a positive horizon")
 		}
 		for i := 0; i < cfg.Resets; i++ {
-			h := splitmix64(uint64(seed) ^ 0xC4A05 ^ uint64(i)<<32)
+			h := SplitMix64(uint64(seed) ^ 0xC4A05 ^ uint64(i)<<32)
 			a := bgp.NodeID(h % uint64(n))
-			b := bgp.NodeID(splitmix64(h^7) % uint64(n-1))
+			b := bgp.NodeID(SplitMix64(h^7) % uint64(n-1))
 			if b >= a {
 				b++
 			}
 			// Place the reset inside [0, Horizon/2) with downtime bounded
 			// so it reopens comfortably before the horizon.
-			at := int64(splitmix64(h^9) % uint64(cfg.Horizon/2+1))
-			down := 1 + int64(splitmix64(h^11)%uint64(cfg.Horizon/4+1))
+			at := int64(SplitMix64(h^9) % uint64(cfg.Horizon/2+1))
+			down := 1 + int64(SplitMix64(h^11)%uint64(cfg.Horizon/4+1))
 			if at+down > cfg.Horizon {
 				down = cfg.Horizon - at
 			}

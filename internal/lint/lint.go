@@ -253,17 +253,6 @@ func (r *Report) verdict() Verdict {
 	return v
 }
 
-// RiskFindings returns the findings with severity Risk or Error.
-func (r *Report) RiskFindings() []Finding {
-	var out []Finding
-	for _, f := range r.Findings {
-		if f.Severity >= Risk {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 // HasPass reports whether some finding came from the named pass.
 func (r *Report) HasPass(name string) bool {
 	for _, f := range r.Findings {

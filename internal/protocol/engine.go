@@ -16,7 +16,6 @@ package protocol
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/bgp"
@@ -102,13 +101,14 @@ type Engine struct {
 	// the state codec run allocation-free by reusing these buffers; they
 	// carry no state between calls and are never shared between engines
 	// (Clone starts its copy with fresh scratch).
-	gatherSet    bgp.PathSet    // gather target, swapped into possible[u]
-	advNext      bgp.PathSet    // recompute target, swapped into advertised[u]
-	advFrozen    []bgp.PathSet  // pre-step advertised sets (ActivateSet, InducedConfig)
-	lfScratch    []int          // learnedFrom scratch for WouldChange
-	routeScratch []bgp.Route    // candidate materialisation
-	bestScratch  []bgp.Route    // selection.BestInPlace target in recompute
-	pathScratch  []bgp.ExitPath // survivor-set materialisation
+	gatherSet    bgp.PathSet     // gather target, swapped into possible[u]
+	advNext      bgp.PathSet     // recompute target, swapped into advertised[u]
+	advFrozen    []bgp.PathSet   // pre-step advertised sets (ActivateSet, InducedConfig)
+	lfScratch    []int           // learnedFrom scratch for WouldChange
+	routeScratch []bgp.Route     // candidate materialisation
+	bestScratch  []bgp.Route     // selection.BestInPlace target in recompute
+	pathScratch  []bgp.ExitPath  // survivor-set materialisation
+	byAS         map[bgp.ASN]int // MED minima scratch for SurvivorsBInPlace
 }
 
 // New returns an engine in the paper's initial configuration:
@@ -216,20 +216,24 @@ func (e *Engine) BestRoute(u bgp.NodeID) (bgp.Route, bool) {
 // protocol advertises from u.
 func (e *Engine) GoodExits(u bgp.NodeID) bgp.PathSet {
 	var out bgp.PathSet
-	for _, p := range selection.SurvivorsB(e.pathsInto(e.possible[u]), e.opts.MED) {
-		out.Add(p.ID)
-	}
+	e.goodExitsInto(&out, u)
 	return out
 }
 
-// pathsInto materialises the exit paths of s into the engine's path
-// scratch slice. The result is valid until the next pathsInto call.
-func (e *Engine) pathsInto(s bgp.PathSet) []bgp.ExitPath {
+// goodExitsInto adds Choose^B(PossibleExits(u)) to out. The exit paths are
+// materialised into the engine's private path scratch, which the in-place
+// Choose^B may reorder freely: only the surviving IDs leave this function.
+func (e *Engine) goodExitsInto(out *bgp.PathSet, u bgp.NodeID) {
 	e.pathScratch = e.pathScratch[:0]
-	s.ForEach(func(id bgp.PathID) {
+	e.possible[u].ForEach(func(id bgp.PathID) {
 		e.pathScratch = append(e.pathScratch, e.sys.Exit(id))
 	})
-	return e.pathScratch
+	if e.byAS == nil {
+		e.byAS = make(map[bgp.ASN]int, 4)
+	}
+	for _, p := range selection.SurvivorsBInPlace(e.pathScratch, e.opts.MED, e.byAS) {
+		out.Add(p.ID)
+	}
 }
 
 // candidatesInto materialises the routes of u's PossibleExits with their
@@ -272,9 +276,7 @@ func (e *Engine) recompute(u bgp.NodeID) bool {
 	adv.Clear()
 	switch {
 	case e.policy == Modified || (e.policy == Adaptive && e.upgraded[u]):
-		for _, p := range selection.SurvivorsB(e.pathsInto(e.possible[u]), e.opts.MED) {
-			adv.Add(p.ID)
-		}
+		e.goodExitsInto(adv, u)
 	case e.policy == Walton && e.sys.Role(u) == topology.Reflector:
 		for _, r := range selection.WaltonSet(cands, e.opts) {
 			adv.Add(r.Path.ID)
@@ -565,10 +567,4 @@ func ownLearnedFrom(p bgp.ExitPath) int {
 		return p.TieBreak
 	}
 	return p.NextHopID
-}
-
-// SortNodes orders node ids ascending in place and returns them.
-func SortNodes(ns []bgp.NodeID) []bgp.NodeID {
-	sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-	return ns
 }

@@ -1,6 +1,7 @@
 package rib
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/bgp"
@@ -14,6 +15,29 @@ func fig14RIB(t *testing.T, name string, policy protocol.Policy) (*figures.Fig, 
 	t.Helper()
 	f := figures.Fig14()
 	return f, New(f.Sys, policy, selection.Options{}, f.Node(name))
+}
+
+// update is one peer's non-empty diff from a refresh round.
+type update struct {
+	To       bgp.NodeID
+	Announce []bgp.PathID
+	Withdraw []bgp.PathID
+}
+
+// refresh drives the shipped refresh surface the way package router does —
+// RecomputeBest, PrepareFlush, then DiffInto and ApplyDiff per peer — and
+// returns the UPDATEs owed, every send succeeding.
+func refresh(r *RIB) (bestChanged bool, updates []update) {
+	bestChanged = r.RecomputeBest()
+	r.PrepareFlush()
+	for _, w := range r.pg.Peers() {
+		ann, wd := r.DiffInto(w, nil, nil)
+		if len(ann) > 0 || len(wd) > 0 {
+			r.ApplyDiff(w, ann, wd)
+			updates = append(updates, update{To: w, Announce: ann, Withdraw: wd})
+		}
+	}
+	return bestChanged, updates
 }
 
 func TestEmptyRIB(t *testing.T) {
@@ -35,7 +59,7 @@ func TestEmptyRIB(t *testing.T) {
 func TestInjectAndRefresh(t *testing.T) {
 	f, r := fig14RIB(t, "RR1", protocol.Classic)
 	r.Inject(f.Path("r1"))
-	changed, updates := r.Refresh()
+	changed, updates := refresh(r)
 	if !changed {
 		t.Fatal("injection did not flap the best route")
 	}
@@ -51,8 +75,8 @@ func TestInjectAndRefresh(t *testing.T) {
 			t.Fatalf("update = %+v", u)
 		}
 	}
-	// Refresh is idempotent: no further diffs.
-	changed, updates = r.Refresh()
+	// A refresh is idempotent: no further diffs.
+	changed, updates = refresh(r)
 	if changed || len(updates) != 0 {
 		t.Fatalf("second refresh: changed=%v updates=%v", changed, updates)
 	}
@@ -61,9 +85,9 @@ func TestInjectAndRefresh(t *testing.T) {
 func TestApplyUpdateAndWithdraw(t *testing.T) {
 	f, r := fig14RIB(t, "RR1", protocol.Classic)
 	r.Inject(f.Path("r1"))
-	r.Refresh()
-	r.ApplyUpdate(f.Node("RR2"), []bgp.PathID{f.Path("r2")}, nil)
-	changed, _ := r.Refresh()
+	refresh(r)
+	r.Learn(f.Node("RR2"), f.Path("r2"))
+	changed, _ := refresh(r)
 	if changed {
 		t.Fatal("E-BGP route must stay best over the I-BGP one")
 	}
@@ -72,7 +96,7 @@ func TestApplyUpdateAndWithdraw(t *testing.T) {
 	}
 	// Withdraw our own; the peer's takes over.
 	r.WithdrawExternal(f.Path("r1"))
-	changed, updates := r.Refresh()
+	changed, updates := refresh(r)
 	if !changed || r.Best() != f.Path("r2") {
 		t.Fatalf("best = %d after withdrawal", r.Best())
 	}
@@ -95,7 +119,7 @@ func TestApplyUpdateAndWithdraw(t *testing.T) {
 func TestApplyUpdateFromStranger(t *testing.T) {
 	f, r := fig14RIB(t, "RR1", protocol.Classic)
 	// c2 is not RR1's peer; its update must be dropped.
-	r.ApplyUpdate(f.Node("c2"), []bgp.PathID{f.Path("r2")}, nil)
+	r.Learn(f.Node("c2"), f.Path("r2"))
 	if !r.Possible().Empty() {
 		t.Fatal("update from non-peer accepted")
 	}
@@ -108,7 +132,7 @@ func TestMayAnnounceRules(t *testing.T) {
 
 	rr1 := New(f.Sys, protocol.Classic, selection.Options{}, RR1)
 	rr1.Inject(r1)
-	rr1.ApplyUpdate(RR2, []bgp.PathID{r2}, nil)
+	rr1.Learn(RR2, r2)
 
 	// Own E-BGP route: to everyone.
 	if !rr1.MayAnnounce(r1, RR2) || !rr1.MayAnnounce(r1, c1) {
@@ -124,7 +148,7 @@ func TestMayAnnounceRules(t *testing.T) {
 
 	// A client never forwards learned routes.
 	cl := New(f.Sys, protocol.Classic, selection.Options{}, c1)
-	cl.ApplyUpdate(RR1, []bgp.PathID{r1}, nil)
+	cl.Learn(RR1, r1)
 	if cl.MayAnnounce(r1, RR1) {
 		t.Fatal("client forwarded a learned route")
 	}
@@ -132,22 +156,12 @@ func TestMayAnnounceRules(t *testing.T) {
 
 func TestClientRouteReflection(t *testing.T) {
 	// A reflector reflects a client's route to everyone except that client.
-	b := topology.NewBuilder()
-	k := b.NewCluster()
-	k2 := b.NewCluster()
-	rr := b.Reflector("rr", k)
-	ca := b.Client("ca", k)
-	cb := b.Client("cb", k)
-	rr2 := b.Reflector("rr2", k2)
-	b.Link(rr, ca, 1).Link(rr, cb, 1).Link(rr, rr2, 1)
-	p := b.Exit(ca, topology.ExitSpec{NextAS: 1})
-	sys, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := dualInstanceSystem(t)
+	n := nodeIDs(sys)
+	rr, rr2, ca, cb, p := n["rr"], n["rr2"], n["ca"], n["cb"], sys.Exits()[0].ID
 	r := New(sys, protocol.Classic, selection.Options{}, rr)
-	r.ApplyUpdate(ca, []bgp.PathID{p}, nil)
-	r.Refresh()
+	r.Learn(ca, p)
+	refresh(r)
 	if r.MayAnnounce(p, ca) {
 		t.Fatal("client route echoed to originator")
 	}
@@ -164,23 +178,13 @@ func TestDualInstanceKeepsClientClassification(t *testing.T) {
 	// reflector pair at scale: each reclassifies the path as mesh-learned
 	// when the other's reflection arrives, withdraws it from the mesh, loses
 	// the mesh copy, and flips back.)
-	b := topology.NewBuilder()
-	k := b.NewCluster()
-	k2 := b.NewCluster()
-	rr := b.Reflector("rr", k)
-	rr2 := b.Reflector("rr2", k2) // lower node id than the client
-	ca := b.Client("ca", k)
-	cb := b.Client("cb", k)
-	b.Link(rr, rr2, 1).Link(rr, ca, 1).Link(rr, cb, 1)
-	p := b.Exit(ca, topology.ExitSpec{NextAS: 1})
-	sys, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := dualInstanceSystem(t)
+	n := nodeIDs(sys)
+	rr, rr2, ca, cb, p := n["rr"], n["rr2"], n["ca"], n["cb"], sys.Exits()[0].ID
 	r := New(sys, protocol.Classic, selection.Options{}, rr)
-	r.ApplyUpdate(ca, []bgp.PathID{p}, nil)
-	r.ApplyUpdate(rr2, []bgp.PathID{p}, nil)
-	r.Refresh()
+	r.Learn(ca, p)
+	r.Learn(rr2, p)
+	refresh(r)
 	if !r.MayAnnounce(p, rr2) {
 		t.Fatal("client-learned route withdrawn from the mesh when a redundant mesh copy arrived")
 	}
@@ -191,7 +195,7 @@ func TestDualInstanceKeepsClientClassification(t *testing.T) {
 		t.Fatal("client route must reach the sibling client")
 	}
 	// The mesh copy alone reverts to non-client rules: downward only.
-	r.ApplyUpdate(ca, nil, []bgp.PathID{p})
+	r.Unlearn(ca, p)
 	if r.MayAnnounce(p, rr2) {
 		t.Fatal("mesh-only route echoed to a reflector")
 	}
@@ -222,28 +226,19 @@ func TestWaltonPolicyAdvertisesPerAS(t *testing.T) {
 		wantB  bool
 	}{{protocol.Classic, false}, {protocol.Walton, true}, {protocol.Modified, true}} {
 		r := New(sys, tc.policy, selection.Options{}, rr)
-		r.ApplyUpdate(ca, []bgp.PathID{pa}, nil)
-		r.ApplyUpdate(cb, []bgp.PathID{pb}, nil)
-		_, updates := r.Refresh()
+		r.Learn(ca, pa)
+		r.Learn(cb, pb)
+		_, updates := refresh(r)
 		var toRR2 []bgp.PathID
 		for _, u := range updates {
 			if u.To == rr2 {
 				toRR2 = u.Announce
 			}
 		}
-		hasA, hasB := false, false
-		for _, id := range toRR2 {
-			if id == pa {
-				hasA = true
-			}
-			if id == pb {
-				hasB = true
-			}
-		}
-		if !hasA {
+		if !slices.Contains(toRR2, pa) {
 			t.Fatalf("%v: best route pa not announced", tc.policy)
 		}
-		if hasB != tc.wantB {
+		if hasB := slices.Contains(toRR2, pb); hasB != tc.wantB {
 			t.Fatalf("%v: pb announced=%v, want %v", tc.policy, hasB, tc.wantB)
 		}
 	}
@@ -255,8 +250,8 @@ func TestLearnedFromPrefersLowestPeerID(t *testing.T) {
 	f := figures.Fig2()
 	RR1 := f.Node("RR1")
 	r := New(f.Sys, protocol.Classic, selection.Options{}, RR1)
-	r.ApplyUpdate(f.Node("c1"), []bgp.PathID{f.Path("r1")}, nil)
-	r.Refresh()
+	r.Learn(f.Node("c1"), f.Path("r1"))
+	refresh(r)
 	route, ok := r.BestRoute()
 	if !ok {
 		t.Fatal("no best route")

@@ -7,6 +7,7 @@
 package selection
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/bgp"
@@ -292,81 +293,21 @@ func BestInPlace(rs []bgp.Route, opts Options) (bgp.Route, bool) {
 // result is router-independent — it is the candidate set within which MED
 // comparison (rule 3) and IGP metrics (rule 5) decide, and therefore the
 // set the static oscillation-risk passes of package lint reason about.
-// The returned slice is freshly allocated.
+// The returned slice is freshly allocated and keeps the input order.
 func Survivors12(paths []bgp.ExitPath) []bgp.ExitPath {
-	if len(paths) == 0 {
-		return nil
-	}
-	// Rule 1.
-	bestLP := paths[0].LocalPref
-	for _, p := range paths[1:] {
-		if p.LocalPref > bestLP {
-			bestLP = p.LocalPref
-		}
-	}
-	step1 := make([]bgp.ExitPath, 0, len(paths))
-	for _, p := range paths {
-		if p.LocalPref == bestLP {
-			step1 = append(step1, p)
-		}
-	}
-	// Rule 2.
-	bestLen := step1[0].ASPathLen
-	for _, p := range step1[1:] {
-		if p.ASPathLen < bestLen {
-			bestLen = p.ASPathLen
-		}
-	}
-	step2 := step1[:0]
-	for _, p := range step1 {
-		if p.ASPathLen == bestLen {
-			step2 = append(step2, p)
-		}
-	}
-	return step2
+	return survivorsInPlace(slices.Clone(paths), false, PerNeighborAS, nil)
 }
 
 // SurvivorsB runs Choose^B (Figure 10): the prefix of the selection
 // procedure through the MED rule, applied to exit paths. These are the
-// routes the modified protocol advertises. The result is sorted by PathID.
+// routes the modified protocol advertises. The result is freshly allocated
+// and sorted by PathID.
 //
 // Rules 1-3 read only injection-time attributes (LOCAL-PREF, AS-PATH
 // length, NextAS, MED), so Choose^B is well-defined on exit paths without
 // reference to a particular router.
 func SurvivorsB(paths []bgp.ExitPath, mode MEDMode) []bgp.ExitPath {
-	if len(paths) == 0 {
-		return nil
-	}
-	step2 := Survivors12(paths)
-	// Rule 3.
-	var out []bgp.ExitPath
-	if mode == AlwaysCompare {
-		bestMED := step2[0].MED
-		for _, p := range step2[1:] {
-			if p.MED < bestMED {
-				bestMED = p.MED
-			}
-		}
-		for _, p := range step2 {
-			if p.MED == bestMED {
-				out = append(out, p)
-			}
-		}
-	} else {
-		minByAS := make(map[bgp.ASN]int, 4)
-		for _, p := range step2 {
-			cur, ok := minByAS[p.NextAS]
-			if !ok || p.MED < cur {
-				minByAS[p.NextAS] = p.MED
-			}
-		}
-		for _, p := range step2 {
-			if p.MED == minByAS[p.NextAS] {
-				out = append(out, p)
-			}
-		}
-	}
-	return bgp.SortPaths(out)
+	return bgp.SortPaths(survivorsInPlace(slices.Clone(paths), true, mode, make(map[bgp.ASN]int, 4)))
 }
 
 // SurvivorsBInPlace is Choose^B without SurvivorsB's fresh allocations:
@@ -376,6 +317,14 @@ func SurvivorsB(paths []bgp.ExitPath, mode MEDMode) []bgp.ExitPath {
 // per-neighbour-AS MED minima, cleared on entry; it may be nil under
 // AlwaysCompare, which never consults it.
 func SurvivorsBInPlace(paths []bgp.ExitPath, mode MEDMode, byAS map[bgp.ASN]int) []bgp.ExitPath {
+	return survivorsInPlace(paths, true, mode, byAS)
+}
+
+// survivorsInPlace is the one spelling of rules 1-3 over exit paths: rules
+// 1 and 2 always, rule 3 when med is set. Every Survivors* entry point
+// above is a copy and/or sort around it, so Choose^B cannot drift between
+// the model engines, the operational RIB and the static analyser.
+func survivorsInPlace(paths []bgp.ExitPath, med bool, mode MEDMode, byAS map[bgp.ASN]int) []bgp.ExitPath {
 	if len(paths) == 0 {
 		return nil
 	}
@@ -420,6 +369,9 @@ func SurvivorsBInPlace(paths []bgp.ExitPath, mode MEDMode, byAS map[bgp.ASN]int)
 			}
 		}
 		step = out
+	}
+	if !med {
+		return step
 	}
 	// Rule 3.
 	if mode == AlwaysCompare {

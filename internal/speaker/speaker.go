@@ -263,9 +263,6 @@ func (n *Network) Flaps() int { return int(n.counters.Flaps.Load()) }
 // MessagesSent returns the total number of UPDATE messages written.
 func (n *Network) MessagesSent() int { return int(n.counters.Sent.Load()) }
 
-// MessagesDropped returns the number of UPDATEs lost to dead sessions.
-func (n *Network) MessagesDropped() int { return int(n.counters.Dropped.Load()) }
-
 // Counters returns the shared operational counters at this instant.
 func (n *Network) Counters() router.Snapshot { return n.counters.Snapshot() }
 

@@ -15,13 +15,19 @@ package telemetry
 
 import (
 	"encoding/json"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/router"
 )
+
+// latWindow is how many of the most recent convergence-latency samples the
+// percentiles are computed over. A soak records one sample per round for
+// as long as it runs, so the feed keeps a fixed ring: memory and the cost
+// of Stats stay flat however long the run.
+const latWindow = 4096
 
 // subBuffer is each subscriber's channel depth; a subscriber that falls
 // this far behind starts losing events (counted in Stats.Dropped).
@@ -44,7 +50,9 @@ type Feed struct {
 	subs     map[int]chan []byte
 	nextID   int
 	counters func() router.Snapshot
-	lat      []int64
+	lat      [latWindow]int64 // ring of the most recent samples
+	latCount int              // samples ever recorded; next slot is latCount % latWindow
+	latMax   int64            // maximum over every sample ever recorded
 }
 
 // NewFeed builds an empty feed; wire its Sink into the substrate's event
@@ -219,15 +227,18 @@ func (f *Feed) BindCounters(get func() router.Snapshot) {
 }
 
 // RecordConvergence folds one post-burst convergence latency sample into
-// the rolling histogram. It has the signature churn.Config.Latency expects.
+// the rolling aggregates. It has the signature churn.Config.Latency expects.
 func (f *Feed) RecordConvergence(lat int64) {
 	f.mu.Lock()
-	f.lat = append(f.lat, lat)
+	f.lat[f.latCount%latWindow] = lat
+	f.latCount++
+	f.latMax = max(f.latMax, lat)
 	f.mu.Unlock()
 }
 
-// Convergence summarises the convergence-latency samples seen so far
-// (nearest-rank percentiles, substrate clock units).
+// Convergence summarises the convergence-latency samples (substrate clock
+// units): Count and Max cover every sample of the run, the nearest-rank
+// percentiles the most recent latWindow of them.
 type Convergence struct {
 	Count int   `json:"count"`
 	P50   int64 `json:"p50"`
@@ -262,7 +273,9 @@ func (f *Feed) Stats() Stats {
 	}
 	f.mu.Lock()
 	get := f.counters
-	samples := append([]int64(nil), f.lat...)
+	samples := slices.Clone(f.lat[:min(f.latCount, latWindow)])
+	st.Convergence.Count = f.latCount
+	st.Convergence.Max = f.latMax
 	f.mu.Unlock()
 	if get != nil {
 		st.Counters = get()
@@ -270,9 +283,8 @@ func (f *Feed) Stats() Stats {
 			st.MsgsPerSec = float64(st.Counters.Sent) / secs
 		}
 	}
-	st.Convergence.Count = len(samples)
 	if len(samples) > 0 {
-		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+		slices.Sort(samples)
 		rank := func(p float64) int64 {
 			i := int(p*float64(len(samples))+0.5) - 1
 			if i < 0 {
@@ -285,7 +297,6 @@ func (f *Feed) Stats() Stats {
 		}
 		st.Convergence.P50 = rank(0.50)
 		st.Convergence.P99 = rank(0.99)
-		st.Convergence.Max = samples[len(samples)-1]
 	}
 	return st
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"net/http"
+	"runtime"
 	"testing"
 	"time"
 
@@ -32,6 +33,46 @@ func TestFeedCountsWithoutSubscribers(t *testing.T) {
 	}
 	if c := st.Convergence; c.Count != 3 || c.P50 != 20 || c.Max != 30 {
 		t.Fatalf("convergence %+v, want count 3 p50 20 max 30", c)
+	}
+}
+
+// TestConvergenceSamplesBounded: a long soak records a sample per round
+// forever, so neither recording nor Stats may grow with the run. Count and
+// Max still cover every sample; the percentiles cover the latest window.
+func TestConvergenceSamplesBounded(t *testing.T) {
+	allocated := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	f := NewFeed()
+	f.RecordConvergence(1 << 40) // the run's maximum, long since out of the window
+	for i := 1; i < latWindow; i++ {
+		f.RecordConvergence(7)
+	}
+	statsAtWindow := allocated(func() { f.Stats() })
+
+	const total = 100_000
+	recording := allocated(func() {
+		for i := latWindow; i < total; i++ {
+			f.RecordConvergence(int64(i % 100))
+		}
+	})
+	if recording > 16<<10 {
+		t.Errorf("recording %d samples allocated %d bytes; the ring must not grow", total-latWindow, recording)
+	}
+	var st Stats
+	statsAtTotal := allocated(func() { st = f.Stats() })
+	if statsAtTotal > statsAtWindow+4<<10 {
+		t.Errorf("Stats allocated %d bytes at %d samples, %d at %d: cost grows with the run",
+			statsAtTotal, total, statsAtWindow, latWindow)
+	}
+	// The window holds i%100 for the last 4096 values of i: residues 0-3
+	// forty times, 4-99 forty-one times, so the ranks read off that scale.
+	if c := st.Convergence; c.Count != total || c.Max != 1<<40 || c.P50 != 50 || c.P99 != 98 {
+		t.Errorf("convergence %+v, want count %d max %d p50 50 p99 98", c, total, int64(1)<<40)
 	}
 }
 

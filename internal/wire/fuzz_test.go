@@ -37,7 +37,7 @@ func FuzzDecode(f *testing.F) {
 		},
 	}
 	for _, m := range seed {
-		data, err := Encode(m)
+		data, err := Append(nil, m)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func FuzzDecode(f *testing.F) {
 		if n <= 0 || n > len(data) {
 			t.Fatalf("Decode consumed %d of %d bytes", n, len(data))
 		}
-		re, err := Encode(msg)
+		re, err := Append(nil, msg)
 		if err != nil {
 			t.Fatalf("accepted message failed to re-encode: %v", err)
 		}
@@ -71,7 +71,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded message failed to decode: %v", err)
 		}
-		re2, err := Encode(msg2)
+		re2, err := Append(nil, msg2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func FuzzDecode(f *testing.F) {
 // FuzzReader streams arbitrary bytes through the frame reader: no panics,
 // and no infinite loops on malformed framing.
 func FuzzReader(f *testing.F) {
-	good, _ := Encode(Update{Withdrawn: []WithdrawnRoute{{PathID: 9}}})
+	good, _ := Append(nil, Update{Withdrawn: []WithdrawnRoute{{PathID: 9}}})
 	f.Add(good)
 	f.Add(append(good, good...))
 	f.Add(good[:3])

@@ -15,7 +15,7 @@ import (
 // close vs corrupt frame) from exactly these errors.
 func TestReaderErrorPaths(t *testing.T) {
 	valid := func() []byte {
-		data, err := Encode(Update{Announced: []RouteRecord{{Prefix: 1, PathID: 2, LocalPref: 100}}})
+		data, err := Append(nil, Update{Announced: []RouteRecord{{Prefix: 1, PathID: 2, LocalPref: 100}}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func TestReaderErrorPaths(t *testing.T) {
 // garbage must deliver the good frame first, then fail with ErrBadMarker —
 // the reader must not resynchronize silently.
 func TestReaderGarbageAfterValidMessage(t *testing.T) {
-	data, err := Encode(Keepalive{})
+	data, err := Append(nil, Keepalive{})
 	if err != nil {
 		t.Fatal(err)
 	}

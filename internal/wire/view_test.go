@@ -34,7 +34,7 @@ func viewSeeds(tb testing.TB) [][]byte {
 	}
 	var out [][]byte
 	for _, m := range msgs {
-		data, err := Encode(m)
+		data, err := Append(nil, m)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -175,7 +175,7 @@ func TestViewMaterialiseDoesNotAliasBuffer(t *testing.T) {
 // time.
 func TestViewAliasesLiveBuffer(t *testing.T) {
 	u := Update{Announced: []RouteRecord{{Prefix: 3, PathID: 2, LocalPref: 100, TieBreak: -1}}}
-	data, err := Encode(u)
+	data, err := Append(nil, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestAppendUpdateRoundTripsThroughView(t *testing.T) {
 			t.Fatalf("round trip mismatch:\ngot  %+v\nwant %+v", got, u)
 		}
 		if !bytes.Equal(out, mustEncode(t, u)) {
-			t.Fatal("AppendUpdate bytes differ from Encode bytes")
+			t.Fatal("AppendUpdate bytes differ from Append bytes")
 		}
 		buf = out
 	}
@@ -247,7 +247,7 @@ func TestAppendUpdateRoundTripsThroughView(t *testing.T) {
 
 func mustEncode(t *testing.T, u Update) []byte {
 	t.Helper()
-	data, err := Encode(u)
+	data, err := Append(nil, u)
 	if err != nil {
 		t.Fatal(err)
 	}

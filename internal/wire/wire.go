@@ -201,9 +201,6 @@ func AppendUpdate(buf []byte, m *Update) ([]byte, error) {
 	return buf, nil
 }
 
-// Encode serialises msg into a fresh buffer.
-func Encode(msg Message) ([]byte, error) { return Append(nil, msg) }
-
 // frame validates the fixed header and returns the message type, body
 // bytes and total framed length. Shared by Decode and DecodeView so both
 // enforce identical bounds.

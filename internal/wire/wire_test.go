@@ -14,9 +14,9 @@ import (
 
 func roundTrip(t *testing.T, msg Message) Message {
 	t.Helper()
-	data, err := Encode(msg)
+	data, err := Append(nil, msg)
 	if err != nil {
-		t.Fatalf("Encode(%+v): %v", msg, err)
+		t.Fatalf("Append(%+v): %v", msg, err)
 	}
 	got, n, err := Decode(data)
 	if err != nil {
@@ -79,7 +79,7 @@ func TestExitPathConversion(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	good, _ := Encode(Keepalive{})
+	good, _ := Append(nil, Keepalive{})
 
 	t.Run("short input", func(t *testing.T) {
 		if _, _, err := Decode(good[:3]); !errors.Is(err, ErrTruncated) {
@@ -108,13 +108,13 @@ func TestDecodeErrors(t *testing.T) {
 		}
 	})
 	t.Run("body truncated", func(t *testing.T) {
-		data, _ := Encode(Open{Version: Version, BGPID: 1, NodeID: 1})
+		data, _ := Append(nil, Open{Version: Version, BGPID: 1, NodeID: 1})
 		if _, _, err := Decode(data[:len(data)-2]); !errors.Is(err, ErrTruncated) {
 			t.Fatalf("err = %v", err)
 		}
 	})
 	t.Run("bad version", func(t *testing.T) {
-		data, _ := Encode(Open{Version: Version, BGPID: 1, NodeID: 1})
+		data, _ := Append(nil, Open{Version: Version, BGPID: 1, NodeID: 1})
 		data[headerSize] = Version + 1
 		if _, _, err := Decode(data); !errors.Is(err, ErrBadVersion) {
 			t.Fatalf("err = %v", err)
@@ -129,7 +129,7 @@ func TestDecodeErrors(t *testing.T) {
 		}
 	})
 	t.Run("update body garbage", func(t *testing.T) {
-		data, _ := Encode(Update{Withdrawn: []WithdrawnRoute{{PathID: 1}}})
+		data, _ := Append(nil, Update{Withdrawn: []WithdrawnRoute{{PathID: 1}}})
 		data = data[:len(data)-1]
 		data[4], data[5] = 0, byte(len(data))
 		if _, _, err := Decode(data); err == nil {
@@ -181,7 +181,7 @@ func TestQuickUpdateRoundTrip(t *testing.T) {
 				TieBreak:  int32(rng.Uint32()),
 			})
 		}
-		data, err := Encode(in)
+		data, err := Append(nil, in)
 		if err != nil {
 			return false
 		}
@@ -241,7 +241,7 @@ func TestReaderWriterStream(t *testing.T) {
 }
 
 func TestReaderTruncatedStream(t *testing.T) {
-	data, _ := Encode(Open{Version: Version, BGPID: 1, NodeID: 1})
+	data, _ := Append(nil, Open{Version: Version, BGPID: 1, NodeID: 1})
 	r := NewReader(bytes.NewReader(data[:len(data)-3]))
 	if _, err := r.ReadMessage(); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("err = %v", err)
@@ -264,7 +264,7 @@ func TestOversizeUpdateRejected(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		u.Announced = append(u.Announced, RouteRecord{PathID: uint32(i)})
 	}
-	if _, err := Encode(u); !errors.Is(err, ErrBadLength) {
+	if _, err := Append(nil, u); !errors.Is(err, ErrBadLength) {
 		t.Fatalf("oversize update: err = %v", err)
 	}
 }

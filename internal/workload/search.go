@@ -28,8 +28,9 @@ type Verdict struct {
 	Exhaustive bool
 }
 
-// equalizeMEDs rebuilds the system with every MED set to zero.
-func equalizeMEDs(sys *topology.System) (*topology.System, error) {
+// EqualizeMEDs rebuilds the system with every MED set to zero (the E22
+// control: an oscillation that survives it is not MED-induced).
+func EqualizeMEDs(sys *topology.System) (*topology.System, error) {
 	spec := topology.ToSpec(sys)
 	for i := range spec.Exits {
 		spec.Exits[i].MED = 0
@@ -93,7 +94,7 @@ func ClassifyWith(ctx context.Context, sys *topology.System, exhaustiveBudget, w
 		protocol.RunOptions{MaxSteps: 4000}).Outcome == protocol.Converged
 
 	if v.ClassicOscillates || v.WaltonOscillates {
-		if eq, err := equalizeMEDs(sys); err == nil {
+		if eq, err := EqualizeMEDs(sys); err == nil {
 			v.MEDInduced = !oscillatesBySampling(eq, protocol.Classic, 4) &&
 				!oscillatesBySampling(eq, protocol.Walton, 4)
 		}

@@ -12,6 +12,8 @@ package ibgp
 
 import (
 	"context"
+	"encoding/json"
+	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -40,6 +42,14 @@ type scaleResult struct {
 	ChurnPerSec    float64 `json:"churn_msgs_per_sec"`
 	Quiesced       bool    `json:"quiesced"`
 	WithinBoundSec float64 `json:"within_bound_sec"`
+}
+
+// benchEnv is the host-parallelism stamp the record carries: throughput
+// figures are only comparable across commits when the runner's CPU budget
+// is known.
+type benchEnv struct {
+	GOMAXPROCS int `json:"gomaxprocs"`
+	NumCPU     int `json:"num_cpu"`
 }
 
 // scalePoint drives one grid point: generate, build the overlay domain,
@@ -188,7 +198,13 @@ func BenchmarkScale(b *testing.B) {
 		ChaosPlans:  chaosRes.ChaosPlans,
 		Reconverged: chaosRes.Reconverged,
 		LoopFree:    chaosRes.LoopFree,
-		Env:         hostEnv(),
+		Env:         benchEnv{GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU()},
 	}
-	writeBenchJSON(b, "BENCH_scale.json", record)
+	out, err := json.MarshalIndent(record, "", "  ")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := os.WriteFile("BENCH_scale.json", append(out, '\n'), 0o644); err != nil {
+		b.Fatal(err)
+	}
 }
