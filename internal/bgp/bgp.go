@@ -129,6 +129,21 @@ func NewPathSet(ids ...PathID) PathSet {
 	return s
 }
 
+// PathSetOver returns a set that views words (lowest first) in place, so
+// many fixed-width sets can be carved from one backing slab: in-range Add
+// and Remove write through to words. The view is capacity-clipped — an Add
+// past its width reallocates the view's own storage instead of spilling
+// into a neighbour, so callers that must keep the slab authoritative bound
+// their IDs first.
+func PathSetOver(words []uint64) PathSet {
+	return PathSet{words: words[:len(words):len(words)]}
+}
+
+// Words returns the set's backing words, lowest first, without copying —
+// the read side of PathSetOver, for word-at-a-time kernels. Trailing words
+// may be zero; callers must not mutate the slice.
+func (s PathSet) Words() []uint64 { return s.words }
+
 // Add inserts id into the set. Adding None is a no-op.
 func (s *PathSet) Add(id PathID) {
 	if id < 0 {

@@ -3,9 +3,9 @@
 // abstract activation model — msgsim models the operational protocol. The
 // per-router behaviour (Adj-RIB-In state, reflection rules, refresh,
 // per-peer diff/coalesce, MRAI pacing) lives in the shared core of package
-// router; this package is only the transport: an event heap with pluggable
-// per-message delays, per-session FIFO order, and a virtual clock. Every
-// UPDATE is carried as genuine wire bytes — framed with wire.AppendUpdate
+// router; this package is only the transport: an event calendar with
+// pluggable per-message delays, per-session FIFO order, and a virtual
+// clock. Every UPDATE is carried as genuine wire bytes — framed with wire.AppendUpdate
 // into a pooled buffer at the sender and consumed through a zero-copy
 // wire.UpdateView at the receiver — so each simulated hop also exercises
 // the codec the TCP speakers use, without per-hop allocations: events and
@@ -18,8 +18,10 @@ package msgsim
 
 import (
 	"container/heap"
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/bgp"
 	"repro/internal/faults"
@@ -76,6 +78,7 @@ type event struct {
 	kind eventKind
 	// message fields: one wire-encoded UPDATE in flight on from -> to.
 	from, to bgp.NodeID
+	sess     *session // the directed session from -> to
 	payload  []byte
 	// epoch is the session incarnation the message was sent under; a reset
 	// bumps the session epoch, so stale in-flight messages are recognised
@@ -127,6 +130,93 @@ func (h *eventHeap) Pop() any {
 	return x
 }
 
+// calendar is the simulator's event queue: a ring of per-tick FIFO buckets
+// for the ticks [cur, cur+ringTicks) — message delays are a handful of
+// ticks, so nearly every push lands there — with the binary heap kept only
+// as overflow for events pushed before cur or beyond the window. It pops
+// in exactly eventHeap.Less order, (time, seq) ascending: seq grows with
+// every push, so a bucket's FIFO order is its seq order; cur only moves
+// forward past empty buckets (or anywhere while the ring is empty), so a
+// bucket never mixes ticks; and every pop takes the smaller of the ring's
+// head and the heap's top, so an overflow event that has come due — or
+// was pushed into the past — is never overtaken.
+type calendar struct {
+	cur    int64 // tick of the bucket being consumed
+	head   int   // next event of that bucket; every other bucket is unread
+	ring   [ringTicks][]*event
+	inRing int
+	far    eventHeap
+}
+
+const ringTicks = 64 // a power of two
+
+func (c *calendar) len() int { return c.inRing + len(c.far) }
+
+func (c *calendar) push(e *event) {
+	if c.inRing == 0 {
+		c.cur = e.time // an empty ring can sit anywhere
+	}
+	if d := e.time - c.cur; d < 0 || d >= ringTicks {
+		heap.Push(&c.far, e)
+		return
+	}
+	c.ring[e.time&(ringTicks-1)] = append(c.ring[e.time&(ringTicks-1)], e)
+	c.inRing++
+}
+
+// peek returns the next event without removing it, or nil when empty.
+func (c *calendar) peek() *event {
+	var e *event
+	if c.inRing > 0 {
+		for len(c.ring[c.cur&(ringTicks-1)]) == 0 {
+			c.cur++
+		}
+		e = c.ring[c.cur&(ringTicks-1)][c.head]
+	}
+	if len(c.far) > 0 {
+		if f := c.far[0]; e == nil || f.time < e.time || (f.time == e.time && f.seq < e.seq) {
+			return f
+		}
+	}
+	return e
+}
+
+// pop removes and returns the next event, or nil when empty.
+func (c *calendar) pop() *event {
+	e := c.peek()
+	if e == nil {
+		return nil
+	}
+	if len(c.far) > 0 && c.far[0] == e {
+		return heap.Pop(&c.far).(*event)
+	}
+	b := &c.ring[c.cur&(ringTicks-1)]
+	if c.head++; c.head == len(*b) {
+		*b, c.head = (*b)[:0], 0
+	}
+	c.inRing--
+	return e
+}
+
+// session is the transport state of one directed session. epoch and down
+// belong to the undirected session: a reset writes both directions.
+type session struct {
+	sent    int   // messages sent so far (the next sseq)
+	lastArr int64 // last delivery time (FIFO clamp)
+	epoch   int   // incarnation
+	down    bool
+
+	// Reorder bookkeeping, untouched until the run's first reorder-exempt
+	// send (Sim.reorderSeen): the highest delivered sseq and, per (prefix,
+	// path), the highest sseq of a delivered update that announced or
+	// withdrew that route. The latter sequences reordered deliveries at
+	// route granularity: an update overtaken in flight is a *diff*, not a
+	// superset of its successors, so its entries must still apply except
+	// where a newer delivered update already spoke for the same route.
+	delivSeq int
+	touched  map[[2]uint32]int
+}
+
 // Sim is one simulation run. It is not safe for concurrent use. Like the
 // TCP speakers, a Sim can carry several destination prefixes over one
 // session graph; the single-prefix constructors use prefix 0.
@@ -137,7 +227,7 @@ type Sim struct {
 	delay    DelayFunc
 	plan     *faults.Plan
 
-	queue eventHeap
+	queue calendar
 	seq   int
 
 	// Freelists: delivered events and their payload buffers are recycled
@@ -149,23 +239,15 @@ type Sim struct {
 	bufs  [][]byte
 	sends []router.SendFunc
 
-	sentSeq map[[2]bgp.NodeID]int   // per-session sent counter
-	lastArr map[[2]bgp.NodeID]int64 // per-session last delivery time (FIFO clamp)
+	// sess holds the directed sessions densely, router u's block starting
+	// at sessOff[u] in u's peer order (see session).
+	sess    []session
+	sessOff []int
 
-	sessEpoch map[[2]bgp.NodeID]int  // undirected session incarnation
-	sessDown  map[[2]bgp.NodeID]bool // undirected session liveness
-	delivSeq  map[[2]bgp.NodeID]int  // per-session highest delivered sseq
 	// reorderSeen is set at the first reorder-exempt send of the run; until
 	// then per-direction delivery is provably FIFO (the clamp in sendFrom)
-	// and the sequence maps are skipped entirely.
+	// and the sessions' sequence bookkeeping is skipped entirely.
 	reorderSeen bool
-	// touched records, per direction and per (prefix, path), the highest
-	// sseq of a delivered update that announced or withdrew that route.
-	// It sequences reordered deliveries at route granularity: an update
-	// overtaken in flight is a *diff*, not a superset of its successors,
-	// so its entries must still apply except where a newer delivered
-	// update already spoke for the same route.
-	touched map[[2]bgp.NodeID]map[[2]uint32]int
 
 	now        int64
 	events     int
@@ -192,16 +274,13 @@ func NewMulti(systems map[uint32]*topology.System, policy protocol.Policy, opts 
 	if err != nil {
 		panic("msgsim: " + err.Error())
 	}
-	s := &Sim{
-		dom:       dom,
-		delay:     delay,
-		sentSeq:   map[[2]bgp.NodeID]int{},
-		lastArr:   map[[2]bgp.NodeID]int64{},
-		sessEpoch: map[[2]bgp.NodeID]int{},
-		sessDown:  map[[2]bgp.NodeID]bool{},
-		delivSeq:  map[[2]bgp.NodeID]int{},
-		touched:   map[[2]bgp.NodeID]map[[2]uint32]int{},
+	s := &Sim{dom: dom, delay: delay}
+	sessions := 0
+	for u := 0; u < dom.Base().N(); u++ {
+		s.sessOff = append(s.sessOff, sessions)
+		sessions += len(dom.Base().Peers(bgp.NodeID(u)))
 	}
+	s.sess = make([]session, sessions)
 	s.render = trace.NewRouterEventRenderer(dom.Base(), dom.Multi())
 	// All core and transport events flow through one multiplexer; sinks
 	// (the line trace via Observe, telemetry feeds and soak harnesses via
@@ -301,12 +380,14 @@ func (s *Sim) SetWorkers(n int) {
 // message: the sender re-runs refresh and re-sends what it still owes.
 const dropRTO = 17
 
-// skey canonicalises an undirected session.
-func skey(a, b bgp.NodeID) [2]bgp.NodeID {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]bgp.NodeID{a, b}
+// errFaultDrop is what a fault-dropped send returns; the core only needs
+// to know the message was lost.
+var errFaultDrop = errors.New("msgsim: fault plan dropped the message")
+
+// session returns the directed session u -> w; w must be a peer of u.
+func (s *Sim) session(u, w bgp.NodeID) *session {
+	i, _ := slices.BinarySearch(s.dom.Base().Peers(u), w)
+	return &s.sess[s.sessOff[u]+i]
 }
 
 // SetFaults installs a fault plan: per-message fates are applied at every
@@ -325,14 +406,7 @@ func (s *Sim) SetFaults(p *faults.Plan) error {
 	s.plan = p
 	sys := s.dom.Base()
 	for _, r := range p.Resets {
-		adjacent := false
-		for _, w := range sys.Peers(r.A) {
-			if w == r.B {
-				adjacent = true
-				break
-			}
-		}
-		if !adjacent {
+		if !sys.HasSession(r.A, r.B) {
 			continue
 		}
 		// One event per endpoint and transition, so each router runs its
@@ -373,7 +447,7 @@ func (s *Sim) InjectAll() {
 func (s *Sim) push(e *event) {
 	e.seq = s.seq
 	s.seq++
-	heap.Push(&s.queue, e)
+	s.queue.push(e)
 }
 
 // pushEv enqueues one event, drawing its carrier from the freelist. The
@@ -427,19 +501,11 @@ func (s *Sim) putBuf(b []byte) {
 // order (unless a Reorder fate exempts it) and enqueue delivery.
 func (s *Sim) sendFrom(u bgp.NodeID) router.SendFunc {
 	return func(w bgp.NodeID, upd *wire.Update) (int64, error) {
-		// Frame into a recycled buffer: the core's scratch Update must be
-		// consumed before this callback returns, and the bytes become the
-		// queued event's exclusively owned payload.
-		data, err := wire.AppendUpdate(s.getBuf(), upd)
-		if err != nil {
-			// The core only produces well-formed updates; an encode
-			// failure is a codec bug and must not be silently dropped.
-			panic(fmt.Sprintf("msgsim: encode %s -> %s: %v",
-				s.dom.Base().Name(u), s.dom.Base().Name(w), err))
-		}
-		key := [2]bgp.NodeID{u, w}
-		n := s.sentSeq[key]
-		s.sentSeq[key] = n + 1
+		// The fate is drawn before anything is framed: a dropped message
+		// costs no buffer and no encode.
+		sess := s.session(u, w)
+		n := sess.sent
+		sess.sent++
 		fate := s.plan.Fate(s.now, u, w, n)
 		if fate.Drop {
 			// The erroring send tells the core "handed to the transport but
@@ -451,8 +517,17 @@ func (s *Sim) sendFrom(u bgp.NodeID) router.SendFunc {
 			s.counters.FaultDrops.Add(1)
 			s.mux.Batch(router.Event{Kind: router.FaultDrop, Time: s.now, Node: u, Peer: w})
 			s.pushEv(event{time: s.now + dropRTO, kind: evFlush, from: u, to: w})
-			return -1, fmt.Errorf("msgsim: fault plan dropped message %d on %s -> %s",
-				n, s.dom.Base().Name(u), s.dom.Base().Name(w))
+			return -1, errFaultDrop
+		}
+		// Frame into a recycled buffer: the core's scratch Update must be
+		// consumed before this callback returns, and the bytes become the
+		// queued event's exclusively owned payload.
+		data, err := wire.AppendUpdate(s.getBuf(), upd)
+		if err != nil {
+			// The core only produces well-formed updates; an encode
+			// failure is a codec bug and must not be silently dropped.
+			panic(fmt.Sprintf("msgsim: encode %s -> %s: %v",
+				s.dom.Base().Name(u), s.dom.Base().Name(w), err))
 		}
 		d := s.delay(u, w, n)
 		if d < 0 {
@@ -472,25 +547,19 @@ func (s *Sim) sendFrom(u bgp.NodeID) router.SendFunc {
 			s.counters.FaultReorders.Add(1)
 			s.reorderSeen = true
 			s.mux.Batch(router.Event{Kind: router.FaultReorder, Time: s.now, Node: u, Peer: w})
-		} else if last := s.lastArr[key]; at < last {
-			at = last // FIFO: never overtake an earlier message
+		} else if at < sess.lastArr {
+			at = sess.lastArr // FIFO: never overtake an earlier message
 		}
-		if at > s.lastArr[key] {
-			s.lastArr[key] = at
-		}
-		ep := s.sessEpoch[skey(u, w)]
-		s.pushEv(event{time: at, kind: evMessage, from: u, to: w, payload: data, epoch: ep, sseq: n})
+		sess.lastArr = max(sess.lastArr, at)
+		s.pushEv(event{time: at, kind: evMessage, from: u, to: w, sess: sess, payload: data, epoch: sess.epoch, sseq: n})
 		if fate.Duplicate {
 			// The copy is one more message on the wire: count it as Sent so
 			// the quiescence ledger (Sent == Received+Rejected+Dropped)
 			// still balances when it is applied or lost. It barriers the
 			// FIFO clamp like any message, so no later, newer state can be
 			// overtaken by the stale copy.
-			dupAt := at + fate.DupDelay
-			if last := s.lastArr[key]; dupAt < last {
-				dupAt = last
-			}
-			s.lastArr[key] = dupAt
+			dupAt := max(at+fate.DupDelay, sess.lastArr)
+			sess.lastArr = dupAt
 			s.counters.Sent.Add(1)
 			s.counters.FaultDups.Add(1)
 			s.mux.Batch(router.Event{Kind: router.FaultDuplicate, Time: s.now,
@@ -499,7 +568,7 @@ func (s *Sim) sendFrom(u bgp.NodeID) router.SendFunc {
 			// its buffer exclusively, or delivery-time recycling would hand
 			// one buffer back twice.
 			dup := append(s.getBuf(), data...)
-			s.pushEv(event{time: dupAt, kind: evMessage, from: u, to: w, payload: dup, epoch: ep, sseq: n})
+			s.pushEv(event{time: dupAt, kind: evMessage, from: u, to: w, sess: sess, payload: dup, epoch: sess.epoch, sseq: n})
 		}
 		return at, nil
 	}
@@ -552,8 +621,7 @@ func (s *Sim) apply(ev *event) {
 		p := s.dom.System(ev.prefix).Exit(ev.path)
 		s.routers[p.ExitPoint].WithdrawExternal(s.now, ev.prefix, ev.path)
 	case evMessage:
-		k := skey(ev.from, ev.to)
-		if s.sessDown[k] || ev.epoch != s.sessEpoch[k] {
+		if ev.sess.down || ev.epoch != ev.sess.epoch {
 			// Lost with the connection: a session reset kills every message
 			// still in flight on it (RFC 4271 §8.2 semantics).
 			s.counters.Dropped.Add(1)
@@ -579,33 +647,20 @@ func (s *Sim) apply(ev *event) {
 	case evFlush:
 		s.routers[ev.from].Reopen(ev.to)
 	case evPeerDown:
-		k := skey(ev.from, ev.to)
-		if !s.sessDown[k] {
+		if out, back := s.session(ev.from, ev.to), s.session(ev.to, ev.from); !out.down {
 			// First endpoint of the pair bumps the shared session state:
 			// the epoch invalidates in-flight messages, Resets counts the
 			// reset once per session rather than once per end.
-			s.sessDown[k] = true
-			s.sessEpoch[k]++
 			s.counters.Resets.Add(1)
-			delete(s.lastArr, [2]bgp.NodeID{ev.from, ev.to})
-			delete(s.lastArr, [2]bgp.NodeID{ev.to, ev.from})
+			out.down, out.epoch, out.lastArr = true, out.epoch+1, 0
+			back.down, back.epoch, back.lastArr = true, back.epoch+1, 0
 		}
 		s.routers[ev.from].PeerDown(s.now, ev.to)
 	case evPeerUp:
-		s.sessDown[skey(ev.from, ev.to)] = false
+		s.session(ev.from, ev.to).down = false
+		s.session(ev.to, ev.from).down = false
 		s.routers[ev.from].PeerUp(s.now, ev.to)
 	}
-}
-
-// touchMap returns the per-route sequence map for one direction, creating
-// it on first use.
-func (s *Sim) touchMap(dk [2]bgp.NodeID) map[[2]uint32]int {
-	m := s.touched[dk]
-	if m == nil {
-		m = map[[2]uint32]int{}
-		s.touched[dk] = m
-	}
-	return m
 }
 
 // applySequenced delivers one message on a run where reordering has
@@ -613,8 +668,10 @@ func (s *Sim) touchMap(dk [2]bgp.NodeID) map[[2]uint32]int {
 // per-session sequence maps are maintained, and an overtaken update is
 // sequenced at route granularity instead of applied verbatim.
 func (s *Sim) applySequenced(ev *event, v wire.UpdateView) {
-	dk := [2]bgp.NodeID{ev.from, ev.to}
-	if ev.sseq < s.delivSeq[dk] {
+	if ev.sess.touched == nil {
+		ev.sess.touched = map[[2]uint32]int{}
+	}
+	if ev.sseq < ev.sess.delivSeq {
 		// Overtaken by a reordered later message. The update is a diff,
 		// not a superset of its successors, so it cannot simply be
 		// discarded: a route it announces that no later update touched
@@ -625,22 +682,21 @@ func (s *Sim) applySequenced(ev *event, v wire.UpdateView) {
 		// receiver state matches the sender's Adj-RIB-Out whatever the
 		// delivery order. Cold path (fault-injected reorders only), so
 		// materialising the view is fine.
-		upd := s.filterStale(dk, ev.sseq, v.Update())
+		upd := filterStale(ev.sess.touched, ev.sseq, v.Update())
 		if err := s.routers[ev.to].ApplyUpdate(s.now, ev.from, &upd); err != nil {
 			panic(fmt.Sprintf("msgsim: apply at %s: %v", s.dom.Base().Name(ev.to), err))
 		}
 		return
 	}
-	s.delivSeq[dk] = ev.sseq
-	s.recordTouched(dk, ev.sseq, v)
+	ev.sess.delivSeq = ev.sseq
+	recordTouched(ev.sess.touched, ev.sseq, v)
 	if err := s.routers[ev.to].ApplyUpdateView(s.now, ev.from, v); err != nil {
 		panic(fmt.Sprintf("msgsim: apply at %s: %v", s.dom.Base().Name(ev.to), err))
 	}
 }
 
 // recordTouched marks every route v speaks for as last touched by sseq n.
-func (s *Sim) recordTouched(dk [2]bgp.NodeID, n int, v wire.UpdateView) {
-	m := s.touchMap(dk)
+func recordTouched(m map[[2]uint32]int, n int, v wire.UpdateView) {
 	for i, nw := 0, v.NumWithdrawn(); i < nw; i++ {
 		wd := v.WithdrawnAt(i)
 		m[[2]uint32{wd.Prefix, wd.PathID}] = n
@@ -656,8 +712,7 @@ func (s *Sim) recordTouched(dk [2]bgp.NodeID, n int, v wire.UpdateView) {
 // stands), the rest survive and claim their routes at sequence n. Fully
 // superseded messages shrink to an empty update, which still counts as
 // received when applied, keeping the message ledger closed.
-func (s *Sim) filterStale(dk [2]bgp.NodeID, n int, upd wire.Update) wire.Update {
-	m := s.touchMap(dk)
+func filterStale(m map[[2]uint32]int, n int, upd wire.Update) wire.Update {
 	out := wire.Update{}
 	for _, wd := range upd.Withdrawn {
 		key := [2]uint32{wd.Prefix, wd.PathID}
@@ -691,8 +746,8 @@ func (s *Sim) Run(maxEvents int) Result {
 	if maxEvents <= 0 {
 		maxEvents = 100000
 	}
-	for len(s.queue) > 0 && s.events < maxEvents {
-		ev := heap.Pop(&s.queue).(*event)
+	for s.queue.len() > 0 && s.events < maxEvents {
+		ev := s.queue.pop()
 		s.now = ev.time
 		s.events++
 		who := s.target(ev)
@@ -700,8 +755,8 @@ func (s *Sim) Run(maxEvents int) Result {
 		s.apply(ev)
 		s.recycle(ev)
 		// Batch: drain all same-instant events destined to this router.
-		for len(s.queue) > 0 && s.queue[0].time == now && s.target(s.queue[0]) == who {
-			next := heap.Pop(&s.queue).(*event)
+		for next := s.queue.peek(); next != nil && next.time == now && s.target(next) == who; next = s.queue.peek() {
+			s.queue.pop()
 			s.events++
 			s.apply(next)
 			s.recycle(next)
@@ -712,7 +767,7 @@ func (s *Sim) Run(maxEvents int) Result {
 		s.mux.Flush()
 	}
 	res := Result{
-		Quiesced: len(s.queue) == 0,
+		Quiesced: s.queue.len() == 0,
 		Events:   s.events,
 		Messages: int(s.counters.Sent.Load()),
 		Flaps:    int(s.counters.Flaps.Load()),

@@ -7,6 +7,10 @@
 package rib
 
 import (
+	"math"
+	"math/bits"
+	"slices"
+
 	"repro/internal/bgp"
 	"repro/internal/protocol"
 	"repro/internal/selection"
@@ -14,24 +18,24 @@ import (
 )
 
 // Peering is the immutable peer table of one router: the sorted I-BGP peer
-// list plus a dense NodeID→position index. The table depends only on the
-// session graph, which every prefix of a multi-prefix domain shares, so
-// one Peering serves all P of a router's RIBs instead of P copies of the
-// same map pair — the dominant per-RIB memory term at R routers × P
-// prefixes.
+// list plus, per peer position, the two facts the decision process asks of
+// a peer. The table depends only on the session graph, which every prefix
+// of a multi-prefix domain shares, so one Peering serves all P of a
+// router's RIBs. Everything downstream is indexed by peer position; a
+// NodeID is resolved once per UPDATE (Index), not once per record.
 type Peering struct {
-	peers []bgp.NodeID
-	idx   []int32 // NodeID → position in peers; -1 when not a peer
+	peers  []bgp.NodeID
+	served []bool // served[i]: peers[i] is a served member of this router
+	bgpID  []int  // BGP identifier of peers[i] (rule 6's learnedFrom)
 }
 
 // NewPeering builds the peer table of router id over sys's session graph.
 func NewPeering(sys *topology.System, id bgp.NodeID) *Peering {
-	pg := &Peering{peers: sys.Peers(id), idx: make([]int32, sys.N())}
-	for i := range pg.idx {
-		pg.idx[i] = -1
-	}
-	for i, w := range pg.peers {
-		pg.idx[w] = int32(i)
+	peers := sys.Peers(id)
+	pg := &Peering{peers: peers, served: make([]bool, len(peers)), bgpID: make([]int, len(peers))}
+	for i, w := range peers {
+		pg.served[i] = sys.ServedBy(w, id)
+		pg.bgpID[i] = sys.BGPID(w)
 	}
 	return pg
 }
@@ -42,10 +46,10 @@ func (p *Peering) Peers() []bgp.NodeID { return p.peers }
 
 // Index returns w's position in Peers, or -1 when w is not a peer.
 func (p *Peering) Index(w bgp.NodeID) int {
-	if int(w) < 0 || int(w) >= len(p.idx) {
-		return -1
+	if i, ok := slices.BinarySearch(p.peers, w); ok {
+		return i
 	}
-	return int(p.idx[w])
+	return -1
 }
 
 // RIB is the state of one I-BGP speaker for one prefix. It is not safe for
@@ -55,27 +59,36 @@ func (p *Peering) Index(w bgp.NodeID) int {
 // round).
 type RIB struct {
 	sys    *topology.System
+	dom    *selection.Dominance // Choose^B over sys's exits; shared, immutable
 	policy protocol.Policy
 	opts   selection.Options
 	id     bgp.NodeID
 
-	// pg is the fixed I-BGP peer table. The adjIn/lastSent index space
-	// never changes after New (sessions are configured, not discovered), so
-	// iterating pg.peers replaces every per-call map walk and sort on the
-	// decision-process hot path.
+	// pg is the fixed I-BGP peer table. The peer-position index space never
+	// changes after New (sessions are configured, not discovered).
 	pg *Peering
 
-	myExits  bgp.PathSet
-	adjIn    []bgp.PathSet // indexed by peer position (pg.Index)
-	lastSent []bgp.PathSet // indexed by peer position (pg.Index)
-	best     bgp.PathID
+	// sets is the one slab behind every path set of the RIB, w words each:
+	// set 0 is myExits, set 1+i the Adj-RIB-In of peer position i, set
+	// 1+np+i what was last advertised to it. One allocation and no per-set
+	// headers: at R routers x P prefixes the headers outweighed the bits.
+	sets []uint64
 
-	// Adaptive-policy state (protocol.Adaptive): revisit count, the set of
-	// best routes held before, and whether this router has switched to
-	// survivor advertisement.
+	// metric caches metric(route(p, id))+1 per path (0: not yet computed),
+	// one RIB-local line in place of a cold all-pairs row per candidate.
+	// Made on first use, written only by the RIB's owner for the round; a
+	// metric too wide for an entry is recomputed every time.
+	metric []int32
+
+	best bgp.PathID
+
+	// Adaptive-policy state (protocol.Adaptive only): revisit count, the
+	// set of best routes held before, and whether this router has switched
+	// to survivor advertisement.
 	flaps    int
 	heldBest bgp.PathSet
 	upgraded bool
+	w        int32 // words per set
 
 	// scr is the per-refresh-round reusable storage that makes the
 	// RecomputeBest → PrepareFlush → per-peer DiffInto/ApplyDiff cycle
@@ -88,97 +101,112 @@ type RIB struct {
 
 // Scratch holds the decision-process working set. Every slice is reused
 // via the append(x[:0], ...) idiom; every PathSet via Copy/Clear. The
-// prepared-flush state (adv/want/kinds/origins, and target/tids/lids while
-// diffing) is only valid between one RIB's PrepareFlush and the next RIB
-// touching the Scratch, which is why sharing is per-worker, never
-// per-round.
+// prepared-flush state (surv from RecomputeBest; want/kinds/origins, and
+// target while diffing) is only valid between one RIB's RecomputeBest and
+// the next RIB touching the Scratch, which is why sharing is per-worker,
+// never per-round.
 type Scratch struct {
-	possible bgp.PathSet     // candidate path IDs
-	ids      []bgp.PathID    // possible, flattened
-	cands    []bgp.Route     // materialised candidate routes (stable)
-	sel      []bgp.Route     // consumed by BestInPlace (reordered/truncated)
-	paths    []bgp.ExitPath  // consumed by SurvivorsBInPlace
-	byAS     map[bgp.ASN]int // MED minima scratch for SurvivorsBInPlace
+	possible bgp.PathSet  // candidate path IDs
+	surv     bgp.PathSet  // Choose^B(possible)
+	ids      []bgp.PathID // the set being materialised, flattened
+	cands    []bgp.Route  // materialised routes (consumed by selection)
 
-	adv     bgp.PathSet  // advertise set (PrepareFlush)
-	want    []bgp.PathID // adv, flattened
-	kinds   []int        // sourceKind per want entry
-	origins []bgp.NodeID // origin per want entry
+	want    []bgp.PathID // the advertise set, ascending (PrepareFlush)
+	kinds   []int8       // sourceKind per want entry
+	origins []int32      // origin peer position per want entry
 
-	target bgp.PathSet  // per-peer target (DiffInto)
-	tids   []bgp.PathID // target, flattened (diffing)
-	lids   []bgp.PathID // lastSent, flattened (diffing)
+	target bgp.PathSet // per-peer target (DiffInto)
 }
 
 // NewScratch pre-sizes a decision-process scratch for systems of up to n
 // exit paths (every working set is at most the exit-path count), so
 // short-lived routers — a soak round's fresh sim, a census shard — don't
 // pay append-growth allocations on their first refreshes before the
-// scratch warms. The same-typed slices share one backing array each,
-// sliced with full cap so appends can never cross into a neighbour; a
-// larger system degrades to append growth, never to corruption.
+// scratch warms. A larger system degrades to append growth, never to
+// corruption.
 func NewScratch(n int) *Scratch {
 	s := &Scratch{}
-	pid := make([]bgp.PathID, 4*n)
-	s.ids = pid[0*n : 0*n : 1*n]
-	s.want = pid[1*n : 1*n : 2*n]
-	s.tids = pid[2*n : 2*n : 3*n]
-	s.lids = pid[3*n : 3*n : 4*n]
-	rts := make([]bgp.Route, 2*n)
-	s.cands = rts[0:0:n]
-	s.sel = rts[n : n : 2*n]
-	s.paths = make([]bgp.ExitPath, 0, n)
-	s.kinds = make([]int, 0, n)
-	s.origins = make([]bgp.NodeID, 0, n)
+	pid := make([]bgp.PathID, 2*n)
+	s.ids = pid[0:0:n]
+	s.want = pid[n : n : 2*n]
+	s.cands = make([]bgp.Route, 0, n)
+	s.kinds = make([]int8, 0, n)
+	s.origins = make([]int32, 0, n)
 	s.possible.Grow(n)
-	s.adv.Grow(n)
+	s.surv.Grow(n)
 	s.target.Grow(n)
 	return s
 }
 
-// New returns an empty RIB for router id with its own peer table and
-// scratch.
+// New returns an empty RIB for router id with its own peer table, scratch
+// and dominance table.
 func New(sys *topology.System, policy protocol.Policy, opts selection.Options, id bgp.NodeID) *RIB {
-	return NewShared(sys, policy, opts, id, nil, nil)
+	return NewShared(sys, policy, opts, id, nil, nil, nil)
 }
 
-// NewShared returns an empty RIB for router id reusing a shared peer table
-// and scratch. Either may be nil, in which case the RIB builds its own.
-// The peer table must have been built for the same router over the same
-// session graph; the scratch must be sized for at least this system's exit
-// count to stay allocation-free (a smaller one still computes correctly).
-func NewShared(sys *topology.System, policy protocol.Policy, opts selection.Options, id bgp.NodeID, pg *Peering, scr *Scratch) *RIB {
+// NewShared returns an empty RIB for router id reusing a shared peer
+// table, scratch and dominance table. Any may be nil, in which case the RIB
+// builds its own. The peer table must have been built for the same router
+// over the same session graph and the dominance table for sys's exits
+// under opts.MED; the scratch must be sized for at least this system's
+// exit count to stay allocation-free (a smaller one still computes
+// correctly).
+func NewShared(sys *topology.System, policy protocol.Policy, opts selection.Options, id bgp.NodeID,
+	pg *Peering, scr *Scratch, dom *selection.Dominance) *RIB {
 	if pg == nil {
 		pg = NewPeering(sys, id)
 	}
 	if scr == nil {
 		scr = NewScratch(sys.NumExits())
 	}
-	r := &RIB{
+	if dom == nil {
+		dom = selection.NewDominance(sys.Exits(), opts.MED)
+	}
+	w := (sys.NumExits() + 63) / 64
+	return &RIB{
 		sys:    sys,
+		dom:    dom,
 		policy: policy,
 		opts:   opts,
 		id:     id,
 		pg:     pg,
 		scr:    scr,
 		best:   bgp.None,
+		sets:   make([]uint64, (1+2*len(pg.peers))*w),
+		w:      int32(w),
 	}
-	n := sys.NumExits()
-	np := len(pg.peers)
-	r.adjIn = make([]bgp.PathSet, np)
-	r.lastSent = make([]bgp.PathSet, np)
-	for i := range r.adjIn {
-		r.adjIn[i].Grow(n)
-		r.lastSent[i].Grow(n)
-	}
-	r.myExits.Grow(n)
-	return r
 }
 
 // SetScratch points the RIB at a different scratch. The parallel refresh
 // uses this to hand each worker's scratch to the RIBs of its shard; any
 // prepared-flush state in the previous scratch is abandoned.
 func (r *RIB) SetScratch(s *Scratch) { r.scr = s }
+
+// The slab's set numbering.
+const myExits = 0
+
+func (r *RIB) adjIn(i int) int    { return 1 + i }
+func (r *RIB) lastSent(i int) int { return 1 + len(r.pg.peers) + i }
+
+// words returns set k's words in the slab.
+func (r *RIB) words(k int) []uint64 { return r.sets[k*int(r.w) : (k+1)*int(r.w)] }
+
+// set views set k of the slab as a PathSet, for reads and Clear: an Add
+// past the view's width would detach it from the slab (bgp.PathSetOver),
+// so single-path writes go through at, which bounds the ID first.
+func (r *RIB) set(k int) bgp.PathSet { return bgp.PathSetOver(r.words(k)) }
+
+// at returns the slab word and mask of path id in set k. An id beyond the
+// slab's width has no bit to live in; rather than let it vanish, at panics
+// — what such an id always came to one step later, when the decision
+// process looked its exit path up (package router validates received
+// records, so only a bug gets here).
+func (r *RIB) at(k int, id bgp.PathID) (*uint64, uint64) {
+	if uint(id) >= uint(r.w)*64 {
+		panic("rib: path id outside the system's exit paths")
+	}
+	return &r.sets[k*int(r.w)+int(id)/64], 1 << (uint(id) % 64)
+}
 
 // ID returns the router this RIB belongs to.
 func (r *RIB) ID() bgp.NodeID { return r.id }
@@ -191,8 +219,8 @@ func (r *RIB) BestRoute() (bgp.Route, bool) {
 	if r.best == bgp.None {
 		return bgp.Route{}, false
 	}
-	p := r.sys.Exit(r.best)
-	return r.sys.Route(r.id, p, r.learnedFrom(p)), true
+	p := &r.sys.Exits()[r.best]
+	return r.sys.Route(r.id, *p, r.learnedFrom(p)), true
 }
 
 // Possible returns the current candidate set: own exits plus everything in
@@ -204,68 +232,77 @@ func (r *RIB) Possible() bgp.PathSet {
 }
 
 // MyExits returns the current locally injected exit set.
-func (r *RIB) MyExits() bgp.PathSet { return r.myExits.Clone() }
+func (r *RIB) MyExits() bgp.PathSet { return r.set(myExits).Clone() }
 
 // AdjIn returns the paths peer w currently advertises to this router.
 func (r *RIB) AdjIn(w bgp.NodeID) bgp.PathSet {
 	if i := r.pg.Index(w); i >= 0 {
-		return r.adjIn[i].Clone()
+		return r.set(r.adjIn(i)).Clone()
 	}
 	return bgp.PathSet{}
 }
 
 // Inject records an E-BGP injection of path id at this router.
-func (r *RIB) Inject(id bgp.PathID) { r.myExits.Add(id) }
+func (r *RIB) Inject(id bgp.PathID) {
+	word, bit := r.at(myExits, id)
+	*word |= bit
+}
 
 // WithdrawExternal records an E-BGP withdrawal of path id.
-func (r *RIB) WithdrawExternal(id bgp.PathID) { r.myExits.Remove(id) }
+func (r *RIB) WithdrawExternal(id bgp.PathID) {
+	word, bit := r.at(myExits, id)
+	*word &^= bit
+}
 
-// PeerDown implements the RFC 4271 §8.2 session-loss semantics for peer w:
-// every route learned from w is deleted from its Adj-RIB-In, and the
-// advertisement memory toward w is forgotten — after the session
-// re-establishes, the whole current target set must be re-advertised
-// because the peer rebuilt its own state from scratch. It returns the
-// number of routes flushed. Callers re-run the decision process next
-// (RecomputeBest); until then Possible may still surface the dead
-// routes of other peers, never w's.
-func (r *RIB) PeerDown(w bgp.NodeID) (flushed int) {
-	i := r.pg.Index(w)
-	if i < 0 {
-		return 0
-	}
-	flushed = r.adjIn[i].Len()
-	r.adjIn[i].Clear()
-	r.lastSent[i].Clear()
+// PeerDown implements the RFC 4271 §8.2 session-loss semantics for the
+// peer at position i: every route learned from it is deleted from its
+// Adj-RIB-In, and the advertisement memory toward it is forgotten — after
+// the session re-establishes, the whole current target set must be
+// re-advertised because the peer rebuilt its own state from scratch. It
+// returns the number of routes flushed. Callers re-run the decision
+// process next (RecomputeBest); until then Possible may still surface the
+// dead routes of other peers, never this one's.
+func (r *RIB) PeerDown(i int) (flushed int) {
+	in, out := r.set(r.adjIn(i)), r.set(r.lastSent(i))
+	flushed = in.Len()
+	in.Clear()
+	out.Clear()
 	return flushed
 }
 
 // learnedFrom computes the selection tie-break attribution of path p.
-func (r *RIB) learnedFrom(p bgp.ExitPath) int {
+func (r *RIB) learnedFrom(p *bgp.ExitPath) int {
 	if p.TieBreak >= 0 {
 		return p.TieBreak
 	}
-	if r.myExits.Contains(p.ID) {
+	w, wi, bit := int(r.w), int(p.ID)/64, uint64(1)<<(uint(p.ID)%64)
+	if r.sets[wi]&bit != 0 {
 		return p.NextHopID
 	}
-	lf := int(^uint(0) >> 1)
-	for i, w := range r.pg.peers {
-		if r.adjIn[i].Contains(p.ID) {
-			if id := r.sys.BGPID(w); id < lf {
-				lf = id
-			}
+	lf := math.MaxInt
+	for i, id := range r.pg.bgpID {
+		if id < lf && r.sets[(1+i)*w+wi]&bit != 0 {
+			lf = id
 		}
 	}
 	return lf
 }
 
-// sourceKind classifies how this router learned path id: 0 = E-BGP, 1 =
-// from a served (client) peer, 2 = from a non-client peer. origin is the
-// announcing peer for kinds 1 and 2. The served-by classification covers
-// multi-level hierarchies, where a sub-cluster's reflector is a served
-// member of the parent cluster.
-func (r *RIB) sourceKind(id bgp.PathID) (kind int, origin bgp.NodeID) {
-	if r.myExits.Contains(id) {
-		return 0, r.id
+// Source classes of a path at this router (sourceKind).
+const (
+	srcEBGP   int8 = iota // injected here
+	srcServed             // learned from a served (client) peer
+	srcOther              // learned from a non-client peer
+)
+
+// sourceKind classifies how this router learned path id, and for a route
+// from a served peer the position of that peer (else -1). The served-by
+// classification covers multi-level hierarchies, where a sub-cluster's
+// reflector is a served member of the parent cluster.
+func (r *RIB) sourceKind(id bgp.PathID) (kind int8, origin int) {
+	w, wi, bit := int(r.w), int(id)/64, uint64(1)<<(uint(id)%64)
+	if r.sets[wi]&bit != 0 {
+		return srcEBGP, -1
 	}
 	// A path may be present in several Adj-RIB-Ins at once (a client and a
 	// mesh peer both advertise it). Each copy is its own route instance and
@@ -277,19 +314,12 @@ func (r *RIB) sourceKind(id bgp.PathID) (kind int, origin bgp.NodeID) {
 	// mesh-learned the moment the other's reflection arrives, withdraw it
 	// from the mesh, lose each other's copy, reclassify it client-learned,
 	// and re-announce — a permanent oscillation that Lemma 7.4 forbids.
-	found := bgp.NodeID(-1)
-	for i, w := range r.pg.peers {
-		if !r.adjIn[i].Contains(id) {
-			continue
-		}
-		if r.sys.ServedBy(w, r.id) {
-			return 1, w
-		}
-		if found < 0 {
-			found = w
+	for i, served := range r.pg.served {
+		if served && r.sets[(1+i)*w+wi]&bit != 0 {
+			return srcServed, i
 		}
 	}
-	return 2, found
+	return srcOther, -1
 }
 
 // MayAnnounce implements the operational announcement rules of Section 2
@@ -300,75 +330,58 @@ func (r *RIB) sourceKind(id bgp.PathID) (kind int, origin bgp.NodeID) {
 // rules degenerate to "announce own routes only" — the plain I-BGP
 // speaker behaviour.
 func (r *RIB) MayAnnounce(id bgp.PathID, w bgp.NodeID) bool {
+	i := r.pg.Index(w)
+	if i < 0 {
+		return false
+	}
 	kind, origin := r.sourceKind(id)
-	return r.allowedTo(kind, origin, w)
+	return r.allowedTo(kind, origin, i)
 }
 
-// allowedTo applies the announcement rules given a precomputed source
-// classification, letting PrepareFlush classify each path once instead of
-// once per peer.
-func (r *RIB) allowedTo(kind int, origin, w bgp.NodeID) bool {
+// allowedTo applies the announcement rules toward the peer at position i
+// given a precomputed source classification, letting PrepareFlush classify
+// each path once instead of once per peer.
+func (r *RIB) allowedTo(kind int8, origin, i int) bool {
 	switch kind {
-	case 0: // E-BGP: to everyone.
+	case srcEBGP: // to everyone.
 		return true
-	case 1: // From a served peer: to everyone except the originator.
-		return w != origin
-	default: // From a non-client peer: downward only.
-		return r.sys.ServedBy(w, r.id)
+	case srcServed: // to everyone except the originator.
+		return i != origin
+	default: // from a non-client peer: downward only.
+		return r.pg.served[i]
 	}
 }
 
 // possibleInto fills out with Possible, reusing out's storage.
 func (r *RIB) possibleInto(out *bgp.PathSet) {
-	out.Copy(r.myExits)
-	for i := range r.adjIn {
-		out.Union(r.adjIn[i])
+	out.SetWords(r.words(myExits))
+	for i := range r.pg.peers {
+		out.Union(r.set(r.adjIn(i)))
 	}
 }
 
-// fillCandidates materialises the current candidate routes into the
-// refresh scratch (scr.cands), reusing its storage.
-func (r *RIB) fillCandidates() {
-	r.possibleInto(&r.scr.possible)
-	r.scr.ids = r.scr.possible.AppendIDs(r.scr.ids[:0])
-	r.scr.cands = r.scr.cands[:0]
-	for _, id := range r.scr.ids {
-		p := r.sys.Exit(id)
-		r.scr.cands = append(r.scr.cands, r.sys.Route(r.id, p, r.learnedFrom(p)))
+// materialise fills scr.cands with the routes of the paths in set, as seen
+// from this router.
+func (r *RIB) materialise(set bgp.PathSet) {
+	scr := r.scr
+	scr.ids = set.AppendIDs(scr.ids[:0])
+	scr.cands = scr.cands[:0]
+	if len(scr.ids) == 0 {
+		return
 	}
-}
-
-// advertiseInto computes the paths this router wants to offer under its
-// policy — before per-peer announcement filtering — into out, consuming
-// the candidate scratch. fillCandidates must have run for the current RIB
-// state; scr.cands itself is left intact (the policy branches work on the
-// sel/paths copies), so advertiseInto may run after RecomputeBest without
-// re-materialising.
-func (r *RIB) advertiseInto(out *bgp.PathSet) {
-	out.Clear()
-	switch {
-	case r.policy == protocol.Modified || (r.policy == protocol.Adaptive && r.upgraded):
-		paths := r.scr.paths[:0]
-		for _, c := range r.scr.cands {
-			paths = append(paths, c.Path)
+	if r.metric == nil {
+		r.metric = make([]int32, r.sys.NumExits())
+	}
+	exits := r.sys.Exits()
+	for _, id := range scr.ids {
+		p := &exits[id]
+		m := int64(r.metric[id]) - 1
+		if m < 0 {
+			if m = r.sys.Metric(r.id, *p); m < math.MaxInt32 {
+				r.metric[id] = int32(m) + 1
+			}
 		}
-		r.scr.paths = paths
-		if r.scr.byAS == nil {
-			r.scr.byAS = make(map[bgp.ASN]int, 8)
-		}
-		for _, p := range selection.SurvivorsBInPlace(paths, r.opts.MED, r.scr.byAS) {
-			out.Add(p.ID)
-		}
-	case r.policy == protocol.Walton && r.sys.Role(r.id) == topology.Reflector:
-		for _, w := range selection.WaltonSet(r.scr.cands, r.opts) {
-			out.Add(w.Path.ID)
-		}
-	default:
-		sel := append(r.scr.sel[:0], r.scr.cands...)
-		if w, ok := selection.BestInPlace(sel, r.opts); ok {
-			out.Add(w.Path.ID)
-		}
-		r.scr.sel = sel
+		scr.cands = append(scr.cands, bgp.Route{Path: *p, At: r.id, Metric: m, LearnedFrom: r.learnedFrom(p)})
 	}
 }
 
@@ -377,22 +390,27 @@ func (r *RIB) advertiseInto(out *bgp.PathSet) {
 func (r *RIB) Upgraded() bool { return r.upgraded }
 
 // RecomputeBest re-runs the decision process and reports whether the best
-// route moved (a "flap"). It also feeds the adaptive oscillation detector.
+// route moved (a "flap"). Rules 1-3 are one pass over the shared dominance
+// table; only their survivors are materialised as routes for rules 4-6,
+// which is exactly selection.BestInPlace over every candidate (see
+// selection.BestOfSurvivors). Under the Adaptive policy it also feeds the
+// oscillation detector.
 func (r *RIB) RecomputeBest() (bestChanged bool) {
 	oldBest := r.best
-	r.fillCandidates()
-	sel := append(r.scr.sel[:0], r.scr.cands...)
-	if w, ok := selection.BestInPlace(sel, r.opts); ok {
+	scr := r.scr
+	r.possibleInto(&scr.possible)
+	r.dom.SurvivorsInto(&scr.surv, scr.possible)
+	r.materialise(scr.surv)
+	if w, ok := selection.BestOfSurvivors(scr.cands, r.opts.Order); ok {
 		r.best = w.Path.ID
 	} else {
 		r.best = bgp.None
 	}
-	r.scr.sel = sel
 	bestChanged = r.best != oldBest
-	if bestChanged && r.best != bgp.None {
+	if bestChanged && r.best != bgp.None && r.policy == protocol.Adaptive {
 		if r.heldBest.Contains(r.best) {
 			r.flaps++ // a revisit: oscillation evidence
-			if r.policy == protocol.Adaptive && r.flaps >= protocol.AdaptiveThreshold {
+			if r.flaps >= protocol.AdaptiveThreshold {
 				r.upgraded = true
 			}
 		}
@@ -404,98 +422,137 @@ func (r *RIB) RecomputeBest() (bestChanged bool) {
 // PrepareFlush computes the peer-independent half of the announcement
 // fan-out — the advertise set and each wanted path's source classification
 // — into the RIB's reusable scratch. It must run after RecomputeBest (it
-// reuses the candidate materialisation) with no intervening RIB mutation;
-// the prepared state then feeds DiffInto for every peer of the round, so
-// one refresh costs one decision process and zero allocations once the
-// scratch is warm.
+// reuses that call's survivors and best route) with no intervening RIB
+// mutation; the prepared state then feeds DiffInto for every peer of the
+// round, so one refresh costs one decision process and zero allocations
+// once the scratch is warm.
 func (r *RIB) PrepareFlush() {
-	r.advertiseInto(&r.scr.adv)
-	r.scr.want = r.scr.adv.AppendIDs(r.scr.want[:0])
-	r.scr.kinds = r.scr.kinds[:0]
-	r.scr.origins = r.scr.origins[:0]
-	for _, id := range r.scr.want {
+	scr := r.scr
+	scr.want = scr.want[:0]
+	switch {
+	case r.policy == protocol.Modified || (r.policy == protocol.Adaptive && r.upgraded):
+		scr.want = scr.surv.AppendIDs(scr.want)
+	case r.policy == protocol.Walton && r.sys.Role(r.id) == topology.Reflector:
+		// The per-AS winners are not a function of the survivors, so this
+		// one branch still materialises every candidate.
+		r.materialise(scr.possible)
+		for _, w := range selection.WaltonSet(scr.cands, r.opts) {
+			scr.want = append(scr.want, w.Path.ID)
+		}
+		slices.Sort(scr.want) // WaltonSet orders by neighbouring AS
+	case r.best != bgp.None:
+		scr.want = append(scr.want, r.best)
+	}
+	scr.kinds = scr.kinds[:0]
+	scr.origins = scr.origins[:0]
+	for _, id := range scr.want {
 		k, o := r.sourceKind(id)
-		r.scr.kinds = append(r.scr.kinds, k)
-		r.scr.origins = append(r.scr.origins, o)
+		scr.kinds = append(scr.kinds, k)
+		scr.origins = append(scr.origins, int32(o))
 	}
 }
 
-// targetInto fills the scratch target with the prepared paths peer w
-// should hold. It is its own function so the filter loop keeps its
-// registers: inlined into DiffInto it measured 2-6 % slower per flush.
-func (r *RIB) targetInto(w bgp.NodeID) *bgp.PathSet {
+// targetInto fills the scratch target with the prepared paths the peer at
+// position i should hold. It is its own function so the filter loop keeps
+// its registers: inlined into DiffAt it measured 2-6 % slower per flush.
+func (r *RIB) targetInto(i int) []uint64 {
 	target := &r.scr.target
+	target.Grow(int(r.w) * 64)
 	target.Clear()
-	for i, id := range r.scr.want {
-		if r.allowedTo(r.scr.kinds[i], r.scr.origins[i], w) {
+	for j, id := range r.scr.want {
+		if r.allowedTo(r.scr.kinds[j], int(r.scr.origins[j]), i) {
 			target.Add(id)
 		}
 	}
-	return target
+	return target.Words()
 }
 
-// DiffInto appends the owed announce/withdraw diff for peer w — the
-// prepared advertise set filtered by the announcement rules, against what
-// was last advertised — to ann and wd without committing it: the
-// advertisement memory is left untouched so the caller can decide per
-// transport outcome whether to commit (ApplyDiff) or leave the diff owed.
-// Valid only between a PrepareFlush and the next RIB mutation.
-func (r *RIB) DiffInto(w bgp.NodeID, ann, wd []bgp.PathID) ([]bgp.PathID, []bgp.PathID) {
-	i := r.pg.Index(w)
-	if i < 0 {
-		return ann, wd
+// appendBits appends the members of word wi's bits to dst.
+func appendBits(dst []bgp.PathID, wi int, word uint64) []bgp.PathID {
+	for ; word != 0; word &= word - 1 {
+		dst = append(dst, bgp.PathID(wi*64+bits.TrailingZeros64(word)))
 	}
-	last := &r.lastSent[i]
-	target := r.targetInto(w)
-	if target.Equal(*last) {
-		return ann, wd
-	}
-	r.scr.tids = target.AppendIDs(r.scr.tids[:0])
-	for _, id := range r.scr.tids {
-		if !last.Contains(id) {
-			ann = append(ann, id)
-		}
-	}
-	r.scr.lids = last.AppendIDs(r.scr.lids[:0])
-	for _, id := range r.scr.lids {
-		if !target.Contains(id) {
-			wd = append(wd, id)
+	return dst
+}
+
+// DiffAt appends the owed announce/withdraw diff for the peer at position
+// i — the prepared advertise set filtered by the announcement rules,
+// against what was last advertised — to ann and wd without committing it:
+// the advertisement memory is left untouched so the caller can decide per
+// transport outcome whether to commit (ApplyDiffAt) or leave the diff
+// owed. Valid only between a PrepareFlush and the next RIB mutation.
+func (r *RIB) DiffAt(i int, ann, wd []bgp.PathID) ([]bgp.PathID, []bgp.PathID) {
+	target := r.targetInto(i)
+	for wi, last := range r.words(r.lastSent(i)) {
+		if t := target[wi]; t != last {
+			ann = appendBits(ann, wi, t&^last)
+			wd = appendBits(wd, wi, last&^t)
 		}
 	}
 	return ann, wd
 }
 
-// ApplyDiff commits a diff previously produced by DiffInto, once its
+// ApplyDiffAt commits a diff previously produced by DiffAt, once its
 // UPDATE actually went out: lastSent' = lastSent + ann − wd, which is the
 // target the diff was computed for (ann = target − lastSent, wd =
-// lastSent − target). Skipping ApplyDiff after a failed send is the
-// rollback: nothing was committed, so the diff simply stays owed and a
-// later refresh re-sends it — the repair BGP gets from TCP retransmission.
-func (r *RIB) ApplyDiff(w bgp.NodeID, ann, wd []bgp.PathID) {
-	i := r.pg.Index(w)
-	if i < 0 {
-		return
-	}
-	last := &r.lastSent[i]
+// lastSent − target). Skipping it after a failed send is the rollback:
+// nothing was committed, so the diff simply stays owed and a later refresh
+// re-sends it — the repair BGP gets from TCP retransmission.
+func (r *RIB) ApplyDiffAt(i int, ann, wd []bgp.PathID) {
+	k := r.lastSent(i)
 	for _, id := range ann {
-		last.Add(id)
+		word, bit := r.at(k, id)
+		*word |= bit
 	}
 	for _, id := range wd {
-		last.Remove(id)
+		word, bit := r.at(k, id)
+		*word &^= bit
 	}
 }
 
-// Learn merges one path announced by peer w into its Adj-RIB-In. A w that
-// is not a configured peer is ignored.
+// LearnAt merges one path announced by the peer at position i into its
+// Adj-RIB-In.
+func (r *RIB) LearnAt(i int, id bgp.PathID) {
+	word, bit := r.at(r.adjIn(i), id)
+	*word |= bit
+}
+
+// UnlearnAt removes one path withdrawn by the peer at position i from its
+// Adj-RIB-In.
+func (r *RIB) UnlearnAt(i int, id bgp.PathID) {
+	word, bit := r.at(r.adjIn(i), id)
+	*word &^= bit
+}
+
+// The NodeID forms below resolve w on every call (package router resolves
+// a peer once per UPDATE and uses the positional forms). A w that is not a
+// configured peer is ignored.
+
+// DiffInto is DiffAt for peer w.
+func (r *RIB) DiffInto(w bgp.NodeID, ann, wd []bgp.PathID) ([]bgp.PathID, []bgp.PathID) {
+	if i := r.pg.Index(w); i >= 0 {
+		return r.DiffAt(i, ann, wd)
+	}
+	return ann, wd
+}
+
+// ApplyDiff is ApplyDiffAt for peer w.
+func (r *RIB) ApplyDiff(w bgp.NodeID, ann, wd []bgp.PathID) {
+	if i := r.pg.Index(w); i >= 0 {
+		r.ApplyDiffAt(i, ann, wd)
+	}
+}
+
+// Learn is LearnAt for peer w.
 func (r *RIB) Learn(w bgp.NodeID, id bgp.PathID) {
 	if i := r.pg.Index(w); i >= 0 {
-		r.adjIn[i].Add(id)
+		r.LearnAt(i, id)
 	}
 }
 
-// Unlearn removes one path withdrawn by peer w from its Adj-RIB-In.
+// Unlearn is UnlearnAt for peer w.
 func (r *RIB) Unlearn(w bgp.NodeID, id bgp.PathID) {
 	if i := r.pg.Index(w); i >= 0 {
-		r.adjIn[i].Remove(id)
+		r.UnlearnAt(i, id)
 	}
 }

@@ -47,10 +47,15 @@ type Domain struct {
 	base     *topology.System
 	systems  []*topology.System // index-aligned with prefixes
 	prefixes []uint32           // sorted ascending
-	dense    []int32            // prefix → index, when prefixes are dense
-	lookup   map[uint32]int     // fallback for sparse prefix spaces
-	policy   protocol.Policy
-	opts     selection.Options
+	// doms is Choose^B tabulated per prefix (index-aligned with systems):
+	// a function of the exit paths and the MED mode alone, so every
+	// router's RIB shares it. Owned here, not by a package-level cache, so
+	// the tables die with the domain.
+	doms   []*selection.Dominance
+	dense  []int32        // prefix → index, when prefixes are dense
+	lookup map[uint32]int // fallback for sparse prefix spaces
+	policy protocol.Policy
+	opts   selection.Options
 }
 
 // NewDomain validates the per-prefix systems and fixes the prefix order.
@@ -85,6 +90,10 @@ func NewDomain(systems map[uint32]*topology.System, policy protocol.Policy, opts
 		}
 	}
 	d := &Domain{base: base, systems: syss, prefixes: prefixes, policy: policy, opts: opts}
+	d.doms = make([]*selection.Dominance, len(syss))
+	for i, sys := range syss {
+		d.doms[i] = selection.NewDominance(sys.Exits(), opts.MED)
+	}
 	// Index: a dense table when the prefix space is compact (the common
 	// case — generated domains number prefixes 0..P-1), a map otherwise.
 	if maxP := int(prefixes[len(prefixes)-1]); maxP < 2*len(prefixes)+64 {
@@ -217,14 +226,15 @@ type Router struct {
 	peering *rib.Peering
 
 	// MRAI state, in transport clock units: earliest next send per peer,
-	// and the peers with a reopen callback already requested.
+	// and the peers with a reopen callback already requested. All per-peer
+	// state is indexed by peer position (peering.Index).
 	mrai     int64
-	nextSend map[bgp.NodeID]int64
-	pending  map[bgp.NodeID]bool
+	nextSend []int64
+	pending  []bool
 
 	// down marks peers whose session is currently dead: their updates are
 	// discarded and the refresh fan-out skips them until PeerUp.
-	down map[bgp.NodeID]bool
+	down []bool
 
 	counters *Counters
 	sink     func(Event)
@@ -238,9 +248,10 @@ type Router struct {
 	// makes the skip observation-equivalent: a clean prefix owes no peer an
 	// UPDATE (every diff was empty or committed), and RecomputeBest is a
 	// pure function of RIB contents, so re-running it on a clean prefix
-	// could emit nothing.
+	// could emit nothing. dirtyIdx lists the marked prefixes in marking
+	// order, so a refresh with one dirty prefix never scans all P flags.
 	dirty    []bool
-	dirtyIdx []int // reusable: this round's dirty prefix indices, ascending
+	dirtyIdx []int
 
 	// workers is the fan-out of the per-prefix recompute/diff phase;
 	// scratches holds one decision-process scratch per worker, shared by
@@ -275,12 +286,13 @@ func (d *Domain) NewRouter(id bgp.NodeID, counters *Counters) *Router {
 		id:       id,
 		ribs:     make([]*rib.RIB, np),
 		peering:  rib.NewPeering(d.base, id),
-		nextSend: map[bgp.NodeID]int64{},
-		pending:  map[bgp.NodeID]bool{},
-		down:     map[bgp.NodeID]bool{},
 		counters: counters,
 		workers:  1,
 	}
+	npeers := len(r.peering.Peers())
+	r.nextSend = make([]int64, npeers)
+	r.pending = make([]bool, npeers)
+	r.down = make([]bool, npeers)
 	maxExits := 0
 	for i := range d.prefixes {
 		if n := d.systems[i].NumExits(); n > maxExits {
@@ -290,18 +302,16 @@ func (d *Domain) NewRouter(id bgp.NodeID, counters *Counters) *Router {
 	r.maxExits = maxExits
 	r.scratches = []*rib.Scratch{rib.NewScratch(maxExits)}
 	for i := range d.prefixes {
-		r.ribs[i] = rib.NewShared(d.systems[i], d.policy, d.opts, id, r.peering, r.scratches[0])
+		r.ribs[i] = rib.NewShared(d.systems[i], d.policy, d.opts, id, r.peering, r.scratches[0], d.doms[i])
 	}
 	// Everything starts dirty: the first refresh after construction must
 	// look at every prefix (an empty RIB flushes to nothing, so this only
 	// costs one pass).
 	r.dirty = make([]bool, np)
-	for i := range r.dirty {
-		r.dirty[i] = true
-	}
 	r.dirtyIdx = make([]int, 0, np)
+	r.markAllDirty()
 	r.changed = make([]bestChange, 0, np)
-	r.uncommitted = make([]bool, len(r.peering.Peers()))
+	r.uncommitted = make([]bool, npeers)
 	// Pre-size the flush scratch to the topology's bounds so fresh routers
 	// don't pay append-growth allocations on their first refreshes.
 	r.txUpd.Withdrawn = make([]wire.WithdrawnRoute, 0, maxExits)
@@ -370,8 +380,18 @@ func (r *Router) Workers() int { return r.workers }
 // markAllDirty schedules every prefix for the next refresh (peer
 // transitions invalidate per-peer advertisement memory across the board).
 func (r *Router) markAllDirty() {
+	r.dirtyIdx = r.dirtyIdx[:0]
 	for i := range r.dirty {
 		r.dirty[i] = true
+		r.dirtyIdx = append(r.dirtyIdx, i)
+	}
+}
+
+// markDirty schedules prefix index i for the next refresh.
+func (r *Router) markDirty(i int) {
+	if !r.dirty[i] {
+		r.dirty[i] = true
+		r.dirtyIdx = append(r.dirtyIdx, i)
 	}
 }
 
@@ -384,7 +404,7 @@ func (r *Router) Inject(now int64, prefix uint32, id bgp.PathID) {
 	}
 	r.emit(Event{Kind: Injected, Time: now, Node: r.id, Prefix: prefix, Path: id})
 	r.ribs[i].Inject(id)
-	r.dirty[i] = true
+	r.markDirty(i)
 }
 
 // WithdrawExternal records an E-BGP withdrawal of one prefix's path.
@@ -396,7 +416,7 @@ func (r *Router) WithdrawExternal(now int64, prefix uint32, id bgp.PathID) {
 	}
 	r.emit(Event{Kind: Withdrawn, Time: now, Node: r.id, Prefix: prefix, Path: id})
 	r.ribs[i].WithdrawExternal(id)
-	r.dirty[i] = true
+	r.markDirty(i)
 }
 
 // ApplyUpdate merges one received UPDATE into the per-prefix RIBs after
@@ -406,7 +426,8 @@ func (r *Router) WithdrawExternal(now int64, prefix uint32, id bgp.PathID) {
 // counted as dropped (the session that carried them no longer exists).
 func (r *Router) ApplyUpdate(now int64, from bgp.NodeID, upd *wire.Update) error {
 	r.started = true
-	if r.down[from] {
+	pos := r.peering.Index(from)
+	if pos >= 0 && r.down[pos] {
 		r.counters.Dropped.Add(1)
 		return fmt.Errorf("router: update from down peer %d", from)
 	}
@@ -414,16 +435,18 @@ func (r *Router) ApplyUpdate(now int64, from bgp.NodeID, upd *wire.Update) error
 		r.counters.Rejected.Add(1)
 		return err
 	}
-	for _, rec := range upd.Announced {
-		if i := r.dom.index(rec.Prefix); i >= 0 {
-			r.ribs[i].Learn(from, bgp.PathID(rec.PathID))
-			r.dirty[i] = true
+	if pos >= 0 { // a non-peer has no Adj-RIB-In: its update changes nothing
+		for _, rec := range upd.Announced {
+			if i := r.dom.index(rec.Prefix); i >= 0 {
+				r.ribs[i].LearnAt(pos, bgp.PathID(rec.PathID))
+				r.markDirty(i)
+			}
 		}
-	}
-	for _, w := range upd.Withdrawn {
-		if i := r.dom.index(w.Prefix); i >= 0 {
-			r.ribs[i].Unlearn(from, bgp.PathID(w.PathID))
-			r.dirty[i] = true
+		for _, w := range upd.Withdrawn {
+			if i := r.dom.index(w.Prefix); i >= 0 {
+				r.ribs[i].UnlearnAt(pos, bgp.PathID(w.PathID))
+				r.markDirty(i)
+			}
 		}
 	}
 	r.counters.Received.Add(1)
@@ -440,7 +463,8 @@ func (r *Router) ApplyUpdate(now int64, from bgp.NodeID, upd *wire.Update) error
 // event, so recycling the buffer afterwards is always safe.
 func (r *Router) ApplyUpdateView(now int64, from bgp.NodeID, v wire.UpdateView) error {
 	r.started = true
-	if r.down[from] {
+	pos := r.peering.Index(from)
+	if pos >= 0 && r.down[pos] {
 		r.counters.Dropped.Add(1)
 		return fmt.Errorf("router: update from down peer %d", from)
 	}
@@ -448,18 +472,20 @@ func (r *Router) ApplyUpdateView(now int64, from bgp.NodeID, v wire.UpdateView) 
 		r.counters.Rejected.Add(1)
 		return err
 	}
-	for i, n := 0, v.NumAnnounced(); i < n; i++ {
-		rec := v.AnnouncedAt(i)
-		if pi := r.dom.index(rec.Prefix); pi >= 0 {
-			r.ribs[pi].Learn(from, bgp.PathID(rec.PathID))
-			r.dirty[pi] = true
+	if pos >= 0 { // as in ApplyUpdate
+		for i, n := 0, v.NumAnnounced(); i < n; i++ {
+			rec := v.AnnouncedAt(i)
+			if pi := r.dom.index(rec.Prefix); pi >= 0 {
+				r.ribs[pi].LearnAt(pos, bgp.PathID(rec.PathID))
+				r.markDirty(pi)
+			}
 		}
-	}
-	for i, n := 0, v.NumWithdrawn(); i < n; i++ {
-		wd := v.WithdrawnAt(i)
-		if pi := r.dom.index(wd.Prefix); pi >= 0 {
-			r.ribs[pi].Unlearn(from, bgp.PathID(wd.PathID))
-			r.dirty[pi] = true
+		for i, n := 0, v.NumWithdrawn(); i < n; i++ {
+			wd := v.WithdrawnAt(i)
+			if pi := r.dom.index(wd.Prefix); pi >= 0 {
+				r.ribs[pi].UnlearnAt(pos, bgp.PathID(wd.PathID))
+				r.markDirty(pi)
+			}
 		}
 	}
 	r.counters.Received.Add(1)
@@ -494,15 +520,12 @@ func (r *Router) bounds(prefix uint32) wire.System {
 // byte stream is identical for every worker count.
 func (r *Router) Refresh(now int64, send SendFunc) []Deferral {
 	r.started = true
-	r.dirtyIdx = r.dirtyIdx[:0]
-	for i := range r.dirty {
-		if r.dirty[i] {
-			r.dirtyIdx = append(r.dirtyIdx, i)
-		}
-	}
 	nd := len(r.dirtyIdx)
 	if nd == 0 {
 		return nil
+	}
+	if nd > 1 {
+		sort.Ints(r.dirtyIdx) // marked in arrival order, merged ascending
 	}
 	peers := r.peering.Peers()
 	np := len(peers)
@@ -558,7 +581,7 @@ func (r *Router) Refresh(now int64, send SendFunc) []Deferral {
 	var defs []Deferral
 	for pj, w := range peers {
 		r.uncommitted[pj] = false
-		if r.down[w] {
+		if r.down[pj] {
 			continue
 		}
 		owed := false
@@ -571,13 +594,13 @@ func (r *Router) Refresh(now int64, send SendFunc) []Deferral {
 		if !owed {
 			continue
 		}
-		if r.mrai > 0 && now < r.nextSend[w] {
+		if r.mrai > 0 && now < r.nextSend[pj] {
 			r.uncommitted[pj] = true
-			if !r.pending[w] {
-				r.pending[w] = true
+			if !r.pending[pj] {
+				r.pending[pj] = true
 				r.counters.Deferrals.Add(1)
-				r.emit(Event{Kind: MRAIDeferred, Time: now, Node: r.id, Peer: w, ReadyAt: r.nextSend[w]})
-				defs = append(defs, Deferral{To: w, ReadyAt: r.nextSend[w]})
+				r.emit(Event{Kind: MRAIDeferred, Time: now, Node: r.id, Peer: w, ReadyAt: r.nextSend[pj]})
+				defs = append(defs, Deferral{To: w, ReadyAt: r.nextSend[pj]})
 			}
 			continue
 		}
@@ -597,7 +620,7 @@ func (r *Router) Refresh(now int64, send SendFunc) []Deferral {
 				upd.Announced = append(upd.Announced, rec)
 			}
 		}
-		r.nextSend[w] = now + r.mrai
+		r.nextSend[pj] = now + r.mrai
 		// Sent is incremented before the transport writes so a concurrent
 		// quiescence probe never sees the receipt before the send. A refused
 		// send stays in Sent and is additionally counted in Dropped: the
@@ -617,14 +640,16 @@ func (r *Router) Refresh(now int64, send SendFunc) []Deferral {
 		}
 		for di := 0; di < nd; di++ {
 			if s := &r.slots[di*np+pj]; len(s.ann) > 0 || len(s.wd) > 0 {
-				r.ribs[r.dirtyIdx[di]].ApplyDiff(w, s.ann, s.wd)
+				r.ribs[r.dirtyIdx[di]].ApplyDiffAt(pj, s.ann, s.wd)
 			}
 		}
 		r.emit(Event{Kind: UpdateSent, Time: now, Node: r.id, Peer: w, Update: upd, ArriveAt: arriveAt})
 	}
 	// A prefix goes clean only when every up peer's diff was empty or
-	// committed; an MRAI-gated or send-failed diff keeps it dirty so the
-	// reopen/retry refresh recomputes it.
+	// committed; an MRAI-gated or send-failed diff keeps it dirty — carried
+	// over at the front of the list — so the reopen/retry refresh
+	// recomputes it.
+	owed := r.dirtyIdx[:0]
 	for di := 0; di < nd; di++ {
 		still := false
 		base := di * np
@@ -634,8 +659,13 @@ func (r *Router) Refresh(now int64, send SendFunc) []Deferral {
 				break
 			}
 		}
-		r.dirty[r.dirtyIdx[di]] = still
+		if pi := r.dirtyIdx[di]; still {
+			owed = append(owed, pi)
+		} else {
+			r.dirty[pi] = false
+		}
 	}
+	r.dirtyIdx = owed
 	return defs
 }
 
@@ -646,8 +676,7 @@ func (r *Router) Refresh(now int64, send SendFunc) []Deferral {
 // session is owed is recomputed from scratch at PeerUp).
 func (r *Router) computeShard(wk, lo, hi int) {
 	scr := r.scratches[wk]
-	peers := r.peering.Peers()
-	np := len(peers)
+	np := len(r.peering.Peers())
 	for di := lo; di < hi; di++ {
 		rb := r.ribs[r.dirtyIdx[di]]
 		rb.SetScratch(scr)
@@ -656,13 +685,13 @@ func (r *Router) computeShard(wk, lo, hi int) {
 		r.changed[di] = bestChange{old: old, nw: rb.Best(), changed: ch}
 		rb.PrepareFlush()
 		base := di * np
-		for pj, w := range peers {
+		for pj := 0; pj < np; pj++ {
 			s := &r.slots[base+pj]
 			s.ann, s.wd = s.ann[:0], s.wd[:0]
-			if r.down[w] {
+			if r.down[pj] {
 				continue
 			}
-			s.ann, s.wd = rb.DiffInto(w, s.ann, s.wd)
+			s.ann, s.wd = rb.DiffAt(pj, s.ann, s.wd)
 		}
 	}
 }
@@ -671,7 +700,9 @@ func (r *Router) computeShard(wk, lo, hi int) {
 // calls it when a Deferral fires, immediately before Refresh.
 func (r *Router) Reopen(w bgp.NodeID) {
 	r.started = true
-	r.pending[w] = false
+	if pos := r.peering.Index(w); pos >= 0 {
+		r.pending[pos] = false
+	}
 }
 
 // PeerDown records the death of the session to peer w (RFC 4271 §8.2):
@@ -683,16 +714,17 @@ func (r *Router) Reopen(w bgp.NodeID) {
 // routes flushed.
 func (r *Router) PeerDown(now int64, w bgp.NodeID) int {
 	r.started = true
-	if r.down[w] {
+	pos := r.peering.Index(w)
+	if pos < 0 || r.down[pos] {
 		return 0
 	}
-	r.down[w] = true
+	r.down[pos] = true
 	flushed := 0
 	for i := range r.ribs {
-		flushed += r.ribs[i].PeerDown(w)
+		flushed += r.ribs[i].PeerDown(pos)
 	}
-	delete(r.nextSend, w)
-	r.pending[w] = false
+	r.nextSend[pos] = 0
+	r.pending[pos] = false
 	r.markAllDirty()
 	r.counters.Flushed.Add(int64(flushed))
 	r.emit(Event{Kind: PeerDown, Time: now, Node: r.id, Peer: w, Flushed: flushed})
@@ -705,16 +737,20 @@ func (r *Router) PeerDown(now int64, w bgp.NodeID) int {
 // would. Idempotent.
 func (r *Router) PeerUp(now int64, w bgp.NodeID) {
 	r.started = true
-	if !r.down[w] {
+	pos := r.peering.Index(w)
+	if pos < 0 || !r.down[pos] {
 		return
 	}
-	delete(r.down, w)
+	r.down[pos] = false
 	r.markAllDirty()
 	r.emit(Event{Kind: PeerUp, Time: now, Node: r.id, Peer: w})
 }
 
 // PeerIsDown reports whether the session to w is currently dead.
-func (r *Router) PeerIsDown(w bgp.NodeID) bool { return r.down[w] }
+func (r *Router) PeerIsDown(w bgp.NodeID) bool {
+	pos := r.peering.Index(w)
+	return pos >= 0 && r.down[pos]
+}
 
 // Best returns the current best path for one prefix, or bgp.None.
 func (r *Router) Best(prefix uint32) bgp.PathID {

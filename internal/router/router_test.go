@@ -2,6 +2,7 @@ package router
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/bgp"
@@ -206,5 +207,61 @@ func TestNewDomainValidation(t *testing.T) {
 		protocol.Classic, selection.Options{})
 	if err == nil {
 		t.Fatal("mismatched topologies accepted")
+	}
+}
+
+// TestDirtyListMergesAscendingAndCarriesOwed: the dirty list is kept in
+// marking order, but a coalesced UPDATE lists prefixes ascending whatever
+// order the marks arrived in, a refresh with nothing marked does nothing,
+// and a prefix whose send failed is carried over — ahead of newer, lower
+// marks — and re-sent by the next refresh.
+func TestDirtyListMergesAscendingAndCarriesOwed(t *testing.T) {
+	sys, rr, paths := star(t)
+	dom, err := NewDomain(map[uint32]*topology.System{0: sys, 1: sys, 2: sys, 3: sys},
+		protocol.Modified, selection.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c Counters
+	r := dom.NewRouter(rr, &c)
+	var got [][]uint32 // per sent UPDATE, its announced prefixes in record order
+	fail := false
+	send := func(_ bgp.NodeID, upd *wire.Update) (int64, error) {
+		if fail {
+			return -1, errors.New("session torn down")
+		}
+		var ps []uint32
+		for _, rec := range upd.Announced {
+			ps = append(ps, rec.Prefix)
+		}
+		got = append(got, ps)
+		return 0, nil
+	}
+	r.Refresh(0, send) // the all-dirty first pass over empty RIBs
+	if len(got) != 0 {
+		t.Fatalf("empty RIBs sent %v", got)
+	}
+
+	r.Inject(1, 3, paths[0])
+	r.Inject(1, 1, paths[0])
+	fail = true
+	r.Refresh(1, send) // both stay owed
+	fail = false
+	r.Inject(2, 2, paths[0])
+	r.Inject(2, 0, paths[0])
+	r.Refresh(2, send)
+	want := []uint32{0, 1, 2, 3}
+	if len(got) != len(sys.Peers(rr)) {
+		t.Fatalf("sent %d UPDATEs, want one per peer (%d)", len(got), len(sys.Peers(rr)))
+	}
+	for _, ps := range got {
+		if !slices.Equal(ps, want) {
+			t.Fatalf("UPDATE lists prefixes %v, want %v", ps, want)
+		}
+	}
+	got = nil
+	r.Refresh(3, send)
+	if len(got) != 0 || len(r.dirtyIdx) != 0 {
+		t.Fatalf("clean router refreshed: sent %v, dirty list %v", got, r.dirtyIdx)
 	}
 }

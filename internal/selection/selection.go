@@ -7,6 +7,7 @@
 package selection
 
 import (
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -60,12 +61,16 @@ type Options struct {
 	MED   MEDMode
 }
 
+// The Route filters below index their slices rather than ranging over
+// them: a bgp.Route is 96 bytes, and a by-value range copies every element
+// just to read one field.
+
 // filterMaxLocalPref keeps the routes with the highest LOCAL-PREF (rule 1).
 func filterMaxLocalPref(rs []bgp.Route) []bgp.Route {
 	best := rs[0].Path.LocalPref
-	for _, r := range rs[1:] {
-		if r.Path.LocalPref > best {
-			best = r.Path.LocalPref
+	for i := 1; i < len(rs); i++ {
+		if v := rs[i].Path.LocalPref; v > best {
+			best = v
 		}
 	}
 	// Skip the already-in-place matching prefix before compacting: when
@@ -79,9 +84,9 @@ func filterMaxLocalPref(rs []bgp.Route) []bgp.Route {
 		return rs
 	}
 	out := rs[:n]
-	for _, r := range rs[n+1:] {
-		if r.Path.LocalPref == best {
-			out = append(out, r)
+	for i := n + 1; i < len(rs); i++ {
+		if rs[i].Path.LocalPref == best {
+			out = append(out, rs[i])
 		}
 	}
 	return out
@@ -90,9 +95,9 @@ func filterMaxLocalPref(rs []bgp.Route) []bgp.Route {
 // filterMinASPathLen keeps the routes with the shortest AS-PATH (rule 2).
 func filterMinASPathLen(rs []bgp.Route) []bgp.Route {
 	best := rs[0].Path.ASPathLen
-	for _, r := range rs[1:] {
-		if r.Path.ASPathLen < best {
-			best = r.Path.ASPathLen
+	for i := 1; i < len(rs); i++ {
+		if v := rs[i].Path.ASPathLen; v < best {
+			best = v
 		}
 	}
 	n := 0
@@ -103,9 +108,9 @@ func filterMinASPathLen(rs []bgp.Route) []bgp.Route {
 		return rs
 	}
 	out := rs[:n]
-	for _, r := range rs[n+1:] {
-		if r.Path.ASPathLen == best {
-			out = append(out, r)
+	for i := n + 1; i < len(rs); i++ {
+		if rs[i].Path.ASPathLen == best {
+			out = append(out, rs[i])
 		}
 	}
 	return out
@@ -118,9 +123,9 @@ func filterMinASPathLen(rs []bgp.Route) []bgp.Route {
 func filterMED(rs []bgp.Route, mode MEDMode) []bgp.Route {
 	if mode == AlwaysCompare {
 		best := rs[0].Path.MED
-		for _, r := range rs[1:] {
-			if r.Path.MED < best {
-				best = r.Path.MED
+		for i := 1; i < len(rs); i++ {
+			if v := rs[i].Path.MED; v < best {
+				best = v
 			}
 		}
 		n := 0
@@ -131,19 +136,20 @@ func filterMED(rs []bgp.Route, mode MEDMode) []bgp.Route {
 			return rs
 		}
 		out := rs[:n]
-		for _, r := range rs[n+1:] {
-			if r.Path.MED == best {
-				out = append(out, r)
+		for i := n + 1; i < len(rs); i++ {
+			if rs[i].Path.MED == best {
+				out = append(out, rs[i])
 			}
 		}
 		return out
 	}
 	if len(rs) <= 16 {
 		var keep [16]bool
-		for i, r := range rs {
+		for i := range rs {
+			as, med := rs[i].Path.NextAS, rs[i].Path.MED
 			keep[i] = true
-			for j, o := range rs {
-				if i != j && o.Path.NextAS == r.Path.NextAS && o.Path.MED < r.Path.MED {
+			for j := range rs {
+				if i != j && rs[j].Path.NextAS == as && rs[j].Path.MED < med {
 					keep[i] = false
 					break
 				}
@@ -165,10 +171,11 @@ func filterMED(rs []bgp.Route, mode MEDMode) []bgp.Route {
 		return out
 	}
 	minByAS := make(map[bgp.ASN]int, 4)
-	for _, r := range rs {
-		cur, ok := minByAS[r.Path.NextAS]
-		if !ok || r.Path.MED < cur {
-			minByAS[r.Path.NextAS] = r.Path.MED
+	for i := range rs {
+		p := &rs[i].Path
+		cur, ok := minByAS[p.NextAS]
+		if !ok || p.MED < cur {
+			minByAS[p.NextAS] = p.MED
 		}
 	}
 	n := 0
@@ -179,9 +186,9 @@ func filterMED(rs []bgp.Route, mode MEDMode) []bgp.Route {
 		return rs
 	}
 	out := rs[:n]
-	for _, r := range rs[n+1:] {
-		if r.Path.MED == minByAS[r.Path.NextAS] {
-			out = append(out, r)
+	for i := n + 1; i < len(rs); i++ {
+		if rs[i].Path.MED == minByAS[rs[i].Path.NextAS] {
+			out = append(out, rs[i])
 		}
 	}
 	return out
@@ -191,9 +198,9 @@ func filterMED(rs []bgp.Route, mode MEDMode) []bgp.Route {
 // next hop plus exit cost).
 func filterMetric(rs []bgp.Route) []bgp.Route {
 	best := rs[0].Metric
-	for _, r := range rs[1:] {
-		if r.Metric < best {
-			best = r.Metric
+	for i := 1; i < len(rs); i++ {
+		if v := rs[i].Metric; v < best {
+			best = v
 		}
 	}
 	n := 0
@@ -204,9 +211,9 @@ func filterMetric(rs []bgp.Route) []bgp.Route {
 		return rs
 	}
 	out := rs[:n]
-	for _, r := range rs[n+1:] {
-		if r.Metric == best {
-			out = append(out, r)
+	for i := n + 1; i < len(rs); i++ {
+		if rs[i].Metric == best {
+			out = append(out, rs[i])
 		}
 	}
 	return out
@@ -215,28 +222,21 @@ func filterMetric(rs []bgp.Route) []bgp.Route {
 // filterEBGP keeps only E-BGP routes; if there are none it returns the
 // input unchanged.
 func filterEBGP(rs []bgp.Route) []bgp.Route {
-	any := false
-	for _, r := range rs {
-		if r.EBGP() {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return rs
-	}
 	n := 0
-	for n < len(rs) && rs[n].EBGP() {
+	for n < len(rs) && rs[n].Path.ExitPoint == rs[n].At {
 		n++
 	}
 	if n == len(rs) {
 		return rs
 	}
 	out := rs[:n]
-	for _, r := range rs[n+1:] {
-		if r.EBGP() {
-			out = append(out, r)
+	for i := n + 1; i < len(rs); i++ {
+		if rs[i].Path.ExitPoint == rs[i].At {
+			out = append(out, rs[i])
 		}
+	}
+	if len(out) == 0 {
+		return rs // no E-BGP route: nothing was moved
 	}
 	return out
 }
@@ -269,7 +269,21 @@ func BestInPlace(rs []bgp.Route, opts Options) (bgp.Route, bool) {
 	rs = filterMaxLocalPref(rs)
 	rs = filterMinASPathLen(rs)
 	rs = filterMED(rs, opts.MED)
-	switch opts.Order {
+	return BestOfSurvivors(rs, opts.Order)
+}
+
+// BestOfSurvivors is the tail of BestInPlace: rules 4-6 over routes that
+// already survived rules 1-3. A caller that obtained the Choose^B
+// survivors another way (the operational RIB reads them off a Dominance
+// table) materialises just those routes and still gets exactly
+// BestInPlace's winner: the filters are set-valued and the final tie-break
+// is a total order, so neither the order of rs nor how rules 1-3 were
+// evaluated can show. Like BestInPlace it reorders and truncates rs.
+func BestOfSurvivors(rs []bgp.Route, order Order) (bgp.Route, bool) {
+	if len(rs) == 0 {
+		return bgp.Route{}, false
+	}
+	switch order {
 	case RFCOrder:
 		rs = filterMetric(rs)
 		rs = filterEBGP(rs)
@@ -277,14 +291,14 @@ func BestInPlace(rs []bgp.Route, opts Options) (bgp.Route, bool) {
 		rs = filterEBGP(rs)
 		rs = filterMetric(rs)
 	}
-	win := rs[0]
-	for _, r := range rs[1:] {
-		if r.LearnedFrom < win.LearnedFrom ||
-			(r.LearnedFrom == win.LearnedFrom && r.Path.ID < win.Path.ID) {
-			win = r
+	win := 0
+	for i := 1; i < len(rs); i++ {
+		if rs[i].LearnedFrom < rs[win].LearnedFrom ||
+			(rs[i].LearnedFrom == rs[win].LearnedFrom && rs[i].Path.ID < rs[win].Path.ID) {
+			win = i
 		}
 	}
-	return win, true
+	return rs[win], true
 }
 
 // Survivors12 applies rules 1 and 2 of the selection procedure to exit
@@ -417,6 +431,58 @@ func survivorsInPlace(paths []bgp.ExitPath, med bool, mode MEDMode, byAS map[bgp
 		}
 	}
 	return out
+}
+
+// Dominance is Choose^B tabulated for one exit-path set. Rules 1-3 form a
+// lexicographic preference over injection-time attributes, so they
+// decompose pairwise: p survives Choose^B(S) iff no q in S eliminates p
+// from Choose^B({p, q}) (DESIGN.md, "The decision kernel"). Row p is the
+// set of such q, read off survivorsInPlace by probing every ordered pair —
+// derived from the one rule body, not a second spelling of it. The table
+// is immutable, so every router of a domain shares one per prefix.
+type Dominance struct {
+	w    int      // words per row
+	rows []uint64 // row p is rows[p*w : (p+1)*w]
+}
+
+// NewDominance tabulates Choose^B over exits, which must be indexed by
+// PathID as topology.System.Exits is.
+func NewDominance(exits []bgp.ExitPath, mode MEDMode) *Dominance {
+	w := (len(exits) + 63) / 64
+	d := &Dominance{w: w, rows: make([]uint64, len(exits)*w)}
+	byAS := make(map[bgp.ASN]int, 2)
+	var pair [2]bgp.ExitPath
+	for p := range exits {
+		for q := range exits {
+			pair[0], pair[1] = exits[p], exits[q]
+			surv := survivorsInPlace(pair[:], true, mode, byAS)
+			if len(surv) == 1 && surv[0].ID == exits[q].ID {
+				d.rows[p*w+q/64] |= 1 << (uint(q) % 64)
+			}
+		}
+	}
+	return d
+}
+
+// SurvivorsInto sets out to Choose^B(s) — {p in s : row p misses s} — in
+// one pass of word-ANDs. A member of s outside the tabulated exit set is a
+// caller bug and panics on the row lookup.
+func (d *Dominance) SurvivorsInto(out *bgp.PathSet, s bgp.PathSet) {
+	out.Copy(s)
+	in := s.Words()
+	n := min(len(in), d.w)
+	for wi, word := range in {
+		for ; word != 0; word &= word - 1 {
+			p := wi*64 + bits.TrailingZeros64(word)
+			row := d.rows[p*d.w : (p+1)*d.w]
+			for i := 0; i < n; i++ {
+				if row[i]&in[i] != 0 {
+					out.Remove(bgp.PathID(p))
+					break
+				}
+			}
+		}
+	}
 }
 
 // BestPerAS returns, for each neighbouring AS present among the candidates,
