@@ -5,8 +5,7 @@
 // Usage:
 //
 //	ibgplint [-json] [-v] [-prove] [-fail-on none|risk|fail] [-figure NAME|all]
-//	         [-gen k=v,...] [-seed N] [-gen-out FILE]
-//	         [-confirm N] [-workers N] [topology.json ...]
+//	         [-gen k=v,...] [-seed N] [-gen-out FILE] [topology.json ...]
 //
 // Each input gets a PASS/RISK/FAIL verdict: FAIL for violations of the
 // paper's structural model (Section 4), RISK when a sufficient
@@ -33,10 +32,10 @@
 // directory of example topologies (including deliberately broken
 // fixtures) succeeds in CI.
 //
-// With -confirm N, each RISK verdict is additionally checked dynamically:
-// the exhaustive reachable-state search (budget N states, parallelised
-// across -workers goroutines) either proves the oscillation persistent or
-// demotes it to "transient from cold start" in an extra finding.
+// To check a RISK verdict dynamically, run the exhaustive reachable-state
+// search on the same topology: oscheck -topology FILE -max-states N either
+// proves the oscillation persistent (no stable configuration reachable) or
+// shows it is at most transient from cold start.
 //
 // Confederation specs (package confed) are skipped with a note: they
 // describe a different session model.
@@ -48,7 +47,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"repro/internal/cli"
 	"repro/internal/figures"
@@ -67,13 +65,8 @@ func main() {
 		gen     = flag.String("gen", "", "generate and lint an ISP-style topology (topogen key=value list, or \"default\"/\"small\")")
 		genSeed = flag.Int64("seed", 1, "seed for -gen")
 		genOut  = flag.String("gen-out", "", "write the generated topology's JSON to this file (\"-\" for stdout)")
-		confirm = flag.Int("confirm", 0, "state budget for dynamically confirming RISK verdicts (0: static only)")
-		workers = flag.Int("workers", 1, "goroutines per confirming search (0: GOMAXPROCS); deterministic")
 	)
 	flag.Parse()
-	if *workers == 0 {
-		*workers = runtime.GOMAXPROCS(0)
-	}
 
 	var threshold lint.Verdict
 	switch *failOn {
@@ -98,19 +91,14 @@ func main() {
 		lintSystem, lintSpecFn = lint.ProveSystem, lint.ProveSpec
 	}
 
-	type linted struct {
-		report *lint.Report
-		sys    *topology.System // nil when the input did not build
-	}
-	var inputs []linted
+	var reports []*lint.Report
 	if *figure != "" {
 		for _, e := range figures.All() {
 			if *figure == "all" || *figure == e.Name {
-				sys := e.Build().Sys
-				inputs = append(inputs, linted{lintSystem("fig"+e.Name, sys), sys})
+				reports = append(reports, lintSystem("fig"+e.Name, e.Build().Sys))
 			}
 		}
-		if len(inputs) == 0 {
+		if len(reports) == 0 {
 			fmt.Fprintf(os.Stderr, "ibgplint: unknown figure %q (want one of %v or all)\n", *figure, cli.FigureNames())
 			os.Exit(2)
 		}
@@ -141,26 +129,10 @@ func main() {
 			}
 		}
 		source := fmt.Sprintf("topogen(seed=%d,n=%d)", *genSeed, tspec.N())
-		r := lintSpecFn(source, spec)
-		sys, buildErr := topology.BuildSpec(spec)
-		if buildErr != nil {
-			sys = nil
-		}
-		inputs = append(inputs, linted{r, sys})
+		reports = append(reports, lintSpecFn(source, spec))
 	}
 	for _, path := range flag.Args() {
-		r, sys := lintFile(path, lintSpecFn)
-		inputs = append(inputs, linted{r, sys})
-	}
-
-	var reports []*lint.Report
-	for _, in := range inputs {
-		if *confirm > 0 && in.sys != nil {
-			lint.Confirm(in.report, in.sys, lint.ConfirmOptions{
-				MaxStates: *confirm, Workers: *workers,
-			})
-		}
-		reports = append(reports, in.report)
+		reports = append(reports, lintFile(path, lintSpecFn))
 	}
 
 	var err error
@@ -199,12 +171,11 @@ func writeGenerated(path string, spec *topology.Spec) error {
 // lintFile lints one topology file with the selected spec entry point
 // (LintSpec, or ProveSpec under -prove), folding I/O and parse problems
 // into the report as findings so a bad file cannot abort a multi-file
-// run. The built system is returned alongside when the spec builds, for
-// dynamic confirmation.
-func lintFile(path string, lintSpecFn func(string, *topology.Spec) *lint.Report) (*lint.Report, *topology.System) {
+// run.
+func lintFile(path string, lintSpecFn func(string, *topology.Spec) *lint.Report) *lint.Report {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return errorReport(path, "read", err), nil
+		return errorReport(path, "read", err)
 	}
 	if isConfedSpec(data) {
 		return &lint.Report{
@@ -215,18 +186,13 @@ func lintFile(path string, lintSpecFn func(string, *topology.Spec) *lint.Report)
 				Severity: lint.Info,
 				Detail:   "confederation spec (subASes): skipped — confed-BGP uses a different session model",
 			}},
-		}, nil
+		}
 	}
 	spec, err := topology.ParseSpec(bytes.NewReader(data))
 	if err != nil {
-		return errorReport(path, "parse", err), nil
+		return errorReport(path, "parse", err)
 	}
-	r := lintSpecFn(path, spec)
-	sys, buildErr := topology.BuildSpec(spec)
-	if buildErr != nil {
-		sys = nil
-	}
-	return r, sys
+	return lintSpecFn(path, spec)
 }
 
 // isConfedSpec sniffs for the confederation schema's mandatory subASes key.

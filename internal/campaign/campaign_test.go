@@ -8,7 +8,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/churn"
 	"repro/internal/protocol"
+	"repro/internal/topogen"
 	"repro/internal/workload"
 )
 
@@ -296,6 +298,71 @@ func TestChaosJobShardAndWorkerIndependence(t *testing.T) {
 	}
 	if want.Reconverged != want.ChaosPlans || want.LoopFree != want.ChaosPlans {
 		t.Fatalf("plans=%d reconverged=%d loopfree=%d", want.ChaosPlans, want.Reconverged, want.LoopFree)
+	}
+}
+
+// TestChaosJobAggregatePinned pins the chaos census the CI smoke step runs
+// (`ibgpcensus -job chaos -seeds 24 -plans 2`): every count of the
+// aggregate is a pure function of the seed range, so a refactor of the
+// oracle, the fault shim or the plan loop must leave these literals alone.
+func TestChaosJobAggregatePinned(t *testing.T) {
+	agg, err := Run(context.Background(), ChaosJob{Params: workload.Default(3), Plans: 2},
+		Config{Shards: 1, Start: 1, Seeds: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if agg.Quiesced != 48 || agg.Messages != 2112 || agg.Flaps != 834 ||
+		agg.ChaosPlans != 48 || agg.Reconverged != 48 || agg.LoopFree != 48 ||
+		agg.ChaosViolations != 0 || agg.LedgerBroken != 0 {
+		t.Fatalf("chaos aggregate moved:\n%s", mustJSON(t, agg))
+	}
+}
+
+// scaleTestJob is the scale census of the CI determinism step: the Small
+// provider family at 3 PoPs, 4 exits, 16 prefixes, default churn, 3 rounds,
+// one fault plan per seed.
+func scaleTestJob() ScaleJob {
+	spec := topogen.Small()
+	spec.PoPs, spec.Exits, spec.Prefixes = 3, 4, 16
+	return ScaleJob{Spec: spec, Churn: churn.DefaultSpec(), Rounds: 3, Plans: 1}
+}
+
+// TestScaleJobAggregatePinned pins that census's counts over seeds 1..4
+// (warm-up + 3 churn rounds + 1 faulted run per seed = 20 quiescences).
+func TestScaleJobAggregatePinned(t *testing.T) {
+	agg, err := Run(context.Background(), scaleTestJob(), Config{Shards: 1, Start: 1, Seeds: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if agg.Quiesced != 20 || agg.Messages != 2740 || agg.Flaps != 2267 ||
+		agg.ChaosPlans != 4 || agg.Reconverged != 4 || agg.LoopFree != 4 ||
+		agg.ChaosViolations != 0 || agg.LedgerBroken != 0 {
+		t.Fatalf("scale aggregate moved:\n%s", mustJSON(t, agg))
+	}
+}
+
+// TestScaleJobShardAndWorkerIndependence: like every campaign job, the
+// scale record is a function of the seed alone — shard count and the
+// per-router refresh worker count must not move a byte of the aggregate,
+// params header included.
+func TestScaleJobShardAndWorkerIndependence(t *testing.T) {
+	var want []byte
+	for _, tc := range []struct{ shards, workers int }{{1, 1}, {4, 1}, {2, 3}} {
+		job := scaleTestJob()
+		job.Workers = tc.workers
+		agg, err := Run(context.Background(), job, Config{Shards: tc.shards, Start: 1, Seeds: 4})
+		if err != nil {
+			t.Fatalf("shards=%d workers=%d: %v", tc.shards, tc.workers, err)
+		}
+		got := mustJSON(t, agg)
+		if want == nil {
+			want = got
+			continue
+		}
+		if string(got) != string(want) {
+			t.Errorf("shards=%d workers=%d changed the scale aggregate:\n%s\nwant:\n%s",
+				tc.shards, tc.workers, got, want)
+		}
 	}
 }
 

@@ -271,7 +271,15 @@ type ChaosJob struct {
 func (j ChaosJob) Name() string { return "chaos" }
 
 func (j ChaosJob) Describe() string {
+	j = j.fill()
 	return fmt.Sprintf("%+v policy=%v plans=%d faults=%+v", j.Params, j.Policy, j.Plans, j.Faults)
+}
+
+// defaultChaosFaults is the moderate fault mix a chaos job with zero Faults
+// runs under.
+var defaultChaosFaults = faults.RandomConfig{
+	Drop: 0.1, Duplicate: 0.05, Reorder: 0.05, Delay: 0.2,
+	MaxExtraDelay: 15, Resets: 2, Horizon: 500,
 }
 
 func (j ChaosJob) fill() ChaosJob {
@@ -281,17 +289,50 @@ func (j ChaosJob) fill() ChaosJob {
 	if j.Plans <= 0 {
 		j.Plans = 3
 	}
-	zero := faults.RandomConfig{}
-	if j.Faults == zero {
-		j.Faults = faults.RandomConfig{
-			Drop: 0.1, Duplicate: 0.05, Reorder: 0.05, Delay: 0.2,
-			MaxExtraDelay: 15, Resets: 2, Horizon: 500,
-		}
+	if j.Faults == (faults.RandomConfig{}) {
+		j.Faults = defaultChaosFaults
 	}
 	if j.MaxEvents <= 0 {
 		j.MaxEvents = 200000
 	}
 	return j
+}
+
+// runPlans is the chaos-plan loop of ChaosJob and ScaleJob: derive plans
+// fault schedules for a seed's routers, run each through check, and tally
+// the oracle's verdicts into res.
+func runPlans(ctx context.Context, seed int64, plans, routers int, cfg faults.RandomConfig, m *Meter, res *SeedResult,
+	check func(planSeed int64, plan *faults.Plan) (chaos.Report, error)) {
+	for i := 0; i < plans && ctx.Err() == nil; i++ {
+		// Plan seeds are derived from the topology seed so the record is a
+		// function of the seed alone, like FuzzJob's delay seeds.
+		planSeed := seed*int64(plans) + int64(i)
+		plan, err := faults.RandomPlan(planSeed, routers, cfg)
+		var rep chaos.Report
+		if err == nil {
+			rep, err = check(planSeed, plan)
+		}
+		if err != nil {
+			res.Err = err.Error()
+			return
+		}
+		res.ChaosPlans++
+		res.Messages += int(rep.Counters.Sent)
+		res.Flaps += int(rep.Counters.Flaps)
+		m.Steps.Add(rep.Counters.Sent)
+		if rep.Quiesced {
+			res.Quiesced++
+		}
+		if rep.Reconverged() {
+			res.Reconverged++
+		}
+		if rep.LoopFree() {
+			res.LoopFree++
+		}
+		if !rep.LedgerClosed {
+			res.LedgerBroken++
+		}
+	}
 }
 
 func (j ChaosJob) Run(ctx context.Context, seed int64, m *Meter) SeedResult {
@@ -303,43 +344,12 @@ func (j ChaosJob) Run(ctx context.Context, seed int64, m *Meter) SeedResult {
 		return res
 	}
 	res.Nodes = sys.N()
-	for i := 0; i < j.Plans; i++ {
-		if ctx.Err() != nil {
-			break
-		}
-		// Plan seeds are derived from the topology seed so the record is a
-		// function of the seed alone, like FuzzJob's delay seeds.
-		planSeed := seed*int64(j.Plans) + int64(i)
-		plan, err := faults.RandomPlan(planSeed, sys.N(), j.Faults)
-		if err != nil {
-			res.Err = err.Error()
-			return res
-		}
-		rep, err := chaos.CheckSim(sys, chaos.Config{
+	runPlans(ctx, seed, j.Plans, sys.N(), j.Faults, m, &res, func(planSeed int64, plan *faults.Plan) (chaos.Report, error) {
+		return chaos.CheckSim(sys, chaos.Config{
 			Policy: j.Policy, Plan: plan,
 			DelaySeed: planSeed + 1, MaxEvents: j.MaxEvents,
 		})
-		if err != nil {
-			res.Err = err.Error()
-			return res
-		}
-		res.ChaosPlans++
-		res.Messages += int(rep.Counters.Sent)
-		res.Flaps += int(rep.Counters.Flaps)
-		m.Steps.Add(rep.Counters.Sent)
-		if rep.Quiesced {
-			res.Quiesced++
-		}
-		if rep.Reconverged {
-			res.Reconverged++
-		}
-		if rep.LoopFree {
-			res.LoopFree++
-		}
-		if !rep.LedgerClosed {
-			res.LedgerBroken++
-		}
-	}
+	})
 	return res
 }
 

@@ -5,9 +5,9 @@ import (
 	"fmt"
 
 	"repro/internal/bgp"
+	"repro/internal/chaos"
 	"repro/internal/churn"
 	"repro/internal/faults"
-	"repro/internal/forwarding"
 	"repro/internal/msgsim"
 	"repro/internal/protocol"
 	"repro/internal/selection"
@@ -60,9 +60,12 @@ type ScaleJob struct {
 
 func (j ScaleJob) Name() string { return "scale" }
 
+// Describe names what ran, not how: Workers moves no field of the record,
+// so it stays out of the header aggregates are compared by.
 func (j ScaleJob) Describe() string {
-	return fmt.Sprintf("%+v policy=%v churn=%v rounds=%d mrai=%d workers=%d plans=%d",
-		j.Spec, j.Policy, j.Churn, j.Rounds, j.MRAI, j.Workers, j.Plans)
+	j = j.fill()
+	return fmt.Sprintf("%+v policy=%v churn=%v rounds=%d mrai=%d plans=%d",
+		j.Spec, j.Policy, j.Churn, j.Rounds, j.MRAI, j.Plans)
 }
 
 func (j ScaleJob) fill() ScaleJob {
@@ -75,14 +78,8 @@ func (j ScaleJob) fill() ScaleJob {
 	if j.Rounds <= 0 {
 		j.Rounds = 3
 	}
-	if j.Workers < 1 {
-		j.Workers = 1
-	}
-	if j.Plans > 0 && j.Faults == (faults.RandomConfig{}) {
-		j.Faults = faults.RandomConfig{
-			Drop: 0.1, Duplicate: 0.05, Reorder: 0.05, Delay: 0.2,
-			MaxExtraDelay: 15, Resets: 2, Horizon: 500,
-		}
+	if j.Faults == (faults.RandomConfig{}) {
+		j.Faults = defaultChaosFaults
 	}
 	if j.MaxEvents <= 0 {
 		j.MaxEvents = 500000
@@ -122,19 +119,6 @@ func (j ScaleJob) sim(dom map[uint32]*topology.System, delay msgsim.DelayFunc) *
 	return s
 }
 
-// bestVectors snapshots every prefix's per-router best configuration.
-func bestVectors(s *msgsim.Sim, n, prefixes int) [][]bgp.PathID {
-	out := make([][]bgp.PathID, prefixes)
-	for p := 0; p < prefixes; p++ {
-		best := make([]bgp.PathID, n)
-		for u := 0; u < n; u++ {
-			best[u] = s.BestFor(uint32(p), bgp.NodeID(u))
-		}
-		out[p] = best
-	}
-	return out
-}
-
 // Run processes one seed: warm-up to quiescence, churn rounds, then the
 // optional chaos plans. Quiesced counts the warm-up plus every churn
 // round and faulted run that reached rest; the chaos invariants
@@ -162,30 +146,13 @@ func (j ScaleJob) Run(ctx context.Context, seed int64, m *Meter) SeedResult {
 	spec := j.Churn
 	spec.Seed = seed
 	spec.Prefixes = len(dom)
-	paths := make([]bgp.PathID, len(base.Exits()))
-	for i, p := range base.Exits() {
-		paths[i] = p.ID
-	}
-	st, err := churn.NewStream(spec, paths)
+	st, err := churn.NewStream(spec, base.AllExitSet().IDs())
 	if err != nil {
 		res.Err = err.Error()
 		return res
 	}
 	for rd := 0; rd < j.Rounds && ctx.Err() == nil; rd++ {
-		evs := st.Next()
-		at := s.Now() + 1
-		if anchor := int64(rd) * spec.Period; at < anchor {
-			at = anchor
-		}
-		for _, ev := range evs {
-			if ev.Withdraw {
-				s.WithdrawPrefixAt(at+ev.At, ev.Prefix, ev.Path)
-			} else {
-				s.InjectPrefixAt(at+ev.At, ev.Prefix, ev.Path)
-			}
-		}
-		// Run's event budget is cumulative; each round extends it.
-		r = s.Run(r.Events + j.MaxEvents)
+		r, _ = churn.RunRound(s, r, st.Next(), int64(rd)*spec.Period, j.MaxEvents)
 		if r.Quiesced {
 			res.Quiesced++
 		}
@@ -199,64 +166,27 @@ func (j ScaleJob) Run(ctx context.Context, seed int64, m *Meter) SeedResult {
 		return res
 	}
 
-	// Chaos-plan variant: the fault-free constant-delay reference is the
-	// unique Lemma 7.4 configuration every faulted run must return to.
-	ref := j.sim(dom, msgsim.ConstantDelay(1))
-	ref.InjectAll()
-	if !ref.Run(j.MaxEvents).Quiesced {
-		res.Err = fmt.Sprintf("scale: fault-free baseline did not quiesce in %d events", j.MaxEvents)
+	// Chaos-plan variant: every faulted cold start must return to the
+	// fault-free reference with every exit live.
+	live := make(map[uint32]bgp.PathSet, len(dom))
+	for prefix, sys := range dom {
+		live[prefix] = sys.AllExitSet()
+	}
+	want, err := chaos.Reference(dom, j.Policy, selection.Options{}, live, j.MaxEvents)
+	if err != nil {
+		res.Err = err.Error()
 		return res
 	}
-	want := bestVectors(ref, base.N(), len(dom))
-
-	for i := 0; i < j.Plans; i++ {
-		if ctx.Err() != nil {
-			break
-		}
-		// Plan seeds are derived from the topology seed, like ChaosJob's.
-		planSeed := seed*int64(j.Plans) + int64(i)
-		plan, err := faults.RandomPlan(planSeed, base.N(), j.Faults)
-		if err != nil {
-			res.Err = err.Error()
-			return res
-		}
+	runPlans(ctx, seed, j.Plans, base.N(), j.Faults, m, &res, func(planSeed int64, plan *faults.Plan) (chaos.Report, error) {
 		fs := j.sim(dom, msgsim.MustRandomDelay(planSeed+1, 1, 10))
 		if err := fs.SetFaults(plan); err != nil {
-			res.Err = err.Error()
-			return res
+			return chaos.Report{}, err
 		}
 		fs.InjectAll()
-		fr := fs.Run(j.MaxEvents)
+		quiesced := fs.Run(j.MaxEvents).Quiesced
 		fc := fs.Counters()
-		res.ChaosPlans++
-		res.Messages += int(fc.Sent)
-		res.Flaps += int(fc.Flaps)
-		m.Steps.Add(fc.Sent)
-		if fr.Quiesced {
-			res.Quiesced++
-		}
-		got := bestVectors(fs, base.N(), len(dom))
-		reconverged, loopFree := true, true
-		for p := range got {
-			for u := range got[p] {
-				if got[p][u] != want[p][u] {
-					reconverged = false
-					break
-				}
-			}
-			if !forwarding.NewPlane(dom[uint32(p)], protocol.Snapshot{Best: got[p]}).LoopFree() {
-				loopFree = false
-			}
-		}
-		if reconverged {
-			res.Reconverged++
-		}
-		if loopFree {
-			res.LoopFree++
-		}
-		if fc.Sent != fc.Received+fc.Rejected+fc.Dropped {
-			res.LedgerBroken++
-		}
-	}
+		v := chaos.Grade(dom, want, live, chaos.Vectors(dom, fs.BestFor), chaos.Vectors(dom, fs.PossibleFor), fc, quiesced)
+		return chaos.Report{Verdict: v, Counters: fc}, nil
+	})
 	return res
 }

@@ -2,6 +2,8 @@ package chaos
 
 import (
 	"fmt"
+	"maps"
+	"reflect"
 	"testing"
 
 	"repro/internal/bgp"
@@ -9,7 +11,9 @@ import (
 	"repro/internal/figures"
 	"repro/internal/msgsim"
 	"repro/internal/protocol"
+	"repro/internal/router"
 	"repro/internal/selection"
+	"repro/internal/topology"
 	"repro/internal/workload"
 )
 
@@ -129,7 +133,8 @@ func TestClassicPathologiesSurviveFaults(t *testing.T) {
 // a policy with none is an error, not a hang.
 func TestReferenceRejectsOscillators(t *testing.T) {
 	f := figures.Fig1a()
-	if _, err := Reference(f.Sys, Config{Policy: protocol.Classic, MaxEvents: 10000}); err == nil {
+	systems, live := Config{}.domain(f.Sys)
+	if _, err := Reference(systems, protocol.Classic, selection.Options{}, live, 10000); err == nil {
 		t.Fatal("classic Fig1a produced a reference configuration")
 	}
 }
@@ -189,6 +194,112 @@ func TestCheckSimReorderKeepsDisjointAnnouncements(t *testing.T) {
 			if !rep.OK() {
 				t.Errorf("seed %d plan %d: %s (best %v, reference %v)",
 					seed, i, rep.Explain(), rep.Best, rep.Reference)
+			}
+		}
+	}
+}
+
+// TestGradeFlagsEachInvariant proves the oracle can say no. Starting from a
+// genuinely settled Figure 14 run under the modified protocol — which must
+// pass — each case breaks exactly one invariant on the last prefix of the
+// domain, and Grade must fail that verdict, hold the other four, and name
+// the prefix (never its healthy sibling) in the evidence.
+func TestGradeFlagsEachInvariant(t *testing.T) {
+	f := figures.Fig14()
+	c1, c2 := f.Node("c1"), f.Node("c2")
+	r1, r2 := f.Path("r1"), f.Path("r2")
+	type input struct {
+		ref, best map[uint32][]bgp.PathID
+		live      map[uint32]bgp.PathSet
+		possible  map[uint32][]bgp.PathSet
+		counters  router.Snapshot
+		quiesced  bool
+	}
+	uniform := func(id bgp.PathID) []bgp.PathID {
+		return []bgp.PathID{id, id, id, id}
+	}
+	cases := []struct {
+		name   string
+		mutate func(in *input, bad uint32)
+		fails  string // the one verdict that must fail, "" for none
+	}{
+		{"settled", func(*input, uint32) {}, ""},
+		{"best off the reference", func(in *input, bad uint32) {
+			// c1 exits via RR1 instead of RR2: wrong, but still loop-free.
+			in.best[bad] = append([]bgp.PathID(nil), in.best[bad]...)
+			in.best[bad][c1] = r1
+		}, "reconverged"},
+		{"withdrawn route retained", func(in *input, bad uint32) {
+			// r2 is withdrawn and everyone moved to r1, but c2 still holds
+			// r2 as a candidate.
+			in.live[bad] = bgp.NewPathSet(r1)
+			in.ref[bad], in.best[bad] = uniform(r1), uniform(r1)
+			in.possible[bad] = []bgp.PathSet{in.live[bad], in.live[bad], in.live[bad], in.live[bad]}
+			in.possible[bad][c2] = bgp.NewPathSet(r1, r2)
+		}, "flushed"},
+		{"forwarding loop", func(in *input, bad uint32) {
+			// The classic protocol's own fixed point on Figure 14: it is
+			// what classic re-converges to, and c1 and c2 forward through
+			// each other.
+			s := msgsim.New(f.Sys, protocol.Classic, selection.Options{}, msgsim.ConstantDelay(1))
+			s.InjectAll()
+			classic := s.Run(0).Best
+			in.ref[bad], in.best[bad] = classic, classic
+		}, "loop-free"},
+		{"ledger open", func(in *input, _ uint32) { in.counters.Sent++ }, "ledger"},
+		{"not quiesced", func(in *input, _ uint32) { in.quiesced = false }, "quiesced"},
+	}
+	for _, prefixes := range []uint32{1, 2} {
+		systems := map[uint32]*topology.System{}
+		live := map[uint32]bgp.PathSet{}
+		for p := uint32(0); p < prefixes; p++ {
+			systems[p], live[p] = f.Sys, f.Sys.AllExitSet()
+		}
+		ref, err := Reference(systems, protocol.Modified, selection.Options{}, live, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := msgsim.NewMulti(systems, protocol.Modified, selection.Options{}, msgsim.MustRandomDelay(3, 1, 9))
+		s.InjectAll()
+		quiesced := s.Run(0).Quiesced
+		bad := prefixes - 1
+		for _, tc := range cases {
+			in := input{
+				ref: maps.Clone(ref), best: Vectors(systems, s.BestFor),
+				live: maps.Clone(live), possible: Vectors(systems, s.PossibleFor),
+				counters: s.Counters(), quiesced: quiesced,
+			}
+			tc.mutate(&in, bad)
+			got := Grade(systems, in.ref, in.live, in.best, in.possible, in.counters, in.quiesced)
+			name := fmt.Sprintf("%d prefixes, %s", prefixes, tc.name)
+			five := map[string]bool{
+				"quiesced": got.Quiesced, "reconverged": got.Reconverged(), "flushed": got.WithdrawnFlushed(),
+				"loop-free": got.LoopFree(), "ledger": got.LedgerClosed,
+			}
+			for verdict, held := range five {
+				if held == (verdict == tc.fails) {
+					t.Errorf("%s: verdict %q = %v (all five: %v)", name, verdict, held, five)
+				}
+			}
+			if got.OK() != (tc.fails == "") {
+				t.Errorf("%s: OK() = %v", name, got.OK())
+			}
+			// The evidence names exactly the bad prefix and the culprit.
+			wantDiverged, wantStale, wantLooping := map[uint32]bgp.NodeID{}, map[uint32][]bgp.PathSet{}, map[uint32]bool{}
+			if tc.fails == "reconverged" {
+				wantDiverged[bad] = c1
+			}
+			if tc.fails == "flushed" {
+				wantStale[bad] = make([]bgp.PathSet, f.Sys.N())
+				wantStale[bad][c2] = bgp.NewPathSet(r2)
+			}
+			if tc.fails == "loop-free" {
+				wantLooping[bad] = true
+			}
+			if !reflect.DeepEqual(got.Diverged, wantDiverged) || !reflect.DeepEqual(got.Looping, wantLooping) ||
+				fmt.Sprint(got.Stale) != fmt.Sprint(wantStale) {
+				t.Errorf("%s: evidence diverged=%v stale=%v looping=%v, want %v %v %v", name,
+					got.Diverged, got.Stale, got.Looping, wantDiverged, wantStale, wantLooping)
 			}
 		}
 	}

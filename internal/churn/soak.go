@@ -7,8 +7,8 @@ import (
 	"time"
 
 	"repro/internal/bgp"
+	"repro/internal/chaos"
 	"repro/internal/faults"
-	"repro/internal/forwarding"
 	"repro/internal/msgsim"
 	"repro/internal/protocol"
 	"repro/internal/router"
@@ -207,45 +207,59 @@ func domainSystems(sys *topology.System, prefixes int) map[uint32]*topology.Syst
 	return m
 }
 
-// exitIDs lists a system's exit-path IDs.
-func exitIDs(sys *topology.System) []bgp.PathID {
-	exits := sys.Exits()
-	ids := make([]bgp.PathID, len(exits))
-	for i, p := range exits {
-		ids[i] = p.ID
+// RunRound schedules one round's events on a settled simulator — no earlier
+// than tick anchor, and strictly after everything it has processed — then
+// runs it to rest on an event budget of perRound beyond prev's (Run's
+// budget is cumulative across calls). It returns the settled result and the
+// round's post-burst convergence latency in ticks.
+func RunRound(s *msgsim.Sim, prev msgsim.Result, evs []Event, anchor int64, perRound int) (msgsim.Result, int64) {
+	base := s.Now() + 1
+	if base < anchor {
+		base = anchor
 	}
-	return ids
+	last := base
+	for _, ev := range evs {
+		if base+ev.At > last {
+			last = base + ev.At
+		}
+		if ev.Withdraw {
+			s.WithdrawPrefixAt(base+ev.At, ev.Prefix, ev.Path)
+		} else {
+			s.InjectPrefixAt(base+ev.At, ev.Prefix, ev.Path)
+		}
+	}
+	res := s.Run(prev.Events + perRound)
+	return res, max(res.Time-last, 0)
 }
 
-// reference is the incremental fault-free oracle: a constant-delay msgsim
-// run over the same domain, fed the identical event stream round by round
-// and settled after each. Lemma 7.4 (the modified protocol's final
+// reference is the incremental fault-free oracle: a msgsim run over the same
+// domain with no faults and no MRAI, fed the identical event stream round by
+// round and settled after each. Lemma 7.4 (the modified protocol's final
 // configuration is unique for a given set of announced routes, whatever
 // the message ordering) is what makes its per-round fixpoint the one the
-// faulted, delayed, MRAI-paced run must land on too.
+// faulted, delayed, MRAI-paced run must land on too — and the one a cold
+// chaos.Reference over the round's live sets would compute, at the cost of
+// a full convergence per round.
 type reference struct {
-	sim *msgsim.Sim
-	n   int
-	max int
-	// used tracks the sim's cumulative event count, because Run's budget
-	// is cumulative too: each settle extends it by the per-round max.
-	used int
+	sim     *msgsim.Sim
+	systems map[uint32]*topology.System
+	max     int
+	last    msgsim.Result
 }
 
-func newReference(sys *topology.System, cfg Config) (*reference, error) {
+func newReference(systems map[uint32]*topology.System, cfg Config) (*reference, error) {
 	// The delay draw cannot change the fixpoint (Lemma 7.4), so the
 	// reference fixes its own seed; jitter matters only to break the
 	// synchronous lockstep that stalls convergence at scale.
 	ref := &reference{
-		sim: msgsim.NewMulti(domainSystems(sys, cfg.Spec.Prefixes), cfg.Policy, cfg.Opts,
+		sim: msgsim.NewMulti(systems, cfg.Policy, cfg.Opts,
 			msgsim.MustRandomDelay(cfg.Spec.Seed+0x5eed, 1, 10)),
-		n:   sys.N(),
-		max: cfg.MaxEventsPerRound,
+		systems: systems,
+		max:     cfg.MaxEventsPerRound,
 	}
 	ref.sim.InjectAll()
-	res := ref.sim.Run(ref.max)
-	ref.used = res.Events
-	if !res.Quiesced {
+	ref.last = ref.sim.Run(ref.max)
+	if !ref.last.Quiesced {
 		return nil, fmt.Errorf("churn: fault-free reference did not quiesce at warm-up (policy has no stable outcome?)")
 	}
 	return ref, nil
@@ -253,54 +267,41 @@ func newReference(sys *topology.System, cfg Config) (*reference, error) {
 
 // advance applies one round's events to the reference and settles it,
 // returning the converged best vector per prefix.
-func (ref *reference) advance(evs []Event, prefixes int) (map[uint32][]bgp.PathID, error) {
-	base := ref.sim.Now() + 1
-	for _, ev := range evs {
-		if ev.Withdraw {
-			ref.sim.WithdrawPrefixAt(base+ev.At, ev.Prefix, ev.Path)
-		} else {
-			ref.sim.InjectPrefixAt(base+ev.At, ev.Prefix, ev.Path)
-		}
-	}
-	res := ref.sim.Run(ref.used + ref.max)
-	ref.used = res.Events
-	if !res.Quiesced {
+func (ref *reference) advance(evs []Event) (map[uint32][]bgp.PathID, error) {
+	ref.last, _ = RunRound(ref.sim, ref.last, evs, 0, ref.max)
+	if !ref.last.Quiesced {
 		return nil, fmt.Errorf("churn: fault-free reference did not quiesce")
 	}
-	best := make(map[uint32][]bgp.PathID, prefixes)
-	for p := 0; p < prefixes; p++ {
-		v := make([]bgp.PathID, ref.n)
-		for u := 0; u < ref.n; u++ {
-			v[u] = ref.sim.BestFor(uint32(p), bgp.NodeID(u))
-		}
-		best[uint32(p)] = v
-	}
-	return best, nil
+	return chaos.Vectors(ref.systems, ref.sim.BestFor), nil
 }
 
 // checker accumulates the rolling invariant results shared by both
 // substrate drivers.
 type checker struct {
 	sys        *topology.System
+	systems    map[uint32]*topology.System // sys once per prefix
 	cfg        Config
 	stream     *Stream
 	ref        *reference
 	hash       uint64
+	rounds     int
 	checked    int
 	events     int
+	samples    []int64 // per-round convergence latencies
 	violations []Violation
 }
 
 func newChecker(sys *topology.System, cfg Config) (*checker, error) {
-	stream, err := NewStream(cfg.Spec, exitIDs(sys))
+	stream, err := NewStream(cfg.Spec, sys.AllExitSet().IDs())
 	if err != nil {
 		return nil, err
 	}
-	ref, err := newReference(sys, cfg)
+	systems := domainSystems(sys, cfg.Spec.Prefixes)
+	ref, err := newReference(systems, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &checker{sys: sys, cfg: cfg, stream: stream, ref: ref, hash: faults.SplitMix64(uint64(cfg.Spec.Seed))}, nil
+	return &checker{sys: sys, systems: systems, cfg: cfg, stream: stream, ref: ref, hash: faults.SplitMix64(uint64(cfg.Spec.Seed))}, nil
 }
 
 func (c *checker) violate(round int, prefix uint32, kind, format string, args ...any) {
@@ -310,35 +311,45 @@ func (c *checker) violate(round int, prefix uint32, kind, format string, args ..
 }
 
 // state is the per-round snapshot a substrate driver hands the checker:
-// the converged best path and candidate set per (prefix, router), plus the
-// transport's quiescence verdict and counter snapshot.
+// the converged best path and candidate set per (prefix, router), the
+// transport's quiescence verdict and counter snapshot, and the round's
+// post-burst convergence latency (virtual ticks on msgsim, milliseconds on
+// TCP).
 type state struct {
 	best     map[uint32][]bgp.PathID
 	possible map[uint32][]bgp.PathSet
 	counters router.Snapshot
 	quiesced bool
+	latency  int64
 }
 
 // check grades one settled round against the rolling invariants:
-// quiescence and ledger closure always; on checkable rounds also the
-// windowed Lemma 7.4 re-convergence against the reference, the bounded-RIB
-// containment (no candidate set may retain a route the generator has
-// withdrawn — the invariant that rules out unbounded RIB growth under
-// sustained churn), and forwarding-plane loop freedom per prefix. Checked
-// rounds fold their converged routing into the state hash. Returns false
-// when the round failed to quiesce (the soak cannot meaningfully go on).
+// quiescence and ledger closure always; on checkable rounds also chaos.Grade's
+// per-prefix verdicts — the windowed Lemma 7.4 re-convergence against the
+// reference, the bounded-RIB containment (no candidate set may retain a
+// route the generator has withdrawn — the invariant that rules out
+// unbounded RIB growth under sustained churn), and forwarding-plane loop
+// freedom. Checked rounds fold their converged routing into the state hash.
+// Returns false when the round failed to quiesce (the soak cannot
+// meaningfully go on).
 func (c *checker) check(round int, evs []Event, st state) bool {
+	c.rounds = round + 1
 	c.events += len(evs)
+	c.samples = append(c.samples, st.latency)
+	if c.cfg.Latency != nil {
+		c.cfg.Latency(st.latency)
+	}
 	if !st.quiesced {
 		c.violate(round, 0, "quiesce", "round did not quiesce within its budget")
 		return false
 	}
-	if got, want := st.counters.Sent, st.counters.Received+st.counters.Rejected+st.counters.Dropped; got != want {
-		c.violate(round, 0, "ledger", "sent=%d but received+rejected+dropped=%d at rest", got, want)
+	if out := st.counters.Outstanding(); out != 0 {
+		c.violate(round, 0, "ledger", "sent=%d but received+rejected+dropped=%d at rest",
+			st.counters.Sent, st.counters.Sent-out)
 	}
 	// The reference consumes every round — checkable or not — so it stays
 	// in lockstep with the run's announced-route state.
-	refBest, err := c.ref.advance(evs, c.cfg.Spec.Prefixes)
+	refBest, err := c.ref.advance(evs)
 	if err != nil {
 		c.violate(round, 0, "reference", "%v", err)
 		return false
@@ -348,28 +359,26 @@ func (c *checker) check(round int, evs []Event, st state) bool {
 	}
 	c.checked++
 	c.fold(uint64(uint32(round)))
+	live := make(map[uint32]bgp.PathSet, len(c.systems))
+	for prefix := range c.systems {
+		live[prefix] = c.stream.Live(prefix)
+	}
+	v := chaos.Grade(c.systems, refBest, live, st.best, st.possible, st.counters, st.quiesced)
 	for p := 0; p < c.cfg.Spec.Prefixes; p++ {
 		prefix := uint32(p)
-		live := c.stream.Live(prefix)
-		ref := refBest[prefix]
 		best := st.best[prefix]
-		for u := range best {
-			if best[u] != ref[u] {
-				c.violate(round, prefix, "reconverge",
-					"router %s best p%d, reference p%d", c.sys.Name(bgp.NodeID(u)), best[u], ref[u])
-				break
+		if u, off := v.Diverged[prefix]; off {
+			c.violate(round, prefix, "reconverge",
+				"router %s best p%d, reference p%d", c.sys.Name(u), best[u], refBest[prefix][u])
+		}
+		for u, stale := range v.Stale[prefix] {
+			for _, id := range stale.IDs() {
+				c.violate(round, prefix, "rib",
+					"router %s retains withdrawn route p%d (live %v)",
+					c.sys.Name(bgp.NodeID(u)), id, live[prefix])
 			}
 		}
-		for u, ps := range st.possible[prefix] {
-			for _, id := range ps.IDs() {
-				if !live.Contains(id) {
-					c.violate(round, prefix, "rib",
-						"router %s retains withdrawn route p%d (live %v)",
-						c.sys.Name(bgp.NodeID(u)), id, live)
-				}
-			}
-		}
-		if !forwarding.NewPlane(c.sys, protocol.Snapshot{Best: best}).LoopFree() {
+		if v.Looping[prefix] {
 			c.violate(round, prefix, "loop", "forwarding plane has a loop under %v", best)
 		}
 		for u := range best {
@@ -383,10 +392,10 @@ func (c *checker) check(round int, evs []Event, st state) bool {
 func (c *checker) fold(v uint64) { c.hash = faults.SplitMix64(c.hash ^ v) }
 
 // aggregate assembles the deterministic summary after the last round.
-func (c *checker) aggregate(rounds int) Aggregate {
+func (c *checker) aggregate() Aggregate {
 	return Aggregate{
 		Seed:      c.cfg.Spec.Seed,
-		Rounds:    rounds,
+		Rounds:    c.rounds,
 		Prefixes:  c.cfg.Spec.Prefixes,
 		Routers:   c.sys.N(),
 		Events:    c.events,
@@ -400,13 +409,13 @@ func (c *checker) aggregate(rounds int) Aggregate {
 }
 
 // report assembles the final Report once the rounds are over.
-func (c *checker) report(substrate string, rounds int, start time.Time, samples []int64, counters router.Snapshot) *Report {
+func (c *checker) report(substrate string, start time.Time, counters router.Snapshot) *Report {
 	wall := time.Since(start)
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	m := Measured{
 		WallMS:      wall.Milliseconds(),
-		Convergence: percentiles(samples),
+		Convergence: percentiles(c.samples),
 		Counters:    counters,
 		HeapAllocMB: float64(ms.HeapAlloc) / (1 << 20),
 	}
@@ -415,28 +424,10 @@ func (c *checker) report(substrate string, rounds int, start time.Time, samples 
 	}
 	return &Report{
 		Substrate:  substrate,
-		Agg:        c.aggregate(rounds),
+		Agg:        c.aggregate(),
 		Measured:   m,
 		Violations: c.violations,
 	}
-}
-
-// snapshot collects the per-prefix best and candidate vectors of one
-// settled round from either substrate.
-func snapshot(n int, prefixes int, best func(uint32, bgp.NodeID) bgp.PathID, possible func(uint32, bgp.NodeID) bgp.PathSet) (map[uint32][]bgp.PathID, map[uint32][]bgp.PathSet) {
-	bm := make(map[uint32][]bgp.PathID, prefixes)
-	pm := make(map[uint32][]bgp.PathSet, prefixes)
-	for p := 0; p < prefixes; p++ {
-		prefix := uint32(p)
-		bv := make([]bgp.PathID, n)
-		pv := make([]bgp.PathSet, n)
-		for u := 0; u < n; u++ {
-			bv[u] = best(prefix, bgp.NodeID(u))
-			pv[u] = possible(prefix, bgp.NodeID(u))
-		}
-		bm[prefix], pm[prefix] = bv, pv
-	}
-	return bm, pm
 }
 
 // SoakSim drives one churn soak on the discrete-event simulator substrate.
@@ -460,7 +451,7 @@ func SoakSim(sys *topology.System, cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := msgsim.NewMulti(domainSystems(sys, cfg.Spec.Prefixes), cfg.Policy, cfg.Opts, delay)
+	s := msgsim.NewMulti(c.systems, cfg.Policy, cfg.Opts, delay)
 	if cfg.Events != nil {
 		s.ObserveEvents(cfg.Events)
 	}
@@ -481,51 +472,23 @@ func SoakSim(sys *topology.System, cfg Config) (*Report, error) {
 	}
 
 	start := time.Now()
-	var samples []int64
-
 	s.InjectAll()
 	res := s.Run(cfg.MaxEventsPerRound)
 	if !res.Quiesced {
 		c.violate(0, 0, "quiesce", "warm-up did not quiesce within %d events", cfg.MaxEventsPerRound)
-		return c.report("sim", 0, start, samples, s.Counters()), nil
+		return c.report("sim", start, s.Counters()), nil
 	}
 
-	rounds := 0
 	for r := 0; r < cfg.Rounds; r++ {
 		evs := c.stream.Next()
-		base := s.Now() + 1
-		if anchor := int64(r) * cfg.Spec.Period; base < anchor {
-			base = anchor
-		}
-		var last int64
-		for _, ev := range evs {
-			if ev.At > last {
-				last = ev.At
-			}
-			if ev.Withdraw {
-				s.WithdrawPrefixAt(base+ev.At, ev.Prefix, ev.Path)
-			} else {
-				s.InjectPrefixAt(base+ev.At, ev.Prefix, ev.Path)
-			}
-		}
-		// Run's event budget is cumulative across calls, so each round
-		// extends it by the per-round allowance.
-		res = s.Run(res.Events + cfg.MaxEventsPerRound)
-		lat := res.Time - (base + last)
-		if lat < 0 {
-			lat = 0
-		}
-		samples = append(samples, lat)
-		if cfg.Latency != nil {
-			cfg.Latency(lat)
-		}
-		best, possible := snapshot(sys.N(), cfg.Spec.Prefixes, s.BestFor, s.PossibleFor)
-		rounds = r + 1
-		if !c.check(r, evs, state{best: best, possible: possible, counters: s.Counters(), quiesced: res.Quiesced}) {
+		var lat int64
+		res, lat = RunRound(s, res, evs, int64(r)*cfg.Spec.Period, cfg.MaxEventsPerRound)
+		best, possible := chaos.Vectors(c.systems, s.BestFor), chaos.Vectors(c.systems, s.PossibleFor)
+		if !c.check(r, evs, state{best: best, possible: possible, counters: s.Counters(), quiesced: res.Quiesced, latency: lat}) {
 			break
 		}
 	}
-	return c.report("sim", rounds, start, samples, s.Counters()), nil
+	return c.report("sim", start, s.Counters()), nil
 }
 
 // SoakTCP drives the identical soak over loopback TCP speakers. Rounds are
@@ -539,7 +502,7 @@ func SoakTCP(sys *topology.System, cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, err := speaker.NewMulti(domainSystems(sys, cfg.Spec.Prefixes), cfg.Policy, cfg.Opts)
+	n, err := speaker.NewMulti(c.systems, cfg.Policy, cfg.Opts)
 	if err != nil {
 		return nil, err
 	}
@@ -570,15 +533,12 @@ func SoakTCP(sys *topology.System, cfg Config) (*Report, error) {
 		return nil, err
 	}
 	defer n.Stop()
-	var samples []int64
-
 	n.InjectAll()
 	if !n.WaitQuiesce(cfg.Timeout, cfg.Settle) {
 		c.violate(0, 0, "quiesce", "warm-up did not quiesce within %v", cfg.Timeout)
-		return c.report("tcp", 0, start, samples, n.Counters()), nil
+		return c.report("tcp", start, n.Counters()), nil
 	}
 
-	rounds := 0
 	for r := 0; r < cfg.Rounds; r++ {
 		evs := c.stream.Next()
 		if d := time.Until(start.Add(time.Duration(int64(r)*cfg.Spec.Period) * time.Millisecond)); d > 0 {
@@ -597,21 +557,14 @@ func SoakTCP(sys *topology.System, cfg Config) (*Report, error) {
 		quiesced := n.WaitQuiesce(cfg.Timeout, cfg.Settle)
 		// WaitQuiesce holds for a settle window after the last activity;
 		// subtract it so the sample approximates time-to-converge.
-		lat := time.Since(applied).Milliseconds() - cfg.Settle.Milliseconds()
-		if lat < 0 {
-			lat = 0
-		}
-		samples = append(samples, lat)
-		if cfg.Latency != nil {
-			cfg.Latency(lat)
-		}
-		best, possible := snapshot(sys.N(), cfg.Spec.Prefixes, n.BestFor, func(prefix uint32, u bgp.NodeID) bgp.PathSet {
+		lat := max(time.Since(applied).Milliseconds()-cfg.Settle.Milliseconds(), 0)
+		best := chaos.Vectors(c.systems, n.BestFor)
+		possible := chaos.Vectors(c.systems, func(prefix uint32, u bgp.NodeID) bgp.PathSet {
 			return n.Speaker(u).PossibleFor(prefix)
 		})
-		rounds = r + 1
-		if !c.check(r, evs, state{best: best, possible: possible, counters: n.Counters(), quiesced: quiesced}) {
+		if !c.check(r, evs, state{best: best, possible: possible, counters: n.Counters(), quiesced: quiesced, latency: lat}) {
 			break
 		}
 	}
-	return c.report("tcp", rounds, start, samples, n.Counters()), nil
+	return c.report("tcp", start, n.Counters()), nil
 }

@@ -199,6 +199,11 @@ type Snapshot struct {
 	RouteLoops    int64
 }
 
+// Outstanding is the quiescence ledger: the UPDATEs handed to the transport
+// and not yet applied, rejected or lost. At rest it must be zero — every
+// message accounted for.
+func (s Snapshot) Outstanding() int64 { return s.Sent - (s.Received + s.Rejected + s.Dropped) }
+
 // Snapshot reads every counter once.
 func (c *Counters) Snapshot() Snapshot {
 	return Snapshot{

@@ -873,6 +873,14 @@ func (s *Speaker) refresh() {
 	}
 }
 
+// What a lost send returns: the core only tests for non-nil (it rewinds and
+// counts the drop), so nothing is formatted per message.
+var (
+	errNoSession = errors.New("speaker: no session to peer")
+	errFaultDrop = errors.New("speaker: fault plan dropped the message")
+	errQueueFull = errors.New("speaker: outbound queue full")
+)
+
 // send implements router.SendFunc over the TCP sessions, deciding each
 // message's fault fate at the session layer. Always called with s.mu held
 // (from handle/refresh via core.Refresh), which also guards s.sessions and
@@ -882,7 +890,7 @@ func (s *Speaker) send(w bgp.NodeID, upd *wire.Update) (int64, error) {
 	if sess == nil {
 		// Session currently torn down (reset downtime): the core rewinds
 		// and counts the drop; the PeerUp refresh re-sends what is owed.
-		return -1, fmt.Errorf("speaker: no session to %d", w)
+		return -1, errNoSession
 	}
 	seq := sess.seq
 	sess.seq++
@@ -895,7 +903,7 @@ func (s *Speaker) send(w bgp.NodeID, upd *wire.Update) (int64, error) {
 		s.net.counters.FaultDrops.Add(1)
 		s.net.dispatch(router.Event{Kind: router.FaultDrop, Time: s.net.now(), Node: s.id, Peer: w})
 		s.scheduleRetry(w)
-		return -1, fmt.Errorf("speaker: fault plan dropped message %d to %d", seq, w)
+		return -1, errFaultDrop
 	}
 	at := now
 	if fate.ExtraDelay > 0 {
@@ -916,7 +924,7 @@ func (s *Speaker) send(w bgp.NodeID, upd *wire.Update) (int64, error) {
 	if !enqueueOut(sess, bp, at) {
 		recycleOut(bp)
 		s.scheduleRetry(w)
-		return -1, fmt.Errorf("speaker: outbound queue to %d full", w)
+		return -1, errQueueFull
 	}
 	if fate.Duplicate {
 		// The copy is one more message on the wire; counting it as Sent
