@@ -167,9 +167,7 @@ func runMsgsim(sys *ibgp.System, pol ibgp.Policy, opts ibgp.Options, plan *ibgp.
 		os.Exit(1)
 	}
 	if showTrace {
-		// The sim's line trace is the shared typed-event renderer applied
-		// to the core's event stream.
-		s.Observe(func(line string) { fmt.Println(line) })
+		s.ObserveEvents(printEvents(sys))
 	}
 	s.InjectAll()
 	res := s.Run(maxEvents)
@@ -185,6 +183,17 @@ func runMsgsim(sys *ibgp.System, pol ibgp.Policy, opts ibgp.Options, plan *ibgp.
 	}
 }
 
+// printEvents returns a typed-event sink that prints each event's line in
+// the shared trace rendering, the same on both operational substrates.
+func printEvents(sys *ibgp.System) func(ibgp.RouterEvent) {
+	render := ibgp.NewRouterEventRenderer(sys, false)
+	return func(ev ibgp.RouterEvent) {
+		if line := render(ev); line != "" {
+			fmt.Println(line)
+		}
+	}
+}
+
 func runTCP(sys *ibgp.System, pol ibgp.Policy, opts ibgp.Options, plan *ibgp.FaultPlan, codec ibgp.Codec, mrai int64, wait time.Duration, showTrace bool) {
 	n := ibgp.NewTCPNetwork(sys, pol, opts)
 	n.SetCodec(codec)
@@ -194,21 +203,15 @@ func runTCP(sys *ibgp.System, pol ibgp.Policy, opts ibgp.Options, plan *ibgp.Fau
 		os.Exit(1)
 	}
 	if showTrace {
-		render := ibgp.NewRouterEventRenderer(sys, len(n.Prefixes()) > 1)
-		n.Observe(func(ev ibgp.RouterEvent) {
-			if line := render(ev); line != "" {
-				fmt.Println(line)
-			}
-		})
+		n.Subscribe(printEvents(sys))
 	}
 	if err := n.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, "ibgpsim:", err)
 		os.Exit(1)
 	}
-	defer n.Stop()
 	n.InjectAll()
 	quiesced := n.WaitQuiesce(wait, 150*time.Millisecond)
-	n.Observe(nil) // stop tracing before the final reads
+	n.Stop() // nothing is traced past this point; the cores stay readable
 	c := n.Counters()
 	fmt.Printf("policy=%-8s quiesced=%-5v messages=%-7d flaps=%-6d\n",
 		pol, quiesced, c.Sent, c.Flaps)

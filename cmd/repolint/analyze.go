@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -81,6 +82,15 @@ var hotkeyFuncs = map[string]bool{
 var passRegistryPackages = []string{
 	"internal/lint",
 }
+
+// timerPackages are the import-path suffixes of packages whose wall-clock
+// timers must stay accounted in a quiescence gauge: arming a timer and
+// moving the gauge happen in the one helper named timerHelper and nowhere
+// else, so a gauge leak (a network that never reads settled) or a missed
+// slot (one that reads settled with work pending) can exist in one place.
+var timerPackages = []string{"internal/speaker"}
+
+const timerHelper = "after"
 
 // ifaceMethodNames are method names that satisfy standard-library
 // interfaces (fmt.Stringer, error, json.Marshaler, sort.Interface,
@@ -230,6 +240,7 @@ func Analyze(dirs []string) ([]Finding, error) {
 		sort.Strings(paths)
 		internal := strings.Contains(filepath.ToSlash(p.dir)+"/", "internal/")
 		hot := inPackages(p.dir, hotkeyPackages)
+		timed := inPackages(p.dir, timerPackages)
 		for _, path := range paths {
 			file := p.files[path]
 			a.checkSwitches(p, file)
@@ -243,6 +254,9 @@ func Analyze(dirs []string) ([]Finding, error) {
 			}
 			if hot && !strings.HasSuffix(path, "_test.go") {
 				a.checkHotKey(file)
+			}
+			if timed && !strings.HasSuffix(path, "_test.go") {
+				a.checkSpeakerTimer(file)
 			}
 		}
 		if inPackages(p.dir, passRegistryPackages) {
@@ -574,6 +588,31 @@ func (a *analyzer) checkHotKey(file *ast.File) {
 					"%s.%s in the exploration hot path: string-built state keys were replaced by the "+
 						"interned binary arena (EncodeState words) — keep key construction binary, or move "+
 						"rendering into a String method", fmtName, sel.Sel.Name)
+			}
+			return true
+		})
+	}
+}
+
+// checkSpeakerTimer flags, in non-test files of the timer packages, every
+// time.AfterFunc call and every <x>.timers.Add call outside the function
+// named timerHelper.
+func (a *analyzer) checkSpeakerTimer(file *ast.File) {
+	for _, decl := range file.Decls {
+		fd, ok := decl.(*ast.FuncDecl)
+		if !ok || fd.Body == nil || fd.Name.Name == timerHelper {
+			continue
+		}
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if fun := types.ExprString(call.Fun); fun == "time.AfterFunc" || strings.HasSuffix(fun, ".timers.Add") {
+				a.report(call.Pos(), "speaker-timer",
+					"%s in %s: arm timers and move the timers gauge only through %s(), "+
+						"the one path that keeps every outstanding timer visible to Quiesced",
+					fun, fd.Name.Name, timerHelper)
 			}
 			return true
 		})

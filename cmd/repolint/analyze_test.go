@@ -347,6 +347,73 @@ func render(x int) string {
 	}
 }
 
+// TestSeededSpeakerTimer proves a timer armed, or the timers gauge moved,
+// outside the after helper is flagged in internal/speaker — and that the
+// helper itself, test files, other packages and other Add calls are not.
+func TestSeededSpeakerTimer(t *testing.T) {
+	findings := analyzeTree(t, map[string]string{
+		"internal/speaker/speaker.go": `package speaker
+
+import (
+	"sync/atomic"
+	"time"
+)
+
+type Network struct {
+	timers atomic.Int64
+	sent   atomic.Int64
+}
+
+func (n *Network) after(d time.Duration, body func()) {
+	n.timers.Add(1)
+	time.AfterFunc(d, func() {
+		body()
+		n.timers.Add(-1)
+	})
+}
+
+func (n *Network) retry() {
+	n.sent.Add(1)
+	n.after(time.Second, func() {})
+}
+
+func (n *Network) rogueRetry() {
+	n.timers.Add(1)
+	time.AfterFunc(time.Second, func() { n.timers.Add(-1) })
+}
+`,
+		"internal/speaker/speaker_test.go": `package speaker
+
+import "time"
+
+func arm(n *Network) { time.AfterFunc(time.Second, func() { n.timers.Add(1) }) }
+`,
+		"internal/churn/soak.go": `package churn
+
+import "time"
+
+func later(f func()) { time.AfterFunc(time.Second, f) }
+`,
+	})
+	count := 0
+	for _, f := range findings {
+		if f.Check != "speaker-timer" {
+			continue
+		}
+		count++
+		if !strings.Contains(f.Msg, "rogueRetry") || !strings.HasSuffix(f.Pos.Filename, "internal/speaker/speaker.go") {
+			t.Errorf("speaker-timer flagged outside the seeded offender: %v", f)
+		}
+	}
+	if !hasFinding(findings, "speaker-timer", "time.AfterFunc") || !hasFinding(findings, "speaker-timer", "timers.Add") {
+		t.Errorf("rogue timer or gauge move not flagged; findings: %v", findings)
+	}
+	// One AfterFunc and two gauge moves in rogueRetry, nothing else.
+	if count != 3 {
+		t.Errorf("want exactly 3 speaker-timer findings, got %d: %v", count, findings)
+	}
+}
+
 // TestSeededEmptyInterface proves interface{} is flagged repo-wide — in
 // parameters, results and composite types — while any and non-empty
 // interfaces are not.

@@ -1,5 +1,5 @@
 // Command repolint is this repository's own correctness linter. It runs
-// eight purely syntactic go/ast checks that encode invariants the paper
+// nine purely syntactic go/ast checks that encode invariants the paper
 // reproduction depends on:
 //
 //   - exhaustive-switch: a switch over one of the behaviour-steering enums
@@ -36,6 +36,11 @@
 //
 //   - pass-coverage: every lint pass registered in internal/lint must be
 //     named in that package's tests.
+//
+//   - speaker-timer: in non-test files of internal/speaker,
+//     time.AfterFunc and timers.Add may appear only inside the helper
+//     named after — every wall-clock timer takes and releases its slot in
+//     the quiescence gauge on one path.
 //
 //   - deadexport: an exported function or method in a non-test file under
 //     internal/ whose name is referenced nowhere else in the module — no

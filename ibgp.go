@@ -270,7 +270,7 @@ type (
 // message-level simulator and the TCP speakers.
 type (
 	// RouterEvent is one typed operational event (BestChanged, UpdateSent,
-	// UpdateReceived, MRAIDeferred, Injected, Withdrawn).
+	// PeerDown, FaultDrop, ReopenFailed, ...: the kinds below).
 	RouterEvent = router.Event
 	// RouterEventKind classifies a RouterEvent.
 	RouterEventKind = router.EventKind
@@ -293,6 +293,12 @@ const (
 	FaultDuplicate = router.FaultDuplicate
 	FaultDelay     = router.FaultDelay
 	FaultReorder   = router.FaultReorder
+
+	NotificationReceived = router.NotificationReceived
+	BadFrame             = router.BadFrame
+	HoldExpired          = router.HoldExpired
+	RouteLoop            = router.RouteLoop
+	ReopenFailed         = router.ReopenFailed
 )
 
 // NewSim creates a message-level simulator; inject routes with InjectAll

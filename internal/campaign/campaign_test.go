@@ -366,6 +366,18 @@ func TestScaleJobShardAndWorkerIndependence(t *testing.T) {
 	}
 }
 
+// TestScaleJobDescribeIsWhatRuns: the params header must not print churn
+// fields Run never uses — Seed and Prefixes are overridden per seed, so a
+// caller's values for them cannot move the header (or the record).
+func TestScaleJobDescribeIsWhatRuns(t *testing.T) {
+	a, b := scaleTestJob(), scaleTestJob()
+	a.Churn, b.Churn = churn.DefaultSpec(), churn.DefaultSpec()
+	b.Churn.Seed, b.Churn.Prefixes = 99, 77
+	if a.Describe() != b.Describe() {
+		t.Fatalf("header shows per-seed-overridden churn fields:\n%s\n%s", a.Describe(), b.Describe())
+	}
+}
+
 // TestFig13JobSmoke classifies a few crossed-family draws; the known
 // counterexample seed must be flagged (cf. the pinned figures.Fig13 seed).
 func TestFig13JobSmoke(t *testing.T) {

@@ -61,11 +61,14 @@ type ScaleJob struct {
 func (j ScaleJob) Name() string { return "scale" }
 
 // Describe names what ran, not how: Workers moves no field of the record,
-// so it stays out of the header aggregates are compared by.
+// so it stays out of the header aggregates are compared by. The churn
+// spec's Seed and Prefixes are left out too — Run overrides both per seed
+// (the seed itself, the generated family's prefix count).
 func (j ScaleJob) Describe() string {
 	j = j.fill()
-	return fmt.Sprintf("%+v policy=%v churn=%v rounds=%d mrai=%d plans=%d",
-		j.Spec, j.Policy, j.Churn, j.Rounds, j.MRAI, j.Plans)
+	c := j.Churn
+	return fmt.Sprintf("%+v policy=%v churn={rate=%v period=%d burst=%d flap=%v} rounds=%d mrai=%d plans=%d",
+		j.Spec, j.Policy, c.Rate, c.Period, c.Burst, c.FlapProb, j.Rounds, j.MRAI, j.Plans)
 }
 
 func (j ScaleJob) fill() ScaleJob {

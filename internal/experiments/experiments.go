@@ -21,10 +21,12 @@ import (
 	"repro/internal/forwarding"
 	"repro/internal/msgsim"
 	"repro/internal/protocol"
+	"repro/internal/router"
 	"repro/internal/sat"
 	"repro/internal/selection"
 	"repro/internal/speaker"
 	"repro/internal/topology"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -190,8 +192,9 @@ func E4Fig3(opts Options) Report {
 	// trace of the first rounds is captured as the reproduced Table 1.
 	s3 := msgsim.New(f.Sys, protocol.Classic, selection.Options{}, msgsim.ConstantDelay(50))
 	var traceLines []string
-	s3.Observe(func(line string) {
-		if len(traceLines) < 18 {
+	render := trace.NewRouterEventRenderer(f.Sys, false)
+	s3.ObserveEvents(func(ev router.Event) {
+		if line := render(ev); line != "" && len(traceLines) < 18 {
 			traceLines = append(traceLines, line)
 		}
 	})

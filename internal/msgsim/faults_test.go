@@ -9,6 +9,7 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/router"
 	"repro/internal/selection"
+	"repro/internal/trace"
 )
 
 // checkLedger asserts the quiescence accounting identity at rest: every
@@ -31,7 +32,8 @@ func TestFaultTraceDeterministic(t *testing.T) {
 		f := figures.Fig1a()
 		s := New(f.Sys, protocol.Modified, selection.Options{}, MustRandomDelay(3, 1, 12))
 		var lines []string
-		s.Observe(func(l string) { lines = append(lines, l) })
+		render := trace.NewRouterEventRenderer(f.Sys, false)
+		s.ObserveEvents(func(ev router.Event) { lines = append(lines, render(ev)) })
 		if err := s.SetFaults(plan); err != nil {
 			t.Fatal(err)
 		}

@@ -29,7 +29,6 @@ import (
 	"repro/internal/router"
 	"repro/internal/selection"
 	"repro/internal/topology"
-	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -249,13 +248,10 @@ type Sim struct {
 	// and the sessions' sequence bookkeeping is skipped entirely.
 	reorderSeen bool
 
-	now        int64
-	events     int
-	mux        router.Mux
-	evWired    bool // routers' event streams attached to mux
-	traceWired bool // traceEvent sink registered
-	observer   func(string)
-	render     func(router.Event) string
+	now     int64
+	events  int
+	mux     router.Mux
+	evWired bool // routers' event streams attached to mux
 }
 
 // New creates a simulator over sys with the given advertisement policy,
@@ -281,10 +277,9 @@ func NewMulti(systems map[uint32]*topology.System, policy protocol.Policy, opts 
 		sessions += len(dom.Base().Peers(bgp.NodeID(u)))
 	}
 	s.sess = make([]session, sessions)
-	s.render = trace.NewRouterEventRenderer(dom.Base(), dom.Multi())
 	// All core and transport events flow through one multiplexer; sinks
-	// (the line trace via Observe, telemetry feeds and soak harnesses via
-	// ObserveEvents) attach before Run. The routers' streams hook in
+	// (line traces, telemetry feeds, soak harnesses) attach with
+	// ObserveEvents before Run. The routers' streams hook in
 	// lazily on the first registration — see wireEvents — so a sim nobody
 	// watches never pays for event emission at all.
 	for u := 0; u < dom.Base().N(); u++ {
@@ -313,22 +308,11 @@ func (s *Sim) wireEvents() {
 	}
 }
 
-// Observe registers a line-oriented trace callback; the lines are the
-// rendered form of the core's typed event stream.
-func (s *Sim) Observe(fn func(string)) {
-	if fn != nil && !s.traceWired {
-		s.traceWired = true
-		s.wireEvents()
-		s.mux.Add(s.traceEvent)
-	}
-	s.observer = fn
-}
-
-// ObserveEvents registers an additional typed-event sink on the
-// simulator's event multiplexer, alongside the line trace. Like
-// Router.Events, registration must happen before the first Run; the sink
-// runs synchronously on the simulator's goroutine, receiving each
-// activation round's events in emission order when the round's batch
+// ObserveEvents registers a typed-event sink on the simulator's event
+// multiplexer (a line trace is trace.NewRouterEventRenderer applied in the
+// sink). Like Router.Events, registration must happen before the first
+// Run; the sink runs synchronously on the simulator's goroutine, receiving
+// each activation round's events in emission order when the round's batch
 // flushes.
 func (s *Sim) ObserveEvents(fn func(router.Event)) {
 	s.wireEvents()
@@ -342,16 +326,6 @@ func (s *Sim) ObserveEvents(fn func(router.Event)) {
 func (s *Sim) ObserveEventsBatch(fn func([]router.Event)) {
 	s.wireEvents()
 	s.mux.AddBatch(fn)
-}
-
-// traceEvent bridges core events into the legacy line trace.
-func (s *Sim) traceEvent(ev router.Event) {
-	if s.observer == nil {
-		return
-	}
-	if line := s.render(ev); line != "" {
-		s.observer(line)
-	}
 }
 
 // SetMRAI sets the per-session minimum route advertisement interval, the

@@ -7,7 +7,9 @@ import (
 	"repro/internal/bgp"
 	"repro/internal/figures"
 	"repro/internal/protocol"
+	"repro/internal/router"
 	"repro/internal/selection"
+	"repro/internal/trace"
 )
 
 func TestFig14ClassicQuiescesToLoopState(t *testing.T) {
@@ -357,7 +359,8 @@ func TestObserverTraces(t *testing.T) {
 	f := figures.Fig14()
 	s := New(f.Sys, protocol.Classic, selection.Options{}, ConstantDelay(1))
 	var lines []string
-	s.Observe(func(l string) { lines = append(lines, l) })
+	render := trace.NewRouterEventRenderer(f.Sys, false)
+	s.ObserveEvents(func(ev router.Event) { lines = append(lines, render(ev)) })
 	s.InjectAll()
 	s.Run(0)
 	if len(lines) == 0 {

@@ -58,46 +58,38 @@ const (
 	// RouteLoop fires once per announced route dropped by RFC 4456 §8
 	// reflection loop detection (own ORIGINATOR_ID or cluster ID seen).
 	RouteLoop
+	// ReopenFailed fires when a reset session (Node - Peer) could not be
+	// re-established after its downtime; the session stays down.
+	ReopenFailed
 )
+
+// kindNames indexes the kinds' names by value.
+var kindNames = [...]string{
+	BestChanged:          "BestChanged",
+	UpdateSent:           "UpdateSent",
+	UpdateReceived:       "UpdateReceived",
+	MRAIDeferred:         "MRAIDeferred",
+	Injected:             "Injected",
+	Withdrawn:            "Withdrawn",
+	PeerDown:             "PeerDown",
+	PeerUp:               "PeerUp",
+	FaultDrop:            "FaultDrop",
+	FaultDuplicate:       "FaultDuplicate",
+	FaultDelay:           "FaultDelay",
+	FaultReorder:         "FaultReorder",
+	NotificationReceived: "NotificationReceived",
+	BadFrame:             "BadFrame",
+	HoldExpired:          "HoldExpired",
+	RouteLoop:            "RouteLoop",
+	ReopenFailed:         "ReopenFailed",
+}
 
 // String names the kind for logs and renderers.
 func (k EventKind) String() string {
-	switch k {
-	case BestChanged:
-		return "BestChanged"
-	case UpdateSent:
-		return "UpdateSent"
-	case UpdateReceived:
-		return "UpdateReceived"
-	case MRAIDeferred:
-		return "MRAIDeferred"
-	case Injected:
-		return "Injected"
-	case Withdrawn:
-		return "Withdrawn"
-	case PeerDown:
-		return "PeerDown"
-	case PeerUp:
-		return "PeerUp"
-	case FaultDrop:
-		return "FaultDrop"
-	case FaultDuplicate:
-		return "FaultDuplicate"
-	case FaultDelay:
-		return "FaultDelay"
-	case FaultReorder:
-		return "FaultReorder"
-	case NotificationReceived:
-		return "NotificationReceived"
-	case BadFrame:
-		return "BadFrame"
-	case HoldExpired:
-		return "HoldExpired"
-	case RouteLoop:
-		return "RouteLoop"
-	default:
-		return "Unknown"
+	if int(k) < len(kindNames) {
+		return kindNames[k]
 	}
+	return "Unknown"
 }
 
 // Event is one typed occurrence in a router core's life, replacing the old
@@ -177,26 +169,30 @@ type Counters struct {
 	// RouteLoops counts announced routes dropped by RFC 4456 reflection
 	// loop detection.
 	RouteLoops atomic.Int64
+	// ReopenFailures counts reset sessions that failed to re-establish
+	// after their downtime and stayed down.
+	ReopenFailures atomic.Int64
 }
 
 // Snapshot is a plain-value copy of Counters at one instant.
 type Snapshot struct {
-	Flaps         int64
-	Sent          int64
-	Received      int64
-	Deferrals     int64
-	Dropped       int64
-	Rejected      int64
-	Resets        int64
-	Flushed       int64
-	FaultDrops    int64
-	FaultDups     int64
-	FaultDelays   int64
-	FaultReorders int64
-	Notifs        int64
-	BadFrames     int64
-	HoldExpiries  int64
-	RouteLoops    int64
+	Flaps          int64
+	Sent           int64
+	Received       int64
+	Deferrals      int64
+	Dropped        int64
+	Rejected       int64
+	Resets         int64
+	Flushed        int64
+	FaultDrops     int64
+	FaultDups      int64
+	FaultDelays    int64
+	FaultReorders  int64
+	Notifs         int64
+	BadFrames      int64
+	HoldExpiries   int64
+	RouteLoops     int64
+	ReopenFailures int64
 }
 
 // Outstanding is the quiescence ledger: the UPDATEs handed to the transport
@@ -207,21 +203,22 @@ func (s Snapshot) Outstanding() int64 { return s.Sent - (s.Received + s.Rejected
 // Snapshot reads every counter once.
 func (c *Counters) Snapshot() Snapshot {
 	return Snapshot{
-		Flaps:         c.Flaps.Load(),
-		Sent:          c.Sent.Load(),
-		Received:      c.Received.Load(),
-		Deferrals:     c.Deferrals.Load(),
-		Dropped:       c.Dropped.Load(),
-		Rejected:      c.Rejected.Load(),
-		Resets:        c.Resets.Load(),
-		Flushed:       c.Flushed.Load(),
-		FaultDrops:    c.FaultDrops.Load(),
-		FaultDups:     c.FaultDups.Load(),
-		FaultDelays:   c.FaultDelays.Load(),
-		FaultReorders: c.FaultReorders.Load(),
-		Notifs:        c.Notifs.Load(),
-		BadFrames:     c.BadFrames.Load(),
-		HoldExpiries:  c.HoldExpiries.Load(),
-		RouteLoops:    c.RouteLoops.Load(),
+		Flaps:          c.Flaps.Load(),
+		Sent:           c.Sent.Load(),
+		Received:       c.Received.Load(),
+		Deferrals:      c.Deferrals.Load(),
+		Dropped:        c.Dropped.Load(),
+		Rejected:       c.Rejected.Load(),
+		Resets:         c.Resets.Load(),
+		Flushed:        c.Flushed.Load(),
+		FaultDrops:     c.FaultDrops.Load(),
+		FaultDups:      c.FaultDups.Load(),
+		FaultDelays:    c.FaultDelays.Load(),
+		FaultReorders:  c.FaultReorders.Load(),
+		Notifs:         c.Notifs.Load(),
+		BadFrames:      c.BadFrames.Load(),
+		HoldExpiries:   c.HoldExpiries.Load(),
+		RouteLoops:     c.RouteLoops.Load(),
+		ReopenFailures: c.ReopenFailures.Load(),
 	}
 }

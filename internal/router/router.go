@@ -183,9 +183,6 @@ func (d *Domain) System(prefix uint32) *topology.System {
 	return nil
 }
 
-// Multi reports whether the domain carries more than one prefix.
-func (d *Domain) Multi() bool { return len(d.prefixes) > 1 }
-
 // SendFunc transmits one coalesced UPDATE to a peer. It returns the
 // transport's arrival time for the message (simulated-clock substrates) or
 // a negative value when arrival is unknown (TCP), and an error when the

@@ -22,15 +22,13 @@ const LocalAS = 64512
 // wire-level mechanisms (originator stamping, loop detection) back to the
 // network.
 type SessionInfo struct {
-	// LocalNode is the speaker's node index; PeerNode is the expected
-	// peer, or -1 on the accept side where the handshake discovers it.
+	// LocalNode is the speaker's node index, PeerNode the peer this end
+	// was brought up to talk to.
 	LocalNode, PeerNode bgp.NodeID
 
-	LocalAS    uint32
+	// LocalBGPID is the speaker's BGP identifier, which it also stamps as
+	// its RFC 4456 cluster ID when reflecting.
 	LocalBGPID uint32
-	// ClusterID is the RFC 4456 cluster ID this speaker stamps when
-	// reflecting; conventionally its own BGP identifier.
-	ClusterID uint32
 
 	// HoldTime is the locally proposed hold time (0 disables keepalives
 	// and the hold timer). Codecs without a liveness protocol ignore it.
@@ -58,8 +56,10 @@ type Codec interface {
 // SessionCodec frames and parses one session's byte stream.
 type SessionCodec interface {
 	// Handshake performs the codec's session establishment on conn and
-	// returns the peer's node index. dialer distinguishes the connecting
-	// from the accepting end for codecs with asymmetric establishment.
+	// returns the node index the peer identified itself with; the caller
+	// checks it against the peer it expects. dialer distinguishes the
+	// connecting from the accepting end for codecs with asymmetric
+	// establishment.
 	Handshake(conn net.Conn, dialer bool) (bgp.NodeID, error)
 	// ReadMessage blocks for the next logical message. It runs on the
 	// session's read goroutine only.
@@ -103,7 +103,9 @@ func CodecByName(name string) (Codec, error) {
 
 // privateCodec reproduces the seed speaker's session behaviour exactly:
 // the dialer sends one wire.Open carrying its node index, the acceptor
-// reads it to learn who dialed, and no further session machinery exists.
+// reads who claims to have dialed, and no further session machinery exists
+// (the acceptor says nothing, so the dialer can only report the peer it
+// was pointed at).
 type privateCodec struct{}
 
 func (privateCodec) Name() string { return "private" }
@@ -166,26 +168,20 @@ type bgp4Codec struct{}
 func (bgp4Codec) Name() string { return "bgp4" }
 
 func (bgp4Codec) NewSession(info SessionInfo) SessionCodec {
-	cfg := bgp4.SessionConfig{
-		LocalAS:   info.LocalAS,
+	return &bgp4Session{s: bgp4.NewSession(bgp4.SessionConfig{
+		LocalAS:   LocalAS,
 		LocalID:   info.LocalBGPID,
 		NodeID:    uint32(info.LocalNode),
-		ClusterID: info.ClusterID,
+		ClusterID: info.LocalBGPID,
 		HoldTime:  info.HoldTime,
 		OnLoop:    info.OnLoop,
-	}
-	if resolve := info.BGPIDOf; resolve != nil {
-		cfg.OriginatorID = func(exitPoint uint32) (uint32, bool) {
-			return resolve(bgp.NodeID(exitPoint))
-		}
-	}
-	return &bgp4Session{info: info, s: bgp4.NewSession(cfg)}
+		OriginatorID: func(exitPoint uint32) (uint32, bool) {
+			return info.BGPIDOf(bgp.NodeID(exitPoint))
+		},
+	})}
 }
 
-type bgp4Session struct {
-	info SessionInfo
-	s    *bgp4.Session
-}
+type bgp4Session struct{ s *bgp4.Session }
 
 func (b *bgp4Session) Handshake(conn net.Conn, _ bool) (bgp.NodeID, error) {
 	if err := b.s.Establish(conn); err != nil {
@@ -194,9 +190,6 @@ func (b *bgp4Session) Handshake(conn net.Conn, _ bool) (bgp.NodeID, error) {
 	peer := b.s.Peer()
 	if !peer.HasNodeID {
 		return 0, errors.New("speaker: bgp4 peer did not advertise the node-ID capability")
-	}
-	if b.info.PeerNode >= 0 && bgp.NodeID(peer.NodeID) != b.info.PeerNode {
-		return 0, fmt.Errorf("speaker: bgp4 peer identifies as node %d, expected %d", peer.NodeID, b.info.PeerNode)
 	}
 	return bgp.NodeID(peer.NodeID), nil
 }

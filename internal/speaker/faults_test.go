@@ -73,7 +73,7 @@ func TestTCPSessionResetReconverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sawDown, sawUp bool
-	n.Observe(func(ev router.Event) {
+	n.Subscribe(func(ev router.Event) {
 		switch ev.Kind {
 		case router.PeerDown:
 			sawDown = true

@@ -34,21 +34,26 @@ import (
 // it still owes, the repair TCP retransmission gives a real speaker.
 const dropRTO = 20 * time.Millisecond
 
-// control is an operator command posted to a speaker's inbox.
-type control struct {
-	prefix   uint32
-	inject   bgp.PathID
-	withdraw bgp.PathID
-}
+// inKind tags one unit of work for a speaker's main loop.
+type inKind uint8
 
-// inbound is one unit of work for a speaker's main loop.
+const (
+	inUpdate   inKind = iota // upd arrived from peer
+	inInject                 // operator: E-BGP route path for prefix learned
+	inWithdraw               // operator: E-BGP route path for prefix lost
+	inFlush                  // MRAI window or drop RTO for peer ran out
+	inPeerDown               // session to peer died
+	inPeerUp                 // session to peer re-established
+)
+
+// inbound is one unit of work for a speaker's main loop: the kind and the
+// operands that kind reads.
 type inbound struct {
-	from     bgp.NodeID
-	upd      *wire.Update
-	ctl      *control
-	flush    *bgp.NodeID // MRAI window reopened for this peer
-	peerDown *bgp.NodeID // session to this peer died (reset)
-	peerUp   *bgp.NodeID // session to this peer re-established
+	kind   inKind
+	peer   bgp.NodeID
+	prefix uint32
+	path   bgp.PathID
+	upd    *wire.Update
 }
 
 // outMsg is one message queued for a session's write loop, with the
@@ -131,6 +136,20 @@ func newSession(peer bgp.NodeID, conn net.Conn, codec SessionCodec) *session {
 	}
 }
 
+// enqueue hands one encoded message to the session's write loop without
+// ever blocking the caller. On a full queue the buffer is recycled and the
+// caller falls back: drop-and-retry for an UPDATE, nothing for a keepalive
+// (the pending traffic is liveness enough), a bare close for a NOTIFICATION.
+func (sess *session) enqueue(m outMsg) bool {
+	select {
+	case sess.outQ <- m:
+		return true
+	default:
+		recycleOut(m.buf)
+		return false
+	}
+}
+
 // Speaker is one running I-BGP speaker: a router core plus its TCP
 // sessions and goroutines. It carries one RIB per destination prefix
 // (single-prefix deployments use prefix 0).
@@ -144,8 +163,8 @@ type Speaker struct {
 	// emux buffers the core's event emissions for one main-loop round
 	// (handle + refresh) and flushes them as a batch: the core's events
 	// reference its reusable scratch Update, which Batch deep-copies, and
-	// one flush takes the network's observer lock once per round instead
-	// of once per event. Batch and Flush both run on the main-loop
+	// one flush takes the network's sink lock once per round instead of
+	// once per event. Batch and Flush both run on the main-loop
 	// goroutine (handle/refresh emit synchronously under s.mu from there),
 	// so the single-owner contract of router.Mux holds.
 	emux router.Mux
@@ -156,18 +175,12 @@ type Speaker struct {
 	wg       sync.WaitGroup
 }
 
-// Best returns the speaker's current best path for prefix 0.
-func (s *Speaker) Best() bgp.PathID { return s.BestFor(0) }
-
 // BestFor returns the speaker's current best path for one prefix.
 func (s *Speaker) BestFor(prefix uint32) bgp.PathID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.core.Best(prefix)
 }
-
-// Possible returns the speaker's current candidate set for prefix 0.
-func (s *Speaker) Possible() bgp.PathSet { return s.PossibleFor(0) }
 
 // PossibleFor returns the candidate set for one prefix.
 func (s *Speaker) PossibleFor(prefix uint32) bgp.PathSet {
@@ -202,13 +215,13 @@ type Network struct {
 	noKeepalives bool
 
 	counters router.Counters
-	timers   atomic.Int64 // outstanding timers: MRAI reopens, drop retries, resets
+	timers   atomic.Int64 // outstanding timers (see after)
 
-	started time.Time // transport clock epoch, set by Start
+	started time.Time    // transport clock epoch, set by Start
+	ln      net.Listener // the one bring-up listener, open from Start to Stop
 
-	obsMu    sync.Mutex
-	observer func(router.Event)
-	mux      router.Mux // permanent sinks (Subscribe); sealed at first event
+	obsMu sync.Mutex // serialises the sinks across speaker goroutines
+	mux   router.Mux // the one sink list (Subscribe); sealed at first event
 
 	stopMu   sync.Mutex // serialises Stop against session reopens
 	stopped  bool
@@ -251,14 +264,8 @@ func NewMulti(systems map[uint32]*topology.System, policy protocol.Policy, opts 
 	return n, nil
 }
 
-// Prefixes returns the prefixes this network carries, sorted.
-func (n *Network) Prefixes() []uint32 { return n.dom.Prefixes() }
-
 // Speaker returns the speaker for router u.
 func (n *Network) Speaker(u bgp.NodeID) *Speaker { return n.speakers[u] }
-
-// Flaps returns the total number of best-route changes observed.
-func (n *Network) Flaps() int { return int(n.counters.Flaps.Load()) }
 
 // MessagesSent returns the total number of UPDATE messages written.
 func (n *Network) MessagesSent() int { return int(n.counters.Sent.Load()) }
@@ -292,22 +299,14 @@ func (n *Network) SetHoldTime(d time.Duration) { n.holdTime = d }
 // expiry on an otherwise healthy session. Call before Start.
 func (n *Network) DisableKeepalives() { n.noKeepalives = true }
 
-// newSessionCodec builds the per-session codec state for the session
-// local->peer (peer -1 on the accept side, where the handshake discovers
-// it). The returned NodeID pointer is the loop-detection callback's view
-// of the peer: the accept path must store the discovered peer through it
-// before launching the session loops.
-func (n *Network) newSessionCodec(local, peer bgp.NodeID) (SessionCodec, *bgp.NodeID) {
+// newSessionCodec builds the per-session codec state for local's end of
+// the session to peer.
+func (n *Network) newSessionCodec(local, peer bgp.NodeID) SessionCodec {
 	sys := n.dom.Base()
-	peerRef := new(bgp.NodeID)
-	*peerRef = peer
-	localID := uint32(sys.BGPID(local))
-	info := SessionInfo{
+	return n.codec.NewSession(SessionInfo{
 		LocalNode:  local,
 		PeerNode:   peer,
-		LocalAS:    LocalAS,
-		LocalBGPID: localID,
-		ClusterID:  localID,
+		LocalBGPID: uint32(sys.BGPID(local)),
 		HoldTime:   n.holdTime,
 		BGPIDOf: func(u bgp.NodeID) (uint32, bool) {
 			if int(u) < 0 || int(u) >= sys.N() {
@@ -318,10 +317,9 @@ func (n *Network) newSessionCodec(local, peer bgp.NodeID) (SessionCodec, *bgp.No
 		OnLoop: func(prefix, path uint32) {
 			n.counters.RouteLoops.Add(1)
 			n.dispatch(router.Event{Kind: router.RouteLoop, Time: n.now(),
-				Node: local, Peer: *peerRef, Prefix: prefix, Path: bgp.PathID(path)})
+				Node: local, Peer: peer, Prefix: prefix, Path: bgp.PathID(path)})
 		},
-	}
-	return n.codec.NewSession(info), peerRef
+	})
 }
 
 // SetMRAI sets the minimum route advertisement interval on every speaker,
@@ -349,34 +347,23 @@ func (n *Network) SetWorkers(workers int) {
 // plan's session resets tear real TCP connections down and redial them.
 // Call before Start. Times are milliseconds of the transport clock.
 func (n *Network) SetFaults(p *faults.Plan) error {
-	if p == nil {
-		n.plan = nil
-		return nil
-	}
-	if err := p.Validate(n.dom.Base().N()); err != nil {
-		return err
+	if p != nil {
+		if err := p.Validate(n.dom.Base().N()); err != nil {
+			return err
+		}
 	}
 	n.plan = p
 	return nil
 }
 
-// Observe registers a typed-event callback. The callback is invoked from
-// the speakers' goroutines, serialized by the network; it must not call
-// back into the network. Pass nil to disable. Unlike Subscribe sinks, the
-// observer may be swapped or disabled mid-run (the CLI stops tracing
-// before its final reads this way).
-func (n *Network) Observe(fn func(router.Event)) {
-	n.obsMu.Lock()
-	n.observer = fn
-	n.obsMu.Unlock()
-}
-
-// Subscribe registers a permanent additional typed-event sink on the
-// network's event multiplexer — the trace observer and a telemetry feed
+// Subscribe registers a permanent typed-event sink on the network's event
+// multiplexer, its one sink list — a trace renderer and a telemetry feed
 // can watch the same run without stepping on each other. Like
 // Router.Events, subscriptions must be in place before Start: once events
-// flow, the multiplexer is sealed and a late Subscribe panics. Sinks run
-// serialized with the observer and must not call back into the network.
+// flow, the multiplexer is sealed and a late Subscribe panics. Sinks are
+// invoked from the speakers' goroutines, serialized by the network, so a
+// printing sink needs no locking of its own; they must not call back into
+// the network. A sink that wants to stop mid-run gates itself.
 func (n *Network) Subscribe(fn func(router.Event)) { n.mux.Add(fn) }
 
 // SubscribeBatch registers a permanent batch-aware sink: it receives each
@@ -386,29 +373,16 @@ func (n *Network) Subscribe(fn func(router.Event)) { n.mux.Add(fn) }
 // Subscribe.
 func (n *Network) SubscribeBatch(fn func([]router.Event)) { n.mux.AddBatch(fn) }
 
-// dispatch fans one core event out to the registered observer and every
-// subscribed sink. Events are serialized so a printing observer needs no
-// locking of its own.
-func (n *Network) dispatch(ev router.Event) {
-	n.obsMu.Lock()
-	defer n.obsMu.Unlock()
-	if n.observer != nil {
-		n.observer(ev)
-	}
-	n.mux.Dispatch(ev)
-}
+// dispatch delivers one transport-level event (a fault fate, a session
+// death cause): a round of one.
+func (n *Network) dispatch(ev router.Event) { n.dispatchBatch([]router.Event{ev}) }
 
-// dispatchBatch delivers one speaker round's events under a single
-// observer-lock acquisition: the observer and per-event Subscribe sinks
-// see each event in emission order, batch sinks get the round whole.
+// dispatchBatch delivers one round's events under a single lock
+// acquisition: per-event Subscribe sinks see each event in emission order,
+// batch sinks get the round whole.
 func (n *Network) dispatchBatch(evs []router.Event) {
 	n.obsMu.Lock()
 	defer n.obsMu.Unlock()
-	if n.observer != nil {
-		for i := range evs {
-			n.observer(evs[i])
-		}
-	}
 	n.mux.DispatchBatch(evs)
 }
 
@@ -420,180 +394,137 @@ func (n *Network) now() int64 {
 	return time.Since(n.started).Milliseconds()
 }
 
-// Start opens loopback listeners, dials every session, exchanges OPENs and
-// launches the speaker loops.
+// after is the one timer path. It takes a slot in the timers gauge, arms a
+// wall-clock timer, runs body when it fires and releases the slot — so
+// Quiesced never reports a network with an MRAI reopen, a drop retry or a
+// scheduled reset outstanding as settled. A body that arms its successor
+// (reset → reopen) does so before its own slot is released: the chain
+// holds the gauge above zero from the first timer to the last.
+func (n *Network) after(d time.Duration, body func()) {
+	n.timers.Add(1)
+	time.AfterFunc(d, func() {
+		body()
+		n.timers.Add(-1)
+	})
+}
+
+// connect is the one session bring-up path: a dials the bring-up listener,
+// which accepts for b; both ends run the codec handshake concurrently
+// (bgp4's OPEN exchange is symmetric and would deadlock run back to back
+// on one goroutine) and each must hear the peer it expects. A failing end
+// closes its connection, which fails the other end's handshake too instead
+// of leaving it blocked; on failure both ends are closed and no session
+// exists. Callers never overlap (Start runs before any reset; reopens
+// serialise on stopMu), so the dialed connection is already queued when
+// Accept is called; anything else in the queue is a stranger (any process
+// on the host can connect to a loopback port) and is shown the door.
+func (n *Network) connect(a, b bgp.NodeID) (sa, sb *session, err error) {
+	ca, err := net.Dial("tcp", n.ln.Addr().String())
+	if err != nil {
+		return nil, nil, err
+	}
+	cb, err := n.ln.Accept()
+	for err == nil && cb.RemoteAddr().String() != ca.LocalAddr().String() {
+		cb.Close()
+		cb, err = n.ln.Accept()
+	}
+	if err != nil {
+		ca.Close()
+		return nil, nil, err
+	}
+	sa = newSession(b, ca, n.newSessionCodec(a, b))
+	sb = newSession(a, cb, n.newSessionCodec(b, a))
+	shake := func(sess *session, dialer bool) error {
+		got, err := sess.codec.Handshake(sess.conn, dialer)
+		if err == nil && got != sess.peer {
+			err = fmt.Errorf("speaker: peer identifies as node %d, expected %d", got, sess.peer)
+		}
+		if err != nil {
+			sess.conn.Close()
+		}
+		return err
+	}
+	errB := make(chan error, 1)
+	go func() { errB <- shake(sb, false) }()
+	err = shake(sa, true)
+	if e := <-errB; err == nil {
+		err = e
+	}
+	if err != nil {
+		ca.Close()
+		cb.Close()
+		return nil, nil, err
+	}
+	return sa, sb, nil
+}
+
+// Start opens the bring-up listener, connects every session (the
+// lower-numbered end dials), launches the speaker loops and arms one timer
+// per fault-plan session reset. Resets naming sessions absent from the
+// topology are skipped (RandomPlan can derive them; they would be no-ops).
 func (n *Network) Start() error {
 	sys := n.dom.Base()
-	// One listener per speaker.
-	listeners := make([]net.Listener, len(n.speakers))
-	for i := range n.speakers {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			n.Stop()
-			return fmt.Errorf("speaker: listen for %s: %w", sys.Name(bgp.NodeID(i)), err)
-		}
-		listeners[i] = ln
+	var err error
+	if n.ln, err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
+		n.Stop()
+		return fmt.Errorf("speaker: %w", err)
 	}
-	defer func() {
-		for _, ln := range listeners {
-			ln.Close()
-		}
-	}()
-
-	// Accept side: each listener accepts its expected number of inbound
-	// sessions (from higher-numbered... lower-numbered peers dial).
-	type accepted struct {
-		to    int
-		conn  net.Conn
-		peer  bgp.NodeID
-		codec SessionCodec
-		err   error
-	}
-	expect := make([]int, len(n.speakers))
-	for u := 0; u < sys.N(); u++ {
-		for _, v := range sys.Peers(bgp.NodeID(u)) {
-			if bgp.NodeID(u) < v {
-				expect[v]++ // u dials v
-			}
-		}
-	}
-	acceptCh := make(chan accepted, sys.N()*sys.N())
-	var acceptWG sync.WaitGroup
-	for i, ln := range listeners {
-		if expect[i] == 0 {
-			continue
-		}
-		acceptWG.Add(1)
-		go func(i int, ln net.Listener, count int) {
-			defer acceptWG.Done()
-			for k := 0; k < count; k++ {
-				conn, err := ln.Accept()
-				if err != nil {
-					acceptCh <- accepted{to: i, err: err}
-					return
-				}
-				// The codec handshake learns who dialed (the private
-				// codec from the OPEN's node field, bgp4 from the
-				// node-ID capability of its full OPEN exchange).
-				sc, peerRef := n.newSessionCodec(bgp.NodeID(i), -1)
-				peer, err := sc.Handshake(conn, false)
-				if err != nil {
-					conn.Close()
-					acceptCh <- accepted{to: i, err: err}
-					return
-				}
-				// Store the discovered peer before the session loops
-				// start; the loop-detection callback reads through it.
-				*peerRef = peer
-				acceptCh <- accepted{to: i, conn: conn, peer: peer, codec: sc}
-			}
-		}(i, ln, expect[i])
-	}
-
-	// Dial side.
-	var dialErr error
-	for u := 0; u < sys.N(); u++ {
-		for _, v := range sys.Peers(bgp.NodeID(u)) {
-			if bgp.NodeID(u) >= v {
+	for _, sp := range n.speakers {
+		for _, v := range sys.Peers(sp.id) {
+			if sp.id >= v {
 				continue
 			}
-			conn, err := net.Dial("tcp", listeners[v].Addr().String())
+			su, sv, err := n.connect(sp.id, v)
 			if err != nil {
-				dialErr = err
-				break
-			}
-			sc, _ := n.newSessionCodec(bgp.NodeID(u), v)
-			peer, err := sc.Handshake(conn, true)
-			if err != nil {
-				conn.Close()
-				dialErr = err
-				break
-			}
-			if peer != v {
-				conn.Close()
-				dialErr = fmt.Errorf("speaker: dialed %s but peer identifies as node %d", sys.Name(v), peer)
-				break
-			}
-			n.speakers[u].sessions[v] = newSession(v, conn, sc)
-		}
-	}
-	acceptWG.Wait()
-	close(acceptCh)
-	for a := range acceptCh {
-		if a.err != nil && dialErr == nil {
-			dialErr = a.err
-		}
-		if a.conn != nil {
-			n.speakers[a.to].sessions[a.peer] = newSession(a.peer, a.conn, a.codec)
-		}
-	}
-	if dialErr != nil {
-		n.Stop()
-		return dialErr
-	}
-	// Verify every session is in place, then launch.
-	for u := 0; u < sys.N(); u++ {
-		for _, v := range sys.Peers(bgp.NodeID(u)) {
-			if n.speakers[u].sessions[v] == nil {
 				n.Stop()
-				return fmt.Errorf("speaker: session %s-%s missing",
-					sys.Name(bgp.NodeID(u)), sys.Name(v))
+				return fmt.Errorf("speaker: session %s-%s: %w", sys.Name(sp.id), sys.Name(v), err)
 			}
+			sp.sessions[v], n.speakers[v].sessions[sp.id] = su, sv
 		}
 	}
 	n.started = time.Now()
 	for _, sp := range n.speakers {
 		sp.start()
 	}
-	n.scheduleResets()
+	if n.plan != nil {
+		for _, r := range n.plan.Resets {
+			if sys.HasSession(r.A, r.B) {
+				n.after(time.Duration(r.At)*time.Millisecond, func() { n.resetSession(r) })
+			}
+		}
+	}
 	return nil
 }
 
-// scheduleResets arms one timer per fault-plan session reset. Resets
-// naming sessions absent from the topology are skipped (RandomPlan can
-// derive them; they would be no-ops). Each timer stays accounted in the
-// timers gauge until its session has reopened, so Quiesced never reports
-// a network with a scheduled reset outstanding as settled.
-func (n *Network) scheduleResets() {
-	if n.plan == nil {
-		return
-	}
-	sys := n.dom.Base()
-	for _, r := range n.plan.Resets {
-		if !sys.HasSession(r.A, r.B) {
-			continue
-		}
-		r := r
-		n.timers.Add(1)
-		time.AfterFunc(time.Duration(r.At)*time.Millisecond, func() { n.resetSession(r) })
-	}
-}
-
-// start launches the speaker's per-session loops and the main loop.
+// start launches the speaker's per-session loops, the main loop and — when
+// the codec negotiated a hold time — the keepalive ticker. One hold policy
+// covers the network, so every session of a speaker negotiates the same.
 func (s *Speaker) start() {
+	var hold time.Duration
 	for _, sess := range s.sessions {
 		s.startSession(sess)
+		hold = sess.codec.HoldTime()
 	}
 	s.wg.Add(1)
 	go s.mainLoop()
+	if hold > 0 && !s.net.noKeepalives {
+		s.wg.Add(1)
+		go s.keepaliveLoop(hold / 3)
+	}
 }
 
-// startSession launches one session incarnation's read and write loops,
-// plus the keepalive generator when the codec negotiated a hold time.
+// startSession launches one session incarnation's read and write loops.
 func (s *Speaker) startSession(sess *session) {
 	s.wg.Add(2)
 	go s.readLoop(sess)
 	go s.writeLoop(sess)
-	if hold := sess.codec.HoldTime(); hold > 0 && !s.net.noKeepalives {
-		s.wg.Add(1)
-		go s.keepaliveLoop(sess, hold/3)
-	}
 }
 
-// keepaliveLoop enqueues one keepalive per interval (a third of the
-// negotiated hold time, RFC 4271 §4.4) as a control message, invisible to
-// the UPDATE quiescence ledger.
-func (s *Speaker) keepaliveLoop(sess *session, interval time.Duration) {
+// keepaliveLoop is the speaker's one liveness ticker: every interval (a
+// third of the negotiated hold time, RFC 4271 §4.4) it enqueues a keepalive
+// on each live session as a control message, invisible to the UPDATE
+// quiescence ledger.
+func (s *Speaker) keepaliveLoop(interval time.Duration) {
 	defer s.wg.Done()
 	t := time.NewTicker(interval)
 	defer t.Stop()
@@ -601,16 +532,14 @@ func (s *Speaker) keepaliveLoop(sess *session, interval time.Duration) {
 		select {
 		case <-s.done:
 			return
-		case <-sess.stop:
-			return
 		case <-t.C:
-			bp := outBufPool.Get().(*[]byte)
-			*bp = sess.codec.AppendKeepalive((*bp)[:0])
-			select {
-			case sess.outQ <- outMsg{buf: bp, at: time.Now(), ctrl: true}:
-			default:
-				recycleOut(bp) // queue full: the pending traffic is liveness enough
+			s.mu.Lock()
+			for _, sess := range s.sessions {
+				bp := outBufPool.Get().(*[]byte)
+				*bp = sess.codec.AppendKeepalive((*bp)[:0])
+				sess.enqueue(outMsg{buf: bp, at: time.Now(), ctrl: true})
 			}
+			s.mu.Unlock()
 		}
 	}
 }
@@ -623,8 +552,7 @@ func (s *Speaker) postPeerDown(sess *session) {
 	if !sess.downPosted.CompareAndSwap(false, true) {
 		return
 	}
-	peer := sess.peer
-	s.post(inbound{peerDown: &peer})
+	s.post(inbound{kind: inPeerDown, peer: sess.peer})
 }
 
 // sendNotification enqueues a NOTIFICATION as the session's final message:
@@ -632,12 +560,8 @@ func (s *Speaker) postPeerDown(sess *session) {
 func (s *Speaker) sendNotification(sess *session, note wire.Notification) {
 	bp := outBufPool.Get().(*[]byte)
 	*bp = sess.codec.AppendNotification((*bp)[:0], note)
-	select {
-	case sess.outQ <- outMsg{buf: bp, at: time.Now(), ctrl: true, closeAfter: true}:
-	default:
-		// Queue full: close without the courtesy message.
-		recycleOut(bp)
-		sess.conn.Close()
+	if !sess.enqueue(outMsg{buf: bp, at: time.Now(), ctrl: true, closeAfter: true}) {
+		sess.conn.Close() // queue full: close without the courtesy message
 	}
 }
 
@@ -647,15 +571,11 @@ func (s *Speaker) sendNotification(sess *session, note wire.Notification) {
 func (s *Speaker) teardownCaused(sess *session) bool {
 	select {
 	case <-sess.stop:
-		return true
-	default:
-	}
-	select {
 	case <-s.done:
-		return true
 	default:
+		return false
 	}
-	return false
+	return true
 }
 
 func (s *Speaker) readLoop(sess *session) {
@@ -683,8 +603,7 @@ func (s *Speaker) readLoop(sess *session) {
 			default:
 				// Corrupt frame: count it, surface it, and (when the codec
 				// maps the error to a NOTIFICATION) tell the peer before
-				// tearing down. Conflating this with clean EOF previously
-				// made corruption invisible.
+				// tearing down.
 				s.net.counters.BadFrames.Add(1)
 				note, hasNote := sess.codec.NotificationFor(err)
 				s.net.dispatch(router.Event{Kind: router.BadFrame, Time: s.net.now(),
@@ -701,18 +620,12 @@ func (s *Speaker) readLoop(sess *session) {
 		switch m := msg.(type) {
 		case wire.Update:
 			sess.got.Add(1)
-			select {
-			case s.inbox <- inbound{from: sess.peer, upd: &m}:
-			case <-s.done:
-				return
-			}
+			s.post(inbound{kind: inUpdate, peer: sess.peer, upd: &m})
 		case wire.Keepalive, wire.Open:
 			// Liveness / duplicate OPEN: ignored.
 		case wire.Notification:
 			// The peer closed the session with a stated reason: surface it
-			// as a typed event and flush like any other session death. The
-			// silent return this replaces left operators unable to tell a
-			// peer-initiated close from transport loss.
+			// as a typed event and flush like any other session death.
 			s.net.counters.Notifs.Add(1)
 			s.net.dispatch(router.Event{Kind: router.NotificationReceived, Time: s.net.now(),
 				Node: s.id, Peer: sess.peer, Code: m.Code, Subcode: m.Subcode})
@@ -750,27 +663,17 @@ func (s *Speaker) writeLoop(sess *session) {
 				return
 			case <-sess.stop:
 				t.Stop()
-				if !m.ctrl {
-					s.net.counters.Dropped.Add(1) // m itself
-				}
-				recycleOut(m.buf)
+				s.discard(m)
 				s.drainOutQ(sess)
 				return
 			}
 		}
-		if dead {
-			if !m.ctrl {
-				s.net.counters.Dropped.Add(1)
-			}
-			recycleOut(m.buf)
-			continue
+		if !dead {
+			_, err := sess.conn.Write(*m.buf)
+			dead = err != nil
 		}
-		if _, err := sess.conn.Write(*m.buf); err != nil {
-			dead = true
-			if !m.ctrl {
-				s.net.counters.Dropped.Add(1)
-			}
-			recycleOut(m.buf)
+		if dead {
+			s.discard(m)
 			continue
 		}
 		if !m.ctrl {
@@ -786,17 +689,22 @@ func (s *Speaker) writeLoop(sess *session) {
 	}
 }
 
-// drainOutQ counts every UPDATE still queued on a torn-down session as
-// dropped (control messages are invisible to the ledger); they never
-// reached the wire.
+// discard accounts one message that will never reach the wire: an UPDATE
+// is counted Dropped (control messages are invisible to the ledger) and the
+// buffer goes back to the pool.
+func (s *Speaker) discard(m outMsg) {
+	if !m.ctrl {
+		s.net.counters.Dropped.Add(1)
+	}
+	recycleOut(m.buf)
+}
+
+// drainOutQ discards everything still queued on a torn-down session.
 func (s *Speaker) drainOutQ(sess *session) {
 	for {
 		select {
 		case m := <-sess.outQ:
-			if !m.ctrl {
-				s.net.counters.Dropped.Add(1)
-			}
-			recycleOut(m.buf)
+			s.discard(m)
 		default:
 			return
 		}
@@ -810,18 +718,16 @@ func (s *Speaker) mainLoop() {
 		case <-s.done:
 			return
 		case in := <-s.inbox:
-			s.handle(in)
 			// Drain whatever else already arrived before announcing, the
 			// operational analogue of emptying the input queue before
 			// running the decision process.
-			for {
+			for more := true; more; {
+				s.handle(in)
 				select {
-				case more := <-s.inbox:
-					s.handle(more)
-					continue
+				case in = <-s.inbox:
 				default:
+					more = false
 				}
-				break
 			}
 			s.refresh()
 			// Deliver the round's buffered events in one batch, off the
@@ -836,41 +742,44 @@ func (s *Speaker) handle(in inbound) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := s.net.now()
-	switch {
-	case in.upd != nil:
+	switch in.kind {
+	case inUpdate:
 		// A validation failure is counted by the core (Rejected); the
 		// update is discarded whole, like a malformed UPDATE in BGP.
-		_ = s.core.ApplyUpdate(now, in.from, in.upd)
-	case in.ctl != nil:
-		if in.ctl.inject >= 0 {
-			s.core.Inject(now, in.ctl.prefix, in.ctl.inject)
-		}
-		if in.ctl.withdraw >= 0 {
-			s.core.WithdrawExternal(now, in.ctl.prefix, in.ctl.withdraw)
-		}
-	case in.flush != nil:
-		s.core.Reopen(*in.flush)
-	case in.peerDown != nil:
-		s.core.PeerDown(now, *in.peerDown)
-	case in.peerUp != nil:
-		s.core.PeerUp(now, *in.peerUp)
+		_ = s.core.ApplyUpdate(now, in.peer, in.upd)
+	case inInject:
+		s.core.Inject(now, in.prefix, in.path)
+	case inWithdraw:
+		s.core.WithdrawExternal(now, in.prefix, in.path)
+	case inFlush:
+		s.core.Reopen(in.peer)
+	case inPeerDown:
+		s.core.PeerDown(now, in.peer)
+	case inPeerUp:
+		s.core.PeerUp(now, in.peer)
 	}
 }
 
 // refresh runs the core refresh — recompute routes, send owed UPDATEs —
-// and schedules wall-clock timers for any MRAI deferrals the core reports.
-// The timers gauge is bumped while the core lock is still held: a Quiesced
-// probe racing the lock release must already see the owed flush, or it
-// could report a settled network with an UPDATE still pending (the old
-// scheduleFlush/Close ordering race).
+// and arms a wall-clock timer for every MRAI deferral the core reports.
+// The timers are armed (and so counted in the gauge) while the core lock is
+// still held: a Quiesced probe racing the lock release must already see the
+// owed flush, or it could report a settled network with an UPDATE still
+// pending.
 func (s *Speaker) refresh() {
 	s.mu.Lock()
-	defs := s.core.Refresh(s.net.now(), s.send)
-	s.net.timers.Add(int64(len(defs)))
-	s.mu.Unlock()
-	for _, d := range defs {
-		s.scheduleFlush(d)
+	defer s.mu.Unlock()
+	now := s.net.now()
+	for _, d := range s.core.Refresh(now, s.send) {
+		s.flushAfter(d.To, time.Duration(d.ReadyAt-now)*time.Millisecond)
 	}
+}
+
+// flushAfter re-runs the refresh for one peer through the main loop after
+// d: the MRAI window reopening, or the RTO after a failed or fault-dropped
+// send, when the core re-sends whatever it still owes the peer.
+func (s *Speaker) flushAfter(peer bgp.NodeID, d time.Duration) {
+	s.net.after(d, func() { s.post(inbound{kind: inFlush, peer: peer}) })
 }
 
 // What a lost send returns: the core only tests for non-nil (it rewinds and
@@ -902,7 +811,7 @@ func (s *Speaker) send(w bgp.NodeID, upd *wire.Update) (int64, error) {
 		// refresh so the owed diff is re-sent under a fresh fate.
 		s.net.counters.FaultDrops.Add(1)
 		s.net.dispatch(router.Event{Kind: router.FaultDrop, Time: s.net.now(), Node: s.id, Peer: w})
-		s.scheduleRetry(w)
+		s.flushAfter(w, dropRTO)
 		return -1, errFaultDrop
 	}
 	at := now
@@ -917,77 +826,34 @@ func (s *Speaker) send(w bgp.NodeID, upd *wire.Update) (int64, error) {
 	// be taken before the message crosses onto the session goroutine.
 	bp, err := sess.encodeOut(upd)
 	if err != nil {
-		s.scheduleRetry(w)
+		s.flushAfter(w, dropRTO)
 		return -1, fmt.Errorf("speaker: encode for %d: %w", w, err)
 	}
-	// Reorder fates are ignored: the TCP byte stream cannot reorder.
-	if !enqueueOut(sess, bp, at) {
-		recycleOut(bp)
-		s.scheduleRetry(w)
-		return -1, errQueueFull
-	}
+	// A duplicate is one more message on the wire, with its own pooled
+	// buffer (the two are consumed independently) — copied before the
+	// original crosses to the write loop, which recycles it.
+	var dp *[]byte
 	if fate.Duplicate {
-		// The copy is one more message on the wire; counting it as Sent
-		// keeps the quiescence ledger balanced when it lands (Received) or
-		// dies with the session (Dropped). It gets its own pooled buffer:
-		// the original and the duplicate are consumed independently.
-		dp := outBufPool.Get().(*[]byte)
+		dp = outBufPool.Get().(*[]byte)
 		*dp = append((*dp)[:0], *bp...)
-		if enqueueOut(sess, dp, at.Add(time.Duration(fate.DupDelay)*time.Millisecond)) {
-			s.net.counters.Sent.Add(1)
-			s.net.counters.FaultDups.Add(1)
-			s.net.dispatch(router.Event{Kind: router.FaultDuplicate, Time: s.net.now(),
-				Node: s.id, Peer: w, ReadyAt: fate.DupDelay})
-		} else {
+	}
+	// Reorder fates are ignored: the TCP byte stream cannot reorder.
+	if !sess.enqueue(outMsg{buf: bp, at: at}) {
+		if dp != nil {
 			recycleOut(dp)
 		}
+		s.flushAfter(w, dropRTO)
+		return -1, errQueueFull
+	}
+	// Counting the copy as Sent keeps the quiescence ledger balanced when
+	// it lands (Received) or dies with the session (Dropped).
+	if dp != nil && sess.enqueue(outMsg{buf: dp, at: at.Add(time.Duration(fate.DupDelay) * time.Millisecond)}) {
+		s.net.counters.Sent.Add(1)
+		s.net.counters.FaultDups.Add(1)
+		s.net.dispatch(router.Event{Kind: router.FaultDuplicate, Time: s.net.now(),
+			Node: s.id, Peer: w, ReadyAt: fate.DupDelay})
 	}
 	return -1, nil
-}
-
-// enqueueOut hands one encoded UPDATE to the session's write loop without
-// ever blocking the core: a full queue reports failure and the caller
-// falls back to the drop-and-retry path (recycling the buffer itself).
-func enqueueOut(sess *session, buf *[]byte, at time.Time) bool {
-	select {
-	case sess.outQ <- outMsg{buf: buf, at: at}:
-		return true
-	default:
-		return false
-	}
-}
-
-// scheduleFlush arms a timer that reopens the MRAI window for one peer and
-// re-runs the refresh through the speaker's main loop. The caller has
-// already accounted the timer in the timers gauge (see refresh).
-func (s *Speaker) scheduleFlush(d router.Deferral) {
-	delay := time.Duration(d.ReadyAt-s.net.now()) * time.Millisecond
-	if delay < 0 {
-		delay = 0
-	}
-	peer := d.To
-	time.AfterFunc(delay, func() {
-		select {
-		case s.inbox <- inbound{flush: &peer}:
-		case <-s.done:
-		}
-		s.net.timers.Add(-1)
-	})
-}
-
-// scheduleRetry arms the RTO timer after a failed or fault-dropped send:
-// one more refresh through the main loop, which re-sends whatever the core
-// still owes the peer.
-func (s *Speaker) scheduleRetry(peer bgp.NodeID) {
-	p := peer
-	s.net.timers.Add(1)
-	time.AfterFunc(dropRTO, func() {
-		select {
-		case s.inbox <- inbound{flush: &p}:
-		case <-s.done:
-		}
-		s.net.timers.Add(-1)
-	})
 }
 
 // post delivers one unit of work to the speaker's main loop, giving up if
@@ -1022,22 +888,19 @@ func (s *Speaker) installSession(sess *session) {
 // resetSession executes one fault-plan session reset: tear both directions
 // of the TCP session down, reconcile in-flight losses into Dropped, tell
 // both router cores the peer died (RFC 4271 §8.2 flush), and arm the
-// reopen. The reset's slot in the timers gauge stays held until the reopen
-// completes, so Quiesced cannot report a settled network mid-downtime.
+// reopen — before this timer's own slot in the gauge is released (see
+// after), so Quiesced cannot report a settled network mid-downtime.
 func (n *Network) resetSession(r faults.Reset) {
 	n.stopMu.Lock()
 	if n.stopped {
 		n.stopMu.Unlock()
-		n.timers.Add(-1)
 		return
 	}
 	sa := n.speakers[r.A].takeSession(r.B)
 	sb := n.speakers[r.B].takeSession(r.A)
 	n.stopMu.Unlock()
 	if sa == nil || sb == nil {
-		// Session already down (overlapping resets in the plan): no-op.
-		n.timers.Add(-1)
-		return
+		return // session already down (overlapping resets in the plan): no-op
 	}
 	n.counters.Resets.Add(1)
 	close(sa.stop)
@@ -1057,105 +920,52 @@ func (n *Network) resetSession(r faults.Reset) {
 	// Both read loops have drained onto the inboxes, so these controls sort
 	// after every UPDATE of the dead incarnation: the flush cannot be
 	// overwritten by a stale message.
-	n.speakers[r.A].post(inbound{peerDown: &r.B})
-	n.speakers[r.B].post(inbound{peerDown: &r.A})
-	time.AfterFunc(time.Duration(r.Downtime)*time.Millisecond, func() { n.reopenSession(r) })
+	n.speakers[r.A].post(inbound{kind: inPeerDown, peer: r.B})
+	n.speakers[r.B].post(inbound{kind: inPeerDown, peer: r.A})
+	n.after(time.Duration(r.Downtime)*time.Millisecond, func() { n.reopenSession(r) })
 }
 
-// reopenSession redials a reset session on a fresh loopback socket and
-// tells both cores the peer is back, which triggers the RFC 4271 full
-// re-advertisement out of the cores' wiped Adj-RIB-Out memory.
+// reopenSession reconnects a reset session and tells both cores the peer
+// is back, which triggers the RFC 4271 full re-advertisement out of the
+// cores' wiped Adj-RIB-Out memory. A failed reconnect leaves the session
+// down — dead sessions still quiesce — but never silently.
 func (n *Network) reopenSession(r faults.Reset) {
 	n.stopMu.Lock()
 	defer n.stopMu.Unlock()
-	defer n.timers.Add(-1)
 	if n.stopped {
 		return
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	sa, sb, err := n.connect(r.A, r.B)
 	if err != nil {
-		return // leave the session down; dead sessions still quiesce
-	}
-	type res struct {
-		conn net.Conn
-		err  error
-	}
-	ch := make(chan res, 1)
-	go func() {
-		c, err := ln.Accept()
-		ch <- res{c, err}
-	}()
-	connA, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		ln.Close()
+		n.counters.ReopenFailures.Add(1)
+		n.dispatch(router.Event{Kind: router.ReopenFailed, Time: n.now(), Node: r.A, Peer: r.B})
 		return
 	}
-	rb := <-ch
-	ln.Close()
-	if rb.err != nil {
-		connA.Close()
-		return
-	}
-	// Re-establish the session at the codec level too: both ends run
-	// their handshake concurrently (bgp4's OPEN exchange is symmetric and
-	// would deadlock run back to back on one goroutine).
-	scA, _ := n.newSessionCodec(r.A, r.B)
-	scB, _ := n.newSessionCodec(r.B, r.A)
-	type hs struct {
-		peer bgp.NodeID
-		err  error
-	}
-	hch := make(chan hs, 1)
-	go func() {
-		peer, err := scB.Handshake(rb.conn, false)
-		hch <- hs{peer, err}
-	}()
-	peerA, errA := scA.Handshake(connA, true)
-	hb := <-hch
-	if errA != nil || hb.err != nil || peerA != r.B || hb.peer != r.A {
-		connA.Close()
-		rb.conn.Close()
-		return // leave the session down; dead sessions still quiesce
-	}
-	n.speakers[r.A].installSession(newSession(r.B, connA, scA))
-	n.speakers[r.B].installSession(newSession(r.A, rb.conn, scB))
-	n.speakers[r.A].post(inbound{peerUp: &r.B})
-	n.speakers[r.B].post(inbound{peerUp: &r.A})
+	n.speakers[r.A].installSession(sa)
+	n.speakers[r.B].installSession(sb)
+	n.speakers[r.A].post(inbound{kind: inPeerUp, peer: r.B})
+	n.speakers[r.B].post(inbound{kind: inPeerUp, peer: r.A})
 }
 
 // Inject delivers an E-BGP route for prefix 0 to its exit point's speaker.
 func (n *Network) Inject(id bgp.PathID) { n.InjectPrefix(0, id) }
 
 // InjectPrefix delivers an E-BGP route for one prefix.
-func (n *Network) InjectPrefix(prefix uint32, id bgp.PathID) {
-	sys := n.dom.System(prefix)
-	if sys == nil {
-		return
-	}
-	p := sys.Exit(id)
-	sp := n.speakers[p.ExitPoint]
-	c := control{prefix: prefix, inject: id, withdraw: bgp.None}
-	select {
-	case sp.inbox <- inbound{ctl: &c}:
-	case <-sp.done:
-	}
-}
+func (n *Network) InjectPrefix(prefix uint32, id bgp.PathID) { n.postExternal(inInject, prefix, id) }
 
 // Withdraw removes a prefix-0 E-BGP route at its exit point's speaker.
 func (n *Network) Withdraw(id bgp.PathID) { n.WithdrawPrefix(0, id) }
 
 // WithdrawPrefix removes an E-BGP route for one prefix.
 func (n *Network) WithdrawPrefix(prefix uint32, id bgp.PathID) {
-	sys := n.dom.System(prefix)
-	if sys == nil {
-		return
-	}
-	p := sys.Exit(id)
-	sp := n.speakers[p.ExitPoint]
-	c := control{prefix: prefix, inject: bgp.None, withdraw: id}
-	select {
-	case sp.inbox <- inbound{ctl: &c}:
-	case <-sp.done:
+	n.postExternal(inWithdraw, prefix, id)
+}
+
+// postExternal posts one E-BGP event to the speaker at the path's exit
+// point; a prefix the network does not carry is ignored.
+func (n *Network) postExternal(kind inKind, prefix uint32, id bgp.PathID) {
+	if sys := n.dom.System(prefix); sys != nil {
+		n.speakers[sys.Exit(id).ExitPoint].post(inbound{kind: kind, prefix: prefix, path: id})
 	}
 }
 
@@ -1215,7 +1025,7 @@ func (n *Network) WaitQuiesce(timeout, settle time.Duration) bool {
 }
 
 // Best returns the current best path of router u for prefix 0.
-func (n *Network) Best(u bgp.NodeID) bgp.PathID { return n.speakers[u].Best() }
+func (n *Network) Best(u bgp.NodeID) bgp.PathID { return n.BestFor(0, u) }
 
 // BestFor returns the current best path of router u for one prefix.
 func (n *Network) BestFor(prefix uint32, u bgp.NodeID) bgp.PathID {
@@ -1236,11 +1046,15 @@ func (n *Network) BestAllFor(prefix uint32) []bgp.PathID {
 
 // Stop tears the network down: closes sessions and stops all goroutines.
 // Marking stopped under stopMu first fences out session reopens, so no new
-// incarnation can be installed once teardown begins.
+// incarnation can be installed once teardown begins; outstanding timers
+// fire into the closed network and release their gauge slots.
 func (n *Network) Stop() {
 	n.stopOnce.Do(func() {
 		n.stopMu.Lock()
 		n.stopped = true
+		if n.ln != nil {
+			n.ln.Close()
+		}
 		n.stopMu.Unlock()
 		for _, sp := range n.speakers {
 			close(sp.done)

@@ -56,11 +56,11 @@ func TestTCPFig1aClassicKeepsChurning(t *testing.T) {
 	// The oscillating configuration must not quiesce; give it a moment
 	// and check that flaps keep accumulating.
 	if n.WaitQuiesce(2*time.Second, settle) {
-		t.Fatalf("Fig1a quiesced under classic I-BGP (flaps=%d)", n.Flaps())
+		t.Fatalf("Fig1a quiesced under classic I-BGP (flaps=%d)", n.Counters().Flaps)
 	}
-	early := n.Flaps()
+	early := n.Counters().Flaps
 	time.Sleep(500 * time.Millisecond)
-	if late := n.Flaps(); late <= early {
+	if late := n.Counters().Flaps; late <= early {
 		t.Fatalf("flapping stalled: %d then %d", early, late)
 	}
 }
@@ -105,7 +105,7 @@ func TestTCPWithdrawFlushes(t *testing.T) {
 		t.Fatal("did not quiesce after withdrawal")
 	}
 	for u := 0; u < f.Sys.N(); u++ {
-		if n.Speaker(bgp.NodeID(u)).Possible().Contains(f.Path("r2")) {
+		if n.Speaker(bgp.NodeID(u)).PossibleFor(0).Contains(f.Path("r2")) {
 			t.Fatalf("node %d retains withdrawn path", u)
 		}
 	}

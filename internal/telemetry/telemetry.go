@@ -118,7 +118,7 @@ func record(ev router.Event) eventRecord {
 		rec.Peer = iptr(int(ev.Peer))
 		rec.Code = iptr(int(ev.Code))
 		rec.Subcode = iptr(int(ev.Subcode))
-	case router.HoldExpired:
+	case router.HoldExpired, router.ReopenFailed:
 		rec.Peer = iptr(int(ev.Peer))
 	case router.RouteLoop:
 		rec.Peer = iptr(int(ev.Peer))

@@ -214,6 +214,9 @@ func NewRouterEventRenderer(sys *topology.System, multi bool) func(router.Event)
 		case router.RouteLoop:
 			return line(ev.Time, "%s dropped looped route %d/p%d from %s (RFC 4456)",
 				sys.Name(ev.Node), ev.Prefix, ev.Path, sys.Name(ev.Peer))
+		case router.ReopenFailed:
+			return line(ev.Time, "%s session to %s failed to reopen, stays DOWN",
+				sys.Name(ev.Node), sys.Name(ev.Peer))
 		default:
 			return ""
 		}
@@ -239,13 +242,13 @@ func FaultsLine(c router.Snapshot) string {
 }
 
 // SessionLine renders the session-machinery counters of one run —
-// peer NOTIFICATIONs, undecodable frames, hold-timer expiries and RFC
-// 4456 loop drops — or "" when none fired (callers skip the line, so the
+// peer NOTIFICATIONs, undecodable frames, hold-timer expiries, RFC 4456
+// loop drops and failed session reopens — or "" when none fired (callers skip the line, so the
 // historical output of healthy runs is unchanged).
 func SessionLine(c router.Snapshot) string {
-	if c.Notifs+c.BadFrames+c.HoldExpiries+c.RouteLoops == 0 {
+	if c.Notifs+c.BadFrames+c.HoldExpiries+c.RouteLoops+c.ReopenFailures == 0 {
 		return ""
 	}
-	return fmt.Sprintf("session: notifications=%-4d badframes=%-4d holdexpiries=%-4d routeloops=%d",
-		c.Notifs, c.BadFrames, c.HoldExpiries, c.RouteLoops)
+	return fmt.Sprintf("session: notifications=%-4d badframes=%-4d holdexpiries=%-4d routeloops=%-4d reopenfailures=%d",
+		c.Notifs, c.BadFrames, c.HoldExpiries, c.RouteLoops, c.ReopenFailures)
 }

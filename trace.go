@@ -37,6 +37,6 @@ func CountersLine(c OperationalCounters) string { return trace.CountersLine(c) }
 func FaultsLine(c OperationalCounters) string { return trace.FaultsLine(c) }
 
 // SessionLine renders the session-machinery counters of one run (peer
-// NOTIFICATIONs, bad frames, hold-timer expiries, RFC 4456 loop drops), or
-// "" when none fired.
+// NOTIFICATIONs, bad frames, hold-timer expiries, RFC 4456 loop drops,
+// failed session reopens), or "" when none fired.
 func SessionLine(c OperationalCounters) string { return trace.SessionLine(c) }
