@@ -5,11 +5,13 @@
 // per-peer diff/coalesce, MRAI pacing) lives in the shared core of package
 // router; this package is only the transport: an event calendar with
 // pluggable per-message delays, per-session FIFO order, and a virtual
-// clock. Every UPDATE is carried as genuine wire bytes — framed with wire.AppendUpdate
-// into a pooled buffer at the sender and consumed through a zero-copy
+// clock. Every UPDATE is carried as genuine wire bytes — framed with
+// wire.AppendUpdate at the sender and consumed through a zero-copy
 // wire.UpdateView at the receiver — so each simulated hop also exercises
-// the codec the TCP speakers use, without per-hop allocations: events and
-// their payload buffers recycle through freelists on delivery.
+// the codec the TCP speakers use, without per-hop allocations. An
+// in-flight message is a pointer-free event value stored, with its bytes,
+// in pooled pages of the event calendar; a page goes back to its pool as
+// soon as the messages on it are delivered.
 //
 // Message delays are pluggable and may be scripted, which reproduces the
 // Figure 3 / Table 1 executions where timing alone decides whether the
@@ -17,7 +19,6 @@
 package msgsim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -70,30 +71,33 @@ func MustRandomDelay(seed, min, max int64) DelayFunc {
 	return d
 }
 
-// event is a queued simulator event.
+// event is a queued simulator event. It is a pointer-free value: the
+// calendar stores events inline in pooled pages, so an in-flight message
+// costs the garbage collector nothing to scan and the heap no object.
 type event struct {
 	time int64
-	seq  int // global tie-break for determinism
-	kind eventKind
-	// message fields: one wire-encoded UPDATE in flight on from -> to.
-	from, to bgp.NodeID
-	sess     *session // the directed session from -> to
-	payload  []byte
+	seq  int64 // global tie-break for determinism
+	// message fields: one wire-encoded UPDATE in flight on from -> to,
+	// sess indexing Sim.sess. off and n locate its bytes in the calendar
+	// storage holding the event (see calendar).
+	from, to uint32
+	sess     uint32
+	off, n   uint32
 	// epoch is the session incarnation the message was sent under; a reset
 	// bumps the session epoch, so stale in-flight messages are recognised
 	// and lost at delivery time (TCP loses them with the connection).
-	epoch int
+	epoch uint32
 	// sseq is the per-session send sequence number. A message overtaken by
 	// a reordered later message is recognised as stale at delivery and
 	// discarded, so a session's last applied message always carries the
 	// sender's newest state (the property Lemma 7.4 re-convergence needs).
-	sseq int
+	sseq uint32
 	// external fields
-	prefix uint32
-	path   bgp.PathID
+	prefix, path uint32
+	kind         eventKind
 }
 
-type eventKind int
+type eventKind uint8
 
 const (
 	evMessage eventKind = iota
@@ -110,99 +114,252 @@ const (
 	evPeerUp
 )
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+// before reports whether a pops before b: (time, seq) ascending.
+func (a *event) before(b *event) bool {
+	if a.time != b.time {
+		return a.time < b.time
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	return a.seq < b.seq
 }
 
 // calendar is the simulator's event queue: a ring of per-tick FIFO buckets
 // for the ticks [cur, cur+ringTicks) — message delays are a handful of
-// ticks, so nearly every push lands there — with the binary heap kept only
-// as overflow for events pushed before cur or beyond the window. It pops
-// in exactly eventHeap.Less order, (time, seq) ascending: seq grows with
-// every push, so a bucket's FIFO order is its seq order; cur only moves
-// forward past empty buckets (or anywhere while the ring is empty), so a
-// bucket never mixes ticks; and every pop takes the smaller of the ring's
-// head and the heap's top, so an overflow event that has come due — or
-// was pushed into the past — is never overtaken.
+// ticks, so nearly every push lands there — with a binary heap kept only
+// as overflow for events pushed before cur or beyond the window (and for a
+// payload larger than a page). It pops in exactly (time, seq) order: seq
+// grows with every push, so a bucket's FIFO order is its seq order; cur
+// only moves forward, to the tick of an event popped from the ring (or
+// anywhere while the ring is empty), so a bucket never mixes ticks and
+// the first non-empty bucket from cur holds the ring's earliest event;
+// and every pop takes the smaller of that event and the heap's top, so an
+// overflow event that has come due — or was pushed into the past — is
+// never overtaken. cur never runs ahead of the simulated clock, so a send
+// that lands within the window from now lands in the ring.
+//
+// Storage is pooled in fixed-size pages: a page goes back to its
+// calendar-wide freelist as soon as the events or payloads on it are
+// consumed, so the calendar retains only as many pages as were ever live
+// at once, not each bucket's own high-water mark. A popped payload is a
+// view into a page: it stays valid until the next push.
 type calendar struct {
-	cur    int64 // tick of the bucket being consumed
-	head   int   // next event of that bucket; every other bucket is unread
-	ring   [ringTicks][]*event
+	cur    int64 // tick of the last pop from the ring, or of any pop while it is empty
+	head   int   // next event of the first non-empty bucket from cur
+	bhead  int   // that bucket's first byte page not yet released
+	ring   [ringTicks]bucket
 	inRing int
-	far    eventHeap
+
+	freeEvents []*eventPage
+	freeBytes  []*bytePage
+	far        farHeap
 }
 
 const ringTicks = 64 // a power of two
 
+// bucket is one tick's events in push order, as two FIFO streams over
+// pages: event i is events[i/pageEvents][i%pageEvents], and a payload at
+// byte offset off starts at bytes[off/pageBytes][off%pageBytes] and never
+// straddles two pages. Events and bytes fill pages of their own because
+// payload sizes vary too much for any fixed split of one page between
+// them: about 61 bytes on a cold start, about 380 under MRAI coalescing.
+type bucket struct {
+	events []*eventPage
+	bytes  []*bytePage
+	n      int // events written
+	used   int // byte offset of the next payload
+}
+
+// Pages fill one 8 KiB size class of the allocator. Neither kind holds a
+// pointer, so the garbage collector never scans them.
+const (
+	pageBytes  = 8192
+	pageEvents = pageBytes / 56 // 56: the size of an event
+)
+
+type (
+	eventPage [pageEvents]event
+	bytePage  [pageBytes]byte
+)
+
 func (c *calendar) len() int { return c.inRing + len(c.far) }
 
-func (c *calendar) push(e *event) {
-	if c.inRing == 0 {
+// push enqueues e with a copy of payload.
+func (c *calendar) push(e event, payload []byte) {
+	if d := e.time - c.cur; c.inRing == 0 && (d < 0 || d >= ringTicks) {
 		c.cur = e.time // an empty ring can sit anywhere
 	}
-	if d := e.time - c.cur; d < 0 || d >= ringTicks {
-		heap.Push(&c.far, e)
+	if d := e.time - c.cur; d < 0 || d >= ringTicks || len(payload) > pageBytes {
+		c.far.push(e, payload)
 		return
 	}
-	c.ring[e.time&(ringTicks-1)] = append(c.ring[e.time&(ringTicks-1)], e)
+	b := &c.ring[e.time&(ringTicks-1)]
+	if b.n%pageEvents == 0 {
+		b.events = append(b.events, takePage(&c.freeEvents))
+	}
+	if len(payload) > 0 {
+		if r := b.used % pageBytes; r != 0 && r+len(payload) > pageBytes {
+			b.used += pageBytes - r // start the payload on a fresh page
+		}
+		if b.used/pageBytes == len(b.bytes) {
+			b.bytes = append(b.bytes, takePage(&c.freeBytes))
+		}
+		copy(b.bytes[b.used/pageBytes][b.used%pageBytes:], payload)
+	}
+	e.off, e.n = uint32(b.used), uint32(len(payload))
+	b.used += len(payload)
+	b.events[b.n/pageEvents][b.n%pageEvents] = e
+	b.n++
 	c.inRing++
 }
 
-// peek returns the next event without removing it, or nil when empty.
+// takePage pops a page from a freelist, or makes a fresh one.
+func takePage[P any](free *[]*P) *P {
+	if k := len(*free); k > 0 {
+		p := (*free)[k-1]
+		*free = (*free)[:k-1]
+		return p
+	}
+	return new(P)
+}
+
+// releasePages returns pages[from:to] to a freelist, skipping pages
+// already released.
+func releasePages[P any](free *[]*P, pages []*P, from, to int) {
+	for i := from; i < to; i++ {
+		if pages[i] != nil {
+			*free = append(*free, pages[i])
+			pages[i] = nil
+		}
+	}
+}
+
+// ringHead returns the first non-empty bucket from cur, which holds the
+// ring's earliest event; the ring must not be empty. Only the bucket at
+// cur can be partly consumed, so head indexes into whichever it is.
+func (c *calendar) ringHead() *bucket {
+	t := c.cur
+	for c.ring[t&(ringTicks-1)].n == 0 {
+		t++
+	}
+	return &c.ring[t&(ringTicks-1)]
+}
+
+// peek returns the next event without removing it, or nil when empty. The
+// pointer is into calendar storage and valid until the next push or pop.
 func (c *calendar) peek() *event {
 	var e *event
 	if c.inRing > 0 {
-		for len(c.ring[c.cur&(ringTicks-1)]) == 0 {
-			c.cur++
-		}
-		e = c.ring[c.cur&(ringTicks-1)][c.head]
+		b := c.ringHead()
+		e = &b.events[c.head/pageEvents][c.head%pageEvents]
 	}
 	if len(c.far) > 0 {
-		if f := c.far[0]; e == nil || f.time < e.time || (f.time == e.time && f.seq < e.seq) {
+		if f := &c.far[0].ev; e == nil || f.before(e) {
 			return f
 		}
 	}
 	return e
 }
 
-// pop removes and returns the next event, or nil when empty.
-func (c *calendar) pop() *event {
-	e := c.peek()
-	if e == nil {
-		return nil
+// pop removes the next event and returns it with its payload; ok is false
+// when the calendar is empty. The payload is valid until the next push.
+func (c *calendar) pop() (e event, payload []byte, ok bool) {
+	next := c.peek()
+	if next == nil {
+		return event{}, nil, false
 	}
-	if len(c.far) > 0 && c.far[0] == e {
-		return heap.Pop(&c.far).(*event)
+	if len(c.far) > 0 && next == &c.far[0].ev {
+		if c.inRing == 0 {
+			c.cur = next.time
+		}
+		f := c.far.pop()
+		return f.ev, f.payload, true
 	}
-	b := &c.ring[c.cur&(ringTicks-1)]
-	if c.head++; c.head == len(*b) {
-		*b, c.head = (*b)[:0], 0
+	e = *next
+	c.cur = e.time
+	b := &c.ring[e.time&(ringTicks-1)]
+	if e.n > 0 {
+		// Payloads are consumed in the order they were written, so every
+		// byte page before this one is spent.
+		p, o := int(e.off)/pageBytes, int(e.off)%pageBytes
+		releasePages(&c.freeBytes, b.bytes, c.bhead, p)
+		c.bhead = p
+		payload = b.bytes[p][o : o+int(e.n) : o+int(e.n)]
 	}
 	c.inRing--
-	return e
+	switch c.head++; {
+	case c.head == b.n: // the bucket is drained
+		releasePages(&c.freeEvents, b.events, 0, len(b.events))
+		releasePages(&c.freeBytes, b.bytes, c.bhead, len(b.bytes))
+		b.events, b.bytes, b.n, b.used = b.events[:0], b.bytes[:0], 0, 0
+		c.head, c.bhead = 0, 0
+	case c.head%pageEvents == 0: // an event page is spent
+		releasePages(&c.freeEvents, b.events, c.head/pageEvents-1, c.head/pageEvents)
+	}
+	return e, payload, true
+}
+
+// farSlot is one overflow-heap entry: an event and its payload bytes,
+// which the slot owns. Heap moves swap whole slots, so every buffer stays
+// with exactly one slot; a pop leaves the popped slot just past the
+// heap's length, where its bytes stay readable until the next push reuses
+// the slot and its buffer.
+type farSlot struct {
+	ev      event
+	payload []byte
+}
+
+// farHeap is a binary min-heap of slots in (time, seq) order.
+type farHeap []farSlot
+
+func (h *farHeap) push(e event, payload []byte) {
+	i := len(*h)
+	if i < cap(*h) {
+		*h = (*h)[:i+1]
+	} else {
+		*h = append(*h, farSlot{})
+	}
+	q := *h
+	q[i].ev = e
+	q[i].payload = append(q[i].payload[:0], payload...)
+	for i > 0 {
+		p := (i - 1) / 2
+		if !q[i].ev.before(&q[p].ev) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
+}
+
+// pop removes the top slot and returns it; the caller reads it before the
+// next push.
+func (h *farHeap) pop() *farSlot {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		m := i
+		if l := 2*i + 1; l < n && q[l].ev.before(&q[m].ev) {
+			m = l
+		}
+		if r := 2*i + 2; r < n && q[r].ev.before(&q[m].ev) {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
+	*h = q[:n]
+	return &q[n]
 }
 
 // session is the transport state of one directed session. epoch and down
 // belong to the undirected session: a reset writes both directions.
 type session struct {
-	sent    int   // messages sent so far (the next sseq)
-	lastArr int64 // last delivery time (FIFO clamp)
-	epoch   int   // incarnation
+	sent    int    // messages sent so far (the next sseq)
+	lastArr int64  // last delivery time (FIFO clamp)
+	epoch   uint32 // incarnation
 	down    bool
 
 	// Reorder bookkeeping, untouched until the run's first reorder-exempt
@@ -226,16 +383,16 @@ type Sim struct {
 	delay    DelayFunc
 	plan     *faults.Plan
 
+	// queue holds every scheduled event, in-flight messages with their
+	// bytes; seq numbers pushes for its (time, seq) order.
 	queue calendar
-	seq   int
+	seq   int64
 
-	// Freelists: delivered events and their payload buffers are recycled
-	// instead of garbage. Ownership is exclusive — every queued event owns
-	// its payload (a fault-duplicate gets a copied buffer), and recycle in
-	// Run is the single point that returns both. sends caches one SendFunc
-	// closure per router so refresh doesn't rebuild it every activation.
-	free  []*event
-	bufs  [][]byte
+	// wbuf is the sender's framing scratch: an UPDATE is encoded here and
+	// push copies the bytes into the calendar, once per queued copy. sends
+	// caches one SendFunc closure per router so refresh doesn't rebuild it
+	// every activation.
+	wbuf  []byte
 	sends []router.SendFunc
 
 	// sess holds the directed sessions densely, router u's block starting
@@ -358,11 +515,15 @@ const dropRTO = 17
 // to know the message was lost.
 var errFaultDrop = errors.New("msgsim: fault plan dropped the message")
 
-// session returns the directed session u -> w; w must be a peer of u.
-func (s *Sim) session(u, w bgp.NodeID) *session {
+// sessionIndex returns the index in s.sess of the directed session
+// u -> w; w must be a peer of u.
+func (s *Sim) sessionIndex(u, w bgp.NodeID) int {
 	i, _ := slices.BinarySearch(s.dom.Base().Peers(u), w)
-	return &s.sess[s.sessOff[u]+i]
+	return s.sessOff[u] + i
 }
+
+// session returns the directed session u -> w; w must be a peer of u.
+func (s *Sim) session(u, w bgp.NodeID) *session { return &s.sess[s.sessionIndex(u, w)] }
 
 // SetFaults installs a fault plan: per-message fates are applied at every
 // simulated hop and the plan's session resets are scheduled as PeerDown /
@@ -385,10 +546,11 @@ func (s *Sim) SetFaults(p *faults.Plan) error {
 		}
 		// One event per endpoint and transition, so each router runs its
 		// own flush-and-refresh in the normal event loop.
-		s.pushEv(event{time: r.At, kind: evPeerDown, from: r.A, to: r.B})
-		s.pushEv(event{time: r.At, kind: evPeerDown, from: r.B, to: r.A})
-		s.pushEv(event{time: r.At + r.Downtime, kind: evPeerUp, from: r.A, to: r.B})
-		s.pushEv(event{time: r.At + r.Downtime, kind: evPeerUp, from: r.B, to: r.A})
+		a, b := uint32(r.A), uint32(r.B)
+		s.push(event{time: r.At, kind: evPeerDown, from: a, to: b}, nil)
+		s.push(event{time: r.At, kind: evPeerDown, from: b, to: a}, nil)
+		s.push(event{time: r.At + r.Downtime, kind: evPeerUp, from: a, to: b}, nil)
+		s.push(event{time: r.At + r.Downtime, kind: evPeerUp, from: b, to: a}, nil)
 	}
 	return nil
 }
@@ -396,17 +558,34 @@ func (s *Sim) SetFaults(p *faults.Plan) error {
 // InjectAt schedules the E-BGP injection of a prefix-0 path.
 func (s *Sim) InjectAt(time int64, id bgp.PathID) { s.InjectPrefixAt(time, 0, id) }
 
-// InjectPrefixAt schedules the E-BGP injection of one prefix's path.
+// InjectPrefixAt schedules the E-BGP injection of one prefix's path. It
+// panics if the sim does not carry prefix or the prefix has no path id.
 func (s *Sim) InjectPrefixAt(time int64, prefix uint32, id bgp.PathID) {
-	s.pushEv(event{time: time, kind: evInject, prefix: prefix, path: id})
+	s.pushExternal(time, evInject, prefix, id)
 }
 
 // WithdrawAt schedules the E-BGP withdrawal of a prefix-0 path.
 func (s *Sim) WithdrawAt(time int64, id bgp.PathID) { s.WithdrawPrefixAt(time, 0, id) }
 
-// WithdrawPrefixAt schedules the E-BGP withdrawal of one prefix's path.
+// WithdrawPrefixAt schedules the E-BGP withdrawal of one prefix's path. It
+// panics like InjectPrefixAt.
 func (s *Sim) WithdrawPrefixAt(time int64, prefix uint32, id bgp.PathID) {
-	s.pushEv(event{time: time, kind: evWithdraw, prefix: prefix, path: id})
+	s.pushExternal(time, evWithdraw, prefix, id)
+}
+
+// pushExternal schedules an injection or withdrawal after checking it
+// names a real route. A bad one is rejected here, at the caller's line,
+// rather than as a nil dereference thousands of events into Run (the
+// MustRandomDelay convention: a schedule is fixed by its author).
+func (s *Sim) pushExternal(time int64, kind eventKind, prefix uint32, id bgp.PathID) {
+	sys := s.dom.System(prefix)
+	if sys == nil {
+		panic(fmt.Errorf("msgsim: prefix %d path %d: the sim does not carry prefix %d", prefix, id, prefix))
+	}
+	if id < 0 || int(id) >= sys.NumExits() {
+		panic(fmt.Errorf("msgsim: prefix %d path %d: the prefix has paths 0..%d", prefix, id, sys.NumExits()-1))
+	}
+	s.push(event{time: time, kind: kind, prefix: prefix, path: uint32(id)}, nil)
 }
 
 // InjectAll schedules every exit path of every prefix at time 0.
@@ -418,56 +597,11 @@ func (s *Sim) InjectAll() {
 	}
 }
 
-func (s *Sim) push(e *event) {
+// push numbers e and enqueues it with a copy of payload.
+func (s *Sim) push(e event, payload []byte) {
 	e.seq = s.seq
 	s.seq++
-	s.queue.push(e)
-}
-
-// pushEv enqueues one event, drawing its carrier from the freelist. The
-// event value's payload, if any, transfers ownership to the queue.
-func (s *Sim) pushEv(e event) {
-	ev := s.alloc()
-	*ev = e
-	s.push(ev)
-}
-
-// alloc pops a recycled event carrier, or makes a fresh one.
-func (s *Sim) alloc() *event {
-	if n := len(s.free); n > 0 {
-		e := s.free[n-1]
-		s.free = s.free[:n-1]
-		return e
-	}
-	return &event{}
-}
-
-// recycle returns one delivered event and its payload buffer to the
-// freelists. Only Run calls it, after apply has fully consumed the event:
-// receivers decode through a view of the payload and never retain it.
-func (s *Sim) recycle(e *event) {
-	if e.payload != nil {
-		s.putBuf(e.payload)
-	}
-	*e = event{}
-	s.free = append(s.free, e)
-}
-
-// getBuf pops a recycled payload buffer (length 0), or makes a fresh one.
-func (s *Sim) getBuf() []byte {
-	if n := len(s.bufs); n > 0 {
-		b := s.bufs[n-1]
-		s.bufs = s.bufs[:n-1]
-		return b[:0]
-	}
-	return make([]byte, 0, 256)
-}
-
-// putBuf returns a payload buffer to the freelist.
-func (s *Sim) putBuf(b []byte) {
-	if cap(b) > 0 {
-		s.bufs = append(s.bufs, b)
-	}
+	s.queue.push(e, payload)
 }
 
 // sendFrom builds the transport callback for router u: encode the UPDATE
@@ -476,8 +610,9 @@ func (s *Sim) putBuf(b []byte) {
 func (s *Sim) sendFrom(u bgp.NodeID) router.SendFunc {
 	return func(w bgp.NodeID, upd *wire.Update) (int64, error) {
 		// The fate is drawn before anything is framed: a dropped message
-		// costs no buffer and no encode.
-		sess := s.session(u, w)
+		// costs no encode.
+		si := s.sessionIndex(u, w)
+		sess := &s.sess[si]
 		n := sess.sent
 		sess.sent++
 		fate := s.plan.Fate(s.now, u, w, n)
@@ -490,13 +625,14 @@ func (s *Sim) sendFrom(u bgp.NodeID) router.SendFunc {
 			// once the plan's horizon passes the message gets through.
 			s.counters.FaultDrops.Add(1)
 			s.mux.Batch(router.Event{Kind: router.FaultDrop, Time: s.now, Node: u, Peer: w})
-			s.pushEv(event{time: s.now + dropRTO, kind: evFlush, from: u, to: w})
+			s.push(event{time: s.now + dropRTO, kind: evFlush, from: uint32(u), to: uint32(w)}, nil)
 			return -1, errFaultDrop
 		}
-		// Frame into a recycled buffer: the core's scratch Update must be
-		// consumed before this callback returns, and the bytes become the
-		// queued event's exclusively owned payload.
-		data, err := wire.AppendUpdate(s.getBuf(), upd)
+		// Frame into the scratch buffer: the core's scratch Update must be
+		// consumed before this callback returns, and push copies the bytes
+		// into the calendar next to the event that delivers them.
+		data, err := wire.AppendUpdate(s.wbuf[:0], upd)
+		s.wbuf = data
 		if err != nil {
 			// The core only produces well-formed updates; an encode
 			// failure is a codec bug and must not be silently dropped.
@@ -525,7 +661,8 @@ func (s *Sim) sendFrom(u bgp.NodeID) router.SendFunc {
 			at = sess.lastArr // FIFO: never overtake an earlier message
 		}
 		sess.lastArr = max(sess.lastArr, at)
-		s.pushEv(event{time: at, kind: evMessage, from: u, to: w, sess: sess, payload: data, epoch: sess.epoch, sseq: n})
+		msg := event{time: at, kind: evMessage, from: uint32(u), to: uint32(w), sess: uint32(si), epoch: sess.epoch, sseq: uint32(n)}
+		s.push(msg, data)
 		if fate.Duplicate {
 			// The copy is one more message on the wire: count it as Sent so
 			// the quiescence ledger (Sent == Received+Rejected+Dropped)
@@ -538,11 +675,8 @@ func (s *Sim) sendFrom(u bgp.NodeID) router.SendFunc {
 			s.counters.FaultDups.Add(1)
 			s.mux.Batch(router.Event{Kind: router.FaultDuplicate, Time: s.now,
 				Node: u, Peer: w, ReadyAt: fate.DupDelay})
-			// The copy gets its own pooled payload: each queued event owns
-			// its buffer exclusively, or delivery-time recycling would hand
-			// one buffer back twice.
-			dup := append(s.getBuf(), data...)
-			s.pushEv(event{time: dupAt, kind: evMessage, from: u, to: w, sess: sess, payload: dup, epoch: sess.epoch, sseq: n})
+			msg.time = dupAt
+			s.push(msg, data)
 		}
 		return at, nil
 	}
@@ -552,7 +686,7 @@ func (s *Sim) sendFrom(u bgp.NodeID) router.SendFunc {
 // reopen callbacks it asks for.
 func (s *Sim) refresh(u bgp.NodeID) {
 	for _, d := range s.routers[u].Refresh(s.now, s.sends[u]) {
-		s.pushEv(event{time: d.ReadyAt, kind: evFlush, from: u, to: d.To})
+		s.push(event{time: d.ReadyAt, kind: evFlush, from: uint32(u), to: uint32(d.To)}, nil)
 	}
 }
 
@@ -577,35 +711,38 @@ type Result struct {
 func (s *Sim) target(ev *event) bgp.NodeID {
 	switch ev.kind {
 	case evMessage:
-		return ev.to
+		return bgp.NodeID(ev.to)
 	case evFlush, evPeerDown, evPeerUp:
-		return ev.from
+		return bgp.NodeID(ev.from)
 	default:
-		return s.dom.System(ev.prefix).Exit(ev.path).ExitPoint
+		return s.dom.System(ev.prefix).Exit(bgp.PathID(ev.path)).ExitPoint
 	}
 }
 
 // apply mutates router state for one event without recomputing routes.
-func (s *Sim) apply(ev *event) {
+// payload is the message's bytes, a view into the calendar that apply
+// consumes before anything is pushed.
+func (s *Sim) apply(ev *event, payload []byte) {
+	from, to := bgp.NodeID(ev.from), bgp.NodeID(ev.to)
 	switch ev.kind {
 	case evInject:
-		p := s.dom.System(ev.prefix).Exit(ev.path)
-		s.routers[p.ExitPoint].Inject(s.now, ev.prefix, ev.path)
+		p := s.dom.System(ev.prefix).Exit(bgp.PathID(ev.path))
+		s.routers[p.ExitPoint].Inject(s.now, ev.prefix, p.ID)
 	case evWithdraw:
-		p := s.dom.System(ev.prefix).Exit(ev.path)
-		s.routers[p.ExitPoint].WithdrawExternal(s.now, ev.prefix, ev.path)
+		p := s.dom.System(ev.prefix).Exit(bgp.PathID(ev.path))
+		s.routers[p.ExitPoint].WithdrawExternal(s.now, ev.prefix, p.ID)
 	case evMessage:
-		if ev.sess.down || ev.epoch != ev.sess.epoch {
+		if sess := &s.sess[ev.sess]; sess.down || ev.epoch != sess.epoch {
 			// Lost with the connection: a session reset kills every message
 			// still in flight on it (RFC 4271 §8.2 semantics).
 			s.counters.Dropped.Add(1)
 			return
 		}
-		v, _, err := wire.DecodeView(ev.payload)
+		v, _, err := wire.DecodeView(payload)
 		if err != nil {
 			// Includes wire.ErrNotUpdate: only UPDATEs travel as payloads.
 			panic(fmt.Sprintf("msgsim: decode on %s -> %s: %v",
-				s.dom.Base().Name(ev.from), s.dom.Base().Name(ev.to), err))
+				s.dom.Base().Name(from), s.dom.Base().Name(to), err))
 		}
 		// Sequence bookkeeping exists only to survive reorder-exempt
 		// messages overtaking older ones; every other send is FIFO-clamped
@@ -615,13 +752,13 @@ func (s *Sim) apply(ev *event) {
 			s.applySequenced(ev, v)
 			return
 		}
-		if err := s.routers[ev.to].ApplyUpdateView(s.now, ev.from, v); err != nil {
-			panic(fmt.Sprintf("msgsim: apply at %s: %v", s.dom.Base().Name(ev.to), err))
+		if err := s.routers[to].ApplyUpdateView(s.now, from, v); err != nil {
+			panic(fmt.Sprintf("msgsim: apply at %s: %v", s.dom.Base().Name(to), err))
 		}
 	case evFlush:
-		s.routers[ev.from].Reopen(ev.to)
+		s.routers[from].Reopen(to)
 	case evPeerDown:
-		if out, back := s.session(ev.from, ev.to), s.session(ev.to, ev.from); !out.down {
+		if out, back := s.session(from, to), s.session(to, from); !out.down {
 			// First endpoint of the pair bumps the shared session state:
 			// the epoch invalidates in-flight messages, Resets counts the
 			// reset once per session rather than once per end.
@@ -629,11 +766,11 @@ func (s *Sim) apply(ev *event) {
 			out.down, out.epoch, out.lastArr = true, out.epoch+1, 0
 			back.down, back.epoch, back.lastArr = true, back.epoch+1, 0
 		}
-		s.routers[ev.from].PeerDown(s.now, ev.to)
+		s.routers[from].PeerDown(s.now, to)
 	case evPeerUp:
-		s.session(ev.from, ev.to).down = false
-		s.session(ev.to, ev.from).down = false
-		s.routers[ev.from].PeerUp(s.now, ev.to)
+		s.session(from, to).down = false
+		s.session(to, from).down = false
+		s.routers[from].PeerUp(s.now, to)
 	}
 }
 
@@ -642,10 +779,12 @@ func (s *Sim) apply(ev *event) {
 // per-session sequence maps are maintained, and an overtaken update is
 // sequenced at route granularity instead of applied verbatim.
 func (s *Sim) applySequenced(ev *event, v wire.UpdateView) {
-	if ev.sess.touched == nil {
-		ev.sess.touched = map[[2]uint32]int{}
+	sess, n := &s.sess[ev.sess], int(ev.sseq)
+	from, to := bgp.NodeID(ev.from), bgp.NodeID(ev.to)
+	if sess.touched == nil {
+		sess.touched = map[[2]uint32]int{}
 	}
-	if ev.sseq < ev.sess.delivSeq {
+	if n < sess.delivSeq {
 		// Overtaken by a reordered later message. The update is a diff,
 		// not a superset of its successors, so it cannot simply be
 		// discarded: a route it announces that no later update touched
@@ -656,16 +795,16 @@ func (s *Sim) applySequenced(ev *event, v wire.UpdateView) {
 		// receiver state matches the sender's Adj-RIB-Out whatever the
 		// delivery order. Cold path (fault-injected reorders only), so
 		// materialising the view is fine.
-		upd := filterStale(ev.sess.touched, ev.sseq, v.Update())
-		if err := s.routers[ev.to].ApplyUpdate(s.now, ev.from, &upd); err != nil {
-			panic(fmt.Sprintf("msgsim: apply at %s: %v", s.dom.Base().Name(ev.to), err))
+		upd := filterStale(sess.touched, n, v.Update())
+		if err := s.routers[to].ApplyUpdate(s.now, from, &upd); err != nil {
+			panic(fmt.Sprintf("msgsim: apply at %s: %v", s.dom.Base().Name(to), err))
 		}
 		return
 	}
-	ev.sess.delivSeq = ev.sseq
-	recordTouched(ev.sess.touched, ev.sseq, v)
-	if err := s.routers[ev.to].ApplyUpdateView(s.now, ev.from, v); err != nil {
-		panic(fmt.Sprintf("msgsim: apply at %s: %v", s.dom.Base().Name(ev.to), err))
+	sess.delivSeq = n
+	recordTouched(sess.touched, n, v)
+	if err := s.routers[to].ApplyUpdateView(s.now, from, v); err != nil {
+		panic(fmt.Sprintf("msgsim: apply at %s: %v", s.dom.Base().Name(to), err))
 	}
 }
 
@@ -720,20 +859,20 @@ func (s *Sim) Run(maxEvents int) Result {
 	if maxEvents <= 0 {
 		maxEvents = 100000
 	}
-	for s.queue.len() > 0 && s.events < maxEvents {
-		ev := s.queue.pop()
+	for s.events < maxEvents {
+		ev, payload, ok := s.queue.pop()
+		if !ok {
+			break
+		}
 		s.now = ev.time
 		s.events++
-		who := s.target(ev)
-		now := ev.time
-		s.apply(ev)
-		s.recycle(ev)
+		who := s.target(&ev)
+		s.apply(&ev, payload)
 		// Batch: drain all same-instant events destined to this router.
-		for next := s.queue.peek(); next != nil && next.time == now && s.target(next) == who; next = s.queue.peek() {
-			s.queue.pop()
+		for next := s.queue.peek(); next != nil && next.time == s.now && s.target(next) == who; next = s.queue.peek() {
+			ev, payload, _ := s.queue.pop()
 			s.events++
-			s.apply(next)
-			s.recycle(next)
+			s.apply(&ev, payload)
 		}
 		s.refresh(who)
 		// One activation round is complete: deliver its buffered events to

@@ -1,6 +1,7 @@
 package msgsim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -495,6 +496,48 @@ func TestRandomDelayValidatesRange(t *testing.T) {
 		}
 	}()
 	MustRandomDelay(1, 9, 3)
+}
+
+// TestScheduleRejectsUnknownRoute is the regression test for schedules
+// naming a prefix the sim does not carry or a path the prefix lacks: they
+// used to queue silently and crash Run on a nil System thousands of events
+// later (or, with 32-bit event fields, be truncated into a real path). The
+// panic must come from the scheduling call itself, name the prefix and
+// the path, and leave nothing queued.
+func TestScheduleRejectsUnknownRoute(t *testing.T) {
+	f := figures.Fig1a()
+	n := bgp.PathID(f.Sys.NumExits())
+	cases := []struct {
+		name string
+		call func(*Sim)
+		want string
+	}{
+		{"inject unknown prefix", func(s *Sim) { s.InjectPrefixAt(0, 7, 0) }, "prefix 7 path 0"},
+		{"withdraw unknown prefix", func(s *Sim) { s.WithdrawPrefixAt(3, 9, 1) }, "prefix 9 path 1"},
+		{"inject path past the last", func(s *Sim) { s.InjectAt(0, n) }, fmt.Sprintf("prefix 0 path %d", n)},
+		{"withdraw negative path", func(s *Sim) { s.WithdrawAt(0, -1) }, "prefix 0 path -1"},
+		{"path beyond 32 bits", func(s *Sim) { s.InjectPrefixAt(0, 0, 1<<32) }, "prefix 0 path 4294967296"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := New(f.Sys, protocol.Modified, selection.Options{}, ConstantDelay(1))
+			func() {
+				defer func() {
+					r := recover()
+					if r == nil {
+						t.Fatal("scheduled without complaint")
+					}
+					if msg := fmt.Sprint(r); !strings.Contains(msg, c.want) {
+						t.Fatalf("panic %q does not name %q", msg, c.want)
+					}
+				}()
+				c.call(s)
+			}()
+			if s.queue.len() != 0 {
+				t.Fatalf("a rejected schedule left %d events queued", s.queue.len())
+			}
+		})
+	}
 }
 
 func TestFIFOOrderingPreserved(t *testing.T) {
