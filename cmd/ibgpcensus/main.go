@@ -17,12 +17,16 @@
 //
 // -shards parallelises across seeds; -workers parallelises the
 // reachable-state search within each seed. Both are deterministic: the
-// aggregate is a pure function of the job and the seed range.
+// aggregate is a pure function of the job and the seed range. -max-states
+// bounds the census, fig13 and lint jobs' per-variant exhaustive search; a
+// census or fig13 seed whose search truncates is decided by sampled
+// schedules instead.
 //
 // Examples:
 //
 //	ibgpcensus -seeds 500 -json                      # classic census
-//	ibgpcensus -job fig13 -start 8000 -seeds 2000    # Figure 13 hunt
+//	ibgpcensus -job fig13 -start 8000 -seeds 2000 -max-states 0   # Figure 13 hunt: screen by sampling...
+//	ibgpcensus -job fig13 -start 8905 -seeds 1 -max-states 3000000   # ...then verify a hit exhaustively
 //	ibgpcensus -job chaos -seeds 200                 # fault-injection sweep
 //	ibgpcensus -job lint -seeds 500 -max-states 60000   # lint precision/recall
 //	ibgpcensus -job scale -seeds 8 -params pops=6,exits=6,prefixes=64   # sharded-core soak
@@ -60,7 +64,7 @@ func main() {
 		seeds      = flag.Int("seeds", 256, "number of consecutive seeds")
 		start      = flag.Int64("start", 1, "first seed")
 		params     = flag.String("params", "", "family overrides, comma-separated key=value")
-		maxStates  = flag.Int("max-states", 4000, "per-variant reachable-state budget for the census job (0: sampling only)")
+		maxStates  = flag.Int("max-states", 4000, "per-variant reachable-state budget for the census, fig13 and lint jobs (0: sampling only)")
 		workers    = flag.Int("workers", 1, "goroutines per reachable-state search (0: GOMAXPROCS); deterministic — never changes the aggregate")
 		schedules  = flag.Int("schedules", 4, "delay seeds per topology seed (fuzz job)")
 		plans      = flag.Int("plans", 3, "fault plans per topology seed (chaos job)")
@@ -91,7 +95,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		job = campaign.Fig13Job{Spec: spec, Workers: exploreWorkers(*workers)}
+		job = campaign.Fig13Job{Spec: spec, MaxStates: *maxStates, Workers: exploreWorkers(*workers)}
 	case "fuzz":
 		p, err := cli.ParseWorkloadParams(*params, workload.Default(3))
 		if err != nil {

@@ -23,7 +23,7 @@ var testParams = workload.Params{
 }
 
 func testJob() CensusJob {
-	return CensusJob{Params: testParams, MaxStates: 1500, SampleSeeds: 2, SampleSteps: 1000}
+	return CensusJob{Params: testParams, MaxStates: 1500}
 }
 
 func mustJSON(t *testing.T, agg *Aggregate) []byte {
@@ -391,6 +391,150 @@ func TestFig13JobSmoke(t *testing.T) {
 	}
 	if agg.Fig13 == 0 {
 		t.Errorf("seed range around the pinned counterexample found no fig13-like instance: %s", agg)
+	}
+}
+
+// TestCensusJobAggregatePinned pins the census aggregate of the bench/E23
+// family over seeds 80..89, JSON byte for byte. At budget 1500 every seed is
+// decided exhaustively, and seeds 84 and 88 oscillate MED-induced. At
+// budget 150 seeds 84, 87 and 88 truncate and are decided by the sampled
+// schedules instead, with the same verdicts.
+func TestCensusJobAggregatePinned(t *testing.T) {
+	const hist = `
+  "state_hist": [
+    {
+      "lo": 9,
+      "hi": 16,
+      "count": 4
+    },
+    {
+      "lo": 17,
+      "hi": 32,
+      "count": 3
+    },`
+	for _, tc := range []struct {
+		maxStates int
+		want      string
+	}{
+		{1500, `{
+  "job": "census",
+  "params": "{Clusters:2 MinClients:1 MaxClients:2 ASes:2 Exits:4 MaxMED:2 MaxCost:8 ExtraLinks:2} maxStates=1500",
+  "start_seed": 80,
+  "seeds": 10,
+  "completed": 10,
+  "classic_osc": 2,
+  "walton_osc": 0,
+  "modified_conv": 10,
+  "med_induced": 2,
+  "divergent": 2,
+  "fig13": 0,
+  "divergent_examples": [
+    84,
+    88
+  ],
+  "exhaustive": 10,
+  "truncated": 0,
+  "total_states": 1389,
+  "max_states": 899,
+  "fixed_points": 8,` + hist + `
+    {
+      "lo": 129,
+      "hi": 256,
+      "count": 2
+    },
+    {
+      "lo": 513,
+      "hi": 1024,
+      "count": 1
+    }
+  ]
+}`},
+		{150, `{
+  "job": "census",
+  "params": "{Clusters:2 MinClients:1 MaxClients:2 ASes:2 Exits:4 MaxMED:2 MaxCost:8 ExtraLinks:2} maxStates=150",
+  "start_seed": 80,
+  "seeds": 10,
+  "completed": 10,
+  "classic_osc": 2,
+  "walton_osc": 0,
+  "modified_conv": 10,
+  "med_induced": 2,
+  "divergent": 2,
+  "fig13": 0,
+  "divergent_examples": [
+    84,
+    88
+  ],
+  "exhaustive": 7,
+  "truncated": 3,
+  "total_states": 579,
+  "max_states": 151,
+  "fixed_points": 8,` + hist + `
+    {
+      "lo": 129,
+      "hi": 256,
+      "count": 3
+    }
+  ]
+}`},
+	} {
+		agg, err := Run(context.Background(), CensusJob{Params: testParams, MaxStates: tc.maxStates},
+			Config{Shards: 1, Start: 80, Seeds: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := string(mustJSON(t, agg)); got != tc.want {
+			t.Errorf("maxStates=%d: census aggregate moved:\n%s\nwant:\n%s", tc.maxStates, got, tc.want)
+		}
+	}
+}
+
+// TestFig13JobAggregatePinned pins the Figure 13 hunt around the seed that
+// produced figures.Fig13. Without a budget the verdicts are sampled; with
+// a 3,000,000-state budget seed 8905 must be confirmed exhaustively, which
+// is how the pinned figure was verified.
+func TestFig13JobAggregatePinned(t *testing.T) {
+	spec := workload.CrossedSpec{Clusters: 4, TwoClientOn: 0, ASes: 2, MaxMED: 2, DottedProb: 0.5}
+	agg, err := Run(context.Background(), Fig13Job{Spec: spec}, Config{Shards: 2, Start: 8903, Seeds: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg.Params = ""
+	const want = `{
+  "job": "fig13",
+  "params": "",
+  "start_seed": 8903,
+  "seeds": 4,
+  "completed": 4,
+  "classic_osc": 2,
+  "walton_osc": 1,
+  "modified_conv": 4,
+  "med_induced": 2,
+  "divergent": 1,
+  "fig13": 1,
+  "divergent_examples": [
+    8903
+  ],
+  "fig13_examples": [
+    8905
+  ],
+  "exhaustive": 0,
+  "truncated": 0,
+  "total_states": 0,
+  "max_states": 0,
+  "fixed_points": 0
+}`
+	if got := string(mustJSON(t, agg)); got != want {
+		t.Errorf("fig13 aggregate moved:\n%s\nwant:\n%s", got, want)
+	}
+
+	// Fields in declaration order: Spec, the state budget, Workers.
+	agg, err = Run(context.Background(), Fig13Job{spec, 3000000, 1}, Config{Shards: 1, Start: 8905, Seeds: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if agg.Fig13 != 1 || agg.Exhaustive != 1 {
+		t.Fatalf("seed 8905 not exhaustively confirmed as Figure 13-like:\n%s", mustJSON(t, agg))
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/chaos"
-	"repro/internal/explore"
 	"repro/internal/faults"
 	"repro/internal/msgsim"
 	"repro/internal/protocol"
@@ -34,18 +33,13 @@ type Job interface {
 // CensusJob is the flagship workload: generate one random
 // route-reflection system per seed and decide, under each advertisement
 // policy, whether it oscillates — exhaustively when the reachable state
-// space fits the budget, by schedule sampling otherwise.
+// space fits the budget, by schedule sampling otherwise (workload.Classify).
 type CensusJob struct {
 	// Params selects the random family (workload.Generate).
 	Params workload.Params
 	// MaxStates bounds the per-variant reachable-state search; 0 disables
 	// the exhaustive pass and uses sampling verdicts only.
 	MaxStates int
-	// SampleSeeds is the number of random schedules tried per policy when
-	// sampling (default 4).
-	SampleSeeds int
-	// SampleSteps bounds each sampled run (default 4000).
-	SampleSteps int
 	// Workers is the number of goroutines each seed's reachable-state
 	// search uses (explore.Options.Workers). Verdicts and aggregates are
 	// identical for every value; it composes with campaign sharding, so
@@ -60,146 +54,61 @@ func (j CensusJob) Describe() string {
 	return fmt.Sprintf("%+v maxStates=%d", j.Params, j.MaxStates)
 }
 
-func (j CensusJob) fill() CensusJob {
-	if j.SampleSeeds <= 0 {
-		j.SampleSeeds = 4
-	}
-	if j.SampleSteps <= 0 {
-		j.SampleSteps = 4000
-	}
-	return j
-}
-
-// oscillatesBySampling reports whether the policy fails to converge under
-// deterministic and seeded random schedules (the same evidence
-// workload.Classify uses).
-func (j CensusJob) oscillatesBySampling(ctx context.Context, sys *topology.System, policy protocol.Policy, m *Meter) bool {
-	e := protocol.New(sys, policy, selection.Options{})
-	run := func(sch protocol.Schedule, maxSteps int) protocol.Result {
-		r := protocol.Run(e, sch, protocol.RunOptions{MaxSteps: maxSteps})
-		m.Steps.Add(int64(r.Steps))
-		return r
-	}
-	if run(protocol.RoundRobin(sys.N()), j.SampleSteps).Outcome == protocol.Converged {
-		return false
-	}
-	e.ResetAll()
-	if run(protocol.AllAtOnce(sys.N()), j.SampleSteps).Outcome == protocol.Converged {
-		return false
-	}
-	for seed := 0; seed < j.SampleSeeds; seed++ {
-		if ctx.Err() != nil {
-			return false
-		}
-		e.ResetAll()
-		if run(protocol.PermutationRounds(sys.N(), int64(seed)+1), j.SampleSteps/2).Outcome == protocol.Converged {
-			return false
-		}
-	}
-	return true
-}
-
-// Run classifies one seed's system. With a state budget, classic and
-// Walton verdicts are proved by exhaustive reachable-state search
-// (explore.Reachable under each protocol variant) and fall back to
-// sampling only on truncation.
 func (j CensusJob) Run(ctx context.Context, seed int64, m *Meter) SeedResult {
-	j = j.fill()
-	res := SeedResult{Seed: seed}
 	sys, err := workload.Generate(j.Params, seed)
-	if err != nil {
-		res.Err = err.Error()
-		return res
-	}
-	res.Nodes = sys.N()
-
-	explored := map[protocol.Policy]explore.Analysis{}
-	if j.MaxStates > 0 {
-		for _, policy := range []protocol.Policy{protocol.Classic, protocol.Walton} {
-			e := protocol.New(sys, policy, selection.Options{})
-			a := explore.Reachable(e, explore.Options{
-				Mode: explore.SingletonsPlusAll, MaxStates: j.MaxStates, Ctx: ctx,
-				Workers: j.Workers,
-			})
-			m.States.Add(int64(a.States))
-			if a.Truncated {
-				m.Truncations.Add(1)
-				res.Truncated = true
-			}
-			explored[policy] = a
-			if a.States > res.States {
-				res.States = a.States
-			}
-		}
-	}
-
-	verdict := func(policy protocol.Policy) bool {
-		if a, ok := explored[policy]; ok && !a.Truncated {
-			return !a.Stabilizable()
-		}
-		return j.oscillatesBySampling(ctx, sys, policy, m)
-	}
-	res.ClassicOsc = verdict(protocol.Classic)
-	res.WaltonOsc = verdict(protocol.Walton)
-	if a, ok := explored[protocol.Classic]; ok && !a.Truncated {
-		res.FixedPoints = len(a.FixedPoints)
-	}
-	ca, cok := explored[protocol.Classic]
-	wa, wok := explored[protocol.Walton]
-	res.Exhaustive = cok && wok && !ca.Truncated && !wa.Truncated
-
-	e := protocol.New(sys, protocol.Modified, selection.Options{})
-	mr := protocol.Run(e, protocol.RoundRobin(sys.N()), protocol.RunOptions{MaxSteps: j.SampleSteps})
-	m.Steps.Add(int64(mr.Steps))
-	res.ModifiedConv = mr.Outcome == protocol.Converged
-
-	if (res.ClassicOsc || res.WaltonOsc) && ctx.Err() == nil {
-		if eq, err := workload.EqualizeMEDs(sys); err == nil {
-			res.MEDInduced = !j.oscillatesBySampling(ctx, eq, protocol.Classic, m) &&
-				!j.oscillatesBySampling(ctx, eq, protocol.Walton, m)
-		}
-	}
-	res.Fig13Like = res.ClassicOsc && res.WaltonOsc && res.ModifiedConv && res.MEDInduced
-	return res
+	return classify(ctx, seed, sys, err, j.MaxStates, j.Workers, m)
 }
 
 // Fig13Job reproduces the paper's Figure 13 counterexample search as a
 // campaign: sample the crossed family and classify each draw, flagging the
 // seeds where the Walton et al. fix fails while the modified protocol
-// converges. cmd/cexsearch runs this same hunt serially; as a campaign it
-// shards across workers and survives kills via the checkpoint.
+// converges. `ibgpcensus -job fig13 -max-states 0` screens a seed range by
+// sampling; rerunning a hit with a large -max-states verifies it
+// exhaustively.
 type Fig13Job struct {
 	// Spec selects the crossed family (workload.SampleCrossed).
 	Spec workload.CrossedSpec
-	// ExhaustiveBudget bounds the confirming reachable-state search on
-	// sampled hits; 0 keeps sampling verdicts.
-	ExhaustiveBudget int
-	// Workers parallelises the confirming searches per seed; verdicts are
-	// identical for every value (see CensusJob.Workers).
+	// MaxStates bounds the per-variant reachable-state search, as for
+	// CensusJob; 0 keeps sampling verdicts.
+	MaxStates int
+	// Workers parallelises the searches per seed; verdicts are identical
+	// for every value (see CensusJob.Workers).
 	Workers int
 }
 
 func (j Fig13Job) Name() string { return "fig13" }
 
 func (j Fig13Job) Describe() string {
-	return fmt.Sprintf("%+v exhaustive=%d", j.Spec, j.ExhaustiveBudget)
+	return fmt.Sprintf("%+v maxStates=%d", j.Spec, j.MaxStates)
 }
 
 func (j Fig13Job) Run(ctx context.Context, seed int64, m *Meter) SeedResult {
-	res := SeedResult{Seed: seed}
 	sys, err := workload.SampleCrossed(j.Spec, seed)
+	return classify(ctx, seed, sys, err, j.MaxStates, j.Workers, m)
+}
+
+// classify is the body of the census and Figure 13 jobs: classify one
+// generated system and record the verdict, its evidence and its work.
+func classify(ctx context.Context, seed int64, sys *topology.System, err error, maxStates, workers int, m *Meter) SeedResult {
+	res := SeedResult{Seed: seed}
 	if err != nil {
 		res.Err = err.Error()
 		return res
 	}
+	v := workload.Classify(ctx, sys, maxStates, workers)
+	m.States.Add(v.ExploredStates)
+	m.Steps.Add(v.Steps)
+	m.Truncations.Add(int64(v.Truncations))
 	res.Nodes = sys.N()
-	v := workload.ClassifyWith(ctx, sys, j.ExhaustiveBudget, j.Workers)
 	res.ClassicOsc = v.ClassicOscillates
 	res.WaltonOsc = v.WaltonOscillates
 	res.ModifiedConv = v.ModifiedConverges
 	res.MEDInduced = v.MEDInduced
-	res.Exhaustive = v.Exhaustive
 	res.Fig13Like = v.IsFig13Like()
+	res.Exhaustive = v.Exhaustive
+	res.States = v.States
+	res.FixedPoints = v.FixedPoints
+	res.Truncated = v.Truncations > 0
 	return res
 }
 

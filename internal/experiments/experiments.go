@@ -9,7 +9,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"strings"
 	"time"
 
@@ -1241,11 +1240,15 @@ func E22MEDPrevalence(opts Options) Report {
 	}
 }
 
+// e23Shards is the shard count E23 compares against one shard. It is fixed,
+// not GOMAXPROCS, so the comparison shards the campaign on every host.
+const e23Shards = 4
+
 // E23Census runs the parallel oscillation census over a pinned seed range
 // of a small MED-rich random family and checks the engine's determinism
 // contract end to end: the aggregate JSON must be byte-identical between a
-// single-worker and a fully sharded run, classic I-BGP must oscillate on a
-// measurable fraction of the family, and the modified protocol must
+// single-worker and an e23Shards-worker run, classic I-BGP must oscillate on
+// a measurable fraction of the family, and the modified protocol must
 // converge on every instance (Lemma 7.4 at census scale).
 func E23Census(opts Options) Report {
 	opts.fill()
@@ -1274,7 +1277,7 @@ func E23Census(opts Options) Report {
 	if err != nil {
 		return Report{ID: "E23", Artifact: "oscillation census", Measured: err.Error()}
 	}
-	_, sharded, err := run(runtime.GOMAXPROCS(0))
+	_, sharded, err := run(e23Shards)
 	if err != nil {
 		return Report{ID: "E23", Artifact: "oscillation census", Measured: err.Error()}
 	}
@@ -1294,7 +1297,7 @@ func E23Census(opts Options) Report {
 			{"modified converges", fmt.Sprintf("%d", agg.ModifiedConv)},
 			{"exhaustively explored", fmt.Sprintf("%d", agg.Exhaustive)},
 			{"states explored", fmt.Sprintf("%d (max %d per variant)", agg.TotalStates, agg.MaxStates)},
-			{"shards=1 vs shards=N aggregates", map[bool]string{true: "byte-identical", false: "DIVERGED"}[identical]},
+			{fmt.Sprintf("shards=1 vs shards=%d aggregates", e23Shards), map[bool]string{true: "byte-identical", false: "DIVERGED"}[identical]},
 		},
 	}
 	return Report{
@@ -1303,7 +1306,7 @@ func E23Census(opts Options) Report {
 		Claim:    "census aggregates are a pure function of the seed range; classic I-BGP oscillates on a measurable fraction of MED-rich random systems while modified always converges",
 		Measured: fmt.Sprintf("%d seeds: classic oscillates on %d (%.1f%%, %d MED-induced), walton on %d, modified converges on %d/%d; shards=1 vs shards=%d JSON %s",
 			seeds, agg.ClassicOsc, 100*agg.OscillationRate(), agg.MEDInduced, agg.WaltonOsc,
-			agg.ModifiedConv, classified, runtime.GOMAXPROCS(0),
+			agg.ModifiedConv, classified, e23Shards,
 			map[bool]string{true: "byte-identical", false: "DIVERGED"}[identical]),
 		Pass:   pass,
 		Tables: []Table{table},

@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"os"
+	"regexp"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -110,5 +114,58 @@ func TestE4TableOneReproduction(t *testing.T) {
 	}
 	if len(r.Tables) != 1 || len(r.Tables[0].Rows) < 10 {
 		t.Fatalf("reproduced Table 1 missing or too short: %d rows", len(r.Tables[0].Rows))
+	}
+}
+
+// TestE23ShardsOnEveryHost: E23's determinism check must compare one shard
+// against several even where GOMAXPROCS is 1, or it compares a run with
+// itself.
+func TestE23ShardsOnEveryHost(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	r := E23Census(Options{Seeds: 2})
+	m := regexp.MustCompile(`shards=1 vs shards=(\d+) `).FindStringSubmatch(r.Measured)
+	if m == nil {
+		t.Fatalf("E23 row names no shard comparison: %s", r.Measured)
+	}
+	if n, _ := strconv.Atoi(m[1]); n < 2 {
+		t.Fatalf("E23 compares shards=1 with shards=%d under GOMAXPROCS 1: %s", n, r.Measured)
+	}
+	if !r.Pass {
+		t.Fatalf("E23 failed: %s", r.Measured)
+	}
+}
+
+// TestClaimTableMatchesExperimentsMD regenerates the claim table the way
+// `experiments -exhaustive -markdown` does and requires every line of it to
+// appear verbatim in EXPERIMENTS.md, so the checked-in table cannot drift
+// from the code. E19 is left out: its fixed point depends on TCP timing by
+// design, so its row is not reproducible byte for byte.
+func TestClaimTableMatchesExperimentsMD(t *testing.T) {
+	if testing.Short() {
+		t.Skip("regenerates the exhaustive battery")
+	}
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	have := map[string]bool{}
+	for _, line := range strings.Split(string(doc), "\n") {
+		have[line] = true
+	}
+	opts := Options{Exhaustive: true}
+	opts.fill()
+	reports := []Report{
+		E1Fig1a(opts), E2Fig1b(opts), E3Fig2(opts), E4Fig3(opts),
+		E5VariableGadget(opts), E6ClauseGadget(opts), E7Reduction(opts),
+		E8Walton(opts), E9Loop(opts), E10Determinism(opts),
+		E11Overhead(opts), E12Flush(opts), E13LoopFree(opts), E14Fig12(opts),
+		E15Adaptive(opts), E16Confederation(opts), E17DeepHierarchy(opts),
+		E18SyncConvergence(opts), E20MetricAdjustment(opts),
+		E21EBGPChurn(opts), E22MEDPrevalence(opts), E23Census(opts),
+	}
+	for _, line := range strings.Split(Markdown(reports), "\n") {
+		if !have[line] {
+			t.Errorf("EXPERIMENTS.md lacks a generated line (regenerate with `go run ./cmd/experiments -exhaustive -markdown`):\n%s", line)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/bgp"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/selection"
 	"repro/internal/topology"
+	"repro/internal/workload"
 )
 
 // topologyToEqualMED rebuilds a figure's system with every MED zeroed.
@@ -434,6 +436,39 @@ func TestFig13WaltonStillOscillates(t *testing.T) {
 		if r.Outcome != protocol.Converged || !r.Final.Equal(res.Final) {
 			t.Fatal("modified protocol schedule-dependent on Fig13")
 		}
+	}
+}
+
+// TestFig13IsCrossedSeed8905 records where Figure 13 came from: it is
+// exactly the crossed-family draw that `ibgpcensus -job fig13` flags at
+// seed 8905 — same routers and clusters, same exits, same links and costs.
+func TestFig13IsCrossedSeed8905(t *testing.T) {
+	drawn, err := workload.SampleCrossed(workload.CrossedSpec{
+		Clusters: 4, TwoClientOn: 0, ASes: 2, MaxMED: 2, DottedProb: 0.5,
+	}, 8905)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := topology.ToSpec(Fig13().Sys), topology.ToSpec(drawn)
+	if !reflect.DeepEqual(got.Clusters, want.Clusters) {
+		t.Errorf("clusters:\n got %+v\nwant %+v", got.Clusters, want.Clusters)
+	}
+	if !reflect.DeepEqual(got.Exits, want.Exits) {
+		t.Errorf("exits:\n got %+v\nwant %+v", got.Exits, want.Exits)
+	}
+	linkSet := func(spec *topology.Spec) map[[2]string]int64 {
+		set := map[[2]string]int64{}
+		for _, l := range spec.Links {
+			ends := [2]string{l.A, l.B}
+			if ends[0] > ends[1] {
+				ends[0], ends[1] = ends[1], ends[0]
+			}
+			set[ends] = l.Cost
+		}
+		return set
+	}
+	if g, w := linkSet(got), linkSet(want); !reflect.DeepEqual(g, w) {
+		t.Errorf("links:\n got %v\nwant %v", g, w)
 	}
 }
 

@@ -10,10 +10,10 @@ import (
 )
 
 // Verdict classifies one configuration's behaviour under the three
-// advertisement policies.
+// advertisement policies, with the evidence behind it.
 type Verdict struct {
 	// ClassicOscillates: classic I-BGP cannot reach a stable configuration
-	// (exhaustively verified when Exhaustive is true, otherwise evidenced
+	// (exhaustively verified when its search completed, otherwise evidenced
 	// by cycling deterministic schedules and non-converging random ones).
 	ClassicOscillates bool
 	// WaltonOscillates: same for the Walton et al. modification.
@@ -23,93 +23,19 @@ type Verdict struct {
 	// MEDInduced: with all MEDs equalised the classic protocol converges,
 	// i.e. the oscillation is caused by MED comparison.
 	MEDInduced bool
-	// Exhaustive: the oscillation verdicts are backed by exhaustive
+	// Exhaustive: both oscillation verdicts are backed by complete
 	// reachable-state search rather than schedule sampling.
 	Exhaustive bool
-}
-
-// EqualizeMEDs rebuilds the system with every MED set to zero (the E22
-// control: an oscillation that survives it is not MED-induced).
-func EqualizeMEDs(sys *topology.System) (*topology.System, error) {
-	spec := topology.ToSpec(sys)
-	for i := range spec.Exits {
-		spec.Exits[i].MED = 0
-	}
-	return topology.BuildSpec(spec)
-}
-
-// oscillatesBySampling reports whether the policy fails to converge on sys
-// under deterministic and seeded random schedules.
-func oscillatesBySampling(sys *topology.System, policy protocol.Policy, seeds int) bool {
-	e := protocol.New(sys, policy, selection.Options{})
-	if protocol.Run(e, protocol.RoundRobin(sys.N()), protocol.RunOptions{MaxSteps: 4000}).Outcome == protocol.Converged {
-		return false
-	}
-	e.ResetAll()
-	if protocol.Run(e, protocol.AllAtOnce(sys.N()), protocol.RunOptions{MaxSteps: 4000}).Outcome == protocol.Converged {
-		return false
-	}
-	for _, r := range protocol.RunSeeds(e, seeds, 2000) {
-		if r.Outcome == protocol.Converged {
-			return false
-		}
-	}
-	return true
-}
-
-// oscillatesExhaustively proves non-stabilizability by exhausting the
-// reachable state space. ok is false when the search truncated.
-func oscillatesExhaustively(ctx context.Context, sys *topology.System, policy protocol.Policy, maxStates, workers int) (oscillates, ok bool) {
-	e := protocol.New(sys, policy, selection.Options{})
-	a := explore.Reachable(e, explore.Options{Mode: explore.SingletonsPlusAll, MaxStates: maxStates, Ctx: ctx, Workers: workers})
-	if a.Truncated {
-		return false, false
-	}
-	return !a.Stabilizable(), true
-}
-
-// Classify runs the full battery on one configuration. exhaustiveBudget
-// bounds the per-policy reachable-state search; 0 skips it.
-func Classify(sys *topology.System, exhaustiveBudget int) Verdict {
-	return ClassifyCtx(context.Background(), sys, exhaustiveBudget)
-}
-
-// ClassifyCtx is Classify with cancellation plumbed into the exhaustive
-// searches; a cancelled classification reports the sampling verdicts with
-// Exhaustive false.
-func ClassifyCtx(ctx context.Context, sys *topology.System, exhaustiveBudget int) Verdict {
-	return ClassifyWith(ctx, sys, exhaustiveBudget, 1)
-}
-
-// ClassifyWith is ClassifyCtx with an explicit worker count for the
-// exhaustive reachable-state searches. The verdict is identical for every
-// worker count (explore.Reachable's determinism contract); workers only
-// buys wall clock on large state spaces.
-func ClassifyWith(ctx context.Context, sys *topology.System, exhaustiveBudget, workers int) Verdict {
-	v := Verdict{}
-	v.ClassicOscillates = oscillatesBySampling(sys, protocol.Classic, 4)
-	v.WaltonOscillates = oscillatesBySampling(sys, protocol.Walton, 4)
-	e := protocol.New(sys, protocol.Modified, selection.Options{})
-	v.ModifiedConverges = protocol.Run(e, protocol.RoundRobin(sys.N()),
-		protocol.RunOptions{MaxSteps: 4000}).Outcome == protocol.Converged
-
-	if v.ClassicOscillates || v.WaltonOscillates {
-		if eq, err := EqualizeMEDs(sys); err == nil {
-			v.MEDInduced = !oscillatesBySampling(eq, protocol.Classic, 4) &&
-				!oscillatesBySampling(eq, protocol.Walton, 4)
-		}
-	}
-
-	if exhaustiveBudget > 0 && v.ClassicOscillates && v.WaltonOscillates {
-		co, ok1 := oscillatesExhaustively(ctx, sys, protocol.Classic, exhaustiveBudget, workers)
-		wo, ok2 := oscillatesExhaustively(ctx, sys, protocol.Walton, exhaustiveBudget, workers)
-		if ok1 && ok2 {
-			v.ClassicOscillates = co
-			v.WaltonOscillates = wo
-			v.Exhaustive = true
-		}
-	}
-	return v
+	// States is the largest reachable state space either search explored;
+	// FixedPoints counts classic's reachable fixed points when its search
+	// completed; Truncations counts the searches that hit the budget.
+	States      int
+	FixedPoints int
+	Truncations int
+	// ExploredStates sums the states of both searches and Steps the
+	// activation steps of every run: the work done, for progress meters.
+	ExploredStates int64
+	Steps          int64
 }
 
 // IsFig13Like reports the property the paper's Figure 13 exhibits:
@@ -119,27 +45,99 @@ func (v Verdict) IsFig13Like() bool {
 	return v.ClassicOscillates && v.WaltonOscillates && v.ModifiedConverges && v.MEDInduced
 }
 
-// SearchResult is one hit from SearchWaltonCounterexample.
-type SearchResult struct {
-	Seed    int64
-	Sys     *topology.System
-	Verdict Verdict
-}
+// The sampling battery: round-robin and all-at-once runs of sampleSteps
+// steps, then sampleSeeds seeded permutation-round runs of half that.
+const (
+	sampleSteps = 4000
+	sampleSeeds = 4
+)
 
-// SearchWaltonCounterexample samples configurations from the Figure 13
-// family until it finds one on which Walton's fix fails (and the modified
-// protocol works), or until maxSeeds samples have been tried.
-func SearchWaltonCounterexample(spec SearchSpec, startSeed int64, maxSeeds int, exhaustiveBudget int) (SearchResult, bool) {
-	for i := 0; i < maxSeeds; i++ {
-		seed := startSeed + int64(i)
-		sys, err := Sample(spec, seed)
-		if err != nil {
-			continue
-		}
-		v := Classify(sys, exhaustiveBudget)
-		if v.IsFig13Like() {
-			return SearchResult{Seed: seed, Sys: sys, Verdict: v}, true
+// Classify decides one configuration. With maxStates > 0, classic and
+// Walton are first searched exhaustively (explore.Reachable,
+// SingletonsPlusAll, on workers goroutines); a policy whose search
+// truncated, or every policy when maxStates is 0, is then decided by the
+// sampling battery. The modified protocol is decided by one round-robin
+// run, and the MED-equalised control is sampled whenever either broken
+// policy oscillates. The verdict is identical for every worker count. A
+// cancelled ctx cuts the work short, and the verdict is then meaningless.
+func Classify(ctx context.Context, sys *topology.System, maxStates, workers int) Verdict {
+	var v Verdict
+	policies := [2]protocol.Policy{protocol.Classic, protocol.Walton}
+	var osc, exhaustive [2]bool
+	if maxStates > 0 {
+		for i, policy := range policies {
+			a := explore.Reachable(protocol.New(sys, policy, selection.Options{}), explore.Options{
+				Mode: explore.SingletonsPlusAll, MaxStates: maxStates, Ctx: ctx, Workers: workers,
+			})
+			v.ExploredStates += int64(a.States)
+			v.States = max(v.States, a.States)
+			if a.Truncated {
+				v.Truncations++
+				continue
+			}
+			osc[i], exhaustive[i] = !a.Stabilizable(), true
+			if policy == protocol.Classic {
+				v.FixedPoints = len(a.FixedPoints)
+			}
 		}
 	}
-	return SearchResult{}, false
+	for i, policy := range policies {
+		if !exhaustive[i] {
+			osc[i] = v.oscillatesBySampling(ctx, sys, policy)
+		}
+	}
+	v.ClassicOscillates, v.WaltonOscillates = osc[0], osc[1]
+	v.Exhaustive = exhaustive[0] && exhaustive[1]
+
+	e := protocol.New(sys, protocol.Modified, selection.Options{})
+	v.ModifiedConverges = v.converges(e, protocol.RoundRobin(sys.N()), sampleSteps)
+
+	if (v.ClassicOscillates || v.WaltonOscillates) && ctx.Err() == nil {
+		if eq, err := equalizeMEDs(sys); err == nil {
+			v.MEDInduced = !v.oscillatesBySampling(ctx, eq, protocol.Classic) &&
+				!v.oscillatesBySampling(ctx, eq, protocol.Walton)
+		}
+	}
+	return v
+}
+
+// converges runs e under sch for at most maxSteps, counting the steps.
+func (v *Verdict) converges(e *protocol.Engine, sch protocol.Schedule, maxSteps int) bool {
+	r := protocol.Run(e, sch, protocol.RunOptions{MaxSteps: maxSteps})
+	v.Steps += int64(r.Steps)
+	return r.Outcome == protocol.Converged
+}
+
+// oscillatesBySampling reports whether the policy fails to converge on sys
+// under every run of the sampling battery, stopping at the first run that
+// converges or once ctx is cancelled.
+func (v *Verdict) oscillatesBySampling(ctx context.Context, sys *topology.System, policy protocol.Policy) bool {
+	e := protocol.New(sys, policy, selection.Options{})
+	if v.converges(e, protocol.RoundRobin(sys.N()), sampleSteps) {
+		return false
+	}
+	e.ResetAll()
+	if v.converges(e, protocol.AllAtOnce(sys.N()), sampleSteps) {
+		return false
+	}
+	for seed := int64(1); seed <= sampleSeeds; seed++ {
+		if ctx.Err() != nil {
+			return false
+		}
+		e.ResetAll()
+		if v.converges(e, protocol.PermutationRounds(sys.N(), seed), sampleSteps/2) {
+			return false
+		}
+	}
+	return true
+}
+
+// equalizeMEDs rebuilds the system with every MED set to zero (the E22
+// control: an oscillation that survives it is not MED-induced).
+func equalizeMEDs(sys *topology.System) (*topology.System, error) {
+	spec := topology.ToSpec(sys)
+	for i := range spec.Exits {
+		spec.Exits[i].MED = 0
+	}
+	return topology.BuildSpec(spec)
 }
