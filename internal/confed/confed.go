@@ -82,9 +82,10 @@ func (s *System) Peers(u bgp.NodeID) []bgp.NodeID { return s.peers[u] }
 // IsConfedSession reports whether u-v is a border (confed-BGP) session.
 func (s *System) IsConfedSession(u, v bgp.NodeID) bool { return s.confed[u][v] }
 
-// Metric returns the IGP cost from u to p's exit point plus the exit cost.
+// Metric returns the IGP cost from u to p's exit point plus the exit cost,
+// read from the tree rooted at the exit point (the graph is undirected).
 func (s *System) Metric(u bgp.NodeID, p bgp.ExitPath) int64 {
-	d := s.ap.Dist(u, p.ExitPoint)
+	d := s.ap.From(p.ExitPoint).Dist[u]
 	if d == igp.Infinity {
 		return igp.Infinity
 	}

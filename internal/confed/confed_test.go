@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/bgp"
+	"repro/internal/igp"
 	"repro/internal/protocol"
 	"repro/internal/selection"
 )
@@ -65,6 +66,23 @@ func TestBuilderValidation(t *testing.T) {
 	b4.Router("u", 7)
 	if b4.err == nil {
 		t.Fatal("unknown sub-AS accepted")
+	}
+}
+
+// TestMetricSymmetry: Metric reads the tree rooted at the exit point and
+// must agree with the shortest path from the router to that exit point.
+func TestMetricSymmetry(t *testing.T) {
+	sys, _, _ := fig1aConfed(t)
+	for u := 0; u < sys.N(); u++ {
+		for _, p := range sys.Exits() {
+			want := igp.Infinity
+			if d := sys.ap.From(bgp.NodeID(u)).Dist[p.ExitPoint]; d != igp.Infinity {
+				want = d + p.ExitCost
+			}
+			if got := sys.Metric(bgp.NodeID(u), p); got != want {
+				t.Fatalf("Metric(%s, p%d) = %d, want %d", sys.Name(bgp.NodeID(u)), p.ID, got, want)
+			}
+		}
 	}
 }
 

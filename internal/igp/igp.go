@@ -12,6 +12,7 @@ package igp
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/bgp"
 )
@@ -214,24 +215,36 @@ func (sp *ShortestPaths) NextHop(v bgp.NodeID) bgp.NodeID {
 	return p[1]
 }
 
-// AllPairs caches single-source trees for every node of a graph. It is the
-// lookup structure the protocol engines use for route metrics.
+// AllPairs caches single-source trees of a graph, computed on first use.
+// It is the lookup structure the protocol engines use for route metrics.
+// Because the graph is undirected, cost(SP(u, v)) = cost(SP(v, u)), so
+// callers read a distance from the tree rooted where it is wanted most:
+// route metrics from the exit point, of which a system has few, rather
+// than from each of its many routers. From is safe for concurrent use.
 type AllPairs struct {
 	g     *Graph
-	trees []*ShortestPaths
+	trees []atomic.Pointer[ShortestPaths]
 }
 
-// NewAllPairs computes (lazily) all-pairs shortest paths for g.
+// NewAllPairs returns an empty cache over g; trees fill lazily.
 func NewAllPairs(g *Graph) *AllPairs {
-	return &AllPairs{g: g, trees: make([]*ShortestPaths, g.n)}
+	return &AllPairs{g: g, trees: make([]atomic.Pointer[ShortestPaths], g.n)}
 }
 
-// From returns the shortest-path tree rooted at u.
-func (ap *AllPairs) From(u bgp.NodeID) *ShortestPaths {
-	if ap.trees[u] == nil {
-		ap.trees[u] = ap.g.Dijkstra(u)
+// From returns the shortest-path tree rooted at u. Racing first calls may
+// each run Dijkstra; the trees are identical and the first one stored wins.
+// The miss lives in fill so that From stays within the inliner's budget:
+// route metrics read it in the protocol engines' innermost loop.
+func (ap *AllPairs) From(u bgp.NodeID) (t *ShortestPaths) {
+	if t = ap.trees[u].Load(); t == nil {
+		return ap.fill(u)
 	}
-	return ap.trees[u]
+	return
+}
+
+func (ap *AllPairs) fill(u bgp.NodeID) *ShortestPaths {
+	ap.trees[u].CompareAndSwap(nil, ap.g.Dijkstra(u))
+	return ap.trees[u].Load()
 }
 
 // Dist returns cost(SP(u, v)), or Infinity when disconnected.

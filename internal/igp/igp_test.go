@@ -2,6 +2,8 @@ package igp
 
 import (
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -193,6 +195,42 @@ func TestAllPairsConsistency(t *testing.T) {
 	}
 	if nh := ap.NextHop(0, 3); nh != 1 {
 		t.Fatalf("NextHop(0,3) = %d, want 1", nh)
+	}
+}
+
+// TestAllPairsConcurrentFrom: goroutines racing to fill overlapping roots
+// all get the same tree per root, equal to a fresh serial Dijkstra. Run
+// under -race it also checks that the lazy fill is synchronised.
+func TestAllPairsConcurrentFrom(t *testing.T) {
+	const n, workers = 60, 8
+	g := randomConnectedGraph(rand.New(rand.NewSource(3)), n)
+	ap := NewAllPairs(g)
+	got := make([][]*ShortestPaths, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		got[w] = make([]*ShortestPaths, n)
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			// Every worker visits every root, each from a different
+			// starting offset, so first fills collide.
+			for i := 0; i < n; i++ {
+				u := (i + w*n/workers) % n
+				got[w][u] = ap.From(bgp.NodeID(u))
+			}
+		}(w)
+	}
+	wg.Wait()
+	for u := 0; u < n; u++ {
+		tree := ap.From(bgp.NodeID(u))
+		for w := 0; w < workers; w++ {
+			if got[w][u] != tree {
+				t.Fatalf("root %d: worker %d got a different tree pointer", u, w)
+			}
+		}
+		if want := g.Dijkstra(bgp.NodeID(u)); !reflect.DeepEqual(tree, want) {
+			t.Fatalf("root %d: cached tree differs from a serial Dijkstra", u)
+		}
 	}
 }
 

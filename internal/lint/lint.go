@@ -167,10 +167,11 @@ func Passes() []Pass {
 }
 
 // Context carries the system under analysis plus the indexes the
-// system-level passes share, so the rule-1/2 survivor set, the reflector
-// roster and the IGP trees are computed once per lint run instead of once
-// per pass. The shared parts are built before the passes run (the passes
-// execute concurrently) and are read-only afterwards.
+// system-level passes share, so the rule-1/2 survivor set and the reflector
+// roster are computed once per lint run instead of once per pass. The
+// shared parts are built before the passes run (the passes execute
+// concurrently) and are read-only afterwards; the IGP trees behind route
+// metrics fill on demand in the system's race-free cache.
 type Context struct {
 	// Sys is the built system under analysis.
 	Sys *topology.System
@@ -192,15 +193,6 @@ func NewContext(sys *topology.System) *Context {
 		if sys.Role(id) == topology.Reflector {
 			ctx.Reflectors = append(ctx.Reflectors, id)
 		}
-	}
-	// Pre-warm the IGP trees the passes consult (metrics from reflectors
-	// and exit owners). AllPairs fills lazily and is not synchronised, so
-	// warming here keeps the concurrent passes race-free.
-	for _, r := range ctx.Reflectors {
-		sys.Paths().From(r)
-	}
-	for _, p := range sys.Exits() {
-		sys.Paths().From(p.ExitPoint)
 	}
 	return ctx
 }

@@ -119,13 +119,6 @@ func (ctx *Context) proveIndexOnce() *proveIndex {
 func buildProveIndex(sys *topology.System) *proveIndex {
 	n := sys.N()
 	idx := &proveIndex{sys: sys, spIdx: make([]int, n)}
-	// Witness replay runs the engine over the full system, whose route
-	// metrics draw from every node; warm the lazy IGP trees here, while
-	// the build is still single-threaded, so the concurrent passes only
-	// ever read them.
-	for u := 0; u < n; u++ {
-		sys.Paths().From(bgp.NodeID(u))
-	}
 	for u := 0; u < n; u++ {
 		id := bgp.NodeID(u)
 		if sys.Role(id) == topology.Reflector || len(sys.MyExits(id)) > 0 {

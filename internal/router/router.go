@@ -541,11 +541,6 @@ func (r *Router) Refresh(now int64, send SendFunc) []Deferral {
 	if workers <= 1 {
 		r.computeShard(0, 0, nd)
 	} else {
-		// The IGP all-pairs cache memoizes shortest-path trees lazily;
-		// every worker queries the same root (this router), so compute its
-		// tree once before fanning out. Overlay systems share the base's
-		// cache, which is why warming the base suffices.
-		r.dom.base.Paths().From(r.id)
 		var wg sync.WaitGroup
 		chunk := (nd + workers - 1) / workers
 		for wk := 0; wk < workers; wk++ {

@@ -1,6 +1,10 @@
 package sat
 
-import "math/rand"
+import (
+	"cmp"
+	"math/rand"
+	"slices"
+)
 
 // Stats counts solver work, for the benchmark guard: a regression in unit
 // propagation shows up as a Decisions blow-up long before it shows up as
@@ -87,20 +91,22 @@ func newSolver(f *Formula) *solver {
 		phase:   make([]int8, f.NumVars+1),
 	}
 	occ := make([]int32, 2*f.NumVars+2) // literal occurrence counts
-	seen := make(map[Literal]bool)
-	for _, c := range f.Clauses {
-		clear(seen)
+	// seen[lidx(l)] == i+1 marks l as already in input clause i, so the
+	// dedupe needs no clearing between clauses.
+	seen := make([]int32, 2*f.NumVars+2)
+	for i, c := range f.Clauses {
+		stamp := int32(i + 1)
 		taut := false
 		nc := make([]Literal, 0, len(c))
 		for _, l := range c {
-			if seen[l] {
+			if seen[lidx(l)] == stamp {
 				continue
 			}
-			if seen[-l] {
+			if seen[lidx(-l)] == stamp {
 				taut = true
 				break
 			}
-			seen[l] = true
+			seen[lidx(l)] = stamp
 			nc = append(nc, l)
 		}
 		if taut {
@@ -138,17 +144,7 @@ func newSolver(f *Formula) *solver {
 		}
 	}
 	counts := func(v int) int32 { return occ[2*v] + occ[2*v+1] }
-	// Insertion sort by descending count keeps equal-count variables in
-	// index order without a comparison-function allocation per call.
-	for i := 1; i < len(s.order); i++ {
-		v := s.order[i]
-		j := i
-		for j > 0 && counts(s.order[j-1]) < counts(v) {
-			s.order[j] = s.order[j-1]
-			j--
-		}
-		s.order[j] = v
-	}
+	slices.SortStableFunc(s.order, func(a, b int) int { return cmp.Compare(counts(b), counts(a)) })
 	return s
 }
 

@@ -1,6 +1,7 @@
 package speaker
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -72,13 +73,13 @@ func TestTCPSessionResetReconverges(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	var sawDown, sawUp bool
+	var sawDown, sawUp atomic.Bool // set on speaker goroutines
 	n.Subscribe(func(ev router.Event) {
 		switch ev.Kind {
 		case router.PeerDown:
-			sawDown = true
+			sawDown.Store(true)
 		case router.PeerUp:
-			sawUp = true
+			sawUp.Store(true)
 		}
 	})
 	if err := n.Start(); err != nil {
@@ -106,8 +107,8 @@ func TestTCPSessionResetReconverges(t *testing.T) {
 	if c.Flushed == 0 {
 		t.Fatal("reset flushed no routes; the session carried state at t=60ms")
 	}
-	if !sawDown || !sawUp {
-		t.Fatalf("missing peer lifecycle events: down=%v up=%v", sawDown, sawUp)
+	if !sawDown.Load() || !sawUp.Load() {
+		t.Fatalf("missing peer lifecycle events: down=%v up=%v", sawDown.Load(), sawUp.Load())
 	}
 	got := n.BestAll()
 	for i := range got {

@@ -201,9 +201,11 @@ func (s *System) Level(p bgp.ExitPath, u bgp.NodeID) int {
 }
 
 // Metric returns metric(route(p, u)) = cost(SP(u, exitPoint(p))) plus the
-// exit cost, or igp.Infinity when the exit point is unreachable.
+// exit cost, or igp.Infinity when the exit point is unreachable. G_P is
+// undirected, so the cost is read from the tree rooted at the exit point:
+// a system needs one tree per exit point, not one per router.
 func (s *System) Metric(u bgp.NodeID, p bgp.ExitPath) int64 {
-	d := s.ap.Dist(u, p.ExitPoint)
+	d := s.ap.From(p.ExitPoint).Dist[u]
 	if d == igp.Infinity {
 		return igp.Infinity
 	}
