@@ -1,0 +1,104 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"flag"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+var update = flag.Bool("update", false, "rewrite the golden testdata files")
+
+// TestMain doubles as the command: with RUN_MAIN set the test binary runs
+// main on its arguments, so the golden tests drive the real flag parsing,
+// output and exit status without building a separate binary.
+func TestMain(m *testing.M) {
+	if os.Getenv("RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestGolden pins the simulator's per-event trace, counter lines, best
+// vector and exit status byte for byte: three faulted modified-protocol
+// runs (drops, duplicates, delays and a session reset all book through
+// the router core) and one fault-free classic run that never quiesces.
+// -update rewrites testdata/<name>.golden.
+func TestGolden(t *testing.T) {
+	sim := []string{"-substrate", "sim", "-trace"}
+	for _, tc := range []struct {
+		name string
+		args []string
+		want []string // facts the golden output must state
+	}{
+		{"fig1a-faults", append([]string{"-figure", "1a", "-policy", "modified",
+			"-faults", "seed=7,drop=0.08,dup=0.05,delay=0.2,maxdelay=9,reset=0-1@50+40,horizon=600"}, sim...),
+			[]string{"quiesced=true", "faults:", "exit status 0"}},
+		{"fig3-faults", append([]string{"-figure", "3", "-policy", "modified",
+			"-faults", "seed=3,drop=0.1,delay=0.3,maxdelay=12,horizon=500"}, sim...),
+			[]string{"quiesced=true", "faults:", "exit status 0"}},
+		{"fig13-faults", append([]string{"-figure", "13", "-policy", "modified",
+			"-faults", "seed=5,drop=0.05,dup=0.05,delay=0.2,maxdelay=10,horizon=800"}, sim...),
+			[]string{"quiesced=true", "faults:", "exit status 0"}},
+		// Figure 1(a) under classic I-BGP oscillates forever: the event
+		// budget runs out and the command exits 2.
+		{"fig1a-classic", append([]string{"-figure", "1a", "-policy", "classic", "-max-steps", "120"}, sim...),
+			[]string{"quiesced=false", "exit status 2"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := runMain(t, tc.args)
+			for _, w := range tc.want {
+				if !strings.Contains(got, w) {
+					t.Errorf("output lacks %q:\n%s", w, got)
+				}
+			}
+			golden(t, tc.name, got)
+		})
+	}
+}
+
+// runMain runs the command with args and returns its stdout followed by an
+// "exit status N" line.
+func runMain(t *testing.T, args []string) string {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "RUN_MAIN=1")
+	var stdout bytes.Buffer
+	cmd.Stdout = &stdout
+	code := 0
+	if err := cmd.Run(); err != nil {
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) {
+			t.Fatal(err)
+		}
+		code = exit.ExitCode()
+	}
+	return fmt.Sprintf("%sexit status %d\n", stdout.String(), code)
+}
+
+func golden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name+".golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden %s (run with -update to create): %v", path, err)
+	}
+	if got != string(want) {
+		t.Errorf("output drifted from %s:\n got:\n%s\nwant:\n%s", path, got, want)
+	}
+}

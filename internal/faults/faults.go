@@ -1,8 +1,10 @@
 // Package faults is the deterministic fault-injection layer shared by both
 // operational substrates: a seeded Plan of wire-level fault actions —
-// drop, duplicate, reorder, delay and session reset/reopen — that the
-// discrete-event simulator (package msgsim) applies per hop and the TCP
-// speakers (package speaker) apply at the session layer.
+// drop, duplicate, reorder, delay and session reset/reopen. The shared
+// router core (package router) draws and books every message's fate; the
+// discrete-event simulator (package msgsim) turns it into arrival times
+// per hop, the TCP speakers (package speaker) into wire release times, and
+// each schedules the plan's session resets.
 //
 // Determinism is the design constraint, mirroring the campaign engine's
 // purity contract: a message's fate is a pure function of (plan seed,
@@ -23,7 +25,6 @@ package faults
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -37,19 +38,14 @@ type Fate struct {
 	// Duplicate delivers a second copy, DupDelay ticks after the first.
 	Duplicate bool
 	// Reorder exempts the message from the session's FIFO clamp so it may
-	// overtake earlier messages (msgsim; the TCP byte stream cannot
-	// reorder, so the session layer ignores it).
+	// overtake earlier messages (msgsim only: a TCP byte stream cannot
+	// reorder, so the speakers install their plan with Reorder zeroed).
 	Reorder bool
 	// ExtraDelay is added transit delay for the message itself.
 	ExtraDelay int64
 	// DupDelay is the duplicate copy's additional transit delay relative
 	// to the original (Duplicate fates only; always positive for them).
 	DupDelay int64
-}
-
-// Clean reports whether the message passes through unharmed.
-func (f Fate) Clean() bool {
-	return !f.Drop && !f.Duplicate && !f.Reorder && f.ExtraDelay == 0
 }
 
 // Reset schedules one session reset: the session between A and B goes
@@ -176,31 +172,6 @@ func (p *Plan) Fate(now int64, from, to bgp.NodeID, seq int) Fate {
 		f.DupDelay = 1 + int64(SplitMix64(h^6)%uint64(max))
 	}
 	return f
-}
-
-// sessionKey canonicalises an undirected session.
-func sessionKey(a, b bgp.NodeID) [2]bgp.NodeID {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]bgp.NodeID{a, b}
-}
-
-// ResetsFor returns the plan's resets touching the session a-b, sorted by
-// time. Both substrates use it to arm per-session schedules.
-func (p *Plan) ResetsFor(a, b bgp.NodeID) []Reset {
-	if p == nil {
-		return nil
-	}
-	key := sessionKey(a, b)
-	var out []Reset
-	for _, r := range p.Resets {
-		if sessionKey(r.A, r.B) == key {
-			out = append(out, r)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].At < out[j].At })
-	return out
 }
 
 // RandomConfig shapes RandomPlan's derived plans.

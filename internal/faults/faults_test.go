@@ -77,7 +77,7 @@ func TestHorizonSilencesPerMessageFaults(t *testing.T) {
 		t.Fatal("drop=1 did not drop before the horizon")
 	}
 	for _, now := range []int64{100, 101, 1 << 40} {
-		if f := p.Fate(now, 0, 1, 0); !f.Clean() {
+		if f := p.Fate(now, 0, 1, 0); f != (Fate{}) {
 			t.Fatalf("fault fired at t=%d, at/after horizon 100: %+v", now, f)
 		}
 	}
@@ -105,25 +105,6 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 		Resets: []Reset{{A: 0, B: 2, At: 10, Downtime: 30}}}
 	if err := good.Validate(3); err != nil {
 		t.Fatalf("Validate rejected a well-formed plan: %v", err)
-	}
-}
-
-func TestResetsForFiltersAndSorts(t *testing.T) {
-	p := &Plan{Resets: []Reset{
-		{A: 2, B: 1, At: 50, Downtime: 5},
-		{A: 0, B: 3, At: 10, Downtime: 5},
-		{A: 1, B: 2, At: 20, Downtime: 5},
-	}}
-	rs := p.ResetsFor(1, 2)
-	if len(rs) != 2 || rs[0].At != 20 || rs[1].At != 50 {
-		t.Fatalf("ResetsFor(1,2) = %+v, want the two 1-2 resets sorted by time", rs)
-	}
-	// Undirected: both orders see the same schedule.
-	if got := p.ResetsFor(2, 1); len(got) != 2 || got[0] != rs[0] || got[1] != rs[1] {
-		t.Fatalf("ResetsFor(2,1) = %+v, want %+v", got, rs)
-	}
-	if got := p.ResetsFor(0, 1); got != nil {
-		t.Fatalf("ResetsFor(0,1) = %+v, want none", got)
 	}
 }
 
@@ -222,7 +203,7 @@ func TestSpecStringOmitsInactiveFields(t *testing.T) {
 		t.Fatalf("String rendered inactive fields: %q", s)
 	}
 	var nilPlan *Plan
-	if nilPlan.String() != "" || nilPlan.Active() || !nilPlan.Fate(0, 0, 1, 0).Clean() {
+	if nilPlan.String() != "" || nilPlan.Active() || nilPlan.Fate(0, 0, 1, 0) != (Fate{}) {
 		t.Fatal("nil plan must be inert")
 	}
 }

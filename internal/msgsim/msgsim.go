@@ -19,7 +19,6 @@
 package msgsim
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -381,7 +380,6 @@ type Sim struct {
 	routers  []*router.Router
 	counters router.Counters
 	delay    DelayFunc
-	plan     *faults.Plan
 
 	// queue holds every scheduled event, in-flight messages with their
 	// bytes; seq numbers pushes for its (time, seq) order.
@@ -442,7 +440,7 @@ func NewMulti(systems map[uint32]*topology.System, policy protocol.Policy, opts 
 	for u := 0; u < dom.Base().N(); u++ {
 		rt := dom.NewRouter(bgp.NodeID(u), &s.counters)
 		s.routers = append(s.routers, rt)
-		s.sends = append(s.sends, s.sendFrom(bgp.NodeID(u)))
+		s.sends = append(s.sends, s.sendFrom(rt))
 	}
 	return s
 }
@@ -507,14 +505,6 @@ func (s *Sim) SetWorkers(n int) {
 	}
 }
 
-// dropRTO is the virtual-tick retransmission backoff after a fault-dropped
-// message: the sender re-runs refresh and re-sends what it still owes.
-const dropRTO = 17
-
-// errFaultDrop is what a fault-dropped send returns; the core only needs
-// to know the message was lost.
-var errFaultDrop = errors.New("msgsim: fault plan dropped the message")
-
 // sessionIndex returns the index in s.sess of the directed session
 // u -> w; w must be a peer of u.
 func (s *Sim) sessionIndex(u, w bgp.NodeID) int {
@@ -525,20 +515,16 @@ func (s *Sim) sessionIndex(u, w bgp.NodeID) int {
 // session returns the directed session u -> w; w must be a peer of u.
 func (s *Sim) session(u, w bgp.NodeID) *session { return &s.sess[s.sessionIndex(u, w)] }
 
-// SetFaults installs a fault plan: per-message fates are applied at every
-// simulated hop and the plan's session resets are scheduled as PeerDown /
-// PeerUp event pairs. Call it before Run, after the plan is final; resets
-// naming sessions absent from the topology are ignored (they can occur in
-// RandomPlan-derived schedules and would be no-ops anyway).
+// SetFaults installs a fault plan on the router core, which draws and
+// books every UPDATE's fate (router.Router.BookFate); the simulator turns
+// each fate into arrival times and schedules the plan's session resets as
+// PeerDown / PeerUp event pairs. Call it before Run, after the plan is
+// final; resets naming sessions absent from the topology are ignored (they
+// can occur in RandomPlan-derived schedules and would be no-ops anyway).
 func (s *Sim) SetFaults(p *faults.Plan) error {
-	if p == nil {
-		s.plan = nil
-		return nil
-	}
-	if err := p.Validate(s.dom.Base().N()); err != nil {
+	if err := s.dom.SetFaults(p); err != nil || p == nil {
 		return err
 	}
-	s.plan = p
 	sys := s.dom.Base()
 	for _, r := range p.Resets {
 		if !sys.HasSession(r.A, r.B) {
@@ -604,29 +590,27 @@ func (s *Sim) push(e event, payload []byte) {
 	s.queue.push(e, payload)
 }
 
-// sendFrom builds the transport callback for router u: encode the UPDATE
-// to wire bytes, decide its fault fate, pick the delay, clamp to FIFO
-// order (unless a Reorder fate exempts it) and enqueue delivery.
-func (s *Sim) sendFrom(u bgp.NodeID) router.SendFunc {
+// sendFrom builds the transport callback for router rt: have the core
+// book the UPDATE's fault fate, encode it to wire bytes, pick the delay,
+// clamp to FIFO order (unless a Reorder fate exempts it) and enqueue
+// delivery.
+func (s *Sim) sendFrom(rt *router.Router) router.SendFunc {
+	u := rt.ID()
 	return func(w bgp.NodeID, upd *wire.Update) (int64, error) {
-		// The fate is drawn before anything is framed: a dropped message
+		// The fate is booked before anything is framed: a dropped message
 		// costs no encode.
 		si := s.sessionIndex(u, w)
 		sess := &s.sess[si]
 		n := sess.sent
 		sess.sent++
-		fate := s.plan.Fate(s.now, u, w, n)
-		if fate.Drop {
-			// The erroring send tells the core "handed to the transport but
-			// lost": it counts the drop and rewinds its Adj-RIB-Out memory
-			// so the diff stays owed. The retry flush below re-runs the
-			// sender's refresh one RTO later — the retransmission loop TCP
-			// gives a real speaker — and the re-send draws a fresh fate, so
+		fate, err := rt.BookFate(s.now, w, n)
+		if err != nil {
+			// The core counts the drop and rewinds its Adj-RIB-Out memory so
+			// the diff stays owed. The retry flush re-runs the sender's
+			// refresh one RTO later, and the re-send draws a fresh fate, so
 			// once the plan's horizon passes the message gets through.
-			s.counters.FaultDrops.Add(1)
-			s.mux.Batch(router.Event{Kind: router.FaultDrop, Time: s.now, Node: u, Peer: w})
-			s.push(event{time: s.now + dropRTO, kind: evFlush, from: uint32(u), to: uint32(w)}, nil)
-			return -1, errFaultDrop
+			s.push(event{time: s.now + router.DropRTO, kind: evFlush, from: uint32(u), to: uint32(w)}, nil)
+			return -1, err
 		}
 		// Frame into the scratch buffer: the core's scratch Update must be
 		// consumed before this callback returns, and push copies the bytes
@@ -639,24 +623,12 @@ func (s *Sim) sendFrom(u bgp.NodeID) router.SendFunc {
 			panic(fmt.Sprintf("msgsim: encode %s -> %s: %v",
 				s.dom.Base().Name(u), s.dom.Base().Name(w), err))
 		}
-		d := s.delay(u, w, n)
-		if d < 0 {
-			d = 0
-		}
-		if fate.ExtraDelay > 0 {
-			d += fate.ExtraDelay
-			s.counters.FaultDelays.Add(1)
-			s.mux.Batch(router.Event{Kind: router.FaultDelay, Time: s.now,
-				Node: u, Peer: w, ReadyAt: fate.ExtraDelay})
-		}
-		at := s.now + d
+		at := s.now + max(s.delay(u, w, n), 0) + fate.ExtraDelay
 		if fate.Reorder {
 			// Exempt from the FIFO clamp: this message may overtake earlier
 			// ones still in flight. Their stale payloads are discarded at
 			// delivery (see apply), as a sequence-numbered transport would.
-			s.counters.FaultReorders.Add(1)
 			s.reorderSeen = true
-			s.mux.Batch(router.Event{Kind: router.FaultReorder, Time: s.now, Node: u, Peer: w})
 		} else if at < sess.lastArr {
 			at = sess.lastArr // FIFO: never overtake an earlier message
 		}
@@ -664,18 +636,11 @@ func (s *Sim) sendFrom(u bgp.NodeID) router.SendFunc {
 		msg := event{time: at, kind: evMessage, from: uint32(u), to: uint32(w), sess: uint32(si), epoch: sess.epoch, sseq: uint32(n)}
 		s.push(msg, data)
 		if fate.Duplicate {
-			// The copy is one more message on the wire: count it as Sent so
-			// the quiescence ledger (Sent == Received+Rejected+Dropped)
-			// still balances when it is applied or lost. It barriers the
-			// FIFO clamp like any message, so no later, newer state can be
-			// overtaken by the stale copy.
-			dupAt := max(at+fate.DupDelay, sess.lastArr)
-			sess.lastArr = dupAt
-			s.counters.Sent.Add(1)
-			s.counters.FaultDups.Add(1)
-			s.mux.Batch(router.Event{Kind: router.FaultDuplicate, Time: s.now,
-				Node: u, Peer: w, ReadyAt: fate.DupDelay})
-			msg.time = dupAt
+			// The copy (counted Sent by the core) barriers the FIFO clamp
+			// like any message, so no later, newer state can be overtaken
+			// by the stale copy.
+			msg.time = max(at+fate.DupDelay, sess.lastArr)
+			sess.lastArr = msg.time
 			s.push(msg, data)
 		}
 		return at, nil

@@ -3,10 +3,10 @@
 // E-BGP inject/withdraw, update application, best-path refresh, per-peer
 // diff/coalesce into wire.Update messages (one message per peer covering
 // every prefix), and MRAI pacing. The core decides *what* to send and
-// *when* a send must wait; the transport — the discrete-event simulator
-// (package msgsim) or the TCP speakers (package speaker) — supplies the
-// clock, moves the bytes, and schedules the MRAI reopen callbacks the core
-// asks for. Both substrates therefore execute exactly the same Section 2
+// *when* a send must wait, and books the fault fate each send meets under
+// a fault plan; the transport — the discrete-event simulator (package
+// msgsim) or the TCP speakers (package speaker) — supplies the clock,
+// moves the bytes, and schedules the MRAI reopen and drop retry callbacks. Both substrates therefore execute exactly the same Section 2
 // reflection/refresh/coalesce logic, which is what makes the paper's
 // "for every message ordering" quantification meaningful across them.
 //
@@ -27,6 +27,7 @@ import (
 	"sync"
 
 	"repro/internal/bgp"
+	"repro/internal/faults"
 	"repro/internal/protocol"
 	"repro/internal/rib"
 	"repro/internal/selection"
@@ -56,6 +57,9 @@ type Domain struct {
 	lookup map[uint32]int // fallback for sparse prefix spaces
 	policy protocol.Policy
 	opts   selection.Options
+	// plan decides the fault fate of every UPDATE the domain's routers
+	// send (see Router.BookFate); nil injects none.
+	plan *faults.Plan
 }
 
 // NewDomain validates the per-prefix systems and fixes the prefix order.
@@ -183,12 +187,68 @@ func (d *Domain) System(prefix uint32) *topology.System {
 	return nil
 }
 
+// SetFaults validates the fault plan against the session graph and
+// installs it for every router's BookFate (nil removes it); the transports
+// schedule its session resets. Call before the substrate starts.
+func (d *Domain) SetFaults(p *faults.Plan) error {
+	if p != nil {
+		if err := p.Validate(d.base.N()); err != nil {
+			return err
+		}
+	}
+	d.plan = p
+	return nil
+}
+
+// Faults returns the installed fault plan, or nil.
+func (d *Domain) Faults() *faults.Plan { return d.plan }
+
 // SendFunc transmits one coalesced UPDATE to a peer. It returns the
 // transport's arrival time for the message (simulated-clock substrates) or
 // a negative value when arrival is unknown (TCP), and an error when the
 // session is unusable — the core then counts the message as dropped and
 // moves on to the next peer.
 type SendFunc func(to bgp.NodeID, upd *wire.Update) (arriveAt int64, err error)
+
+// DropRTO is the retry backoff after a fault-dropped UPDATE in transport
+// clock units (ticks in msgsim, milliseconds on TCP): the transport re-runs
+// the sender's refresh this much later, the repair TCP retransmission gives
+// a real speaker.
+const DropRTO = 17
+
+// errFaultDrop is BookFate's verdict on a dropped UPDATE; the SendFunc
+// returns it to Refresh, which counts the loss and leaves the diff owed.
+var errFaultDrop = errors.New("router: fault plan dropped the message")
+
+// BookFate draws the fault fate of the seq-th UPDATE this router sends to
+// w (seq counts the transport's sends on the session) and books it: the
+// fault counters and Fault* events, emitted through the core's sink ahead
+// of the UpdateSent they modify — FaultDrop alone, returning errFaultDrop,
+// or Delay, Reorder, Duplicate in that order. A SendFunc calls it before
+// moving any bytes and keeps only the timing. A duplicate is counted Sent
+// here; a transport that cannot queue the copy counts it Dropped.
+func (r *Router) BookFate(now int64, w bgp.NodeID, seq int) (faults.Fate, error) {
+	f := r.dom.plan.Fate(now, r.id, w, seq)
+	if f.Drop {
+		r.counters.FaultDrops.Add(1)
+		r.emit(Event{Kind: FaultDrop, Time: now, Node: r.id, Peer: w})
+		return f, errFaultDrop
+	}
+	if f.ExtraDelay > 0 {
+		r.counters.FaultDelays.Add(1)
+		r.emit(Event{Kind: FaultDelay, Time: now, Node: r.id, Peer: w, ReadyAt: f.ExtraDelay})
+	}
+	if f.Reorder {
+		r.counters.FaultReorders.Add(1)
+		r.emit(Event{Kind: FaultReorder, Time: now, Node: r.id, Peer: w})
+	}
+	if f.Duplicate {
+		r.counters.Sent.Add(1)
+		r.counters.FaultDups.Add(1)
+		r.emit(Event{Kind: FaultDuplicate, Time: now, Node: r.id, Peer: w, ReadyAt: f.DupDelay})
+	}
+	return f, nil
+}
 
 // Deferral asks the transport to call Reopen(To) followed by Refresh once
 // its clock reaches ReadyAt: the MRAI window on the session to To is

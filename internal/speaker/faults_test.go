@@ -192,7 +192,57 @@ func TestTCPSetFaultsValidates(t *testing.T) {
 	if err := n.SetFaults(&faults.Plan{Duplicate: -0.5}); err == nil {
 		t.Fatal("negative probability accepted")
 	}
+	if err := n.SetFaults(&faults.Plan{Reorder: 1.5}); err == nil {
+		t.Fatal("out-of-range reorder probability accepted")
+	}
+	// TCP cannot reorder: the plan goes in with Reorder zeroed and every
+	// other field intact.
+	p := &faults.Plan{Seed: 3, Drop: 0.1, Reorder: 0.5, Horizon: 100}
+	if err := n.SetFaults(p); err != nil {
+		t.Fatal(err)
+	}
+	if got := n.dom.Faults(); got.Reorder != 0 || got.Seed != 3 || got.Drop != 0.1 || got.Horizon != 100 || p.Reorder != 0.5 {
+		t.Fatalf("installed plan %+v from %+v, want the caller's plan with Reorder zeroed", got, p)
+	}
 	if err := n.SetFaults(nil); err != nil {
 		t.Fatalf("nil plan rejected: %v", err)
 	}
+}
+
+// TestTCPUnqueuedDuplicateIsBooked: a duplicate fate is booked (Sent,
+// FaultDups, FaultDuplicate) even when its copy cannot join the session's
+// full outbound queue; the copy is then counted Dropped, like the
+// original, so the ledger closes.
+func TestTCPUnqueuedDuplicateIsBooked(t *testing.T) {
+	f := figures.Fig1a()
+	n := New(f.Sys, protocol.Modified, selection.Options{})
+	if err := n.SetFaults(&faults.Plan{Seed: 1, Duplicate: 1}); err != nil {
+		t.Fatal(err)
+	}
+	var col eventCollector
+	n.Subscribe(col.sink)
+	exit := f.Sys.Exits()[0]
+	sp := n.speakers[exit.ExitPoint]
+	w := f.Sys.Peers(sp.id)[0]
+	// A session whose write loop never runs, its queue already full.
+	sess := newSession(w, nil, n.newSessionCodec(sp.id, w))
+	for len(sess.outQ) < cap(sess.outQ) {
+		sess.outQ <- outMsg{buf: outBufPool.Get().(*[]byte)}
+	}
+	sp.sessions[w] = sess
+	t.Cleanup(func() {
+		delete(sp.sessions, w) // it has no connection for Stop to close
+		n.Stop()
+	})
+	sp.core.Inject(0, 0, exit.ID)
+	sp.refresh()
+	sp.emux.Flush()
+	c := n.Counters()
+	if c.FaultDups != 1 || c.Sent != int64(len(f.Sys.Peers(sp.id)))+1 {
+		t.Fatalf("counters %+v: want the copy booked once, on top of one send per peer", c)
+	}
+	if _, ok := col.find(router.FaultDuplicate); !ok {
+		t.Fatal("no FaultDuplicate event for the booked copy")
+	}
+	checkTCPLedger(t, c)
 }

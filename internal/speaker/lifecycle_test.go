@@ -162,13 +162,9 @@ func forgeLoop(t *testing.T, n *Network, from, to bgp.NodeID) {
 	if sess == nil {
 		t.Fatalf("no session %d-%d", from, to)
 	}
-	bp, err := sess.encodeOut(&wire.Update{Announced: []wire.RouteRecord{{PathID: 9, ExitPoint: uint32(to)}}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	n.counters.Sent.Add(1)
-	if !sess.enqueue(outMsg{buf: bp, at: time.Now()}) {
-		t.Fatal("outbound queue full")
+	if err := sess.enqueueUpdate(&wire.Update{Announced: []wire.RouteRecord{{PathID: 9, ExitPoint: uint32(to)}}}, time.Now()); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -244,7 +240,11 @@ func TestReopenFailureIsLoud(t *testing.T) {
 	t.Cleanup(n.Stop)
 	n.ln.Close()
 	n.InjectAll()
-	waitFor(t, 5*time.Second, func() bool { return n.Counters().ReopenFailures == 1 }, "the reopen to fail")
+	// The counter moves before the event is dispatched: wait for both.
+	waitFor(t, 5*time.Second, func() bool {
+		_, ok := col.find(router.ReopenFailed)
+		return ok && n.Counters().ReopenFailures == 1
+	}, "the reopen to fail")
 	if ev, ok := col.find(router.ReopenFailed); !ok || ev.Node != a || ev.Peer != b {
 		t.Fatalf("ReopenFailed event = %+v (found %v), want session %d-%d", ev, ok, a, b)
 	}

@@ -29,11 +29,6 @@ import (
 	"repro/internal/wire"
 )
 
-// dropRTO is the retry backoff after a fault-dropped message, mirroring
-// msgsim's virtual-tick RTO: the sender re-runs refresh and re-sends what
-// it still owes, the repair TCP retransmission gives a real speaker.
-const dropRTO = 20 * time.Millisecond
-
 // inKind tags one unit of work for a speaker's main loop.
 type inKind uint8
 
@@ -82,19 +77,6 @@ var outBufPool = sync.Pool{
 		b := make([]byte, 0, 512)
 		return &b
 	},
-}
-
-// encodeOut frames one UPDATE into a pooled buffer using the session's
-// codec.
-func (sess *session) encodeOut(upd *wire.Update) (*[]byte, error) {
-	bp := outBufPool.Get().(*[]byte)
-	b, err := sess.codec.AppendUpdate((*bp)[:0], upd)
-	if err != nil {
-		outBufPool.Put(bp)
-		return nil, err
-	}
-	*bp = b
-	return bp, nil
 }
 
 // recycleOut returns a consumed message buffer to the pool.
@@ -204,7 +186,6 @@ func (s *Speaker) Upgraded(prefix uint32) bool {
 type Network struct {
 	dom      *router.Domain
 	speakers []*Speaker
-	plan     *faults.Plan
 
 	// codec selects the wire format for every session (default private);
 	// holdTime is the locally proposed hold time for codecs that
@@ -341,19 +322,22 @@ func (n *Network) SetWorkers(workers int) {
 	}
 }
 
-// SetFaults installs a fault plan, validated against the topology: drop /
-// duplicate / delay fates apply per UPDATE at the session layer (TCP
-// cannot reorder, so Reorder fates are ignored on this substrate) and the
-// plan's session resets tear real TCP connections down and redial them.
-// Call before Start. Times are milliseconds of the transport clock.
+// SetFaults installs a fault plan, validated against the topology, on the
+// router core, which books every UPDATE's fate (router.Router.BookFate);
+// the sessions apply its timing, and the plan's resets tear real TCP
+// connections down and redial them. A TCP byte stream cannot reorder, so
+// the plan goes in with Reorder zeroed (each decision hashes on its own, so
+// no other fate moves). Call before Start; times are milliseconds.
 func (n *Network) SetFaults(p *faults.Plan) error {
-	if p != nil {
+	if p != nil && p.Reorder > 0 {
 		if err := p.Validate(n.dom.Base().N()); err != nil {
 			return err
 		}
+		tcp := *p
+		tcp.Reorder = 0
+		p = &tcp
 	}
-	n.plan = p
-	return nil
+	return n.dom.SetFaults(p)
 }
 
 // Subscribe registers a permanent typed-event sink on the network's event
@@ -486,8 +470,8 @@ func (n *Network) Start() error {
 	for _, sp := range n.speakers {
 		sp.start()
 	}
-	if n.plan != nil {
-		for _, r := range n.plan.Resets {
+	if plan := n.dom.Faults(); plan != nil {
+		for _, r := range plan.Resets {
 			if sys.HasSession(r.A, r.B) {
 				n.after(time.Duration(r.At)*time.Millisecond, func() { n.resetSession(r) })
 			}
@@ -786,14 +770,15 @@ func (s *Speaker) flushAfter(peer bgp.NodeID, d time.Duration) {
 // counts the drop), so nothing is formatted per message.
 var (
 	errNoSession = errors.New("speaker: no session to peer")
-	errFaultDrop = errors.New("speaker: fault plan dropped the message")
 	errQueueFull = errors.New("speaker: outbound queue full")
 )
 
-// send implements router.SendFunc over the TCP sessions, deciding each
-// message's fault fate at the session layer. Always called with s.mu held
-// (from handle/refresh via core.Refresh), which also guards s.sessions and
-// sess.seq. Arrival time is unknown on a real network, so it reports -1.
+// send implements router.SendFunc over the TCP sessions. Always called with
+// s.mu held (from refresh via core.Refresh), which also guards s.sessions
+// and sess.seq. The core books the message's fault fate; the session layer
+// keeps its timing: wire release times, and an RTO retry for a message that
+// is dropped or cannot be queued. Arrival time is unknown on a real
+// network, so it reports -1.
 func (s *Speaker) send(w bgp.NodeID, upd *wire.Update) (int64, error) {
 	sess := s.sessions[w]
 	if sess == nil {
@@ -803,57 +788,45 @@ func (s *Speaker) send(w bgp.NodeID, upd *wire.Update) (int64, error) {
 	}
 	seq := sess.seq
 	sess.seq++
-	now := time.Now()
-	fate := s.net.plan.Fate(s.net.now(), s.id, w, seq)
-	if fate.Drop {
-		// Same contract as a dead-session write: the core rewinds its
-		// Adj-RIB-Out memory and counts the drop; the RTO retry re-runs
-		// refresh so the owed diff is re-sent under a fresh fate.
-		s.net.counters.FaultDrops.Add(1)
-		s.net.dispatch(router.Event{Kind: router.FaultDrop, Time: s.net.now(), Node: s.id, Peer: w})
-		s.flushAfter(w, dropRTO)
-		return -1, errFaultDrop
-	}
-	at := now
-	if fate.ExtraDelay > 0 {
-		at = now.Add(time.Duration(fate.ExtraDelay) * time.Millisecond)
-		s.net.counters.FaultDelays.Add(1)
-		s.net.dispatch(router.Event{Kind: router.FaultDelay, Time: s.net.now(),
-			Node: s.id, Peer: w, ReadyAt: fate.ExtraDelay})
-	}
-	// Encode now, into a pooled buffer: upd points at the core's reusable
-	// refresh scratch, which the next flush overwrites, so the bytes must
-	// be taken before the message crosses onto the session goroutine.
-	bp, err := sess.encodeOut(upd)
-	if err != nil {
-		s.flushAfter(w, dropRTO)
-		return -1, fmt.Errorf("speaker: encode for %d: %w", w, err)
-	}
-	// A duplicate is one more message on the wire, with its own pooled
-	// buffer (the two are consumed independently) — copied before the
-	// original crosses to the write loop, which recycles it.
-	var dp *[]byte
-	if fate.Duplicate {
-		dp = outBufPool.Get().(*[]byte)
-		*dp = append((*dp)[:0], *bp...)
-	}
-	// Reorder fates are ignored: the TCP byte stream cannot reorder.
-	if !sess.enqueue(outMsg{buf: bp, at: at}) {
-		if dp != nil {
-			recycleOut(dp)
+	fate, err := s.core.BookFate(s.net.now(), w, seq)
+	if err == nil {
+		at := time.Now().Add(time.Duration(fate.ExtraDelay) * time.Millisecond)
+		err = sess.enqueueUpdate(upd, at)
+		if fate.Duplicate {
+			dupAt := at.Add(time.Duration(fate.DupDelay) * time.Millisecond)
+			if err != nil || sess.enqueueUpdate(upd, dupAt) != nil {
+				// The core counted the copy Sent; it never reaches the wire.
+				s.net.counters.Dropped.Add(1)
+			}
 		}
-		s.flushAfter(w, dropRTO)
-		return -1, errQueueFull
 	}
-	// Counting the copy as Sent keeps the quiescence ledger balanced when
-	// it lands (Received) or dies with the session (Dropped).
-	if dp != nil && sess.enqueue(outMsg{buf: dp, at: at.Add(time.Duration(fate.DupDelay) * time.Millisecond)}) {
-		s.net.counters.Sent.Add(1)
-		s.net.counters.FaultDups.Add(1)
-		s.net.dispatch(router.Event{Kind: router.FaultDuplicate, Time: s.net.now(),
-			Node: s.id, Peer: w, ReadyAt: fate.DupDelay})
+	if err != nil {
+		// The core rewinds its Adj-RIB-Out memory and counts the loss; the
+		// RTO retry re-runs refresh so the owed diff is re-sent under a
+		// fresh fate.
+		s.flushAfter(w, router.DropRTO*time.Millisecond)
+		return -1, err
 	}
 	return -1, nil
+}
+
+// enqueueUpdate encodes one UPDATE into a pooled buffer and queues it to
+// hit the wire no earlier than at. upd points at the core's reusable
+// refresh scratch, which the next flush overwrites, so the bytes are taken
+// here, before the message crosses onto the session goroutine; a duplicate
+// is encoded again into a buffer of its own.
+func (sess *session) enqueueUpdate(upd *wire.Update, at time.Time) error {
+	bp := outBufPool.Get().(*[]byte)
+	b, err := sess.codec.AppendUpdate((*bp)[:0], upd)
+	if err != nil {
+		recycleOut(bp)
+		return fmt.Errorf("speaker: encode for %d: %w", sess.peer, err)
+	}
+	*bp = b
+	if !sess.enqueue(outMsg{buf: bp, at: at}) {
+		return errQueueFull
+	}
+	return nil
 }
 
 // post delivers one unit of work to the speaker's main loop, giving up if
