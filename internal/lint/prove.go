@@ -2,6 +2,7 @@ package lint
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/bgp"
@@ -55,9 +56,11 @@ type proveIndex struct {
 	metric   [][]int64        // metric[si][ci] = IGP metric of the candidate at the speaker
 
 	enc    *stableEncoding
-	model  []bool
+	inst   *sat.Instance // the CNF set up once, for both solves
 	sat    bool
-	choice []bgp.PathID // decoded stable selection per speaker (bgp.None: none)
+	choice []bgp.PathID      // decoded stable selection per speaker (bgp.None: none)
+	config map[string]string // choice replayed through the engine
+	replay bool              // whether that replay is a protocol fixed point
 	stats  sat.Stats
 }
 
@@ -101,15 +104,18 @@ func pathLabel(id bgp.PathID) string {
 }
 
 // proveIndexOnce builds (once per Context) the core index, the stable-
-// configuration CNF, and its first solver outcome, shared by both prover
-// passes.
+// configuration CNF, its solver set-up, the first solver outcome and that
+// outcome's engine replay, shared by both prover passes.
 func (ctx *Context) proveIndexOnce() *proveIndex {
 	ctx.proveOnce.Do(func() {
 		idx := buildProveIndex(ctx.Sys)
 		idx.enc = encodeStable(idx)
-		idx.model, idx.sat = sat.SolveStats(idx.enc.f, &idx.stats)
+		idx.inst = sat.NewInstance(idx.enc.f)
+		var model []bool
+		model, idx.sat = idx.inst.Solve(&idx.stats)
 		if idx.sat {
-			idx.choice = decodeChoice(idx, idx.model)
+			idx.choice = decodeChoice(idx, model)
+			idx.config, idx.replay = realize(idx, idx.choice)
 		}
 		ctx.prove = idx
 	})
@@ -199,8 +205,10 @@ func encodeStable(idx *proveIndex) *stableEncoding {
 	}
 	nv := 0
 	newVar := func() int { nv++; return nv }
-	var cls []sat.Clause
-	add := func(ls ...sat.Literal) { cls = append(cls, sat.Clause(ls)) }
+	var cnf cnfArena
+	// Clauses whose literals are gathered while other clauses are added
+	// are assembled in these buffers, reused across speakers.
+	var rev, alo, noneRev, cl []sat.Literal
 	pos := func(v int) sat.Literal { return sat.Literal(v) }
 	neg := func(v int) sat.Literal { return sat.Literal(-v) }
 
@@ -229,25 +237,26 @@ func encodeStable(idx *proveIndex) *stableEncoding {
 			v := newVar()
 			vis[ci] = v
 			if own[ci] {
-				add(pos(v)) // active exits are always visible to their owner
+				cnf.add(pos(v)) // active exits are always visible to their owner
 				continue
 			}
-			rev := sat.Clause{neg(v)}
+			rev = append(rev[:0], neg(v))
 			for _, sj := range idx.advs[si][ci] {
 				xw := enc.x[sj][idx.candPos[sj][p.ID]]
-				add(pos(v), neg(xw)) // an active advertiser makes p visible
+				cnf.add(pos(v), neg(xw)) // an active advertiser makes p visible
 				rev = append(rev, pos(xw))
 			}
-			add(rev...) // visibility needs an active advertiser
+			cnf.add(rev...) // visibility needs an active advertiser
 		}
 
 		// killers returns the candidates that eliminate cands[ci] at the
 		// given stage, assuming both survived the stage before. Killers
 		// whose earlier attributes differ are omitted: co-survival with p
 		// is then already impossible, so the clause would be vacuous.
+		var ks []int
 		killers := func(stage, ci int) []int {
 			p := cands[ci]
-			var ks []int
+			ks = ks[:0]
 			for cj, q := range cands {
 				if cj == ci {
 					continue
@@ -283,13 +292,13 @@ func encodeStable(idx *proveIndex) *stableEncoding {
 					continue
 				}
 				v := newVar()
-				add(neg(v), pos(cur[ci]))
-				rev := sat.Clause{pos(v), neg(cur[ci])}
+				cnf.add(neg(v), pos(cur[ci]))
+				rev = append(rev[:0], pos(v), neg(cur[ci]))
 				for _, cj := range ks {
-					add(neg(v), neg(cur[cj]))
+					cnf.add(neg(v), neg(cur[cj]))
 					rev = append(rev, pos(cur[cj]))
 				}
-				add(rev...)
+				cnf.add(rev...)
 				next[ci] = v
 			}
 			cur = next
@@ -301,22 +310,22 @@ func encodeStable(idx *proveIndex) *stableEncoding {
 		// least one choice or the explicit none; none exactly when
 		// nothing is visible.
 		for ci := range cands {
-			add(neg(enc.x[si][ci]), pos(surv[ci]))
+			cnf.add(neg(enc.x[si][ci]), pos(surv[ci]))
 		}
 		for ci := 0; ci < nc; ci++ {
 			for cj := ci + 1; cj < nc; cj++ {
-				add(neg(enc.x[si][ci]), neg(enc.x[si][cj]))
+				cnf.add(neg(enc.x[si][ci]), neg(enc.x[si][cj]))
 			}
 		}
-		alo := sat.Clause{pos(enc.xNone[si])}
-		noneRev := sat.Clause{pos(enc.xNone[si])}
+		alo = append(alo[:0], pos(enc.xNone[si]))
+		noneRev = append(noneRev[:0], pos(enc.xNone[si]))
 		for ci := range cands {
 			alo = append(alo, pos(enc.x[si][ci]))
-			add(neg(enc.xNone[si]), neg(vis[ci]))
+			cnf.add(neg(enc.xNone[si]), neg(vis[ci]))
 			noneRev = append(noneRev, pos(vis[ci]))
 		}
-		add(alo...)
-		add(noneRev...)
+		cnf.add(alo...)
+		cnf.add(noneRev...)
 
 		// Rule-6 tie-breaks: for every ordered pair that can reach the
 		// final stage together (same rule 1-5 attributes), the chosen
@@ -342,51 +351,79 @@ func encodeStable(idx *proveIndex) *stableEncoding {
 				}
 				lfP, constP := constLF(u, p)
 				lfQ, constQ := constLF(u, q)
-				base := sat.Clause{neg(enc.x[si][ci]), neg(surv[cj])}
+				base := [2]sat.Literal{neg(enc.x[si][ci]), neg(surv[cj])}
 				switch {
 				case constP && constQ:
 					if lfP > lfQ-d {
-						add(base...)
+						cnf.add(base[:]...)
 					}
 				case constP:
 					// q's learnedFrom is the minimum active advertiser
 					// id; forbid any active advertiser beating lfP.
 					for _, sj := range idx.advs[si][cj] {
 						if bid(sj) < lfP+d {
-							cl := append(append(sat.Clause{}, base...),
-								neg(enc.x[sj][idx.candPos[sj][q.ID]]))
-							add(cl...)
+							cnf.add(base[0], base[1], neg(enc.x[sj][idx.candPos[sj][q.ID]]))
 						}
 					}
 				case constQ:
 					// p needs an active advertiser at least as good as
 					// lfQ - d.
-					cl := append(sat.Clause{}, base...)
+					cl = append(cl[:0], base[:]...)
 					for _, sj := range idx.advs[si][ci] {
 						if bid(sj) <= lfQ-d {
 							cl = append(cl, pos(enc.x[sj][idx.candPos[sj][p.ID]]))
 						}
 					}
-					add(cl...)
+					cnf.add(cl...)
 				default:
 					// Both variable: for every active advertiser of q, p
 					// must have an active advertiser beating it.
 					for _, sjq := range idx.advs[si][cj] {
-						cl := append(append(sat.Clause{}, base...),
-							neg(enc.x[sjq][idx.candPos[sjq][q.ID]]))
+						cl = append(cl[:0], base[0], base[1], neg(enc.x[sjq][idx.candPos[sjq][q.ID]]))
 						for _, sjp := range idx.advs[si][ci] {
 							if bid(sjp) <= bid(sjq)-d {
 								cl = append(cl, pos(enc.x[sjp][idx.candPos[sjp][p.ID]]))
 							}
 						}
-						add(cl...)
+						cnf.add(cl...)
 					}
 				}
 			}
 		}
 	}
-	enc.f = &sat.Formula{NumVars: nv, Clauses: cls}
+	enc.f = cnf.formula(nv)
 	return enc
+}
+
+// cnfArena collects clauses into one literal arena: clause i ends at
+// lits[ends[i]] and starts where clause i-1 ends.
+type cnfArena struct {
+	lits []sat.Literal
+	ends []int32
+}
+
+func (a *cnfArena) add(ls ...sat.Literal) {
+	// Double when full: append's growth for large slices tends to 1.25x,
+	// which allocates about five times the final arena along the way.
+	if len(a.lits)+len(ls) > cap(a.lits) {
+		a.lits = slices.Grow(a.lits, len(a.lits)+len(ls))
+	}
+	if len(a.ends) == cap(a.ends) {
+		a.ends = slices.Grow(a.ends, len(a.ends)+1)
+	}
+	a.lits = append(a.lits, ls...)
+	a.ends = append(a.ends, int32(len(a.lits)))
+}
+
+// formula carves the collected clauses out of the arena.
+func (a *cnfArena) formula(nv int) *sat.Formula {
+	cls := make([]sat.Clause, len(a.ends))
+	var b int32
+	for i, e := range a.ends {
+		cls[i] = a.lits[b:e:e]
+		b = e
+	}
+	return &sat.Formula{NumVars: nv, Clauses: cls}
 }
 
 // decodeChoice reads the per-speaker selection out of a model.
@@ -517,8 +554,7 @@ func proveStablePass() Pass {
 					len(idx.speakers), idx.enc.f.NumVars, len(idx.enc.f.Clauses), idx.stats.Decisions),
 			}}
 		}
-		cfg, ok := realize(idx, idx.choice)
-		if !ok {
+		if !idx.replay {
 			// Should be unreachable: models correspond to fixed points by
 			// construction. Stay conservative rather than certify safety.
 			return []Finding{{
@@ -528,7 +564,7 @@ func proveStablePass() Pass {
 		}
 		return []Finding{{
 			Pass: p.Name, Severity: Info, Ref: p.Ref,
-			Witness: &Witness{Config: cfg},
+			Witness: &Witness{Config: idx.config},
 			Detail: fmt.Sprintf(
 				"a stable routing exists (%d variables, %d clauses, %d decisions); the decoded configuration replays as a protocol fixed point",
 				idx.enc.f.NumVars, len(idx.enc.f.Clauses), idx.stats.Decisions),
@@ -564,11 +600,7 @@ func proveWheelPass() Pass {
 			}
 			block = append(block, sat.Literal(-v))
 		}
-		f2 := &sat.Formula{
-			NumVars: idx.enc.f.NumVars,
-			Clauses: append(append([]sat.Clause{}, idx.enc.f.Clauses...), block),
-		}
-		model2, sat2 := sat.Solve(f2)
+		model2, sat2 := idx.inst.SolveWith(block, nil)
 		if !sat2 {
 			return []Finding{{
 				Pass: p.Name, Severity: Info, Ref: p.Ref,
@@ -576,9 +608,8 @@ func proveWheelPass() Pass {
 			}}
 		}
 		choice2 := decodeChoice(idx, model2)
-		cfg1, ok1 := realize(idx, idx.choice)
 		cfg2, ok2 := realize(idx, choice2)
-		w := &Witness{Config: cfg1, Alt: cfg2, Wheel: decodeWheel(idx, idx.choice, choice2)}
+		w := &Witness{Config: idx.config, Alt: cfg2, Wheel: decodeWheel(idx, idx.choice, choice2)}
 		f := Finding{
 			Pass: p.Name, Severity: Risk, Ref: p.Ref,
 			Witness: w,
@@ -589,7 +620,7 @@ func proveWheelPass() Pass {
 		}
 		f.Nodes = names
 		switch {
-		case !ok1 || !ok2:
+		case !idx.replay || !ok2:
 			f.Detail = "internal: a decoded stable routing failed engine replay; treating the configuration as at risk"
 		case len(w.Wheel) > 0:
 			f.Detail = fmt.Sprintf(

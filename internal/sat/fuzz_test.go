@@ -2,6 +2,7 @@ package sat
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -33,17 +34,39 @@ func FuzzParseDIMACS(f *testing.F) {
 }
 
 // FuzzSolveAgreesWithEval: on any parseable small formula, a returned
-// assignment must actually satisfy it.
+// assignment must actually satisfy it, and the verdict must equal the
+// brute-force one, so a set-up bug that drops a clause or loses a watch
+// cannot hide behind a wrong UNSAT. Solving all but the last clause with
+// the last one passed to SolveWith must give the same search as solving
+// the whole formula.
 func FuzzSolveAgreesWithEval(f *testing.F) {
 	f.Add("p cnf 3 2\n1 -2 0\n2 3 0\n")
 	f.Add("p cnf 2 2\n1 0\n-1 0\n")
+	f.Add("p cnf 3 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 3 -3 0\n")
+	f.Add("p cnf 4 3\n1 2 3 0\n-1 -2 0\n2 2 -4 0\n")
+	// Every sign pattern over three variables: unsatisfiable, and
+	// satisfiable once any one clause is lost.
+	f.Add("p cnf 3 8\n1 2 3 0\n1 2 -3 0\n1 -2 3 0\n1 -2 -3 0\n-1 2 3 0\n-1 2 -3 0\n-1 -2 3 0\n-1 -2 -3 0\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		formula, err := ParseDIMACS(strings.NewReader(in))
 		if err != nil || formula.NumVars > 16 || len(formula.Clauses) > 64 {
 			return
 		}
-		if a, ok := Solve(formula); ok && !formula.Eval(a) {
+		var st Stats
+		a, ok := SolveStats(formula, &st)
+		if ok && !formula.Eval(a) {
 			t.Fatalf("Solve returned non-satisfying assignment for %s", formula)
+		}
+		if _, want := BruteForce(formula); ok != want {
+			t.Fatalf("Solve says satisfiable = %v, brute force %v, for %s", ok, want, formula)
+		}
+		if n := len(formula.Clauses); n > 0 {
+			head := &Formula{NumVars: formula.NumVars, Clauses: formula.Clauses[:n-1]}
+			var st2 Stats
+			a2, ok2 := NewInstance(head).SolveWith(formula.Clauses[n-1], &st2)
+			if ok2 != ok || !slices.Equal(a2, a) || st2 != st {
+				t.Fatalf("SolveWith(last clause) = (%v, %+v), whole formula (%v, %+v), for %s", ok2, st2, ok, st, formula)
+			}
 		}
 	})
 }

@@ -9,24 +9,35 @@ import (
 	"testing"
 )
 
-// insertionSortOrder is the branch order and first phases newSolver used
-// to compute with an insertion sort, kept as the oracle for the stable sort
-// that replaced it: constrained variables by descending occurrence count,
-// equal counts in index order, each first tried in its majority polarity.
-func insertionSortOrder(s *solver) ([]int, []int8) {
-	occ := make([]int32, 2*s.nv+2)
-	for _, l := range s.units {
-		occ[lidx(l)]++
-	}
-	for _, c := range s.cls {
+// insertionSortOrder is the branch order and first phases the solver used
+// to compute with an insertion sort, kept as the oracle for the counting
+// sort that replaced it: constrained variables by descending occurrence
+// count, equal counts in index order, each first tried in its majority
+// polarity. Occurrences are counted from the input formula under the
+// solver's clause rules (duplicate literals count once, tautologies not at
+// all), so the oracle does not depend on the solver's storage.
+func insertionSortOrder(f *Formula) ([]int, []int8) {
+	occ := make(map[Literal]int)
+	for _, c := range f.Clauses {
+		seen := make(map[Literal]bool)
 		for _, l := range c {
-			occ[lidx(l)]++
+			seen[l] = true
+		}
+		taut := false
+		for l := range seen {
+			taut = taut || seen[-l]
+		}
+		if taut {
+			continue
+		}
+		for l := range seen {
+			occ[l]++
 		}
 	}
 	var order []int
-	phase := make([]int8, s.nv+1)
-	for v := 1; v <= s.nv; v++ {
-		pos, neg := occ[2*v], occ[2*v+1]
+	phase := make([]int8, f.NumVars+1)
+	for v := 1; v <= f.NumVars; v++ {
+		pos, neg := occ[Literal(v)], occ[Literal(-v)]
 		if pos+neg == 0 {
 			continue
 		}
@@ -37,7 +48,7 @@ func insertionSortOrder(s *solver) ([]int, []int8) {
 			phase[v] = 1
 		}
 	}
-	counts := func(v int) int32 { return occ[2*v] + occ[2*v+1] }
+	counts := func(v int) int { return occ[Literal(v)] + occ[Literal(-v)] }
 	for i := 1; i < len(order); i++ {
 		v := order[i]
 		j := i
@@ -75,15 +86,15 @@ func TestBranchOrderMatchesInsertionSort(t *testing.T) {
 	cases = append(cases, instance{"prove-default-1",
 		readGzipDIMACS(t, filepath.Join("testdata", "prove-default-1.cnf.gz")), Stats{Propagations: 4211}})
 	for _, c := range cases {
-		s := newSolver(c.f)
-		if s == nil {
+		in := NewInstance(c.f)
+		if in.empty {
 			t.Fatalf("%s: unexpected empty clause", c.name)
 		}
-		order, phase := insertionSortOrder(s)
-		if !slices.Equal(s.order, order) {
+		order, phase := insertionSortOrder(c.f)
+		if !slices.Equal(in.order, order) {
 			t.Errorf("%s: branch order diverges from the insertion-sort oracle", c.name)
 		}
-		if !slices.Equal(s.phase, phase) {
+		if !slices.Equal(in.phase, phase) {
 			t.Errorf("%s: first phases diverge from the insertion-sort oracle", c.name)
 		}
 		var st Stats

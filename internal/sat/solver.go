@@ -1,7 +1,6 @@
 package sat
 
 import (
-	"cmp"
 	"math/rand"
 	"slices"
 )
@@ -28,20 +27,172 @@ func Solve(f *Formula) ([]bool, bool) { return SolveStats(f, nil) }
 
 // SolveStats is Solve, additionally filling st (when non-nil) with work
 // counters.
-func SolveStats(f *Formula, st *Stats) ([]bool, bool) {
-	s := newSolver(f)
-	if s == nil { // empty clause: trivially unsatisfiable
-		return nil, false
+func SolveStats(f *Formula, st *Stats) ([]bool, bool) { return NewInstance(f).Solve(st) }
+
+// Instance is a formula set up in the solver's watched form: deduplicated
+// clauses in one literal arena, watch lists carved from one array, and the
+// static branch order. An Instance is read-only once built; every search
+// works on its own copy of the arena and the watch lists, so one Instance
+// can be solved again, or solved with one more clause, without repeating
+// the set-up.
+type Instance struct {
+	nv    int
+	empty bool      // an input clause is empty: trivially unsatisfiable
+	lits  []Literal // clause i (length >= 2) is lits[start[i]:start[i+1]]
+	start []int32
+	watch []int32   // watch lists in literal-index order, each in clause order
+	woff  []int32   // literal index li's list is watch[woff[li]:woff[li+1]]
+	units []Literal // unit clauses, in input order
+	occ   []int32   // literal occurrence counts, by literal index
+	order []int     // branch variables, most-constrained first
+	phase []int8    // preferred first polarity per variable
+}
+
+// NewInstance sets f up for solving. Clauses are deduplicated and
+// tautologies dropped, so the watched-literal invariant (two distinct
+// watch positions) holds; the first two literals of each clause are its
+// initial watches.
+func NewInstance(f *Formula) *Instance {
+	nl := 2*f.NumVars + 2
+	in := &Instance{nv: f.NumVars, occ: make([]int32, nl)}
+	total := 0
+	for _, c := range f.Clauses {
+		total += len(c)
 	}
-	ok := s.search()
+	in.lits = make([]Literal, 0, total)
+	in.start = make([]int32, 1, len(f.Clauses)+1)
+	// seen[lidx(l)] == i+1 marks l as already in input clause i, so the
+	// dedupe needs no clearing between clauses.
+	seen := make([]int32, nl)
+	for i, c := range f.Clauses {
+		base := len(in.lits)
+		var ok bool
+		if in.lits, ok = appendDeduped(in.lits, c, seen, int32(i+1)); !ok {
+			continue // tautology
+		}
+		nc := in.lits[base:]
+		for _, l := range nc {
+			in.occ[lidx(l)]++
+		}
+		switch len(nc) {
+		case 0:
+			return &Instance{nv: f.NumVars, empty: true}
+		case 1:
+			in.units = append(in.units, nc[0])
+			in.lits = in.lits[:base]
+		default:
+			in.start = append(in.start, int32(len(in.lits)))
+		}
+	}
+	// Watch lists: count each literal's watchers, then fill in clause
+	// order, which is the order appending clause by clause would give.
+	in.woff = make([]int32, nl+1)
+	for ci := 0; ci+1 < len(in.start); ci++ {
+		c := in.lits[in.start[ci]:]
+		in.woff[lidx(c[0])+1]++
+		in.woff[lidx(c[1])+1]++
+	}
+	for li := 1; li <= nl; li++ {
+		in.woff[li] += in.woff[li-1]
+	}
+	in.watch = make([]int32, in.woff[nl])
+	fill := slices.Clone(in.woff[:nl])
+	for ci := 0; ci+1 < len(in.start); ci++ {
+		c := in.lits[in.start[ci]:]
+		for _, li := range [2]int{lidx(c[0]), lidx(c[1])} {
+			in.watch[fill[li]] = int32(ci)
+			fill[li]++
+		}
+	}
+	in.order, in.phase = branchOrder(in.occ, in.nv)
+	return in
+}
+
+// appendDeduped appends c's literals to dst with duplicates dropped, first
+// occurrences kept in order, and reports false (leaving dst as it was) when
+// c is a tautology. seen is stamped with stamp per literal; a stamp must be
+// unique to the clause.
+func appendDeduped(dst []Literal, c Clause, seen []int32, stamp int32) ([]Literal, bool) {
+	base := len(dst)
+	for _, l := range c {
+		if seen[lidx(l)] == stamp {
+			continue
+		}
+		if seen[lidx(-l)] == stamp {
+			return dst[:base], false
+		}
+		seen[lidx(l)] = stamp
+		dst = append(dst, l)
+	}
+	return dst, true
+}
+
+// branchOrder is the static branch order: constrained variables by
+// descending occurrence count, equal counts in index order, each first
+// tried in its more frequent polarity. A counting sort over the counts
+// makes it linear; both outputs are pure functions of the formula,
+// keeping the solver deterministic.
+func branchOrder(occ []int32, nv int) ([]int, []int8) {
+	phase := make([]int8, nv+1)
+	var maxCount int32
+	for v := 1; v <= nv; v++ {
+		maxCount = max(maxCount, occ[2*v]+occ[2*v+1])
+	}
+	// next[c] is, after the prefix pass, where the next variable with
+	// count c goes.
+	next := make([]int, maxCount+1)
+	for v := 1; v <= nv; v++ {
+		next[occ[2*v]+occ[2*v+1]]++
+	}
+	n := 0
+	for c := maxCount; c >= 1; c-- {
+		next[c], n = n, n+next[c]
+	}
+	order := make([]int, n)
+	for v := 1; v <= nv; v++ {
+		pos, neg := occ[2*v], occ[2*v+1]
+		if pos+neg == 0 {
+			continue
+		}
+		order[next[pos+neg]] = v
+		next[pos+neg]++
+		if neg > pos {
+			phase[v] = -1
+		} else {
+			phase[v] = 1
+		}
+	}
+	return order, phase
+}
+
+// Solve searches the instance's formula, filling st (when non-nil) with
+// work counters; it returns what Solve returns on the formula.
+func (in *Instance) Solve(st *Stats) ([]bool, bool) { return in.solve(in.newSolver(), st) }
+
+// SolveWith searches the instance's formula with extra appended as its
+// last clause. The search is exactly the one SolveStats makes on the
+// formula plus extra built from scratch: the clause arena, the watch
+// lists, the occurrence counts and with them the branch order and first
+// phases are the instance's with extra patched in last, which is where a
+// fresh build would put it.
+func (in *Instance) SolveWith(extra Clause, st *Stats) ([]bool, bool) {
+	return in.solve(in.newSolver(extra), st)
+}
+
+// solve runs the search from s (nil: an empty clause) and reports it.
+func (in *Instance) solve(s *solver, st *Stats) ([]bool, bool) {
+	ok := s != nil && s.search()
 	if st != nil {
-		*st = s.stats
+		*st = Stats{}
+		if s != nil {
+			*st = s.stats
+		}
 	}
 	if !ok {
 		return nil, false
 	}
-	out := make([]bool, f.NumVars+1)
-	for v := 1; v <= f.NumVars; v++ {
+	out := make([]bool, in.nv+1)
+	for v := 1; v <= in.nv; v++ {
 		out[v] = s.assign[v] >= 0 // unknowns default true
 	}
 	return out, true
@@ -68,83 +219,79 @@ type decision struct {
 
 type solver struct {
 	nv      int
-	cls     [][]Literal // clauses of length >= 2; watches are positions 0 and 1
-	watches [][]int32   // literal index -> clauses watching it
-	assign  []int8      // 0 unknown, 1 true, -1 false
-	trail   []Literal   // assigned-true literals, in assignment order
-	qhead   int         // propagation frontier into trail
-	units   []Literal   // top-level unit clauses from the input
-	order   []int       // branch variables, most-constrained first
-	phase   []int8      // preferred first polarity per variable
+	lits    []Literal // clause arena; the search permutes literals within a clause
+	start   []int32   // clause ci is lits[start[ci]:start[ci+1]]; watches are its first two
+	watches [][]int32 // literal index -> clauses watching it
+	assign  []int8    // 0 unknown, 1 true, -1 false
+	trail   []Literal // assigned-true literals, in assignment order
+	qhead   int       // propagation frontier into trail
+	units   []Literal // top-level unit clauses from the input
+	order   []int     // branch variables, most-constrained first
+	phase   []int8    // preferred first polarity per variable
 	stats   Stats
 }
 
-// newSolver copies f into watched form. It returns nil when f contains an
-// empty clause (trivially unsatisfiable). Clauses are deduplicated and
-// tautologies dropped, so the watched-literal invariant (two distinct
-// watch positions) holds.
-func newSolver(f *Formula) *solver {
+// newSolver copies the instance's arena and watch lists into a fresh
+// search state, with the extra clause, when one is given, set up as the
+// last input clause. It returns nil when the formula has an empty clause.
+func (in *Instance) newSolver(extra ...Clause) *solver {
+	if in.empty {
+		return nil
+	}
 	s := &solver{
-		nv:      f.NumVars,
-		watches: make([][]int32, 2*f.NumVars+2),
-		assign:  make([]int8, f.NumVars+1),
-		phase:   make([]int8, f.NumVars+1),
+		nv:     in.nv,
+		start:  in.start,
+		assign: make([]int8, in.nv+1),
+		trail:  make([]Literal, 0, in.nv),
+		units:  in.units,
+		order:  in.order,
+		phase:  in.phase,
 	}
-	occ := make([]int32, 2*f.NumVars+2) // literal occurrence counts
-	// seen[lidx(l)] == i+1 marks l as already in input clause i, so the
-	// dedupe needs no clearing between clauses.
-	seen := make([]int32, 2*f.NumVars+2)
-	for i, c := range f.Clauses {
-		stamp := int32(i + 1)
-		taut := false
-		nc := make([]Literal, 0, len(c))
-		for _, l := range c {
-			if seen[lidx(l)] == stamp {
-				continue
-			}
-			if seen[lidx(-l)] == stamp {
-				taut = true
-				break
-			}
-			seen[lidx(l)] = stamp
-			nc = append(nc, l)
-		}
-		if taut {
-			continue
-		}
-		switch len(nc) {
-		case 0:
+	var ex []Literal // the extra clause, deduplicated; nil when absent or a tautology
+	if len(extra) > 0 {
+		var ok bool
+		ex, ok = appendDeduped(make([]Literal, 0, len(extra[0])), extra[0], make([]int32, len(in.occ)), 1)
+		switch {
+		case !ok:
+			ex = nil
+		case len(ex) == 0:
 			return nil
-		case 1:
-			s.units = append(s.units, nc[0])
-			occ[lidx(nc[0])]++
-		default:
-			ci := int32(len(s.cls))
-			s.cls = append(s.cls, nc)
-			s.watches[lidx(nc[0])] = append(s.watches[lidx(nc[0])], ci)
-			s.watches[lidx(nc[1])] = append(s.watches[lidx(nc[1])], ci)
-			for _, l := range nc {
-				occ[lidx(l)]++
-			}
 		}
 	}
-	// Branch order: most-occurring variables first (stable on index), with
-	// the more frequent polarity as the first phase. Both are pure
-	// functions of the formula, keeping the solver deterministic.
-	for v := 1; v <= f.NumVars; v++ {
-		pos, neg := occ[2*v], occ[2*v+1]
-		if pos+neg == 0 {
-			continue
+	nc := len(in.start) - 1 // the extra clause's index, when it has one
+	w0, w1 := -1, -1        // the literal indices extra watches
+	if len(ex) > 0 {
+		occ := slices.Clone(in.occ)
+		for _, l := range ex {
+			occ[lidx(l)]++
 		}
-		s.order = append(s.order, v)
-		if neg > pos {
-			s.phase[v] = -1
+		s.order, s.phase = branchOrder(occ, in.nv)
+		if len(ex) == 1 {
+			s.units = append(in.units[:len(in.units):len(in.units)], ex[0])
+			ex = nil
 		} else {
-			s.phase[v] = 1
+			w0, w1 = lidx(ex[0]), lidx(ex[1])
 		}
 	}
-	counts := func(v int) int32 { return occ[2*v] + occ[2*v+1] }
-	slices.SortStableFunc(s.order, func(a, b int) int { return cmp.Compare(counts(b), counts(a)) })
+	s.lits = make([]Literal, len(in.lits), len(in.lits)+len(ex))
+	copy(s.lits, in.lits)
+	if len(ex) > 0 {
+		s.lits = append(s.lits, ex...)
+		s.start = append(in.start[:len(in.start):len(in.start)], int32(len(s.lits)))
+	}
+	// Carve every watch list from one array. Each is capped at its own
+	// length, so an append during propagation copies the list out rather
+	// than overwriting its neighbour.
+	buf := make([]int32, 0, len(in.watch)+2)
+	s.watches = make([][]int32, len(in.woff)-1)
+	for li := range s.watches {
+		o := len(buf)
+		buf = append(buf, in.watch[in.woff[li]:in.woff[li+1]]...)
+		if li == w0 || li == w1 {
+			buf = append(buf, int32(nc))
+		}
+		s.watches[li] = buf[o:len(buf):len(buf)]
+	}
 	return s
 }
 
@@ -188,7 +335,7 @@ func (s *solver) propagate() bool {
 		j := 0
 		for i := 0; i < len(ws); i++ {
 			ci := ws[i]
-			c := s.cls[ci]
+			c := s.lits[s.start[ci]:s.start[ci+1]]
 			if c[0] == -l {
 				c[0], c[1] = c[1], c[0]
 			}
@@ -245,7 +392,8 @@ func (s *solver) pureLiterals() bool {
 	pol := make([]int8, s.nv+1) // 0 unseen, 1 pos-only, -1 neg-only, 2 mixed
 	for {
 		clear(pol)
-		for _, c := range s.cls {
+		for ci := 0; ci+1 < len(s.start); ci++ {
+			c := s.lits[s.start[ci]:s.start[ci+1]]
 			sat := false
 			for _, l := range c {
 				if s.val(l) == 1 {
