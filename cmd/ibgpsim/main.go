@@ -222,7 +222,7 @@ func runTCP(sys *ibgp.System, pol ibgp.Policy, opts ibgp.Options, plan *ibgp.Fau
 	if sl := ibgp.SessionLine(c); sl != "" {
 		fmt.Println(sl)
 	}
-	printBest(sys, n.BestAll())
+	printBest(sys, n.BestAllFor(0))
 	if !quiesced {
 		os.Exit(2)
 	}

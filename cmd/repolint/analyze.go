@@ -59,7 +59,7 @@ var mutatingPathSetMethods = map[string]bool{
 
 // hotkeyPackages are the import-path suffixes of the exploration hot path.
 // State identity there must go through the binary codec (EncodeState words
-// interned in the explore arena); building keys with fmt formatting is how
+// interned in protocol.Arena); building keys with fmt formatting is how
 // the old per-state string allocation crept in, so Sprintf/Fprintf are
 // banned outside String methods. Errorf and the Print family stay allowed
 // — they never become keys.
@@ -620,11 +620,12 @@ func (a *analyzer) checkSpeakerTimer(file *ast.File) {
 }
 
 // checkDeadExports flags exported functions and methods declared in
-// non-test files under internal/ whose name appears nowhere else in the
-// module — not in another package, a command, the benchmark, or a test.
+// non-test files under internal/ whose name appears in no non-test file of
+// the module — not in another package, a command, or the benchmark.
 // internal/ has no importers outside the module, so such a declaration is
-// surface nothing can reach: delete it, or unexport it if only its own
-// file needs it. The match is by name, like every check here: a name
+// surface no shipped code reaches: delete it, or unexport it if only its
+// own package and tests need it. References from _test.go files do not
+// count. The match is by name, like every check here: a name
 // shared with a live declaration, a struct field or an interface method
 // counts as referenced. The check runs only when the module root (the
 // directory holding go.mod) is among the parsed directories, because only
@@ -641,14 +642,16 @@ func (a *analyzer) checkDeadExports(dirs []string) {
 	for _, p := range a.pkgs {
 		internal := strings.Contains(filepath.ToSlash(p.dir)+"/", "internal/")
 		for path, file := range p.files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
 			for _, decl := range file.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok {
 					continue
 				}
 				declNames[fd.Name] = true
-				if internal && !strings.HasSuffix(path, "_test.go") && fd.Name.IsExported() &&
-					!(fd.Recv != nil && ifaceMethodNames[fd.Name.Name]) {
+				if internal && fd.Name.IsExported() && !(fd.Recv != nil && ifaceMethodNames[fd.Name.Name]) {
 					decls = append(decls, fd)
 				}
 			}
@@ -656,7 +659,10 @@ func (a *analyzer) checkDeadExports(dirs []string) {
 	}
 	referenced := map[string]bool{}
 	for _, p := range a.pkgs {
-		for _, file := range p.files {
+		for path, file := range p.files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
 			ast.Inspect(file, func(n ast.Node) bool {
 				if id, ok := n.(*ast.Ident); ok && !declNames[id] {
 					referenced[id.Name] = true
@@ -668,7 +674,7 @@ func (a *analyzer) checkDeadExports(dirs []string) {
 	for _, fd := range decls {
 		if !referenced[fd.Name.Name] {
 			a.report(fd.Name.Pos(), "deadexport",
-				"exported %s is referenced nowhere in the module: delete it, or unexport it", fd.Name.Name)
+				"exported %s is referenced by no non-test file in the module: delete it, or unexport it", fd.Name.Name)
 		}
 	}
 }

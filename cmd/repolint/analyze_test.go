@@ -560,11 +560,13 @@ func main() {
 }
 
 // TestSeededDeadExport proves the deadexport check flags an exported
-// function and an exported method under internal/ that nothing names, and
-// leaves alone: names another package, a test or an interface references,
-// the fixed interface-method names, unexported and test-file declarations,
-// and packages outside internal/. Without the module root in the parsed
-// set the check stays off, since the references would be incomplete.
+// function and an exported method under internal/ that no non-test file
+// names — including names only a test of the same or another package
+// references — and leaves alone: names another package or an interface
+// references, the fixed interface-method names, unexported and test-file
+// declarations, and packages outside internal/. Without the module root in
+// the parsed set the check stays off, since the references would be
+// incomplete.
 func TestSeededDeadExport(t *testing.T) {
 	tree := map[string]string{
 		"go.mod": "module repro\n",
@@ -579,6 +581,8 @@ func (T) OrphanMethod() {}
 func UsedElsewhere() {}
 
 func UsedByTest() {}
+
+func UsedByOtherTest() {}
 
 func (T) Tick() {}
 
@@ -602,6 +606,12 @@ type ticker interface{ Tick() }
 
 var _ = foo.UsedElsewhere
 `,
+		"internal/bar/bar_test.go": `package bar_test
+
+import "repro/internal/foo"
+
+var _ = foo.UsedByOtherTest
+`,
 		"cmd/tool/main.go": `package main
 
 func ExportedInMain() {}
@@ -610,7 +620,7 @@ func main() {}
 `,
 	}
 	findings := analyzeTree(t, tree)
-	for _, want := range []string{"Orphan ", "OrphanMethod "} {
+	for _, want := range []string{"Orphan ", "OrphanMethod ", "UsedByTest ", "UsedByOtherTest "} {
 		if !hasFinding(findings, "deadexport", "exported "+want) {
 			t.Errorf("unreferenced %snot flagged; findings: %v", want, findings)
 		}
@@ -621,8 +631,8 @@ func main() {}
 			count++
 		}
 	}
-	if count != 2 {
-		t.Errorf("want exactly 2 deadexport findings, got %d: %v", count, findings)
+	if count != 4 {
+		t.Errorf("want exactly 4 deadexport findings, got %d: %v", count, findings)
 	}
 
 	delete(tree, "go.mod")

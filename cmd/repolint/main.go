@@ -28,7 +28,7 @@
 //     files), fmt.Sprintf and fmt.Fprintf are banned outside String
 //     methods. Formatted strings in those packages are almost always state
 //     keys, and string state keys are exactly the per-state allocation the
-//     interned binary arena (Engine.EncodeState + explore's arena)
+//     interned binary arena (Engine.EncodeState + protocol.Arena)
 //     replaced. fmt.Errorf and the Print family stay allowed.
 //
 //   - empty-interface: the pre-generics spelling interface{} is banned
@@ -43,11 +43,13 @@
 //     the quiescence gauge on one path.
 //
 //   - deadexport: an exported function or method in a non-test file under
-//     internal/ whose name is referenced nowhere else in the module — no
-//     package, command, benchmark or test — is unreachable surface and
-//     fails. Methods with standard interface names (String, Error,
-//     MarshalJSON, Len/Less/Swap/Push/Pop, ...) are exempt. Runs only when
-//     the module root is among the linted directories (repolint ./...).
+//     internal/ whose name no non-test file of the module references — no
+//     package, command or benchmark; a test alone does not count — is
+//     surface no shipped code reaches, and fails: delete it, or unexport
+//     it so same-package tests still reach it. Methods with standard
+//     interface names (String, Error, MarshalJSON, Len/Less/Swap/Push/Pop,
+//     ...) are exempt. Runs only when the module root is among the linted
+//     directories (repolint ./...).
 //
 // Usage:
 //

@@ -40,8 +40,8 @@ func main() {
 		s1.Best[RR1] != s2.Best[RR1])
 
 	// The message-level simulator shows the same split from timing alone.
-	for name, slow := range map[string]ibgp.NodeID{"c2 slow": fig.Node("c2"), "c1 slow": fig.Node("c1")} {
-		slowNode := slow
+	for _, slow := range []string{"c2", "c1"} {
+		slowNode := fig.Node(slow)
 		delay := func(from, to ibgp.NodeID, seq int) int64 {
 			if from == slowNode {
 				return 100
@@ -51,8 +51,8 @@ func main() {
 		sim := ibgp.NewSim(sys, ibgp.Classic, ibgp.Options{}, delay)
 		sim.InjectAll()
 		res := sim.Run(0)
-		fmt.Printf("message sim, %s:               reflectors land on %s\n",
-			name, pname(res.Best[RR1]))
+		fmt.Printf("message sim, %s slow:               reflectors land on %s\n",
+			slow, pname(res.Best[RR1]))
 	}
 	fmt.Println()
 

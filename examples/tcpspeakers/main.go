@@ -28,17 +28,21 @@ func main() {
 		}
 		net.InjectAll()
 		quiet := net.WaitQuiesce(15*time.Second, 200*time.Millisecond)
-		best := net.BestAll()
-		sent := net.MessagesSent()
+		best := net.BestAllFor(0)
+		sent := net.Counters().Sent
 		net.Stop()
 
 		fmt.Printf("--- %v ---\n", policy)
 		fmt.Printf("quiesced: %v after %d UPDATE messages\n", quiet, sent)
 		snap := ibgp.Snapshot{Best: best}
 		for u := 0; u < sys.N(); u++ {
-			p := sys.Exit(best[u])
-			fmt.Printf("  %-4s uses %s (exits at %s)\n",
-				sys.Name(ibgp.NodeID(u)), pname(best[u]), sys.Name(p.ExitPoint))
+			name := sys.Name(ibgp.NodeID(u))
+			if best[u] == ibgp.None {
+				fmt.Printf("  %-4s has no route\n", name)
+				continue
+			}
+			fmt.Printf("  %-4s uses r%d (exits at %s)\n",
+				name, best[u]+1, sys.Name(sys.Exit(best[u]).ExitPoint))
 		}
 		// The data plane: where do the clients' packets actually go?
 		snap.Advertised = make([]ibgp.PathSet, sys.N())
@@ -51,11 +55,4 @@ func main() {
 	}
 	fmt.Println("classic leaves c1 and c2 bouncing the packet between each other;")
 	fmt.Println("the modified protocol gives each client the nearer exit and the loop is gone.")
-}
-
-func pname(id ibgp.PathID) string {
-	if id == ibgp.None {
-		return "(none)"
-	}
-	return fmt.Sprintf("r%d", id+1)
 }

@@ -302,7 +302,7 @@ const (
 )
 
 // NewSim creates a message-level simulator; inject routes with InjectAll
-// or InjectAt, then Run.
+// or InjectPrefixAt (prefix 0), then Run.
 func NewSim(sys *System, policy Policy, opts Options, delay DelayFunc) *Sim {
 	return msgsim.New(sys, policy, opts, delay)
 }

@@ -100,8 +100,8 @@ func TestFacadeTCP(t *testing.T) {
 	if !n.WaitQuiesce(10*time.Second, 150*time.Millisecond) {
 		t.Fatal("TCP network did not quiesce")
 	}
-	if n.Best(fig.Node("c2")) != fig.Path("r1") {
-		t.Fatalf("c2 best = p%d", n.Best(fig.Node("c2")))
+	if n.BestFor(0, fig.Node("c2")) != fig.Path("r1") {
+		t.Fatalf("c2 best = p%d", n.BestFor(0, fig.Node("c2")))
 	}
 }
 

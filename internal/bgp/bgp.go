@@ -79,10 +79,6 @@ type ExitPath struct {
 	TieBreak int
 }
 
-// IsEBGPAt reports whether the path is an E-BGP route at router u, that is,
-// whether u itself is the exit point.
-func (p ExitPath) IsEBGPAt(u NodeID) bool { return p.ExitPoint == u }
-
 // String renders the path compactly for traces and test failures.
 func (p ExitPath) String() string {
 	return fmt.Sprintf("p%d{lp=%d aspl=%d as=%d med=%d exit=v%d ec=%d}",
@@ -195,16 +191,6 @@ func (s PathSet) Len() int {
 		n += bits.OnesCount64(w)
 	}
 	return n
-}
-
-// Empty reports whether the set contains no paths.
-func (s PathSet) Empty() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // IDs returns the member PathIDs in increasing order.

@@ -8,7 +8,7 @@ import (
 
 func TestPathSetBasics(t *testing.T) {
 	var s PathSet
-	if !s.Empty() || s.Len() != 0 {
+	if s.Len() != 0 {
 		t.Fatalf("zero PathSet not empty: %v", s)
 	}
 	s.Add(3)
@@ -38,7 +38,7 @@ func TestPathSetBasics(t *testing.T) {
 func TestPathSetAddNone(t *testing.T) {
 	var s PathSet
 	s.Add(None)
-	if !s.Empty() {
+	if s.Len() != 0 {
 		t.Fatalf("adding None should be a no-op, got %v", s)
 	}
 	if s.Contains(None) {
@@ -162,9 +162,6 @@ func TestPathSetQuickUnionIsSetUnion(t *testing.T) {
 
 func TestRouteStrings(t *testing.T) {
 	p := ExitPath{ID: 1, LocalPref: 100, ASPathLen: 2, NextAS: 7, MED: 3, ExitPoint: 4, ExitCost: 5}
-	if !p.IsEBGPAt(4) || p.IsEBGPAt(0) {
-		t.Fatal("IsEBGPAt wrong")
-	}
 	r := Route{Path: p, At: 4, Metric: 5, LearnedFrom: 9}
 	if !r.EBGP() {
 		t.Fatal("route at exit point must be E-BGP")

@@ -112,8 +112,8 @@ type Report struct {
 	Counters router.Snapshot
 }
 
-// Explain renders the first violated invariant, or "ok".
-func (r Report) Explain() string {
+// explain renders the first violated invariant, or "ok".
+func (r Report) explain() string {
 	switch {
 	case !r.Quiesced:
 		return fmt.Sprintf("did not quiesce: %d messages outstanding", r.Counters.Outstanding())
@@ -250,7 +250,7 @@ func CheckSim(sys *topology.System, cfg Config) (Report, error) {
 		return Report{}, err
 	}
 	for _, id := range cfg.Withdraw {
-		s.WithdrawAt(cfg.WithdrawAt, id)
+		s.WithdrawPrefixAt(cfg.WithdrawAt, 0, id)
 	}
 	res := s.Run(cfg.MaxEvents)
 	best, possible := Vectors(systems, s.BestFor), Vectors(systems, s.PossibleFor)
@@ -258,9 +258,9 @@ func CheckSim(sys *topology.System, cfg Config) (Report, error) {
 	return Report{Grade(systems, ref, live, best, possible, c, res.Quiesced), best[0], ref[0], c}, nil
 }
 
-// CheckTCP runs the same invariant check over the TCP speakers: real
+// checkTCP runs the same invariant check over the TCP speakers: real
 // connections, real teardowns on reset fates, wall-clock fault horizon.
-func CheckTCP(sys *topology.System, cfg Config) (Report, error) {
+func checkTCP(sys *topology.System, cfg Config) (Report, error) {
 	cfg = cfg.fill()
 	systems, live := cfg.domain(sys)
 	ref, err := Reference(systems, cfg.Policy, cfg.Opts, live, cfg.MaxEvents)
@@ -282,7 +282,7 @@ func CheckTCP(sys *topology.System, cfg Config) (Report, error) {
 			time.Sleep(wait)
 		}
 		for _, id := range cfg.Withdraw {
-			n.Withdraw(id)
+			n.WithdrawPrefix(0, id)
 		}
 	}
 	quiesced := n.WaitQuiesce(cfg.Timeout, cfg.Settle)

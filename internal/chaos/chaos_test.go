@@ -44,7 +44,7 @@ func TestCheckSimModifiedUnderRandomPlans(t *testing.T) {
 				t.Fatalf("%s seed %d: %v", fig.name, seed, err)
 			}
 			if !rep.OK() {
-				t.Fatalf("%s seed %d (%q): %s", fig.name, seed, plan, rep.Explain())
+				t.Fatalf("%s seed %d (%q): %s", fig.name, seed, plan, rep.explain())
 			}
 		}
 	}
@@ -71,7 +71,7 @@ func TestCheckSimWithdrawUnderFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !rep.OK() {
-		t.Fatal(rep.Explain())
+		t.Fatal(rep.explain())
 	}
 	if rep.Counters.Resets != 1 {
 		t.Fatalf("Resets = %d, want 1", rep.Counters.Resets)
@@ -110,10 +110,10 @@ func TestClassicPathologiesSurviveFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, name := range []string{"r2", "r3", "r4", "r5", "r6"} {
-			s.InjectAt(0, f3.Path(name))
+			s.InjectPrefixAt(0, 0, f3.Path(name))
 		}
-		s.InjectAt(0, f3.Path("r1"))
-		s.WithdrawAt(60, f3.Path("r1"))
+		s.InjectPrefixAt(0, 0, f3.Path("r1"))
+		s.WithdrawPrefixAt(60, 0, f3.Path("r1"))
 		res := s.Run(50000)
 		if !res.Quiesced {
 			continue // classic Fig3 may also churn past the budget
@@ -145,7 +145,7 @@ func TestCheckTCPModifiedWithReset(t *testing.T) {
 	f := figures.Fig1a()
 	u := bgp.NodeID(0)
 	w := f.Sys.Peers(u)[0]
-	rep, err := CheckTCP(f.Sys, Config{
+	rep, err := checkTCP(f.Sys, Config{
 		Policy: protocol.Modified,
 		Plan: &faults.Plan{
 			Seed: 6, Drop: 0.25, Duplicate: 0.15, Delay: 0.3, MaxExtraDelay: 20,
@@ -157,7 +157,7 @@ func TestCheckTCPModifiedWithReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !rep.OK() {
-		t.Fatal(rep.Explain())
+		t.Fatal(rep.explain())
 	}
 }
 
@@ -193,7 +193,7 @@ func TestCheckSimReorderKeepsDisjointAnnouncements(t *testing.T) {
 			}
 			if !rep.OK() {
 				t.Errorf("seed %d plan %d: %s (best %v, reference %v)",
-					seed, i, rep.Explain(), rep.Best, rep.Reference)
+					seed, i, rep.explain(), rep.Best, rep.Reference)
 			}
 		}
 	}

@@ -26,6 +26,7 @@ package churn
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -64,18 +65,19 @@ func DefaultSpec() Spec {
 	return Spec{Seed: 1, Prefixes: 4, Rate: 20, Period: 1000, Burst: 300, FlapProb: 0.2}
 }
 
-// Validate rejects degenerate workloads.
+// Validate rejects degenerate workloads. The range checks are negated so
+// that NaN, for which every comparison is false, fails them.
 func (s Spec) Validate() error {
 	switch {
 	case s.Prefixes < 1:
 		return fmt.Errorf("churn: Prefixes = %d, need at least one", s.Prefixes)
-	case s.Rate <= 0:
-		return fmt.Errorf("churn: Rate = %v, need a positive event rate", s.Rate)
+	case !(s.Rate > 0) || math.IsInf(s.Rate, 1):
+		return fmt.Errorf("churn: Rate = %v, need a positive finite event rate", s.Rate)
 	case s.Period <= 0:
 		return fmt.Errorf("churn: Period = %d ms, need a positive round length", s.Period)
 	case s.Burst <= 0 || s.Burst > s.Period:
 		return fmt.Errorf("churn: Burst = %d ms, need 0 < Burst <= Period (%d)", s.Burst, s.Period)
-	case s.FlapProb < 0 || s.FlapProb > 1:
+	case !(s.FlapProb >= 0 && s.FlapProb <= 1):
 		return fmt.Errorf("churn: FlapProb = %v outside [0,1]", s.FlapProb)
 	}
 	return nil

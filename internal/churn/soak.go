@@ -58,13 +58,9 @@ type Config struct {
 	// Timeout and Settle drive speaker.WaitQuiesce per round on the TCP
 	// substrate (defaults 30s / 150ms).
 	Timeout, Settle time.Duration
-	// Events, when set, receives every typed router event of the run —
-	// the hook a telemetry feed's Sink plugs into.
-	Events func(router.Event)
 	// EventsBatch, when set, receives each dispatch round's events as one
 	// slice (valid only until it returns) — the hook a telemetry feed's
-	// SinkBatch plugs into. It amortises per-event observer overhead and
-	// may be set together with or instead of Events.
+	// SinkBatch plugs into.
 	EventsBatch func([]router.Event)
 	// BindCounters, when set, is called once before the run starts with
 	// the substrate's live counters getter, so a telemetry feed can serve
@@ -452,9 +448,6 @@ func SoakSim(sys *topology.System, cfg Config) (*Report, error) {
 		return nil, err
 	}
 	s := msgsim.NewMulti(c.systems, cfg.Policy, cfg.Opts, delay)
-	if cfg.Events != nil {
-		s.ObserveEvents(cfg.Events)
-	}
 	if cfg.EventsBatch != nil {
 		s.ObserveEventsBatch(cfg.EventsBatch)
 	}
@@ -508,9 +501,6 @@ func SoakTCP(sys *topology.System, cfg Config) (*Report, error) {
 	}
 	if cfg.Codec != nil {
 		n.SetCodec(cfg.Codec)
-	}
-	if cfg.Events != nil {
-		n.Subscribe(cfg.Events)
 	}
 	if cfg.EventsBatch != nil {
 		n.SubscribeBatch(cfg.EventsBatch)

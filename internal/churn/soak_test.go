@@ -141,7 +141,7 @@ func TestSoakCrossSubstrate(t *testing.T) {
 
 	var events, samples atomic.Int64
 	var bound func() router.Snapshot
-	cfg.Events = func(router.Event) { events.Add(1) }
+	cfg.EventsBatch = func(evs []router.Event) { events.Add(int64(len(evs))) }
 	cfg.Latency = func(int64) { samples.Add(1) }
 	cfg.BindCounters = func(get func() router.Snapshot) { bound = get }
 
@@ -153,7 +153,7 @@ func TestSoakCrossSubstrate(t *testing.T) {
 		t.Fatalf("sim soak violations: %v", sim.Violations)
 	}
 	if events.Load() == 0 {
-		t.Fatal("Events hook saw no router events")
+		t.Fatal("EventsBatch hook saw no router events")
 	}
 	if got := samples.Load(); got != int64(cfg.Rounds) {
 		t.Fatalf("Latency hook fired %d times, want %d", got, cfg.Rounds)
@@ -174,7 +174,7 @@ func TestSoakCrossSubstrate(t *testing.T) {
 		t.Fatalf("tcp soak violations: %v", tcp.Violations)
 	}
 	if events.Load() == 0 {
-		t.Fatal("Events hook saw no router events on the TCP substrate")
+		t.Fatal("EventsBatch hook saw no router events on the TCP substrate")
 	}
 	if !reflect.DeepEqual(sim.Agg, tcp.Agg) {
 		t.Fatalf("substrates disagree:\nsim %+v\ntcp %+v", sim.Agg, tcp.Agg)

@@ -5,6 +5,7 @@ package cli
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -237,11 +238,16 @@ func int64Field(dst *int64) func(string) error {
 	}
 }
 
+// floatField rejects NaN and ±Inf, which strconv.ParseFloat accepts: every
+// range check is false for NaN, so a NaN would slip past validation.
 func floatField(dst *float64) func(string) error {
 	return func(v string) error {
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil {
 			return fmt.Errorf("%q is not a number", v)
+		}
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return fmt.Errorf("%q is not a finite number", v)
 		}
 		*dst = f
 		return nil

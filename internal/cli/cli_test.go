@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/churn"
 	"repro/internal/confed"
+	"repro/internal/faults"
 	"repro/internal/figures"
 	"repro/internal/protocol"
 	"repro/internal/selection"
@@ -284,6 +286,45 @@ func TestParseErrorsNameFlagAndKey(t *testing.T) {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("error for %q = %q, missing %q", tc.input, err, want)
 			}
+		}
+	}
+}
+
+// TestNonFiniteRejected: strconv.ParseFloat accepts NaN and Inf, and every
+// range comparison is false for NaN, so the flag parser and each spec's
+// Validate must reject non-finite numbers themselves rather than run a
+// workload that silently never flaps or draws one event per round.
+func TestNonFiniteRejected(t *testing.T) {
+	parseChurn := func(s string) error { _, err := ParseChurnSpec(s, churn.DefaultSpec()); return err }
+	parseCrossed := func(s string) error {
+		_, err := ParseCrossedSpec(s, workload.CrossedSpec{Clusters: 4, ASes: 2, MaxMED: 2, DottedProb: 0.5})
+		return err
+	}
+	churnSpec := func(mut func(*churn.Spec)) error {
+		s := churn.DefaultSpec()
+		mut(&s)
+		return s.Validate()
+	}
+	crossedSpec := workload.CrossedSpec{Clusters: 4, ASes: 2, MaxMED: 2, DottedProb: math.NaN()}
+	faultPlan := &faults.Plan{Seed: 1, Drop: math.NaN()}
+	for _, tc := range []struct {
+		name string
+		err  error
+	}{
+		{"-churn rate=NaN", parseChurn("rate=NaN")},
+		{"-churn rate=Inf", parseChurn("rate=Inf")},
+		{"-churn rate=-Inf", parseChurn("rate=-Inf")},
+		{"-churn flap=NaN", parseChurn("flap=NaN")},
+		{"-params dotted=NaN", parseCrossed("dotted=NaN")},
+		{"-params dotted=+Inf", parseCrossed("dotted=+Inf")},
+		{"churn.Spec Rate NaN", churnSpec(func(s *churn.Spec) { s.Rate = math.NaN() })},
+		{"churn.Spec Rate +Inf", churnSpec(func(s *churn.Spec) { s.Rate = math.Inf(1) })},
+		{"churn.Spec FlapProb NaN", churnSpec(func(s *churn.Spec) { s.FlapProb = math.NaN() })},
+		{"CrossedSpec DottedProb NaN", crossedSpec.Validate()},
+		{"faults.Plan Drop NaN", faultPlan.Validate(0)},
+	} {
+		if tc.err == nil {
+			t.Errorf("%s accepted", tc.name)
 		}
 	}
 }

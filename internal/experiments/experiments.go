@@ -173,11 +173,11 @@ func E4Fig3(opts Options) Report {
 	B, C := f.Node("B"), f.Node("C")
 	inject := func(s *msgsim.Sim, withR1 bool) {
 		for _, n := range []string{"r2", "r3", "r4", "r5", "r6"} {
-			s.InjectAt(0, f.Path(n))
+			s.InjectPrefixAt(0, 0, f.Path(n))
 		}
 		if withR1 {
-			s.InjectAt(0, f.Path("r1"))
-			s.WithdrawAt(2000, f.Path("r1"))
+			s.InjectPrefixAt(0, 0, f.Path("r1"))
+			s.WithdrawPrefixAt(2000, 0, f.Path("r1"))
 		}
 	}
 	s1 := msgsim.New(f.Sys, protocol.Classic, selection.Options{}, msgsim.ConstantDelay(50))
@@ -198,9 +198,9 @@ func E4Fig3(opts Options) Report {
 		}
 	})
 	for _, n := range []string{"r2", "r3", "r4", "r5"} {
-		s3.InjectAt(0, f.Path(n))
+		s3.InjectPrefixAt(0, 0, f.Path(n))
 	}
-	s3.InjectAt(5, f.Path("r6"))
+	s3.InjectPrefixAt(5, 0, f.Path("r6"))
 	r3 := s3.Run(3000)
 	table := Table{
 		Title:  "Reproduced Table 1: the first update rounds of the delay-driven execution",
@@ -842,7 +842,7 @@ func E17DeepHierarchy(opts Options) Report {
 		}
 	}
 	// pa (MED 0) kills pb; pa must reach the other branch's deep client.
-	e.RestoreSnapshot(base.Final)
+	e.RestoreFrom(&base.Final)
 	propagated := e.PossibleExits(mc1).Contains(pa)
 	// Flush across five announcement hops.
 	e.Withdraw(pa)
@@ -1132,6 +1132,7 @@ func E21EBGPChurn(opts Options) Report {
 	maxRounds := 0
 	historyOK := true
 	epochs := 0
+	var cur protocol.Snapshot
 	for _, c := range opts.SweepSizes {
 		for seed := int64(0); seed < int64(opts.Seeds); seed++ {
 			sys := workload.MustGenerate(workload.Default(c), seed)
@@ -1176,7 +1177,8 @@ func E21EBGPChurn(opts Options) Report {
 				}
 				fresh.ResetAll()
 				fres := protocol.Run(fresh, protocol.RoundRobin(sys.N()), protocol.RunOptions{MaxSteps: 6000})
-				if fres.Outcome != protocol.Converged || !fres.Final.BestEqual(e.Snapshot()) {
+				e.SnapshotInto(&cur)
+				if fres.Outcome != protocol.Converged || !fres.Final.BestEqual(cur) {
 					historyOK = false
 				}
 			}

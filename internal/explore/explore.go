@@ -109,10 +109,10 @@ type expansion struct {
 	succs  []uint64
 }
 
-// expand computes the expansion of the state stored at ar.at(id) into out,
+// expand computes the expansion of the state stored at ar.At(id) into out,
 // reusing out's successor buffer.
-func expand(e *protocol.Engine, ar *arena, id int32, sets [][]bgp.NodeID, out *expansion) {
-	e.DecodeState(ar.at(id))
+func expand(e *protocol.Engine, ar *protocol.Arena, id int32, sets [][]bgp.NodeID, out *expansion) {
+	e.DecodeState(ar.At(id))
 	if e.Stable() {
 		out.stable = true
 		return
@@ -120,7 +120,7 @@ func expand(e *protocol.Engine, ar *arena, id int32, sets [][]bgp.NodeID, out *e
 	out.stable = false
 	out.succs = out.succs[:0]
 	for _, set := range sets {
-		e.DecodeState(ar.at(id))
+		e.DecodeState(ar.At(id))
 		e.ActivateSet(set)
 		out.succs = e.EncodeState(out.succs)
 	}
@@ -139,9 +139,9 @@ func Reachable(e *protocol.Engine, opts Options) Analysis {
 	}
 	sets := activationSets(e.Sys().N(), opts.Mode)
 	stride := e.StateWords()
-	ar := newArena(stride)
-	ar.intern(e.EncodeState(make([]uint64, 0, stride)))
-	defer func() { e.DecodeState(ar.at(0)) }()
+	ar := protocol.NewArena(stride)
+	ar.Intern(e.EncodeState(make([]uint64, 0, stride)))
+	defer func() { e.DecodeState(ar.At(0)) }()
 
 	a := Analysis{}
 	var fixed []int32
@@ -151,20 +151,22 @@ func Reachable(e *protocol.Engine, opts Options) Analysis {
 		fixed = reachableSerial(e, ar, sets, maxStates, opts, &a)
 	}
 	for _, id := range fixed {
-		e.DecodeState(ar.at(id))
-		a.FixedPoints = append(a.FixedPoints, e.Snapshot())
+		e.DecodeState(ar.At(id))
+		a.FixedPoints = append(a.FixedPoints, protocol.Snapshot{})
+		e.SnapshotInto(&a.FixedPoints[len(a.FixedPoints)-1])
 	}
 	return a
 }
 
 // reachableSerial runs the BFS on the caller's engine. The queue is the id
-// range [head, ar.count): states are interned in discovery order, so FIFO
+// range [head, ar.Len()): states are interned in discovery order, so FIFO
 // order and arena order coincide.
-func reachableSerial(e *protocol.Engine, ar *arena, sets [][]bgp.NodeID, maxStates int, opts Options, a *Analysis) []int32 {
+func reachableSerial(e *protocol.Engine, ar *protocol.Arena, sets [][]bgp.NodeID, maxStates int, opts Options, a *Analysis) []int32 {
 	var fixed []int32
 	var out expansion
+	stride := ar.Stride()
 	head := 0
-	for head < ar.count {
+	for head < ar.Len() {
 		if opts.Ctx != nil && opts.Ctx.Err() != nil {
 			a.Truncated = true
 			break
@@ -182,12 +184,12 @@ func reachableSerial(e *protocol.Engine, ar *arena, sets [][]bgp.NodeID, maxStat
 			fixed = append(fixed, cur)
 			continue
 		}
-		for off := 0; off < len(out.succs); off += ar.stride {
+		for off := 0; off < len(out.succs); off += stride {
 			a.Transitions++
-			ar.intern(out.succs[off : off+ar.stride])
+			ar.Intern(out.succs[off : off+stride])
 		}
 	}
-	if head < ar.count {
+	if head < ar.Len() {
 		a.Truncated = true
 	}
 	return fixed
@@ -199,17 +201,18 @@ func reachableSerial(e *protocol.Engine, ar *arena, sets [][]bgp.NodeID, maxStat
 // clones, then a single sequential fold interns the successors in frontier
 // order. Interning order — hence every arena id, count, and the final
 // Analysis — matches the serial run exactly.
-func reachableParallel(e *protocol.Engine, ar *arena, sets [][]bgp.NodeID, maxStates int, opts Options, a *Analysis) []int32 {
+func reachableParallel(e *protocol.Engine, ar *protocol.Arena, sets [][]bgp.NodeID, maxStates int, opts Options, a *Analysis) []int32 {
 	engines := make([]*protocol.Engine, opts.Workers)
 	engines[0] = e
 	for i := 1; i < len(engines); i++ {
 		engines[i] = e.Clone()
 	}
 	var fixed []int32
+	stride := ar.Stride()
 	results := []expansion(nil)
 	lo := 0
-	for lo < ar.count {
-		hi := ar.count
+	for lo < ar.Len() {
+		hi := ar.Len()
 		// Never expand deeper than the truncation limit can consume: the
 		// fold below stops after maxStates-a.States+1 more states.
 		if rem := maxStates - a.States + 1; hi-lo > rem {
@@ -258,9 +261,9 @@ func reachableParallel(e *protocol.Engine, ar *arena, sets [][]bgp.NodeID, maxSt
 				fixed = append(fixed, int32(i))
 				continue
 			}
-			for off := 0; off < len(out.succs); off += ar.stride {
+			for off := 0; off < len(out.succs); off += stride {
 				a.Transitions++
-				ar.intern(out.succs[off : off+ar.stride])
+				ar.Intern(out.succs[off : off+stride])
 			}
 		}
 		if truncated {
@@ -268,7 +271,7 @@ func reachableParallel(e *protocol.Engine, ar *arena, sets [][]bgp.NodeID, maxSt
 		}
 		lo = hi
 	}
-	if lo < ar.count {
+	if lo < ar.Len() {
 		a.Truncated = true
 	}
 	return fixed
@@ -303,8 +306,9 @@ func EnumerateStableClassicCtx(ctx context.Context, e *protocol.Engine, budget i
 	if budget <= 0 {
 		budget = 4_000_000
 	}
-	start := e.Snapshot()
-	defer e.RestoreSnapshot(start)
+	var start protocol.Snapshot
+	e.SnapshotInto(&start)
+	defer e.RestoreFrom(&start)
 
 	n := e.Sys().N()
 	// Candidate advertised paths per node: anything receivable there, or
@@ -334,7 +338,8 @@ func EnumerateStableClassicCtx(ctx context.Context, e *protocol.Engine, budget i
 			adv[u].Add(cand[u][idx[u]])
 		}
 		if e.InducedConfig(adv) && e.Stable() {
-			res.Solutions = append(res.Solutions, e.Snapshot())
+			res.Solutions = append(res.Solutions, protocol.Snapshot{})
+			e.SnapshotInto(&res.Solutions[len(res.Solutions)-1])
 		}
 		// Advance the mixed-radix counter.
 		u := 0

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"context"
+	"slices"
 
 	"testing"
 
@@ -58,9 +59,9 @@ func TestReachableModifiedHasUniqueFixedPoint(t *testing.T) {
 func TestReachableRestoresEngine(t *testing.T) {
 	f := figures.Fig2()
 	e := protocol.New(f.Sys, protocol.Classic, selection.Options{})
-	before := e.Snapshot()
+	before := e.EncodeState(nil)
 	Reachable(e, Options{Mode: Singletons})
-	if !e.Snapshot().Equal(before) {
+	if !slices.Equal(e.EncodeState(nil), before) {
 		t.Fatal("Reachable mutated the engine")
 	}
 }
@@ -112,9 +113,9 @@ func TestEnumerateStableClassicBudget(t *testing.T) {
 func TestEnumerateStableRestoresEngine(t *testing.T) {
 	f := figures.Fig2()
 	e := protocol.New(f.Sys, protocol.Classic, selection.Options{})
-	before := e.Snapshot()
+	before := e.EncodeState(nil)
 	EnumerateStableClassic(e, 0)
-	if !e.Snapshot().Equal(before) {
+	if !slices.Equal(e.EncodeState(nil), before) {
 		t.Fatal("EnumerateStableClassic mutated the engine")
 	}
 }
@@ -126,12 +127,12 @@ func TestStableSolutionsSurviveRun(t *testing.T) {
 	e := protocol.New(f.Sys, protocol.Classic, selection.Options{})
 	enum := EnumerateStableClassic(e, 0)
 	for i, s := range enum.Solutions {
-		e.RestoreSnapshot(s)
+		e.RestoreFrom(&s)
 		res := protocol.Run(e, protocol.PermutationRounds(f.Sys.N(), 99), protocol.RunOptions{MaxSteps: 500})
 		if res.Outcome != protocol.Converged || res.Steps != 0 {
 			t.Fatalf("solution %d moved under activation: %+v", i, res)
 		}
-		if !e.Snapshot().BestEqual(s) {
+		if !res.Final.BestEqual(s) {
 			t.Fatalf("solution %d changed", i)
 		}
 	}
@@ -157,7 +158,7 @@ func TestReachableFixedPointsAreStable(t *testing.T) {
 	e := protocol.New(f.Sys, protocol.Classic, selection.Options{})
 	a := Reachable(e, Options{Mode: SingletonsPlusAll})
 	for _, fp := range a.FixedPoints {
-		e.RestoreSnapshot(fp)
+		e.RestoreFrom(&fp)
 		if !e.Stable() {
 			t.Fatalf("reported fixed point is not stable: %v", fp)
 		}
@@ -182,7 +183,7 @@ func TestReachableCancellation(t *testing.T) {
 		t.Fatalf("cancelled-before-start search visited %d states", a.States)
 	}
 	// The engine must still be restored after an interrupted search.
-	if !e.Snapshot().Equal(protocol.New(f.Sys, protocol.Classic, selection.Options{}).Snapshot()) {
+	if !slices.Equal(e.EncodeState(nil), protocol.New(f.Sys, protocol.Classic, selection.Options{}).EncodeState(nil)) {
 		t.Fatal("cancelled Reachable left the engine dirty")
 	}
 }

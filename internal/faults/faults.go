@@ -96,7 +96,7 @@ func (p *Plan) Validate(nodes int) error {
 		name string
 		v    float64
 	}{{"drop", p.Drop}, {"dup", p.Duplicate}, {"reorder", p.Reorder}, {"delay", p.Delay}} {
-		if pr.v < 0 || pr.v > 1 {
+		if !(pr.v >= 0 && pr.v <= 1) { // negated so NaN fails
 			return fmt.Errorf("faults: %s probability %v outside [0,1]", pr.name, pr.v)
 		}
 	}

@@ -124,12 +124,11 @@ func TestFig1aModifiedConverges(t *testing.T) {
 			t.Fatal("modified protocol reached a different configuration under another schedule")
 		}
 	}
-	// GoodExits everywhere equals S' = Choose^B of all exits = {r1, r3}.
+	// Every node advertises GoodExits = S' = Choose^B of all exits = {r1, r3}.
 	sPrime := bgp.NewPathSet(f.Path("r1"), f.Path("r3"))
-	e.RestoreSnapshot(res.Final)
 	for u := 0; u < f.Sys.N(); u++ {
-		if !e.GoodExits(bgp.NodeID(u)).Equal(sPrime) {
-			t.Fatalf("GoodExits(v%d) = %v, want %v", u, e.GoodExits(bgp.NodeID(u)), sPrime)
+		if good := res.Final.Advertised[u]; !good.Equal(sPrime) {
+			t.Fatalf("GoodExits(v%d) = %v, want %v", u, good, sPrime)
 		}
 	}
 }

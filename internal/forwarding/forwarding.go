@@ -194,11 +194,11 @@ func (p *Plane) CheckLemma76Detailed() Lemma76Report {
 	return rep
 }
 
-// CheckLemma77 verifies the stronger statement of Lemma 7.7, which holds
+// checkLemma77 verifies the stronger statement of Lemma 7.7, which holds
 // when all exit costs are zero and all IGP edge costs are strictly
 // positive: every node w on SP(u, exitPoint(best(u))) selects the same exit
 // path as u. It returns the list of violations.
-func (p *Plane) CheckLemma77() []string {
+func (p *Plane) checkLemma77() []string {
 	var bad []string
 	for u := 0; u < p.sys.N(); u++ {
 		uid := bgp.NodeID(u)

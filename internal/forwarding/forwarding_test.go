@@ -103,7 +103,7 @@ func TestLemma77OnZeroExitCostSystem(t *testing.T) {
 	f := figures.Fig2()
 	snap := converged(t, f.Sys, protocol.Modified)
 	plane := NewPlane(f.Sys, snap)
-	if bad := plane.CheckLemma77(); len(bad) != 0 {
+	if bad := plane.checkLemma77(); len(bad) != 0 {
 		t.Fatalf("Lemma 7.7 violations: %v", bad)
 	}
 }

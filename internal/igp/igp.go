@@ -83,8 +83,8 @@ func (g *Graph) EdgeCost(u, v bgp.NodeID) int64 {
 	return best
 }
 
-// Degree returns the number of incident edges of u.
-func (g *Graph) Degree(u bgp.NodeID) int { return len(g.adj[u]) }
+// degree returns the number of incident edges of u.
+func (g *Graph) degree(u bgp.NodeID) int { return len(g.adj[u]) }
 
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
@@ -256,17 +256,17 @@ func (ap *AllPairs) Path(u, v bgp.NodeID) []bgp.NodeID { return ap.From(u).PathT
 // NextHop returns the first node after u on SP(u, v).
 func (ap *AllPairs) NextHop(u, v bgp.NodeID) bgp.NodeID { return ap.From(u).NextHop(v) }
 
-// ErrDisconnected is returned by CompleteMetric when the base graph does not
+// ErrDisconnected is returned by completeMetric when the base graph does not
 // connect all nodes.
 var ErrDisconnected = errors.New("igp: graph is not connected")
 
-// CompleteMetric adds, for every node pair without an edge, an edge whose
+// completeMetric adds, for every node pair without an edge, an edge whose
 // cost equals the current shortest-path distance, as in the NP-hardness
 // construction of Section 5 ("setting these costs one at a time to be equal
 // to the shortest path in the graph consisting of the edges with costs so
 // far defined"). The result satisfies the triangle inequality and preserves
 // all shortest-path distances.
-func (g *Graph) CompleteMetric() error {
+func (g *Graph) completeMetric() error {
 	if !g.Connected() {
 		return ErrDisconnected
 	}

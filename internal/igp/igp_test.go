@@ -310,7 +310,7 @@ func TestCompleteMetric(t *testing.T) {
 	mustEdge(t, g, 1, 2, 4)
 	mustEdge(t, g, 2, 3, 5)
 	before := NewAllPairs(g.Clone())
-	if err := g.CompleteMetric(); err != nil {
+	if err := g.completeMetric(); err != nil {
 		t.Fatal(err)
 	}
 	for u := 0; u < 4; u++ {
@@ -342,7 +342,7 @@ func TestCompleteMetric(t *testing.T) {
 func TestCompleteMetricDisconnected(t *testing.T) {
 	g := New(3)
 	mustEdge(t, g, 0, 1, 1)
-	if err := g.CompleteMetric(); err != ErrDisconnected {
+	if err := g.completeMetric(); err != ErrDisconnected {
 		t.Fatalf("err = %v, want ErrDisconnected", err)
 	}
 }
@@ -355,7 +355,7 @@ func TestCloneIndependence(t *testing.T) {
 	if c.HasEdge(1, 2) {
 		t.Fatal("clone shares adjacency with original")
 	}
-	if c.Degree(0) != 1 || g.Degree(1) != 2 {
+	if c.degree(0) != 1 || g.degree(1) != 2 {
 		t.Fatal("degrees wrong after clone")
 	}
 }

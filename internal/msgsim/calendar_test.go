@@ -11,7 +11,7 @@ import (
 // calendarDeltas are the push offsets (relative to the last popped time)
 // the fuzzer draws from: the in-window delays of ordinary messages, the
 // window's edges, far-future schedules like experiments.go's
-// WithdrawAt(2000, ...) and a soak round's base+ev.At, and pushes before
+// WithdrawPrefixAt(2000, ...) and a soak round's base+ev.At, and pushes before
 // Now().
 var calendarDeltas = []int64{0, 1, 1, 2, 3, 5, 10, 17, ringTicks - 1, ringTicks, ringTicks + 1, 2000, -1, -30, -5000}
 

@@ -75,8 +75,10 @@ func TestQuickClassicQuiescentStatesAreModelStable(t *testing.T) {
 			t.Fatalf("seed %d: quiescent operational state is not a model fixed point: %v",
 				seed, res.Best)
 		}
+		var induced protocol.Snapshot
+		e.SnapshotInto(&induced)
 		for u := range res.Best {
-			if e.BestPath(bgp.NodeID(u)) != res.Best[u] {
+			if induced.Best[u] != res.Best[u] {
 				t.Fatalf("seed %d: induced best differs at node %d", seed, u)
 			}
 		}

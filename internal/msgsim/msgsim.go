@@ -411,7 +411,7 @@ type Sim struct {
 
 // New creates a simulator over sys with the given advertisement policy,
 // selection options and delay model. Exit paths enter the system only via
-// InjectAll or InjectAt.
+// InjectAll or InjectPrefixAt (prefix 0).
 func New(sys *topology.System, policy protocol.Policy, opts selection.Options, delay DelayFunc) *Sim {
 	return NewMulti(map[uint32]*topology.System{0: sys}, policy, opts, delay)
 }
@@ -541,17 +541,11 @@ func (s *Sim) SetFaults(p *faults.Plan) error {
 	return nil
 }
 
-// InjectAt schedules the E-BGP injection of a prefix-0 path.
-func (s *Sim) InjectAt(time int64, id bgp.PathID) { s.InjectPrefixAt(time, 0, id) }
-
 // InjectPrefixAt schedules the E-BGP injection of one prefix's path. It
 // panics if the sim does not carry prefix or the prefix has no path id.
 func (s *Sim) InjectPrefixAt(time int64, prefix uint32, id bgp.PathID) {
 	s.pushExternal(time, evInject, prefix, id)
 }
-
-// WithdrawAt schedules the E-BGP withdrawal of a prefix-0 path.
-func (s *Sim) WithdrawAt(time int64, id bgp.PathID) { s.WithdrawPrefixAt(time, 0, id) }
 
 // WithdrawPrefixAt schedules the E-BGP withdrawal of one prefix's path. It
 // panics like InjectPrefixAt.
@@ -869,9 +863,6 @@ func (s *Sim) Best(u bgp.NodeID) bgp.PathID { return s.routers[u].Best(s.dom.Pre
 func (s *Sim) BestFor(prefix uint32, u bgp.NodeID) bgp.PathID {
 	return s.routers[u].Best(prefix)
 }
-
-// Possible returns router u's candidate set for the first prefix.
-func (s *Sim) Possible(u bgp.NodeID) bgp.PathSet { return s.routers[u].Possible(s.dom.Prefixes()[0]) }
 
 // PossibleFor returns router u's candidate set for one prefix.
 func (s *Sim) PossibleFor(prefix uint32, u bgp.NodeID) bgp.PathSet {

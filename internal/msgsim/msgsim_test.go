@@ -186,7 +186,7 @@ func TestFig3DelayScenarios(t *testing.T) {
 	// outcome {B:r3, C:r6}.
 	s := New(f.Sys, protocol.Classic, selection.Options{}, ConstantDelay(50))
 	for _, name := range []string{"r2", "r3", "r4", "r5", "r6"} {
-		s.InjectAt(0, f.Path(name))
+		s.InjectPrefixAt(0, 0, f.Path(name))
 	}
 	res := s.Run(0)
 	if !res.Quiesced || res.Best[B] != f.Path("r3") || res.Best[C] != f.Path("r6") {
@@ -198,10 +198,10 @@ func TestFig3DelayScenarios(t *testing.T) {
 	// different timing, different stable solution.
 	s2 := New(f.Sys, protocol.Classic, selection.Options{}, ConstantDelay(50))
 	for _, name := range []string{"r2", "r3", "r4", "r5", "r6"} {
-		s2.InjectAt(0, f.Path(name))
+		s2.InjectPrefixAt(0, 0, f.Path(name))
 	}
-	s2.InjectAt(0, f.Path("r1"))
-	s2.WithdrawAt(2000, f.Path("r1"))
+	s2.InjectPrefixAt(0, 0, f.Path("r1"))
+	s2.WithdrawPrefixAt(2000, 0, f.Path("r1"))
 	res2 := s2.Run(0)
 	if !res2.Quiesced || res2.Best[B] != f.Path("r4") || res2.Best[C] != f.Path("r5") {
 		t.Fatalf("scenario 2: %+v best=%v", res2, res2.Best)
@@ -212,11 +212,11 @@ func TestFig3DelayScenarios(t *testing.T) {
 	for variant := 0; variant < 2; variant++ {
 		m := New(f.Sys, protocol.Modified, selection.Options{}, ConstantDelay(50))
 		for _, name := range []string{"r2", "r3", "r4", "r5", "r6"} {
-			m.InjectAt(0, f.Path(name))
+			m.InjectPrefixAt(0, 0, f.Path(name))
 		}
 		if variant == 1 {
-			m.InjectAt(0, f.Path("r1"))
-			m.WithdrawAt(2000, f.Path("r1"))
+			m.InjectPrefixAt(0, 0, f.Path("r1"))
+			m.WithdrawPrefixAt(2000, 0, f.Path("r1"))
 		}
 		mres := m.Run(0)
 		if !mres.Quiesced {
@@ -238,13 +238,13 @@ func TestFig3TransientFlapping(t *testing.T) {
 	f := figures.Fig3()
 	base := New(f.Sys, protocol.Classic, selection.Options{}, ConstantDelay(50))
 	for _, name := range []string{"r2", "r3", "r4", "r5", "r6"} {
-		base.InjectAt(0, f.Path(name))
+		base.InjectPrefixAt(0, 0, f.Path(name))
 	}
 	bres := base.Run(0)
 
 	flappy := New(f.Sys, protocol.Classic, selection.Options{}, ConstantDelay(50))
 	flappy.InjectAll()
-	flappy.WithdrawAt(2000, f.Path("r1"))
+	flappy.WithdrawPrefixAt(2000, 0, f.Path("r1"))
 	fres := flappy.Run(0)
 	if !bres.Quiesced || !fres.Quiesced {
 		t.Fatal("runs did not quiesce")
@@ -263,9 +263,9 @@ func TestFig3StaggeredInjectionEchoOscillation(t *testing.T) {
 	f := figures.Fig3()
 	s := New(f.Sys, protocol.Classic, selection.Options{}, ConstantDelay(50))
 	for _, name := range []string{"r2", "r3", "r4", "r5"} {
-		s.InjectAt(0, f.Path(name))
+		s.InjectPrefixAt(0, 0, f.Path(name))
 	}
-	s.InjectAt(5, f.Path("r6")) // C announces r5 first, then corrects to r6
+	s.InjectPrefixAt(5, 0, f.Path("r6")) // C announces r5 first, then corrects to r6
 	res := s.Run(3000)
 	if res.Quiesced {
 		t.Fatalf("staggered lockstep run quiesced: %+v", res)
@@ -279,9 +279,9 @@ func TestFig3StaggeredInjectionEchoOscillation(t *testing.T) {
 	// which is exactly why the paper calls these oscillations transient.
 	s2 := New(f.Sys, protocol.Classic, selection.Options{}, MustRandomDelay(3, 40, 60))
 	for _, name := range []string{"r2", "r3", "r4", "r5"} {
-		s2.InjectAt(0, f.Path(name))
+		s2.InjectPrefixAt(0, 0, f.Path(name))
 	}
-	s2.InjectAt(5, f.Path("r6"))
+	s2.InjectPrefixAt(5, 0, f.Path("r6"))
 	res2 := s2.Run(200000)
 	if !res2.Quiesced {
 		t.Fatalf("jittered run did not quiesce: %+v", res2)
@@ -290,9 +290,9 @@ func TestFig3StaggeredInjectionEchoOscillation(t *testing.T) {
 	// The modified protocol shrugs the same staggering off entirely.
 	m := New(f.Sys, protocol.Modified, selection.Options{}, ConstantDelay(50))
 	for _, name := range []string{"r2", "r3", "r4", "r5"} {
-		m.InjectAt(0, f.Path(name))
+		m.InjectPrefixAt(0, 0, f.Path(name))
 	}
-	m.InjectAt(5, f.Path("r6"))
+	m.InjectPrefixAt(5, 0, f.Path("r6"))
 	mres := m.Run(0)
 	if !mres.Quiesced {
 		t.Fatalf("modified staggered run did not quiesce: %+v", mres)
@@ -338,16 +338,16 @@ func TestWithdrawalFlushesInMsgsim(t *testing.T) {
 	s := New(f.Sys, protocol.Modified, selection.Options{}, ConstantDelay(2))
 	s.InjectAll()
 	s.Run(0)
-	if !s.Possible(f.Node("c1")).Contains(f.Path("r2")) {
+	if !s.PossibleFor(0, f.Node("c1")).Contains(f.Path("r2")) {
 		t.Fatal("precondition: c1 lacks r2")
 	}
-	s.WithdrawAt(s.Now()+1, f.Path("r2"))
+	s.WithdrawPrefixAt(s.Now()+1, 0, f.Path("r2"))
 	res := s.Run(0)
 	if !res.Quiesced {
 		t.Fatal("did not quiesce after withdrawal")
 	}
 	for u := 0; u < f.Sys.N(); u++ {
-		if s.Possible(bgp.NodeID(u)).Contains(f.Path("r2")) {
+		if s.PossibleFor(0, bgp.NodeID(u)).Contains(f.Path("r2")) {
 			t.Fatalf("node %d retains withdrawn path", u)
 		}
 	}
@@ -386,9 +386,9 @@ func TestMRAISlowsButDoesNotKillFig3Echo(t *testing.T) {
 		s := New(f.Sys, protocol.Classic, selection.Options{}, ConstantDelay(50))
 		s.SetMRAI(mrai)
 		for _, name := range []string{"r2", "r3", "r4", "r5"} {
-			s.InjectAt(0, f.Path(name))
+			s.InjectPrefixAt(0, 0, f.Path(name))
 		}
-		s.InjectAt(5, f.Path("r6"))
+		s.InjectPrefixAt(5, 0, f.Path("r6"))
 		return s.Run(5000)
 	}
 	plain := mk(0)
@@ -423,7 +423,7 @@ func TestMRAIPreservesOutcomeAndSavesMessages(t *testing.T) {
 		s := New(f.Sys, protocol.Classic, selection.Options{}, ConstantDelay(50))
 		s.SetMRAI(mrai)
 		s.InjectAll()
-		s.WithdrawAt(2000, f.Path("r1"))
+		s.WithdrawPrefixAt(2000, 0, f.Path("r1"))
 		return s.Run(0)
 	}
 	plain := run(0)
@@ -514,8 +514,8 @@ func TestScheduleRejectsUnknownRoute(t *testing.T) {
 	}{
 		{"inject unknown prefix", func(s *Sim) { s.InjectPrefixAt(0, 7, 0) }, "prefix 7 path 0"},
 		{"withdraw unknown prefix", func(s *Sim) { s.WithdrawPrefixAt(3, 9, 1) }, "prefix 9 path 1"},
-		{"inject path past the last", func(s *Sim) { s.InjectAt(0, n) }, fmt.Sprintf("prefix 0 path %d", n)},
-		{"withdraw negative path", func(s *Sim) { s.WithdrawAt(0, -1) }, "prefix 0 path -1"},
+		{"inject path past the last", func(s *Sim) { s.InjectPrefixAt(0, 0, n) }, fmt.Sprintf("prefix 0 path %d", n)},
+		{"withdraw negative path", func(s *Sim) { s.WithdrawPrefixAt(0, 0, -1) }, "prefix 0 path -1"},
 		{"path beyond 32 bits", func(s *Sim) { s.InjectPrefixAt(0, 0, 1<<32) }, "prefix 0 path 4294967296"},
 	}
 	for _, c := range cases {

@@ -1,9 +1,9 @@
 package protocol
 
 // Binary state codec. A configuration is a fixed-width vector of uint64
-// words — the interchange format between the engine and the exploration
-// arena of package explore. The layout, with W = ceil(NumExits/64) words
-// per path set and n routers:
+// words — the interchange format between the engine and the Arena that
+// interns configurations for Run and package explore. The layout, with
+// W = ceil(NumExits/64) words per path set and n routers:
 //
 //	per node u (in node order):
 //	    W words   PossibleExits(u)   (bitset, zero-padded to W)
@@ -16,10 +16,9 @@ package protocol
 // Equal configurations encode to equal words (path sets are normalized:
 // trailing zero words never vary with storage capacity), so the vector is
 // both a dedup key and a restorable snapshot. The Adaptive block carries
-// the oscillation-detector state that the legacy Snapshot type omits.
+// the oscillation-detector state that the Snapshot type omits.
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/bgp"
@@ -95,7 +94,7 @@ func (e *Engine) validPathWords(ws []uint64) bool {
 // wrong length, out-of-range best paths, bits naming nonexistent exit
 // paths, or malformed Adaptive detector words are rejected with an error
 // and leave the engine in a mixed but internally consistent state. Like
-// RestoreSnapshot it does not touch the derived learnedFrom attribution,
+// RestoreFrom it does not touch the derived learnedFrom attribution,
 // which the next gather rewrites. It does not allocate beyond path-set
 // growth on first use.
 func (e *Engine) DecodeState(src []uint64) error {
@@ -140,21 +139,6 @@ func (e *Engine) DecodeState(src []uint64) error {
 		}
 	}
 	return nil
-}
-
-// StateKey returns a canonical string identifying the current configuration
-// (PossibleExits, BestRoute and advertised set per node, plus the Adaptive
-// detector state). Two engines with equal keys, equal inputs and equal
-// future schedules evolve identically. The key is the little-endian byte
-// image of EncodeState — compact and canonical, but not printable; hot
-// paths should intern EncodeState words instead of allocating keys.
-func (e *Engine) StateKey() string {
-	words := e.EncodeState(make([]uint64, 0, e.StateWords()))
-	b := make([]byte, 8*len(words))
-	for i, word := range words {
-		binary.LittleEndian.PutUint64(b[i*8:], word)
-	}
-	return string(b)
 }
 
 // Clone returns an independent engine over the same (shared, read-only)

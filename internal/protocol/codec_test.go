@@ -4,8 +4,7 @@ package protocol_test
 // workload-generated systems, and workload itself imports protocol.
 
 import (
-	"bytes"
-	"encoding/binary"
+	"slices"
 	"testing"
 
 	"repro/internal/bgp"
@@ -44,6 +43,13 @@ func wordsOf(e *protocol.Engine) []uint64 {
 	return e.EncodeState(make([]uint64, 0, e.StateWords()))
 }
 
+// snapshot returns a fresh snapshot of e's configuration.
+func snapshot(e *protocol.Engine) protocol.Snapshot {
+	var s protocol.Snapshot
+	e.SnapshotInto(&s)
+	return s
+}
+
 // fig1aEngine builds a fresh engine on the paper's Figure 1(a) system.
 func fig1aEngine(policy protocol.Policy) *protocol.Engine {
 	return protocol.New(figures.Fig1a().Sys, policy, selection.Options{})
@@ -52,7 +58,7 @@ func fig1aEngine(policy protocol.Policy) *protocol.Engine {
 // FuzzStateCodec drives a random system with a random activation script
 // under a random policy and asserts the codec round-trips: encode →
 // decode into a fresh engine → re-encode is word-identical, and the
-// restored engine agrees on StateKey and Snapshot. The Adaptive policy is
+// restored engine agrees on its Snapshot. The Adaptive policy is
 // in rotation, so the detector block (flaps, heldBest, upgraded) is
 // covered too.
 func FuzzStateCodec(f *testing.F) {
@@ -80,44 +86,13 @@ func FuzzStateCodec(f *testing.F) {
 			t.Fatalf("DecodeState rejected its own encoding: %v", err)
 		}
 		again := wordsOf(e2)
-		if !equalWords(words, again) {
+		if !slices.Equal(words, again) {
 			t.Fatalf("re-encode diverged:\n  first  %x\n  second %x", words, again)
 		}
-		if e.StateKey() != e2.StateKey() {
-			t.Fatal("StateKey differs after decode round-trip")
-		}
-		if !e.Snapshot().Equal(e2.Snapshot()) {
+		if !snapshot(e).Equal(snapshot(e2)) {
 			t.Fatal("Snapshot differs after decode round-trip")
 		}
 	})
-}
-
-func equalWords(x, y []uint64) bool {
-	if len(x) != len(y) {
-		return false
-	}
-	for i := range x {
-		if x[i] != y[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestStateKeyIsEncodedWords pins the compatibility wrapper: StateKey is
-// the little-endian byte image of EncodeState.
-func TestStateKeyIsEncodedWords(t *testing.T) {
-	e := fig1aEngine(protocol.Classic)
-	words := wordsOf(e)
-	var buf bytes.Buffer
-	for _, w := range words {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], w)
-		buf.Write(b[:])
-	}
-	if got := e.StateKey(); got != buf.String() {
-		t.Fatalf("StateKey is not the little-endian image of EncodeState:\n got %x\nwant %x", got, buf.String())
-	}
 }
 
 // TestDecodeStateValidates proves malformed vectors are rejected rather
@@ -160,8 +135,8 @@ func TestDecodeStateValidates(t *testing.T) {
 	if err := e.DecodeState(ok); err != nil {
 		t.Fatalf("valid vector rejected: %v", err)
 	}
-	if e.BestPath(0) != bgp.None {
-		t.Fatalf("best[0] = %d after decoding None", e.BestPath(0))
+	if best := snapshot(e).Best[0]; best != bgp.None {
+		t.Fatalf("best[0] = %d after decoding None", best)
 	}
 }
 
@@ -199,7 +174,7 @@ func TestAdaptiveCodecCarriesDetector(t *testing.T) {
 	if !e2.Upgraded(1) {
 		t.Error("Upgraded(1) = false, want true")
 	}
-	if again := wordsOf(e2); !equalWords(words, again) {
+	if again := wordsOf(e2); !slices.Equal(words, again) {
 		t.Fatal("detector block does not re-encode identically")
 	}
 
@@ -217,20 +192,20 @@ func mutateAt(words []uint64, idx int, v uint64) []uint64 {
 	return c
 }
 
-// TestSnapshotIntoRestoreFromReuse proves the scratch variants reuse
-// storage and agree with the allocating wrappers.
+// TestSnapshotIntoRestoreFrom proves SnapshotInto reuses storage and
+// RestoreFrom restores what it captured.
 func TestSnapshotIntoRestoreFrom(t *testing.T) {
 	e := fig1aEngine(protocol.Classic)
 	var s protocol.Snapshot
 	e.SnapshotInto(&s)
-	if !s.Equal(e.Snapshot()) {
-		t.Fatal("SnapshotInto disagrees with Snapshot")
+	if !s.Equal(snapshot(e)) {
+		t.Fatal("SnapshotInto disagrees with a fresh snapshot")
 	}
 	e.Activate(0)
 	e.Activate(1)
-	changed := e.Snapshot()
+	changed := snapshot(e)
 	e.RestoreFrom(&s)
-	if !e.Snapshot().Equal(s) {
+	if !snapshot(e).Equal(s) {
 		t.Fatal("RestoreFrom did not restore the captured configuration")
 	}
 	if changed.Equal(s) {
@@ -239,8 +214,8 @@ func TestSnapshotIntoRestoreFrom(t *testing.T) {
 	// Refill the same snapshot from the restored engine: storage is reused,
 	// contents must still match.
 	e.SnapshotInto(&s)
-	if !e.Snapshot().Equal(s) {
-		t.Fatal("refilled SnapshotInto disagrees with Snapshot")
+	if !snapshot(e).Equal(s) {
+		t.Fatal("refilled SnapshotInto disagrees with a fresh snapshot")
 	}
 }
 
@@ -250,21 +225,21 @@ func TestSnapshotIntoRestoreFrom(t *testing.T) {
 func TestCloneIsIndependent(t *testing.T) {
 	e := fig1aEngine(protocol.Classic)
 	driveScript(e, []byte{0, 1, 0x82})
-	before := e.StateKey()
+	before := wordsOf(e)
 
 	c := e.Clone()
-	if c.StateKey() != before {
+	if !slices.Equal(wordsOf(c), before) {
 		t.Fatal("clone starts from a different state")
 	}
 	driveScript(c, []byte{2, 0x81, 1, 0})
-	if e.StateKey() != before {
+	if !slices.Equal(wordsOf(e), before) {
 		t.Fatal("driving the clone mutated the original")
 	}
 
 	ref := fig1aEngine(protocol.Classic)
 	driveScript(ref, []byte{0, 1, 0x82})
 	driveScript(ref, []byte{2, 0x81, 1, 0})
-	if c.StateKey() != ref.StateKey() {
+	if !slices.Equal(wordsOf(c), wordsOf(ref)) {
 		t.Fatal("clone diverged from a fresh engine driven identically")
 	}
 }

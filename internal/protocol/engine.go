@@ -200,11 +200,8 @@ func (e *Engine) PossibleExits(u bgp.NodeID) bgp.PathSet { return e.possible[u].
 // Advertised returns the set of exit paths u currently offers its peers.
 func (e *Engine) Advertised(u bgp.NodeID) bgp.PathSet { return e.advertised[u].Clone() }
 
-// BestPath returns the exit path id of BestRoute(u), or bgp.None.
-func (e *Engine) BestPath(u bgp.NodeID) bgp.PathID { return e.best[u] }
-
-// BestRoute returns BestRoute(u) in the current configuration.
-func (e *Engine) BestRoute(u bgp.NodeID) (bgp.Route, bool) {
+// bestRoute returns BestRoute(u) in the current configuration.
+func (e *Engine) bestRoute(u bgp.NodeID) (bgp.Route, bool) {
 	id := e.best[u]
 	if id == bgp.None {
 		return bgp.Route{}, false
@@ -212,15 +209,8 @@ func (e *Engine) BestRoute(u bgp.NodeID) (bgp.Route, bool) {
 	return e.sys.Route(u, e.sys.Exit(id), e.learned[u][id]), true
 }
 
-// GoodExits returns Choose^B(PossibleExits(u)) — the set the modified
-// protocol advertises from u.
-func (e *Engine) GoodExits(u bgp.NodeID) bgp.PathSet {
-	var out bgp.PathSet
-	e.goodExitsInto(&out, u)
-	return out
-}
-
-// goodExitsInto adds Choose^B(PossibleExits(u)) to out. The exit paths are
+// goodExitsInto adds Choose^B(PossibleExits(u)) — GoodExits(u), the set the
+// modified protocol advertises from u — to out. The exit paths are
 // materialised into the engine's private path scratch, which the in-place
 // Choose^B may reorder freely: only the surviving IDs leave this function.
 func (e *Engine) goodExitsInto(out *bgp.PathSet, u bgp.NodeID) {
@@ -440,18 +430,8 @@ type Snapshot struct {
 	Advertised []bgp.PathSet
 }
 
-// Snapshot returns a deep copy of the current outcome. It is a convenience
-// wrapper over SnapshotInto; hot paths should reuse a Snapshot via
-// SnapshotInto instead.
-func (e *Engine) Snapshot() Snapshot {
-	var s Snapshot
-	e.SnapshotInto(&s)
-	return s
-}
-
-// SnapshotInto captures the current outcome into s, reusing s's storage.
-// It is the allocation-free counterpart of Snapshot once s has been filled
-// once for a system of the same size.
+// SnapshotInto captures the current outcome into s, reusing s's storage: it
+// does not allocate once s has been filled for a system of the same size.
 func (e *Engine) SnapshotInto(s *Snapshot) {
 	n := len(e.possible)
 	s.Best = append(s.Best[:0], e.best...)
@@ -507,13 +487,10 @@ func (s Snapshot) String() string {
 	return strings.Join(parts, " ")
 }
 
-// RestoreSnapshot loads a previously captured configuration into the
-// engine. The snapshot must come from an engine over the same system.
-func (e *Engine) RestoreSnapshot(s Snapshot) { e.RestoreFrom(&s) }
-
-// RestoreFrom loads the configuration in s into the engine without
-// allocating: the engine's own sets absorb the snapshot's contents. The
-// snapshot is not aliased and stays valid.
+// RestoreFrom loads the configuration in s, captured from an engine over
+// the same system, into the engine without allocating: the engine's own
+// sets absorb the snapshot's contents. The snapshot is not aliased and
+// stays valid.
 func (e *Engine) RestoreFrom(s *Snapshot) {
 	for u := range e.possible {
 		e.possible[u].Copy(s.Possible[u])

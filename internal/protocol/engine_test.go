@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/bgp"
@@ -37,10 +38,10 @@ func TestInitialConfiguration(t *testing.T) {
 	if !e.PossibleExits(n["c"]).Equal(bgp.NewPathSet(p["pc"])) {
 		t.Fatalf("possible(c) = %v", e.PossibleExits(n["c"]))
 	}
-	if !e.PossibleExits(n["R"]).Empty() {
+	if e.PossibleExits(n["R"]).Len() != 0 {
 		t.Fatalf("possible(R) = %v, want empty", e.PossibleExits(n["R"]))
 	}
-	if e.BestPath(n["c"]) != p["pc"] || e.BestPath(n["R"]) != bgp.None {
+	if e.best[n["c"]] != p["pc"] || e.best[n["R"]] != bgp.None {
 		t.Fatal("initial best routes wrong")
 	}
 	// Initial advertisement: own best.
@@ -62,10 +63,10 @@ func TestActivationPropagation(t *testing.T) {
 	}
 	// Metric: pc at distance 1, ps at distance 1 with equal attributes;
 	// tie breaks on learnedFrom = BGP id (c=1001 < S=1002).
-	if e.BestPath(n["R"]) != p["pc"] {
-		t.Fatalf("best(R) = p%d, want pc", e.BestPath(n["R"]))
+	if e.best[n["R"]] != p["pc"] {
+		t.Fatalf("best(R) = p%d, want pc", e.best[n["R"]])
 	}
-	r, ok := e.BestRoute(n["R"])
+	r, ok := e.bestRoute(n["R"])
 	if !ok || r.Metric != 1 || r.EBGP() {
 		t.Fatalf("BestRoute(R) = %+v, %v", r, ok)
 	}
@@ -85,8 +86,8 @@ func TestTransferRulesAppliedOnGather(t *testing.T) {
 		t.Fatal("S did not receive client route via reflection")
 	}
 	// S prefers its own E-BGP route.
-	if e.BestPath(n["S"]) != p["ps"] {
-		t.Fatalf("best(S) = p%d, want ps", e.BestPath(n["S"]))
+	if e.best[n["S"]] != p["ps"] {
+		t.Fatalf("best(S) = p%d, want ps", e.best[n["S"]])
 	}
 	e.Activate(n["c"])
 	// c hears R's best (pc is c's own, so R's advertisement of pc is not
@@ -122,9 +123,6 @@ func TestModifiedAdvertisesSurvivors(t *testing.T) {
 	want := bgp.NewPathSet(p["pc"], p["ps"])
 	if !e.Advertised(n["R"]).Equal(want) {
 		t.Fatalf("advertised(R) = %v, want %v", e.Advertised(n["R"]), want)
-	}
-	if !e.GoodExits(n["R"]).Equal(want) {
-		t.Fatalf("GoodExits(R) = %v, want %v", e.GoodExits(n["R"]), want)
 	}
 	// The client sees every survivor except its own echo.
 	if !e.PossibleExits(n["c"]).Equal(want) {
@@ -205,15 +203,16 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	sys, n, _ := miniSystem(t)
 	e := New(sys, Classic, selection.Options{})
 	e.Activate(n["R"])
-	snap := e.Snapshot()
-	key := e.StateKey()
+	var snap, got Snapshot
+	e.SnapshotInto(&snap)
+	words := e.EncodeState(nil)
 	e.Activate(n["S"])
 	e.Activate(n["c"])
-	e.RestoreSnapshot(snap)
-	if e.StateKey() != key {
-		t.Fatal("RestoreSnapshot did not restore the state key")
+	e.RestoreFrom(&snap)
+	if !slices.Equal(e.EncodeState(nil), words) {
+		t.Fatal("RestoreFrom did not restore the encoded state")
 	}
-	if !e.Snapshot().Equal(snap) {
+	if e.SnapshotInto(&got); !got.Equal(snap) {
 		t.Fatal("snapshot not equal after restore")
 	}
 }
@@ -221,16 +220,17 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestSnapshotEqualAndBestEqual(t *testing.T) {
 	sys, n, _ := miniSystem(t)
 	e := New(sys, Classic, selection.Options{})
-	s1 := e.Snapshot()
+	var s1, s2, s3 Snapshot
+	e.SnapshotInto(&s1)
 	e.Activate(n["R"])
-	s2 := e.Snapshot()
+	e.SnapshotInto(&s2)
 	if s1.Equal(s2) {
 		t.Fatal("distinct snapshots compare equal")
 	}
 	if s1.BestEqual(s2) {
 		t.Fatal("best routes should differ after R learns routes")
 	}
-	if !s2.Equal(e.Snapshot()) {
+	if e.SnapshotInto(&s3); !s2.Equal(s3) {
 		t.Fatal("snapshot not stable")
 	}
 	if s2.String() == "" || s1.String() == "" {

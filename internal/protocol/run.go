@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bgp"
 )
@@ -56,14 +57,14 @@ type Result struct {
 type RunOptions struct {
 	// MaxSteps bounds the number of activation sets (default 10000).
 	MaxSteps int
-	// DetectCycles enables state hashing at schedule period boundaries for
-	// periodic schedules (default on when the schedule has a period).
-	DetectCycles bool
 }
 
 // Run drives the engine with the schedule until the configuration is stable
 // (no activation can change anything), until a state cycle is proved for a
-// periodic schedule, or until the step budget is exhausted.
+// periodic schedule, or until the step budget is exhausted. A periodic
+// schedule's configuration is interned at every period boundary; boundary
+// k interns id k-1, so a revisit of id j at boundary k proves a cycle of
+// k-(j+1) periods.
 func Run(e *Engine, sch Schedule, opts RunOptions) Result {
 	maxSteps := opts.MaxSteps
 	if maxSteps <= 0 {
@@ -71,13 +72,16 @@ func Run(e *Engine, sch Schedule, opts RunOptions) Result {
 	}
 	n := e.Sys().N()
 	period := sch.Period()
-	detect := opts.DetectCycles || period > 0
 
 	res := Result{}
-	// quietFor counts consecutive activation sets with no change;
 	// quietNodes tracks which nodes were activated since the last change.
 	quietNodes := make(map[bgp.NodeID]bool, n)
-	seen := map[string]int{}
+	var seen *Arena
+	var state []uint64
+	if period > 0 {
+		seen = NewArena(e.StateWords())
+		state = make([]uint64, 0, e.StateWords())
+	}
 	stepsInPeriod := 0
 
 	prevBest := append([]bgp.PathID(nil), e.best...)
@@ -92,7 +96,7 @@ func Run(e *Engine, sch Schedule, opts RunOptions) Result {
 
 	if e.Stable() {
 		res.Outcome = Converged
-		res.Final = e.Snapshot()
+		e.SnapshotInto(&res.Final)
 		return res
 	}
 
@@ -118,24 +122,23 @@ func Run(e *Engine, sch Schedule, opts RunOptions) Result {
 			// attribution-only effects.
 			if e.Stable() {
 				res.Outcome = Converged
-				res.Final = e.Snapshot()
+				e.SnapshotInto(&res.Final)
 				return res
 			}
 			clear(quietNodes)
 		}
 
-		if detect && period > 0 {
+		if period > 0 {
 			stepsInPeriod++
 			if stepsInPeriod == period {
 				stepsInPeriod = 0
-				key := e.StateKey()
-				if first, ok := seen[key]; ok {
+				state = e.EncodeState(state[:0])
+				if id, fresh := seen.Intern(state); !fresh {
 					res.Outcome = Cycled
-					res.CycleLen = res.Steps/period - first
-					res.Final = e.Snapshot()
+					res.CycleLen = res.Steps/period - int(id+1)
+					e.SnapshotInto(&res.Final)
 					return res
 				}
-				seen[key] = res.Steps / period
 			}
 		}
 	}
@@ -144,7 +147,7 @@ func Run(e *Engine, sch Schedule, opts RunOptions) Result {
 	} else {
 		res.Outcome = Exhausted
 	}
-	res.Final = e.Snapshot()
+	e.SnapshotInto(&res.Final)
 	return res
 }
 
@@ -175,14 +178,14 @@ func CycleWitness(e *Engine, sch Schedule, maxSteps int) (steps []WitnessStep, c
 			steps = append(steps, WitnessStep{Node: ev.Node, From: ev.OldBest, To: ev.NewBest})
 		}
 	})
-	start := e.StateKey()
+	start := e.EncodeState(nil)
 	for i := 0; i < res.CycleLen; i++ {
 		for j := 0; j < period; j++ {
 			e.ActivateSet(sch.Next())
 		}
 	}
 	e.observer = old
-	if e.StateKey() != start {
+	if !slices.Equal(e.EncodeState(nil), start) {
 		return nil, 0, false // should not happen: the cycle was proved
 	}
 	return steps, res.CycleLen, true

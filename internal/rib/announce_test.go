@@ -210,8 +210,8 @@ func TestAnnouncementRuleTable(t *testing.T) {
 			for _, f := range c.from {
 				r.Learn(node[f], path)
 			}
-			if got := r.MayAnnounce(path, to); got != want {
-				t.Errorf("%s: MayAnnounce = %v, Section 2 says %v", name, got, want)
+			if got := r.mayAnnounce(path, to); got != want {
+				t.Errorf("%s: mayAnnounce = %v, Section 2 says %v", name, got, want)
 			}
 		}
 	}

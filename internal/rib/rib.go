@@ -214,8 +214,8 @@ func (r *RIB) ID() bgp.NodeID { return r.id }
 // Best returns the current best path, or bgp.None.
 func (r *RIB) Best() bgp.PathID { return r.best }
 
-// BestRoute materialises the current best route.
-func (r *RIB) BestRoute() (bgp.Route, bool) {
+// bestRoute materialises the current best route.
+func (r *RIB) bestRoute() (bgp.Route, bool) {
 	if r.best == bgp.None {
 		return bgp.Route{}, false
 	}
@@ -322,14 +322,14 @@ func (r *RIB) sourceKind(id bgp.PathID) (kind int8, origin int) {
 	return srcOther, -1
 }
 
-// MayAnnounce implements the operational announcement rules of Section 2
+// mayAnnounce implements the operational announcement rules of Section 2
 // for one path toward peer w, generalized to multi-level hierarchies:
 // E-BGP routes go to everyone; routes from a served peer go to everyone
 // but the originator; routes from a non-client peer flow only downward to
 // this router's own served members. A leaf client serves nobody, so the
 // rules degenerate to "announce own routes only" — the plain I-BGP
 // speaker behaviour.
-func (r *RIB) MayAnnounce(id bgp.PathID, w bgp.NodeID) bool {
+func (r *RIB) mayAnnounce(id bgp.PathID, w bgp.NodeID) bool {
 	i := r.pg.Index(w)
 	if i < 0 {
 		return false

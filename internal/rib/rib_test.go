@@ -45,10 +45,10 @@ func TestEmptyRIB(t *testing.T) {
 	if r.Best() != bgp.None {
 		t.Fatal("empty RIB has a best route")
 	}
-	if _, ok := r.BestRoute(); ok {
+	if _, ok := r.bestRoute(); ok {
 		t.Fatal("empty RIB materialised a route")
 	}
-	if !r.Possible().Empty() || !r.MyExits().Empty() {
+	if r.Possible().Len() != 0 || r.MyExits().Len() != 0 {
 		t.Fatal("empty RIB has paths")
 	}
 	if r.ID() != f.Node("RR1") {
@@ -120,7 +120,7 @@ func TestApplyUpdateFromStranger(t *testing.T) {
 	f, r := fig14RIB(t, "RR1", protocol.Classic)
 	// c2 is not RR1's peer; its update must be dropped.
 	r.Learn(f.Node("c2"), f.Path("r2"))
-	if !r.Possible().Empty() {
+	if r.Possible().Len() != 0 {
 		t.Fatal("update from non-peer accepted")
 	}
 }
@@ -135,21 +135,21 @@ func TestMayAnnounceRules(t *testing.T) {
 	rr1.Learn(RR2, r2)
 
 	// Own E-BGP route: to everyone.
-	if !rr1.MayAnnounce(r1, RR2) || !rr1.MayAnnounce(r1, c1) {
+	if !rr1.mayAnnounce(r1, RR2) || !rr1.mayAnnounce(r1, c1) {
 		t.Fatal("own route must go to all peers")
 	}
 	// Learned from non-client RR2: to own clients only.
-	if rr1.MayAnnounce(r2, RR2) {
+	if rr1.mayAnnounce(r2, RR2) {
 		t.Fatal("non-client route echoed to a reflector")
 	}
-	if !rr1.MayAnnounce(r2, c1) {
+	if !rr1.mayAnnounce(r2, c1) {
 		t.Fatal("non-client route must reach the client")
 	}
 
 	// A client never forwards learned routes.
 	cl := New(f.Sys, protocol.Classic, selection.Options{}, c1)
 	cl.Learn(RR1, r1)
-	if cl.MayAnnounce(r1, RR1) {
+	if cl.mayAnnounce(r1, RR1) {
 		t.Fatal("client forwarded a learned route")
 	}
 }
@@ -162,10 +162,10 @@ func TestClientRouteReflection(t *testing.T) {
 	r := New(sys, protocol.Classic, selection.Options{}, rr)
 	r.Learn(ca, p)
 	refresh(r)
-	if r.MayAnnounce(p, ca) {
+	if r.mayAnnounce(p, ca) {
 		t.Fatal("client route echoed to originator")
 	}
-	if !r.MayAnnounce(p, cb) || !r.MayAnnounce(p, rr2) {
+	if !r.mayAnnounce(p, cb) || !r.mayAnnounce(p, rr2) {
 		t.Fatal("client route must be reflected to other peers")
 	}
 }
@@ -185,21 +185,21 @@ func TestDualInstanceKeepsClientClassification(t *testing.T) {
 	r.Learn(ca, p)
 	r.Learn(rr2, p)
 	refresh(r)
-	if !r.MayAnnounce(p, rr2) {
+	if !r.mayAnnounce(p, rr2) {
 		t.Fatal("client-learned route withdrawn from the mesh when a redundant mesh copy arrived")
 	}
-	if r.MayAnnounce(p, ca) {
+	if r.mayAnnounce(p, ca) {
 		t.Fatal("client route echoed to its originator")
 	}
-	if !r.MayAnnounce(p, cb) {
+	if !r.mayAnnounce(p, cb) {
 		t.Fatal("client route must reach the sibling client")
 	}
 	// The mesh copy alone reverts to non-client rules: downward only.
 	r.Unlearn(ca, p)
-	if r.MayAnnounce(p, rr2) {
+	if r.mayAnnounce(p, rr2) {
 		t.Fatal("mesh-only route echoed to a reflector")
 	}
-	if !r.MayAnnounce(p, cb) {
+	if !r.mayAnnounce(p, cb) {
 		t.Fatal("mesh-only route must still flow downward")
 	}
 }
@@ -252,7 +252,7 @@ func TestLearnedFromPrefersLowestPeerID(t *testing.T) {
 	r := New(f.Sys, protocol.Classic, selection.Options{}, RR1)
 	r.Learn(f.Node("c1"), f.Path("r1"))
 	refresh(r)
-	route, ok := r.BestRoute()
+	route, ok := r.bestRoute()
 	if !ok {
 		t.Fatal("no best route")
 	}

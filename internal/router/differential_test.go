@@ -76,7 +76,7 @@ func TestLemma73SubstratesAgreeOnEveryFigure(t *testing.T) {
 			if !n.WaitQuiesce(quiesceTimeout, settle) {
 				t.Fatalf("TCP network did not quiesce (counters %+v)", n.Counters())
 			}
-			got := n.BestAll()
+			got := n.BestAllFor(0)
 			for u := range want {
 				if got[u] != want[u] {
 					t.Fatalf("TCP: node %d best %v, model %v", u, got, want)
@@ -124,13 +124,13 @@ func TestClassicFig3TimingDependentOnTCP(t *testing.T) {
 	}
 	defer n1.Stop()
 	for _, name := range []string{"r2", "r3", "r4", "r5", "r6"} {
-		n1.Inject(f.Path(name))
+		n1.InjectPrefix(0, f.Path(name))
 	}
 	if !n1.WaitQuiesce(quiesceTimeout, settle) {
 		t.Fatal("scenario 1 did not quiesce")
 	}
-	if n1.Best(B) != f.Path("r3") || n1.Best(C) != f.Path("r6") {
-		t.Fatalf("scenario 1: B=%v C=%v, want r3/r6", n1.Best(B), n1.Best(C))
+	if n1.BestFor(0, B) != f.Path("r3") || n1.BestFor(0, C) != f.Path("r6") {
+		t.Fatalf("scenario 1: B=%v C=%v, want r3/r6", n1.BestFor(0, B), n1.BestFor(0, C))
 	}
 
 	// Scenario 2: r1 is visible long enough to settle, then withdrawn —
@@ -144,11 +144,11 @@ func TestClassicFig3TimingDependentOnTCP(t *testing.T) {
 	if !n2.WaitQuiesce(quiesceTimeout, settle) {
 		t.Fatal("scenario 2 did not quiesce after injection")
 	}
-	n2.Withdraw(f.Path("r1"))
+	n2.WithdrawPrefix(0, f.Path("r1"))
 	if !n2.WaitQuiesce(quiesceTimeout, settle) {
 		t.Fatal("scenario 2 did not quiesce after withdrawal")
 	}
-	if n2.Best(B) != f.Path("r4") || n2.Best(C) != f.Path("r5") {
-		t.Fatalf("scenario 2: B=%v C=%v, want r4/r5", n2.Best(B), n2.Best(C))
+	if n2.BestFor(0, B) != f.Path("r4") || n2.BestFor(0, C) != f.Path("r5") {
+		t.Fatalf("scenario 2: B=%v C=%v, want r4/r5", n2.BestFor(0, B), n2.BestFor(0, C))
 	}
 }

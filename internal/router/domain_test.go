@@ -52,8 +52,8 @@ func TestNewDomainErrorPaths(t *testing.T) {
 	if dom.System(9) != sysA {
 		t.Fatal("System(9) did not return the registered system")
 	}
-	if dom.NumPrefixes() != 2 {
-		t.Fatalf("NumPrefixes() = %d, want 2", dom.NumPrefixes())
+	if n := len(dom.Prefixes()); n != 2 {
+		t.Fatalf("len(Prefixes()) = %d, want 2", n)
 	}
 }
 

@@ -14,9 +14,9 @@ import (
 // buffering and no goroutines.
 //
 // A Mux follows the same set-once-before-start contract as Router.Events:
-// every Add/AddBatch must happen before the first Dispatch/Batch. The first
-// delivery seals the sink list; a later Add panics instead of racing the
-// running stream. Add and Dispatch must not be called concurrently — wiring
+// every Add/AddBatch must happen before the first Batch/DispatchBatch. The
+// first delivery seals the sink list; a later Add panics instead of racing
+// the running stream. Add and delivery must not run concurrently — wiring
 // happens during single-threaded setup, which is what the seal enforces
 // after the fact.
 //
@@ -39,9 +39,9 @@ import (
 // buffering adds no per-round allocations once the arena is warm.
 //
 // Batch/Flush are single-owner (the emitting goroutine), like the routers
-// themselves. Dispatch and DispatchBatch remain safe to call from multiple
-// goroutines only in the sense the unbatched Mux was: callers serialise
-// externally (the TCP substrate dispatches under its observer lock).
+// themselves. DispatchBatch is safe to call from multiple goroutines only
+// when callers serialise externally (the TCP substrate dispatches under its
+// observer lock).
 type Mux struct {
 	sinks      []func(Event)
 	batchSinks []func([]Event)
@@ -55,8 +55,6 @@ type Mux struct {
 	updIdx []int32
 	upds   []wire.Update
 	nupd   int
-
-	one [1]Event // scratch for handing a lone event to batch sinks
 }
 
 // Add registers one more per-event sink (nil is ignored). It panics once
@@ -91,29 +89,6 @@ func (m *Mux) Len() int { return len(m.sinks) + len(m.batchSinks) }
 func (m *Mux) seal() {
 	if !m.sealed.Load() {
 		m.sealed.Store(true)
-	}
-}
-
-// Dispatch forwards one event to every sink in registration order. The
-// first call seals the Mux against further Adds. Dispatch is a valid
-// Router.Events sink, and with no sinks registered it is nearly free.
-// If events are pending from Batch, the new event joins the batch and the
-// whole buffer flushes, preserving emission order.
-func (m *Mux) Dispatch(ev Event) {
-	m.seal()
-	if len(m.buf) > 0 {
-		m.Batch(ev)
-		m.Flush()
-		return
-	}
-	for _, fn := range m.sinks {
-		fn(ev)
-	}
-	if len(m.batchSinks) > 0 {
-		m.one[0] = ev
-		for _, fn := range m.batchSinks {
-			fn(m.one[:])
-		}
 	}
 }
 

@@ -20,8 +20,8 @@ func TestMuxFanOut(t *testing.T) {
 	if m.Len() != 2 {
 		t.Fatalf("Len = %d, want 2 (nil sink must be ignored)", m.Len())
 	}
-	m.Dispatch(Event{Kind: Injected})
-	m.Dispatch(Event{Kind: Withdrawn})
+	m.DispatchBatch([]Event{{Kind: Injected}})
+	m.DispatchBatch([]Event{{Kind: Withdrawn}})
 	want := []string{"a", "b", "a", "b"}
 	if len(order) != len(want) {
 		t.Fatalf("sinks saw %v, want %v", order, want)
@@ -33,15 +33,15 @@ func TestMuxFanOut(t *testing.T) {
 	}
 }
 
-// TestMuxAddAfterDispatchPanics: the first Dispatch seals the Mux — a
+// TestMuxAddAfterDispatchPanics: the first DispatchBatch seals the Mux — a
 // late Add must panic rather than race the running event stream.
 func TestMuxAddAfterDispatchPanics(t *testing.T) {
 	var m Mux
 	m.Add(func(Event) {})
-	m.Dispatch(Event{Kind: Injected})
+	m.DispatchBatch([]Event{{Kind: Injected}})
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Mux.Add after Dispatch did not panic")
+			t.Fatal("Mux.Add after DispatchBatch did not panic")
 		}
 	}()
 	m.Add(func(Event) {})

@@ -53,8 +53,8 @@ func TestPeerDownFlushesLearnedRoutes(t *testing.T) {
 	if flushed != 1 {
 		t.Fatalf("PeerDown flushed %d routes, want 1", flushed)
 	}
-	if !rr.PeerIsDown(clID) {
-		t.Fatal("PeerIsDown false after PeerDown")
+	if !rr.peerIsDown(clID) {
+		t.Fatal("peerIsDown false after PeerDown")
 	}
 	if got := rr.Possible(0); got.Contains(p) {
 		t.Fatalf("stale route p%d still in Possible after PeerDown: %v", p, got)
@@ -120,8 +120,8 @@ func TestDownPeerSkippedAndBackstopped(t *testing.T) {
 
 	// PeerUp: the full current state flows to the reopened peer.
 	rr.PeerUp(3, clID)
-	if rr.PeerIsDown(clID) {
-		t.Fatal("PeerIsDown true after PeerUp")
+	if rr.peerIsDown(clID) {
+		t.Fatal("peerIsDown true after PeerUp")
 	}
 	var got []*wire.Update
 	rr.Refresh(3, func(to bgp.NodeID, u *wire.Update) (int64, error) {

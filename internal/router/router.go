@@ -176,9 +176,6 @@ func (d *Domain) Base() *topology.System { return d.base }
 // callers must not mutate it.
 func (d *Domain) Prefixes() []uint32 { return d.prefixes }
 
-// NumPrefixes returns how many prefixes the domain carries.
-func (d *Domain) NumPrefixes() int { return len(d.prefixes) }
-
 // System returns the system for one prefix, or nil if not carried.
 func (d *Domain) System(prefix uint32) *topology.System {
 	if i := d.index(prefix); i >= 0 {
@@ -385,8 +382,8 @@ func (r *Router) ID() bgp.NodeID { return r.id }
 // transition) mutates the router. Registering later panics — a sink
 // attached mid-run would observe a torn stream, and on the concurrent TCP
 // substrate the bare field write would race the speaker goroutines. To
-// feed several observers, register a Mux's Dispatch and Add sinks to the
-// Mux before the run starts.
+// feed several observers, register a Mux's Batch here, flush it after each
+// round, and Add sinks to the Mux before the run starts.
 func (r *Router) Events(fn func(Event)) {
 	if r.started {
 		panic("router: Events registered after the core started; install sinks before the first operation")
@@ -798,8 +795,8 @@ func (r *Router) PeerUp(now int64, w bgp.NodeID) {
 	r.emit(Event{Kind: PeerUp, Time: now, Node: r.id, Peer: w})
 }
 
-// PeerIsDown reports whether the session to w is currently dead.
-func (r *Router) PeerIsDown(w bgp.NodeID) bool {
+// peerIsDown reports whether the session to w is currently dead.
+func (r *Router) peerIsDown(w bgp.NodeID) bool {
 	pos := r.peering.Index(w)
 	return pos >= 0 && r.down[pos]
 }

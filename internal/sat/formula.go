@@ -35,9 +35,6 @@ func (l Literal) Var() int {
 // Positive reports whether the literal is unnegated.
 func (l Literal) Positive() bool { return l > 0 }
 
-// Negate returns the complementary literal.
-func (l Literal) Negate() Literal { return -l }
-
 // Clause is a disjunction of literals.
 type Clause []Literal
 

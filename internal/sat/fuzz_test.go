@@ -57,7 +57,7 @@ func FuzzSolveAgreesWithEval(f *testing.F) {
 		if ok && !formula.Eval(a) {
 			t.Fatalf("Solve returned non-satisfying assignment for %s", formula)
 		}
-		if _, want := BruteForce(formula); ok != want {
+		if _, want := bruteForce(formula); ok != want {
 			t.Fatalf("Solve says satisfiable = %v, brute force %v, for %s", ok, want, formula)
 		}
 		if n := len(formula.Clauses); n > 0 {

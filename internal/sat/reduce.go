@@ -189,9 +189,9 @@ func (r *Reduction) AssignmentFromSnapshot(snap protocol.Snapshot) (assign []boo
 	return assign, true
 }
 
-// PacifierVisibleAt reports whether clause j's gadget currently sees a
+// pacifierVisibleAt reports whether clause j's gadget currently sees a
 // satisfied literal's path (diagnostic helper for experiments).
-func (r *Reduction) PacifierVisibleAt(e *protocol.Engine, j int) bool {
+func (r *Reduction) pacifierVisibleAt(e *protocol.Engine, j int) bool {
 	cg := r.Clauses[j]
 	for _, l := range r.Formula.Clauses[j] {
 		g := r.Vars[l.Var()-1]

@@ -93,7 +93,7 @@ func TestSatisfiableFormulaStabilizes(t *testing.T) {
 			t.Fatalf("case %d: decoded assignment %v does not satisfy %s", i, got, f)
 		}
 		for j := range f.Clauses {
-			if !r.PacifierVisibleAt(e, j) {
+			if !r.pacifierVisibleAt(e, j) {
 				t.Fatalf("case %d: clause %d has no visible pacifier in stable state", i, j)
 			}
 		}
@@ -284,7 +284,9 @@ func TestAssignmentFromSnapshotRejectsMixed(t *testing.T) {
 	r := reduce(t, f)
 	e := protocol.New(r.Sys, protocol.Classic, selection.Options{})
 	// Cold start: gadget reflectors have no routes yet — not a pure state.
-	if _, ok := r.AssignmentFromSnapshot(e.Snapshot()); ok {
+	var cold protocol.Snapshot
+	e.SnapshotInto(&cold)
+	if _, ok := r.AssignmentFromSnapshot(cold); ok {
 		t.Fatal("cold-start snapshot decoded as pure state")
 	}
 	_ = bgp.None

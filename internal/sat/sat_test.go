@@ -18,11 +18,11 @@ func mustFormula(t *testing.T, nv int, clauses ...Clause) *Formula {
 
 func TestLiteralBasics(t *testing.T) {
 	l := Literal(-3)
-	if l.Var() != 3 || l.Positive() || l.Negate() != 3 {
+	if l.Var() != 3 || l.Positive() || -l != 3 {
 		t.Fatal("literal accessors wrong")
 	}
 	p := Literal(2)
-	if p.Var() != 2 || !p.Positive() || p.Negate() != -2 {
+	if p.Var() != 2 || !p.Positive() || -p != -2 {
 		t.Fatal("literal accessors wrong")
 	}
 }
@@ -106,7 +106,7 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 	check := func(seed int64) bool {
 		f := Random3SAT(5, 3+int(seed%15+15)%15, seed)
 		_, sat1 := Solve(f)
-		_, sat2 := BruteForce(f)
+		_, sat2 := bruteForce(f)
 		if sat1 != sat2 {
 			return false
 		}
@@ -127,7 +127,7 @@ func TestBruteForcePanicsOnLarge(t *testing.T) {
 			t.Fatal("expected panic for 25 variables")
 		}
 	}()
-	BruteForce(&Formula{NumVars: 25})
+	bruteForce(&Formula{NumVars: 25})
 }
 
 func TestRandom3SATShape(t *testing.T) {

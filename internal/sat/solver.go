@@ -490,13 +490,13 @@ func (s *solver) search() bool {
 	}
 }
 
-// BruteForce decides satisfiability by exhaustive enumeration. Exponential;
+// bruteForce decides satisfiability by exhaustive enumeration. Exponential;
 // used to cross-check Solve in tests. Returns the satisfying assignment
 // with the smallest binary encoding when one exists.
-func BruteForce(f *Formula) ([]bool, bool) {
+func bruteForce(f *Formula) ([]bool, bool) {
 	n := f.NumVars
 	if n > 24 {
-		panic("sat: BruteForce limited to 24 variables")
+		panic("sat: bruteForce limited to 24 variables")
 	}
 	assign := make([]bool, n+1)
 	for mask := 0; mask < 1<<n; mask++ {

@@ -56,7 +56,7 @@ func TestCrossCodecFigures(t *testing.T) {
 				if !n.WaitQuiesce(quiesceTimeout, settle) {
 					t.Fatalf("%s under %s did not quiesce", entry.Name, codec.Name())
 				}
-				results[codec.Name()] = n.BestAll()
+				results[codec.Name()] = n.BestAllFor(0)
 				c := n.Counters()
 				if c.BadFrames != 0 || c.Notifs != 0 || c.HoldExpiries != 0 {
 					t.Fatalf("%s under %s: session faults on a healthy run: %+v", entry.Name, codec.Name(), c)
@@ -208,8 +208,8 @@ func TestHoldTimerExpiry(t *testing.T) {
 	fig := figures.Fig14()
 	n := New(fig.Sys, protocol.Modified, selection.Options{})
 	n.SetCodec(BGP4)
-	n.SetHoldTime(300 * time.Millisecond)
-	n.DisableKeepalives()
+	n.holdTime = 300 * time.Millisecond
+	n.noKeepalives = true
 	var col eventCollector
 	n.Subscribe(col.sink)
 	if err := n.Start(); err != nil {
@@ -236,7 +236,7 @@ func TestKeepalivesSustainHold(t *testing.T) {
 	fig := figures.Fig14()
 	n := New(fig.Sys, protocol.Modified, selection.Options{})
 	n.SetCodec(BGP4)
-	n.SetHoldTime(600 * time.Millisecond)
+	n.holdTime = 600 * time.Millisecond
 	if err := n.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -250,24 +250,25 @@ func TestKeepalivesSustainHold(t *testing.T) {
 	if c := n.Counters(); c.HoldExpiries != 0 {
 		t.Fatalf("%d hold expiries despite keepalives", c.HoldExpiries)
 	}
-	if got, want := n.Best(fig.Node("c1")), fig.Path("r2"); got != want {
+	if got, want := n.BestFor(0, fig.Node("c1")), fig.Path("r2"); got != want {
 		t.Fatalf("routing decayed while idle: c1 best = p%d, want p%d", got, want)
 	}
 }
 
-// TestCodecNameAndHoldAccessors covers the small config surface.
+// TestCodecNameAndHoldAccessors covers codec selection: SetCodec and its
+// nil fallback to the private codec.
 func TestCodecNameAndHoldAccessors(t *testing.T) {
 	fig := figures.Fig14()
 	n := New(fig.Sys, protocol.Modified, selection.Options{})
-	if n.CodecName() != "private" {
-		t.Fatalf("default codec %q", n.CodecName())
+	if n.codec.Name() != "private" {
+		t.Fatalf("default codec %q", n.codec.Name())
 	}
 	n.SetCodec(BGP4)
-	if n.CodecName() != "bgp4" {
-		t.Fatalf("codec after SetCodec %q", n.CodecName())
+	if n.codec.Name() != "bgp4" {
+		t.Fatalf("codec after SetCodec %q", n.codec.Name())
 	}
 	n.SetCodec(nil)
-	if n.CodecName() != "private" {
-		t.Fatalf("nil codec must fall back to private, got %q", n.CodecName())
+	if n.codec.Name() != "private" {
+		t.Fatalf("nil codec must fall back to private, got %q", n.codec.Name())
 	}
 }

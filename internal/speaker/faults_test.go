@@ -62,7 +62,7 @@ func TestTCPSessionResetReconverges(t *testing.T) {
 	if !base.WaitQuiesce(quiesceTimeout, settle) {
 		t.Fatal("baseline did not quiesce")
 	}
-	baseline := base.BestAll()
+	baseline := base.BestAllFor(0)
 
 	u := bgp.NodeID(0)
 	w := f.Sys.Peers(u)[0]
@@ -110,7 +110,7 @@ func TestTCPSessionResetReconverges(t *testing.T) {
 	if !sawDown.Load() || !sawUp.Load() {
 		t.Fatalf("missing peer lifecycle events: down=%v up=%v", sawDown.Load(), sawUp.Load())
 	}
-	got := n.BestAll()
+	got := n.BestAllFor(0)
 	for i := range got {
 		if got[i] != baseline[i] {
 			t.Fatalf("router %d re-converged to p%d, fault-free run chose p%d",
@@ -130,7 +130,7 @@ func TestTCPChaosReconverges(t *testing.T) {
 	if !base.WaitQuiesce(quiesceTimeout, settle) {
 		t.Fatal("baseline did not quiesce")
 	}
-	baseline := base.BestAll()
+	baseline := base.BestAllFor(0)
 
 	n := New(f.Sys, protocol.Modified, selection.Options{})
 	if err := n.SetFaults(&faults.Plan{
@@ -147,7 +147,7 @@ func TestTCPChaosReconverges(t *testing.T) {
 	if !n.WaitQuiesce(quiesceTimeout, settle) {
 		t.Fatalf("did not quiesce under chaos: %+v", n.Counters())
 	}
-	got := n.BestAll()
+	got := n.BestAllFor(0)
 	for i := range got {
 		if got[i] != baseline[i] {
 			t.Fatalf("router %d at p%d under chaos, fault-free run chose p%d",

@@ -189,7 +189,8 @@ type Network struct {
 
 	// codec selects the wire format for every session (default private);
 	// holdTime is the locally proposed hold time for codecs that
-	// negotiate one. noKeepalives suppresses keepalive generation while
+	// negotiate one (0 disables the hold timer and keepalives); tests set
+	// it before Start. noKeepalives suppresses keepalive generation while
 	// keeping the hold timer armed — a test hook for forcing expiry.
 	codec        Codec
 	holdTime     time.Duration
@@ -248,9 +249,6 @@ func NewMulti(systems map[uint32]*topology.System, policy protocol.Policy, opts 
 // Speaker returns the speaker for router u.
 func (n *Network) Speaker(u bgp.NodeID) *Speaker { return n.speakers[u] }
 
-// MessagesSent returns the total number of UPDATE messages written.
-func (n *Network) MessagesSent() int { return int(n.counters.Sent.Load()) }
-
 // Counters returns the shared operational counters at this instant.
 func (n *Network) Counters() router.Snapshot { return n.counters.Snapshot() }
 
@@ -266,19 +264,6 @@ func (n *Network) SetCodec(c Codec) {
 	}
 	n.codec = c
 }
-
-// CodecName returns the name of the wire format in use.
-func (n *Network) CodecName() string { return n.codec.Name() }
-
-// SetHoldTime sets the locally proposed session hold time for codecs that
-// negotiate one (0 disables the hold timer and keepalives). Call before
-// Start.
-func (n *Network) SetHoldTime(d time.Duration) { n.holdTime = d }
-
-// DisableKeepalives stops the speakers from generating keepalives while
-// leaving the negotiated hold timer armed, so a test can force hold-timer
-// expiry on an otherwise healthy session. Call before Start.
-func (n *Network) DisableKeepalives() { n.noKeepalives = true }
 
 // newSessionCodec builds the per-session codec state for local's end of
 // the session to peer.
@@ -920,14 +905,8 @@ func (n *Network) reopenSession(r faults.Reset) {
 	n.speakers[r.B].post(inbound{kind: inPeerUp, peer: r.A})
 }
 
-// Inject delivers an E-BGP route for prefix 0 to its exit point's speaker.
-func (n *Network) Inject(id bgp.PathID) { n.InjectPrefix(0, id) }
-
 // InjectPrefix delivers an E-BGP route for one prefix.
 func (n *Network) InjectPrefix(prefix uint32, id bgp.PathID) { n.postExternal(inInject, prefix, id) }
-
-// Withdraw removes a prefix-0 E-BGP route at its exit point's speaker.
-func (n *Network) Withdraw(id bgp.PathID) { n.WithdrawPrefix(0, id) }
 
 // WithdrawPrefix removes an E-BGP route for one prefix.
 func (n *Network) WithdrawPrefix(prefix uint32, id bgp.PathID) {
@@ -997,16 +976,10 @@ func (n *Network) WaitQuiesce(timeout, settle time.Duration) bool {
 	return false
 }
 
-// Best returns the current best path of router u for prefix 0.
-func (n *Network) Best(u bgp.NodeID) bgp.PathID { return n.BestFor(0, u) }
-
 // BestFor returns the current best path of router u for one prefix.
 func (n *Network) BestFor(prefix uint32, u bgp.NodeID) bgp.PathID {
 	return n.speakers[u].BestFor(prefix)
 }
-
-// BestAll returns every router's current best path for prefix 0.
-func (n *Network) BestAll() []bgp.PathID { return n.BestAllFor(0) }
 
 // BestAllFor returns every router's current best path for one prefix.
 func (n *Network) BestAllFor(prefix uint32) []bgp.PathID {

@@ -32,8 +32,8 @@ func TestTCPFig14Classic(t *testing.T) {
 	if !n.WaitQuiesce(quiesceTimeout, settle) {
 		t.Fatal("did not quiesce")
 	}
-	if n.Best(f.Node("c1")) != f.Path("r1") || n.Best(f.Node("c2")) != f.Path("r2") {
-		t.Fatalf("client routes = %v", n.BestAll())
+	if n.BestFor(0, f.Node("c1")) != f.Path("r1") || n.BestFor(0, f.Node("c2")) != f.Path("r2") {
+		t.Fatalf("client routes = %v", n.BestAllFor(0))
 	}
 }
 
@@ -44,8 +44,8 @@ func TestTCPFig14Modified(t *testing.T) {
 	if !n.WaitQuiesce(quiesceTimeout, settle) {
 		t.Fatal("did not quiesce")
 	}
-	if n.Best(f.Node("c1")) != f.Path("r2") || n.Best(f.Node("c2")) != f.Path("r1") {
-		t.Fatalf("client routes = %v", n.BestAll())
+	if n.BestFor(0, f.Node("c1")) != f.Path("r2") || n.BestFor(0, f.Node("c2")) != f.Path("r1") {
+		t.Fatalf("client routes = %v", n.BestAllFor(0))
 	}
 }
 
@@ -80,7 +80,7 @@ func TestTCPFig1aModifiedConvergesDeterministically(t *testing.T) {
 		}
 		n.InjectAll()
 		ok := n.WaitQuiesce(quiesceTimeout, settle)
-		best := n.BestAll()
+		best := n.BestAllFor(0)
 		n.Stop()
 		if !ok {
 			t.Fatalf("trial %d: did not quiesce", trial)
@@ -100,7 +100,7 @@ func TestTCPWithdrawFlushes(t *testing.T) {
 	if !n.WaitQuiesce(quiesceTimeout, settle) {
 		t.Fatal("did not quiesce after injection")
 	}
-	n.Withdraw(f.Path("r2"))
+	n.WithdrawPrefix(0, f.Path("r2"))
 	if !n.WaitQuiesce(quiesceTimeout, settle) {
 		t.Fatal("did not quiesce after withdrawal")
 	}
@@ -109,8 +109,8 @@ func TestTCPWithdrawFlushes(t *testing.T) {
 			t.Fatalf("node %d retains withdrawn path", u)
 		}
 	}
-	if n.Best(f.Node("c1")) != f.Path("r1") {
-		t.Fatalf("c1 best = p%d after withdrawal", n.Best(f.Node("c1")))
+	if n.BestFor(0, f.Node("c1")) != f.Path("r1") {
+		t.Fatalf("c1 best = p%d after withdrawal", n.BestFor(0, f.Node("c1")))
 	}
 }
 
@@ -122,8 +122,8 @@ func TestTCPAgreesWithMsgsimOnFig2Modified(t *testing.T) {
 		t.Fatal("did not quiesce")
 	}
 	// The modified protocol's unique outcome (RR1 on r2, RR2 on r1).
-	if n.Best(f.Node("RR1")) != f.Path("r2") || n.Best(f.Node("RR2")) != f.Path("r1") {
-		t.Fatalf("outcome = %v", n.BestAll())
+	if n.BestFor(0, f.Node("RR1")) != f.Path("r2") || n.BestFor(0, f.Node("RR2")) != f.Path("r1") {
+		t.Fatalf("outcome = %v", n.BestAllFor(0))
 	}
 }
 
@@ -134,7 +134,7 @@ func TestTCPMessagesCounted(t *testing.T) {
 	if !n.WaitQuiesce(quiesceTimeout, settle) {
 		t.Fatal("did not quiesce")
 	}
-	if n.MessagesSent() == 0 {
+	if n.Counters().Sent == 0 {
 		t.Fatal("no messages counted")
 	}
 }

@@ -5,8 +5,8 @@
 // JSON for live subscribers, plus rolling aggregates (event totals,
 // flap count, convergence-latency percentiles, msgs/sec) served over HTTP.
 //
-// The feed is strictly an observer. Its Sink is installed alongside the
-// trace renderer on the substrate's event multiplexer, so subscribing a
+// The feed is strictly an observer. Its SinkBatch is installed alongside
+// the trace renderer on the substrate's event multiplexer, so subscribing a
 // telemetry client never changes what the routers do — and a feed with no
 // subscribers skips JSON encoding entirely, keeping the soak's hot path
 // allocation-free. Slow subscribers lose events (counted, never blocking):
@@ -38,7 +38,7 @@ const subBuffer = 256
 type Feed struct {
 	start time.Time
 
-	// nsub gates the encode path: Sink pays for JSON only when someone
+	// nsub gates the encode path: SinkBatch pays for JSON only when someone
 	// is listening.
 	nsub    atomic.Int32
 	events  atomic.Int64
@@ -55,7 +55,7 @@ type Feed struct {
 	latMax   int64            // maximum over every sample ever recorded
 }
 
-// NewFeed builds an empty feed; wire its Sink into the substrate's event
+// NewFeed builds an empty feed; wire its SinkBatch into the substrate's event
 // stream and (optionally) BindCounters / RecordConvergence into the soak
 // config.
 func NewFeed() *Feed {
@@ -128,38 +128,12 @@ func record(ev router.Event) eventRecord {
 	return rec
 }
 
-// Sink consumes one router event. It is installed on the substrate's
-// event multiplexer next to the trace renderer; with no live subscriber it
-// only bumps two atomics.
-func (f *Feed) Sink(ev router.Event) {
-	f.events.Add(1)
-	if ev.Kind == router.BestChanged {
-		f.flaps.Add(1)
-	}
-	if f.nsub.Load() == 0 {
-		return
-	}
-	line, err := json.Marshal(record(ev))
-	if err != nil {
-		return
-	}
-	f.mu.Lock()
-	for _, ch := range f.subs {
-		select {
-		case ch <- line:
-			f.streamd.Add(1)
-		default:
-			f.dropped.Add(1)
-		}
-	}
-	f.mu.Unlock()
-}
-
-// SinkBatch consumes one dispatch round of router events — the batch-aware
-// twin of Sink for substrates flushing a router.Mux per activation round.
-// The aggregates are folded with two atomic adds per batch instead of per
-// event, and with live subscribers the fan-out lock is taken once for the
-// whole round. The slice is only read, never retained.
+// SinkBatch consumes one dispatch round of router events. It is installed
+// with AddBatch on the substrate's router.Mux next to the trace renderer,
+// which flushes once per activation round. The aggregates are folded with
+// two atomic adds per batch, so with no live subscriber a round costs only
+// those; with subscribers the fan-out lock is taken once for the whole
+// round. The slice is only read, never retained.
 func (f *Feed) SinkBatch(evs []router.Event) {
 	if len(evs) == 0 {
 		return

@@ -15,8 +15,8 @@ import (
 func TestFeedCountsWithoutSubscribers(t *testing.T) {
 	f := NewFeed()
 	f.BindCounters(func() router.Snapshot { return router.Snapshot{Sent: 42, Received: 40, Rejected: 2} })
-	f.Sink(router.Event{Kind: router.BestChanged, Node: 3, OldBest: 1, NewBest: 2})
-	f.Sink(router.Event{Kind: router.UpdateSent, Node: 3, Peer: 4})
+	f.SinkBatch([]router.Event{{Kind: router.BestChanged, Node: 3, OldBest: 1, NewBest: 2}})
+	f.SinkBatch([]router.Event{{Kind: router.UpdateSent, Node: 3, Peer: 4}})
 	f.RecordConvergence(10)
 	f.RecordConvergence(30)
 	f.RecordConvergence(20)
@@ -81,12 +81,12 @@ func TestSubscribeStreamAndRecordShapes(t *testing.T) {
 	ch, cancel := f.Subscribe()
 	defer cancel()
 
-	f.Sink(router.Event{Kind: router.Injected, Time: 7, Node: 2, Prefix: 1, Path: 3})
-	f.Sink(router.Event{
+	f.SinkBatch([]router.Event{{Kind: router.Injected, Time: 7, Node: 2, Prefix: 1, Path: 3}})
+	f.SinkBatch([]router.Event{{
 		Kind: router.UpdateReceived, Time: 9, Node: 2, Peer: 5,
 		Update: &wire.Update{Announced: make([]wire.RouteRecord, 2), Withdrawn: make([]wire.WithdrawnRoute, 1)},
-	})
-	f.Sink(router.Event{Kind: router.PeerDown, Time: 11, Node: 0, Peer: 1, Flushed: 6})
+	}})
+	f.SinkBatch([]router.Event{{Kind: router.PeerDown, Time: 11, Node: 0, Peer: 1, Flushed: 6}})
 
 	var recs []map[string]any
 	for i := 0; i < 3; i++ {
@@ -127,14 +127,14 @@ func TestSlowSubscriberDropsNotBlocks(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		for i := 0; i < subBuffer+50; i++ {
-			f.Sink(router.Event{Kind: router.UpdateSent, Node: 1, Peer: 2})
+			f.SinkBatch([]router.Event{{Kind: router.UpdateSent, Node: 1, Peer: 2}})
 		}
 		close(done)
 	}()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Sink blocked on a stalled subscriber")
+		t.Fatal("SinkBatch blocked on a stalled subscriber")
 	}
 	st := f.Stats()
 	if st.Dropped != 50 || st.Streamed != subBuffer {
@@ -147,7 +147,7 @@ func TestCancelTwiceIsSafe(t *testing.T) {
 	_, cancel := f.Subscribe()
 	cancel()
 	cancel()
-	f.Sink(router.Event{Kind: router.UpdateSent}) // must not panic or count a sub
+	f.SinkBatch([]router.Event{{Kind: router.UpdateSent}}) // must not panic or count a sub
 	if st := f.Stats(); st.Subscribers != 0 || st.Streamed != 0 {
 		t.Fatalf("after cancel: %+v", st)
 	}
@@ -206,7 +206,7 @@ func TestServerEndpoints(t *testing.T) {
 		t.Fatalf("first record %q (err %v)", sc.Text(), err)
 	}
 
-	f.Sink(router.Event{Kind: router.Withdrawn, Time: 3, Node: 1, Prefix: 0, Path: 2})
+	f.SinkBatch([]router.Event{{Kind: router.Withdrawn, Time: 3, Node: 1, Prefix: 0, Path: 2}})
 	sawEvent, sawStats := false, false
 	deadline := time.After(5 * time.Second)
 	lines := make(chan string, 16)

@@ -179,10 +179,10 @@ func (s *System) Transfers(v, u bgp.NodeID, p bgp.ExitPath) bool {
 	return !s.below[u][p.ExitPoint]
 }
 
-// Level returns level_p(u) from Section 7: the announcement distance of u
+// level returns level_p(u) from Section 7: the announcement distance of u
 // from p's exit point in the reflection hierarchy (0 at the exit point, up
 // to 3 at clients of other clusters).
-func (s *System) Level(p bgp.ExitPath, u bgp.NodeID) int {
+func (s *System) level(p bgp.ExitPath, u bgp.NodeID) int {
 	v := p.ExitPoint
 	if u == v {
 		return 0

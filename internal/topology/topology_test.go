@@ -212,15 +212,15 @@ func TestLevels(t *testing.T) {
 	pa := sys.Exit(p["pa"]) // exits at c0a (client, cluster 0)
 	wants := map[string]int{"c0a": 0, "R0": 1, "c0b": 2, "R1": 2, "c1a": 3}
 	for name, want := range wants {
-		if got := sys.Level(pa, n[name]); got != want {
-			t.Fatalf("Level(pa, %s) = %d, want %d", name, got, want)
+		if got := sys.level(pa, n[name]); got != want {
+			t.Fatalf("level(pa, %s) = %d, want %d", name, got, want)
 		}
 	}
 	pr := sys.Exit(p["pr"]) // exits at R1 (reflector, cluster 1)
 	wants = map[string]int{"R1": 0, "c1a": 2, "R0": 2, "c0a": 3, "c0b": 3}
 	for name, want := range wants {
-		if got := sys.Level(pr, n[name]); got != want {
-			t.Fatalf("Level(pr, %s) = %d, want %d", name, got, want)
+		if got := sys.level(pr, n[name]); got != want {
+			t.Fatalf("level(pr, %s) = %d, want %d", name, got, want)
 		}
 	}
 }
@@ -232,9 +232,9 @@ func TestTransfersRespectLevels(t *testing.T) {
 		for u := 0; u < sys.N(); u++ {
 			for v := 0; v < sys.N(); v++ {
 				uID, vID := bgp.NodeID(u), bgp.NodeID(v)
-				if sys.Transfers(uID, vID, p) && sys.Level(p, uID) >= sys.Level(p, vID) {
+				if sys.Transfers(uID, vID, p) && sys.level(p, uID) >= sys.level(p, vID) {
 					t.Fatalf("transfer %d->%d of p%d violates level order (%d >= %d)",
-						u, v, p.ID, sys.Level(p, uID), sys.Level(p, vID))
+						u, v, p.ID, sys.level(p, uID), sys.level(p, vID))
 				}
 			}
 		}

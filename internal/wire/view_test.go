@@ -114,9 +114,6 @@ func FuzzDecodeView(f *testing.F) {
 			t.Fatalf("record counts disagree: view %d/%d, update %d/%d",
 				v.NumWithdrawn(), v.NumAnnounced(), len(upd.Withdrawn), len(upd.Announced))
 		}
-		if v.Empty() != (len(upd.Withdrawn) == 0 && len(upd.Announced) == 0) {
-			t.Fatalf("Empty() = %v disagrees with update %+v", v.Empty(), upd)
-		}
 		for i := range upd.Withdrawn {
 			if v.WithdrawnAt(i) != upd.Withdrawn[i] {
 				t.Fatalf("WithdrawnAt(%d) = %+v, Decode got %+v", i, v.WithdrawnAt(i), upd.Withdrawn[i])

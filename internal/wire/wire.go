@@ -378,9 +378,6 @@ func (v UpdateView) NumWithdrawn() int { return len(v.withdrawn) / withdrawnSize
 // NumAnnounced returns the number of announced routes in the view.
 func (v UpdateView) NumAnnounced() int { return len(v.announced) / routeRecordSize }
 
-// Empty reports whether the view carries no routes at all.
-func (v UpdateView) Empty() bool { return len(v.withdrawn) == 0 && len(v.announced) == 0 }
-
 // WithdrawnAt decodes the i-th withdrawn route. i must be in
 // [0, NumWithdrawn()); out-of-range panics like a slice index.
 func (v UpdateView) WithdrawnAt(i int) WithdrawnRoute {
@@ -492,12 +489,6 @@ func (u *Update) Validate(lookup func(prefix uint32) System) error {
 		}
 	}
 	return nil
-}
-
-// ValidateFor validates against a single-prefix deployment: every record,
-// whatever prefix it carries, is checked against sys.
-func (u *Update) ValidateFor(sys System) error {
-	return u.Validate(func(uint32) System { return sys })
 }
 
 // Writer frames messages onto an io.Writer.

@@ -315,7 +315,7 @@ func TestUpdateValidate(t *testing.T) {
 			t.Fatalf("case %d accepted: %+v", i, u)
 		}
 	}
-	if err := ok.ValidateFor(systems[0]); err != nil {
-		t.Fatalf("ValidateFor rejected prefix-bounded update: %v", err)
+	if err := ok.Validate(func(uint32) System { return systems[0] }); err != nil {
+		t.Fatalf("Validate with a constant lookup rejected prefix-bounded update: %v", err)
 	}
 }

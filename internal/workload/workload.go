@@ -153,7 +153,7 @@ func (spec CrossedSpec) Validate() error {
 		return fmt.Errorf("workload: CrossedSpec.ASes = %d, need at least one neighbouring AS", spec.ASes)
 	case spec.MaxMED < 0:
 		return fmt.Errorf("workload: CrossedSpec.MaxMED = %d, must be non-negative", spec.MaxMED)
-	case spec.DottedProb < 0 || spec.DottedProb > 1:
+	case !(spec.DottedProb >= 0 && spec.DottedProb <= 1): // negated so NaN fails
 		return fmt.Errorf("workload: CrossedSpec.DottedProb = %g, must be a probability", spec.DottedProb)
 	}
 	return nil
