@@ -1,12 +1,13 @@
 package ibgp
 
 // The benchmark harness regenerates every evaluation artifact of the
-// paper: one Benchmark per experiment (E1-E23, each printing its measured
-// outcome via the experiments package on the first iteration), plus
-// micro-benchmarks of the substrates (selection, IGP, codec, engines).
-// Run with:
+// paper: BenchmarkExperiments runs each row of the experiments ledger
+// (E1-E23) as a sub-benchmark, plus micro-benchmarks of the substrates
+// (selection, IGP, codec, engines). Run with:
 //
 //	go test -bench=. -benchmem
+//
+// or one row with -bench 'BenchmarkExperiments/E1$'.
 
 import (
 	"testing"
@@ -24,47 +25,20 @@ import (
 
 var benchOpts = experiments.Options{Seeds: 4, SweepSizes: []int{2, 4}}
 
-func benchExperiment(b *testing.B, run func(experiments.Options) experiments.Report) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		r := run(benchOpts)
-		if !r.Pass {
-			b.Fatalf("%s failed: %s", r.ID, r.Measured)
-		}
+// BenchmarkExperiments runs every row of the claims ledger as the
+// sub-benchmark BenchmarkExperiments/<ID> and fails on a row that does not
+// pass.
+func BenchmarkExperiments(b *testing.B) {
+	for _, x := range experiments.Ledger {
+		b.Run(x.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if r := x.Run(benchOpts); !r.Pass {
+					b.Fatalf("%s failed: %s", r.ID, r.Measured)
+				}
+			}
+		})
 	}
 }
-
-// --- one benchmark per paper artifact ---------------------------------------
-
-func BenchmarkE1Fig1a(b *testing.B)          { benchExperiment(b, experiments.E1Fig1a) }
-func BenchmarkE2Fig1b(b *testing.B)          { benchExperiment(b, experiments.E2Fig1b) }
-func BenchmarkE3Fig2(b *testing.B)           { benchExperiment(b, experiments.E3Fig2) }
-func BenchmarkE4Fig3(b *testing.B)           { benchExperiment(b, experiments.E4Fig3) }
-func BenchmarkE5VariableGadget(b *testing.B) { benchExperiment(b, experiments.E5VariableGadget) }
-func BenchmarkE6ClauseGadget(b *testing.B)   { benchExperiment(b, experiments.E6ClauseGadget) }
-func BenchmarkE7Reduction(b *testing.B)      { benchExperiment(b, experiments.E7Reduction) }
-func BenchmarkE8Walton(b *testing.B)         { benchExperiment(b, experiments.E8Walton) }
-func BenchmarkE9Loop(b *testing.B)           { benchExperiment(b, experiments.E9Loop) }
-func BenchmarkE10Determinism(b *testing.B)   { benchExperiment(b, experiments.E10Determinism) }
-func BenchmarkE11Overhead(b *testing.B)      { benchExperiment(b, experiments.E11Overhead) }
-func BenchmarkE12Flush(b *testing.B)         { benchExperiment(b, experiments.E12Flush) }
-func BenchmarkE13LoopFree(b *testing.B)      { benchExperiment(b, experiments.E13LoopFree) }
-func BenchmarkE14Fig12(b *testing.B)         { benchExperiment(b, experiments.E14Fig12) }
-func BenchmarkE15Adaptive(b *testing.B)      { benchExperiment(b, experiments.E15Adaptive) }
-func BenchmarkE16Confederation(b *testing.B) { benchExperiment(b, experiments.E16Confederation) }
-func BenchmarkE17DeepHierarchy(b *testing.B) { benchExperiment(b, experiments.E17DeepHierarchy) }
-func BenchmarkE18SyncConvergence(b *testing.B) {
-	benchExperiment(b, experiments.E18SyncConvergence)
-}
-func BenchmarkE19MultiPrefix(b *testing.B) { benchExperiment(b, experiments.E19MultiPrefix) }
-func BenchmarkE20MetricAdjustment(b *testing.B) {
-	benchExperiment(b, experiments.E20MetricAdjustment)
-}
-func BenchmarkE21EBGPChurn(b *testing.B) { benchExperiment(b, experiments.E21EBGPChurn) }
-func BenchmarkE22MEDPrevalence(b *testing.B) {
-	benchExperiment(b, experiments.E22MEDPrevalence)
-}
-func BenchmarkE23Census(b *testing.B) { benchExperiment(b, experiments.E23Census) }
 
 // --- convergence scaling: the E11 sweep as per-size benchmarks ---------------
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"os"
 	"regexp"
 	"runtime"
@@ -9,19 +10,48 @@ import (
 	"testing"
 )
 
+// row returns the ledger row with the given ID or fails the test.
+func row(t *testing.T, id string) Experiment {
+	t.Helper()
+	x, ok := Find(id)
+	if !ok {
+		t.Fatalf("no ledger row %s", id)
+	}
+	return x
+}
+
+// TestLedgerRows: the ledger holds E1..E23 once each, in order, and every
+// row names its artifact and claim.
+func TestLedgerRows(t *testing.T) {
+	if len(Ledger) != 23 {
+		t.Fatalf("ledger has %d rows, want 23", len(Ledger))
+	}
+	for i, x := range Ledger {
+		if want := fmt.Sprintf("E%d", i+1); x.ID != want {
+			t.Errorf("row %d has ID %q, want %q", i, x.ID, want)
+		}
+		if x.Artifact == "" || x.Claim == "" || x.run == nil {
+			t.Errorf("%s: incomplete row %+v", x.ID, x)
+		}
+		if got, _ := Find(x.ID); got.Claim != x.Claim {
+			t.Errorf("Find(%s) returns another row", x.ID)
+		}
+	}
+	if _, ok := Find("E24"); ok {
+		t.Error("Find accepts an ID outside the ledger")
+	}
+}
+
 func TestAllExperimentsPass(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full battery is slow")
 	}
 	reports := All(Options{Seeds: 4, SweepSizes: []int{2, 4}})
-	if len(reports) != 23 {
-		t.Fatalf("got %d reports, want 23", len(reports))
-	}
-	for _, r := range reports {
+	for i, r := range reports {
 		if !r.Pass {
 			t.Errorf("%s (%s) FAILED: %s", r.ID, r.Artifact, r.Measured)
 		}
-		if r.ID == "" || r.Claim == "" || r.Measured == "" {
+		if r.ID != Ledger[i].ID || r.Claim == "" || r.Measured == "" {
 			t.Errorf("%s: incomplete report %+v", r.ID, r)
 		}
 	}
@@ -29,31 +59,31 @@ func TestAllExperimentsPass(t *testing.T) {
 
 func TestIndividualExperiments(t *testing.T) {
 	opts := Options{Seeds: 3, SweepSizes: []int{2}}
-	cases := []struct {
-		name string
-		run  func(Options) Report
-	}{
-		{"E1", E1Fig1a}, {"E2", E2Fig1b}, {"E3", E3Fig2}, {"E4", E4Fig3},
-		{"E5", E5VariableGadget}, {"E6", E6ClauseGadget},
-		{"E9", E9Loop}, {"E10", E10Determinism},
-		{"E12", E12Flush}, {"E13", E13LoopFree}, {"E14", E14Fig12},
-		{"E15", E15Adaptive}, {"E16", E16Confederation},
-		{"E17", E17DeepHierarchy}, {"E18", E18SyncConvergence},
-		{"E20", E20MetricAdjustment}, {"E21", E21EBGPChurn},
-		{"E22", E22MEDPrevalence}, {"E23", E23Census},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			r := tc.run(opts)
-			if !r.Pass {
+	for _, x := range Ledger {
+		if x.ID == "E19" {
+			continue // real TCP sessions: TestE19MultiPrefixTCP
+		}
+		t.Run(x.ID, func(t *testing.T) {
+			if r := x.Run(opts); !r.Pass {
 				t.Fatalf("%s failed: %s", r.ID, r.Measured)
 			}
 		})
 	}
 }
 
+// TestRunStampsErrors: a row whose run fails still reports its ID,
+// Artifact and Claim, measures the error, and does not pass.
+func TestRunStampsErrors(t *testing.T) {
+	x := Experiment{ID: "EX", Artifact: "art", Claim: "claim",
+		run: func(Options) (Report, error) { return Report{Pass: true}, fmt.Errorf("boom") }}
+	r := x.Run(Options{})
+	if r.ID != "EX" || r.Artifact != "art" || r.Claim != "claim" || r.Measured != "boom" || r.Pass {
+		t.Fatalf("error report = %+v", r)
+	}
+}
+
 func TestE7ReductionReport(t *testing.T) {
-	r := E7Reduction(Options{})
+	r := row(t, "E7").Run(Options{})
 	if !r.Pass {
 		t.Fatalf("E7 failed: %s", r.Measured)
 	}
@@ -63,7 +93,7 @@ func TestE7ReductionReport(t *testing.T) {
 }
 
 func TestE8WaltonSampling(t *testing.T) {
-	r := E8Walton(Options{Seeds: 3}) // non-exhaustive mode
+	r := row(t, "E8").Run(Options{Seeds: 3}) // non-exhaustive mode
 	if !r.Pass {
 		t.Fatalf("E8 failed: %s", r.Measured)
 	}
@@ -73,7 +103,7 @@ func TestE8WaltonSampling(t *testing.T) {
 }
 
 func TestE11OverheadTable(t *testing.T) {
-	r := E11Overhead(Options{Seeds: 2, SweepSizes: []int{2, 3}})
+	r := row(t, "E11").Run(Options{Seeds: 2, SweepSizes: []int{2, 3}})
 	if !r.Pass {
 		t.Fatalf("E11 failed: %s", r.Measured)
 	}
@@ -101,14 +131,14 @@ func TestE19MultiPrefixTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("uses real TCP sessions")
 	}
-	r := E19MultiPrefix(Options{Seeds: 2})
+	r := row(t, "E19").Run(Options{Seeds: 2})
 	if !r.Pass {
 		t.Fatalf("E19 failed: %s", r.Measured)
 	}
 }
 
 func TestE4TableOneReproduction(t *testing.T) {
-	r := E4Fig3(Options{Seeds: 2})
+	r := row(t, "E4").Run(Options{Seeds: 2})
 	if !r.Pass {
 		t.Fatalf("E4 failed: %s", r.Measured)
 	}
@@ -122,7 +152,7 @@ func TestE4TableOneReproduction(t *testing.T) {
 // itself.
 func TestE23ShardsOnEveryHost(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	r := E23Census(Options{Seeds: 2})
+	r := row(t, "E23").Run(Options{Seeds: 2})
 	m := regexp.MustCompile(`shards=1 vs shards=(\d+) `).FindStringSubmatch(r.Measured)
 	if m == nil {
 		t.Fatalf("E23 row names no shard comparison: %s", r.Measured)
@@ -152,16 +182,11 @@ func TestClaimTableMatchesExperimentsMD(t *testing.T) {
 	for _, line := range strings.Split(string(doc), "\n") {
 		have[line] = true
 	}
-	opts := Options{Exhaustive: true}
-	opts.fill()
-	reports := []Report{
-		E1Fig1a(opts), E2Fig1b(opts), E3Fig2(opts), E4Fig3(opts),
-		E5VariableGadget(opts), E6ClauseGadget(opts), E7Reduction(opts),
-		E8Walton(opts), E9Loop(opts), E10Determinism(opts),
-		E11Overhead(opts), E12Flush(opts), E13LoopFree(opts), E14Fig12(opts),
-		E15Adaptive(opts), E16Confederation(opts), E17DeepHierarchy(opts),
-		E18SyncConvergence(opts), E20MetricAdjustment(opts),
-		E21EBGPChurn(opts), E22MEDPrevalence(opts), E23Census(opts),
+	var reports []Report
+	for _, x := range Ledger {
+		if x.ID != "E19" {
+			reports = append(reports, x.Run(Options{Exhaustive: true}))
+		}
 	}
 	for _, line := range strings.Split(Markdown(reports), "\n") {
 		if !have[line] {

@@ -297,12 +297,6 @@ type StableEnumeration struct {
 // 4,000,000. The engine must use the Classic policy; it is restored before
 // returning.
 func EnumerateStableClassic(e *protocol.Engine, budget int) StableEnumeration {
-	return EnumerateStableClassicCtx(context.Background(), e, budget)
-}
-
-// EnumerateStableClassicCtx is EnumerateStableClassic with cancellation:
-// when ctx is cancelled the enumeration stops early with Truncated set.
-func EnumerateStableClassicCtx(ctx context.Context, e *protocol.Engine, budget int) StableEnumeration {
 	if budget <= 0 {
 		budget = 4_000_000
 	}
@@ -325,11 +319,6 @@ func EnumerateStableClassicCtx(ctx context.Context, e *protocol.Engine, budget i
 	for {
 		res.Candidates++
 		if res.Candidates > budget {
-			res.Truncated = true
-			return res
-		}
-		// The per-candidate work is tiny; poll the context sparsely.
-		if res.Candidates%4096 == 0 && ctx.Err() != nil {
 			res.Truncated = true
 			return res
 		}

@@ -187,20 +187,3 @@ func TestReachableCancellation(t *testing.T) {
 		t.Fatal("cancelled Reachable left the engine dirty")
 	}
 }
-
-func TestEnumerateStableClassicCancellation(t *testing.T) {
-	// Fig13's assignment space exceeds 100k candidates, far past the
-	// enumeration's context-poll stride.
-	f := figures.Fig13()
-	e := protocol.New(f.Sys, protocol.Classic, selection.Options{})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	const budget = 100000
-	enum := EnumerateStableClassicCtx(ctx, e, budget)
-	if !enum.Truncated {
-		t.Fatal("cancelled enumeration not marked truncated")
-	}
-	if enum.Candidates >= budget {
-		t.Fatalf("cancelled enumeration exhausted its budget (%d candidates)", enum.Candidates)
-	}
-}
