@@ -11,7 +11,9 @@
 // paper's structural model (Section 4), RISK when a sufficient
 // oscillation precondition is present (the Section 3 MED/cluster
 // interaction or a cross-cluster dispute cycle), PASS otherwise — with
-// safety certificates explaining why (-v shows them).
+// safety certificates explaining why (-v shows them). A spec with
+// prefixExits gets one report per prefix ("FILE prefix I"); a spec that
+// breaks the structural rules gets one FAIL report listing every problem.
 //
 // With -prove, the SAT-backed exact passes run as well: prove-stable
 // decides whether any stable routing exists (UNSAT is a proof of
@@ -129,10 +131,10 @@ func main() {
 			}
 		}
 		source := fmt.Sprintf("topogen(seed=%d,n=%d)", *genSeed, tspec.N())
-		reports = append(reports, lintSpecFn(source, spec))
+		reports = append(reports, lintSpecFn(source, spec)...)
 	}
 	for _, path := range flag.Args() {
-		reports = append(reports, lintFile(path, lintSpecFn))
+		reports = append(reports, lintFile(path, lintSpecFn)...)
 	}
 
 	var err error
@@ -172,13 +174,13 @@ func writeGenerated(path string, spec *topology.Spec) error {
 // (LintSpec, or ProveSpec under -prove), folding I/O and parse problems
 // into the report as findings so a bad file cannot abort a multi-file
 // run.
-func lintFile(path string, lintSpecFn func(string, *topology.Spec) *lint.Report) *lint.Report {
+func lintFile(path string, lintSpecFn func(string, *topology.Spec) []*lint.Report) []*lint.Report {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return errorReport(path, "read", err)
 	}
 	if isConfedSpec(data) {
-		return &lint.Report{
+		return []*lint.Report{{
 			Source:  path,
 			Verdict: lint.VerdictPass,
 			Findings: []lint.Finding{{
@@ -186,7 +188,7 @@ func lintFile(path string, lintSpecFn func(string, *topology.Spec) *lint.Report)
 				Severity: lint.Info,
 				Detail:   "confederation spec (subASes): skipped — confed-BGP uses a different session model",
 			}},
-		}
+		}}
 	}
 	spec, err := topology.ParseSpec(bytes.NewReader(data))
 	if err != nil {
@@ -205,8 +207,8 @@ func isConfedSpec(data []byte) bool {
 	return ok
 }
 
-func errorReport(path, pass string, err error) *lint.Report {
-	return &lint.Report{
+func errorReport(path, pass string, err error) []*lint.Report {
+	return []*lint.Report{{
 		Source:  path,
 		Verdict: lint.VerdictFail,
 		Findings: []lint.Finding{{
@@ -214,5 +216,5 @@ func errorReport(path, pass string, err error) *lint.Report {
 			Severity: lint.Error,
 			Detail:   err.Error(),
 		}},
-	}
+	}}
 }

@@ -61,6 +61,19 @@ func main() {
 		codecName = flag.String("codec", "private", "tcp: wire format, private or bgp4")
 	)
 	flag.Parse()
+	if *maxSteps < 1 {
+		fmt.Fprintf(os.Stderr, "ibgpsim: -max-steps must be at least 1, got %d\n", *maxSteps)
+		os.Exit(2)
+	}
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{{"delay", *delay}, {"jitter", *jitter}, {"mrai", *mrai}} {
+		if f.v < 0 {
+			fmt.Fprintf(os.Stderr, "ibgpsim: -%s must not be negative, got %d\n", f.name, f.v)
+			os.Exit(2)
+		}
+	}
 
 	sys, err := cli.LoadSystem(*topoPath, *figure)
 	if err != nil {

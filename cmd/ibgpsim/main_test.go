@@ -50,6 +50,13 @@ func TestGolden(t *testing.T) {
 		// budget runs out and the command exits 2.
 		{"fig1a-classic", append([]string{"-figure", "1a", "-policy", "classic", "-max-steps", "120"}, sim...),
 			[]string{"quiesced=false", "exit status 2"}},
+		// Out-of-range numbers are usage errors (exit 2, nothing on
+		// stdout), never silently replaced by a default or by zero.
+		{"max-steps-negative", []string{"-figure", "1a", "-max-steps", "-3"}, []string{"exit status 2"}},
+		{"max-steps-zero", []string{"-figure", "1a", "-max-steps", "0"}, []string{"exit status 2"}},
+		{"delay-negative", append([]string{"-figure", "1a", "-delay", "-4"}, sim...), []string{"exit status 2"}},
+		{"jitter-negative", append([]string{"-figure", "1a", "-jitter", "-4"}, sim...), []string{"exit status 2"}},
+		{"mrai-negative", append([]string{"-figure", "1a", "-mrai", "-4"}, sim...), []string{"exit status 2"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got := runMain(t, tc.args)

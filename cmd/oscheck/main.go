@@ -29,6 +29,10 @@ func main() {
 		maxStates = flag.Int("max-states", 500000, "reachable-state budget")
 	)
 	flag.Parse()
+	if *maxStates < 1 {
+		fmt.Fprintf(os.Stderr, "oscheck: -max-states must be at least 1, got %d\n", *maxStates)
+		os.Exit(2)
+	}
 
 	sys, err := cli.LoadSystem(*topoPath, *figure)
 	if err != nil {

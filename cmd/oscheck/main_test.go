@@ -38,6 +38,9 @@ func TestGolden(t *testing.T) {
 		{"figure-1a", []string{"-figure", "1a"}, []string{
 			"classic  reachable states=42", "PERSISTENT OSCILLATION", "witness cycle", "exit status 3",
 		}},
+		// A state budget below 1 is a usage error, not the search default.
+		{"max-states-negative", []string{"-figure", "1a", "-max-states", "-5"}, []string{"exit status 2"}},
+		{"max-states-zero", []string{"-figure", "1a", "-max-states", "0"}, []string{"exit status 2"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got := runMain(t, tc.args)

@@ -1,8 +1,8 @@
 // Static analysis: lint an I-BGP route-reflection configuration without
 // running any protocol engine, then contrast two configurations — the
 // deliberately broken fixture (FAIL: a reflector-less cluster and a
-// cluster cycle) and the Figure 1(a) topology (RISK: the Section 3
-// MED/cluster oscillation precondition).
+// cluster whose parent is a later cluster) and the Figure 1(a) topology
+// (RISK: the Section 3 MED/cluster oscillation precondition).
 //
 // Run from the repository root:
 //
@@ -25,8 +25,9 @@ func main() {
 	}
 
 	// The negative fixture: clients with no reflector in their cluster and
-	// a parent cycle between two other clusters. Every structural pass
-	// fires; the verdict is FAIL.
+	// a parent cycle between two other clusters. The structural check
+	// reports both problems under cluster-structure (a cycle needs a parent
+	// that is not an earlier cluster); the verdict is FAIL.
 	lintFile("examples/topologies/broken-cluster.json", false)
 
 	fmt.Println()
@@ -61,8 +62,8 @@ func lintFile(path string, verbose bool) {
 	if err != nil {
 		log.Fatalf("%s: %v", path, err)
 	}
-	rep := ibgp.LintSpec(path, spec)
-	if err := ibgp.WriteLintText(os.Stdout, verbose, rep); err != nil {
+	reps := ibgp.LintSpec(path, spec)
+	if err := ibgp.WriteLintText(os.Stdout, verbose, reps...); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -306,4 +306,13 @@ func TestConfedJSONErrors(t *testing.T) {
 	if _, err := Load(strings.NewReader(`{"subASes":[["a"]],"links":[{"a":"a","b":"ghost","cost":1}],"confedSessions":[],"exits":[]}`)); err == nil {
 		t.Fatal("unknown router accepted")
 	}
+	sys, _, _ := fig1aConfed(t)
+	var buf bytes.Buffer
+	if err := Save(&buf, sys); err != nil {
+		t.Fatal(err)
+	}
+	buf.WriteString(`{"subASes":[]} trailing junk`)
+	if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), "trailing data") {
+		t.Fatalf("spec with trailing data: error = %v, want a trailing-data rejection", err)
+	}
 }

@@ -2,6 +2,7 @@ package confed
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -93,13 +94,17 @@ func BuildSpec(spec *Spec) (*System, error) {
 	return b.Build()
 }
 
-// Load reads a JSON Spec and builds the System.
+// Load reads a JSON Spec and builds the System. The input must hold the
+// spec object alone: anything after it other than whitespace is rejected.
 func Load(r io.Reader) (*System, error) {
 	var spec Spec
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		return nil, fmt.Errorf("confed: decoding spec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("confed: decoding spec: trailing data after the spec object")
 	}
 	return BuildSpec(&spec)
 }

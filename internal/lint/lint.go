@@ -8,10 +8,12 @@
 // without running any protocol engine — certify structural well-formedness
 // and detect the *sufficient conditions for trouble* the paper identifies:
 //
-//   - structural misconfigurations: clusters without reflectors, cluster
-//     parent cycles (non-hierarchical reflection, violating the paper's
-//     acyclic-hierarchy assumption), dangling node references, and a
-//     disconnected logical graph G_I (Section 4);
+//   - structural misconfigurations (Section 4): clusters without
+//     reflectors, parents that are not earlier clusters (the paper's
+//     acyclic hierarchy), routers with two roles, dangling references,
+//     out-of-range attributes and a disconnected physical graph. The rules
+//     are package topology's (topology.Check); lint reports their problems
+//     under one pass per rule family;
 //   - oscillation-risk patterns: per-neighbouring-AS MED interaction
 //     spanning multiple clusters (the Figure 1(a) precondition, Section 3)
 //     and dispute cycles in the route-preference digraph over reflectors
@@ -21,9 +23,8 @@
 //     I-BGP provably converges.
 //
 // A pass emits Findings; a Report aggregates them into a PASS/RISK/FAIL
-// verdict. Passes run at two levels: Spec passes inspect a raw
-// topology.Spec (possibly too broken for topology.Build to accept),
-// System passes inspect a built topology.System.
+// verdict. The system passes inspect a built topology.System, so they run
+// only on specs that pass the structural check.
 package lint
 
 import (
@@ -126,9 +127,9 @@ func (f Finding) String() string {
 	return s
 }
 
-// Pass is one named static check. Exactly one of Spec and System is
-// non-nil: Spec passes run on raw specifications (and therefore can
-// diagnose configurations Build rejects), System passes require a built,
+// Pass is one named static check. The structural passes have a nil
+// System: they name the rule families of topology.Check, whose problems
+// LintSpec reports under them. Every other pass runs System on a built,
 // structurally valid System.
 type Pass struct {
 	// Name identifies the pass in findings and reports.
@@ -142,28 +143,22 @@ type Pass struct {
 	// cost exponential in the worst case (Section 5). They only run under
 	// ProveSystem / ProveSpec, never under the default Lint entry points.
 	Exact bool
-	// Spec, when non-nil, runs the pass on a raw specification.
-	Spec func(*topology.Spec) []Finding
 	// System, when non-nil, runs the pass on a built system, through the
 	// shared per-run Context.
 	System func(*Context) []Finding
 }
 
-// Passes returns every registered pass: spec-level structural passes
-// first, then system-level risk and certificate passes, then the exact
-// prover passes (which only run in exact mode).
+// Passes returns every registered pass: the structural passes first, then
+// system-level risk and certificate passes, then the exact prover passes
+// (which only run in exact mode).
 func Passes() []Pass {
-	return []Pass{
-		clusterStructurePass(),
-		nodeReferencesPass(),
-		attributesPass(),
-		giConnectivityPass(),
+	return append(structuralPasses(),
 		medInteractionPass(),
 		disputeCyclePass(),
 		certificatePass(),
 		proveStablePass(),
 		proveWheelPass(),
-	}
+	)
 }
 
 // Context carries the system under analysis plus the indexes the
@@ -275,43 +270,38 @@ func lintSystem(source string, sys *topology.System, exact bool) *Report {
 	return r
 }
 
-// LintSpec runs the spec-level passes over a raw specification; when they
-// find no structural error it builds the System and runs the system-level
-// passes as well. A Build failure the spec passes did not predict is
-// reported as an Error finding of the synthetic "build" pass.
-func LintSpec(source string, spec *topology.Spec) *Report {
+// LintSpec lints a raw specification. A spec that breaks the model's
+// structural rules (topology.Check) gets one FAIL report listing every
+// problem under its rule's pass. Otherwise the system-level passes run on
+// every prefix's system, one report each; a multi-prefix spec's reports
+// name their prefix ("<source> prefix <i>").
+func LintSpec(source string, spec *topology.Spec) []*Report {
 	return lintSpec(source, spec, false)
 }
 
 // ProveSpec is LintSpec with the exact prover passes included at the
 // system level.
-func ProveSpec(source string, spec *topology.Spec) *Report {
+func ProveSpec(source string, spec *topology.Spec) []*Report {
 	return lintSpec(source, spec, true)
 }
 
-func lintSpec(source string, spec *topology.Spec, exact bool) *Report {
-	r := &Report{Source: source}
-	for _, p := range Passes() {
-		if p.Spec != nil {
-			r.Findings = append(r.Findings, p.Spec(spec)...)
-		}
+func lintSpec(source string, spec *topology.Spec, exact bool) []*Report {
+	if problems := topology.Check(spec); len(problems) > 0 {
+		return []*Report{structuralReport(source, problems)}
 	}
-	if r.verdict() == VerdictFail {
-		r.Verdict = VerdictFail
-		return r
-	}
-	sys, err := topology.BuildSpec(spec)
+	systems, err := topology.BuildSpecAll(spec)
 	if err != nil {
-		r.Findings = append(r.Findings, Finding{
-			Pass:     "build",
-			Severity: Error,
-			Detail:   fmt.Sprintf("specification does not build: %v", err),
-			Ref:      "Section 4, model constraints",
-		})
-		r.Verdict = VerdictFail
-		return r
+		return []*Report{{Source: source, Verdict: VerdictFail, Findings: []Finding{{
+			Pass: "build", Severity: Error, Detail: err.Error(),
+		}}}}
 	}
-	runSystemPasses(r, sys, exact)
-	r.Verdict = r.verdict()
-	return r
+	reports := make([]*Report, len(systems))
+	for i, sys := range systems {
+		src := source
+		if len(systems) > 1 {
+			src = fmt.Sprintf("%s prefix %d", source, i)
+		}
+		reports[i] = lintSystem(src, sys, exact)
+	}
+	return reports
 }

@@ -72,8 +72,13 @@ func FuzzGenerate(f *testing.F) {
 		}
 		direct := lint.LintSpec("direct", gen)
 		round := lint.LintSpec("round", parsed)
-		if direct.Verdict != round.Verdict {
-			t.Fatalf("lint verdict changed across the round trip: %v vs %v", direct.Verdict, round.Verdict)
+		if len(direct) != len(systems) || len(round) != len(systems) {
+			t.Fatalf("lint reports: %d direct, %d round trip, want one per prefix (%d)", len(direct), len(round), len(systems))
+		}
+		for p := range direct {
+			if direct[p].Verdict != round[p].Verdict {
+				t.Fatalf("prefix %d: lint verdict changed across the round trip: %v vs %v", p, direct[p].Verdict, round[p].Verdict)
+			}
 		}
 	})
 }

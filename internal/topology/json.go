@@ -2,6 +2,7 @@ package topology
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -66,86 +67,92 @@ type ExitJSON struct {
 	TieBreak  int     `json:"tieBreak,omitempty"`
 }
 
-// BuildSpec converts a Spec into a System.
-func BuildSpec(spec *Spec) (*System, error) {
+// spec converts the JSON form of an exit into the Builder's.
+func (e ExitJSON) spec() ExitSpec {
+	return ExitSpec{
+		LocalPref: e.LocalPref,
+		ASPathLen: e.ASPathLen,
+		NextAS:    e.NextAS,
+		MED:       e.MED,
+		ExitCost:  e.ExitCost,
+		NextHopID: e.NextHopID,
+		TieBreak:  e.TieBreak,
+	}
+}
+
+// fromSpec declares a spec on a Builder, resolving every router name it
+// references; each unknown name is recorded as a problem and resolves to
+// -1, which the Builder does not report again. It returns the Builder,
+// carrying prefix 0's exits, and the resolved exit lists of the further
+// prefixes, whose attributes it checks as Builder.Exit does.
+func fromSpec(spec *Spec) (*Builder, [][]PrefixExit) {
 	b := NewBuilder()
-	ids := map[string]bgp.NodeID{}
-	for i, c := range spec.Clusters {
-		var ci int
+	for _, c := range spec.Clusters {
+		var k int
 		if c.Parent != nil {
-			if *c.Parent < 0 || *c.Parent >= i {
-				return nil, fmt.Errorf("topology: cluster %d has invalid parent %d", i, *c.Parent)
-			}
-			ci = b.SubCluster(*c.Parent)
+			k = b.SubCluster(*c.Parent)
 		} else {
-			ci = b.NewCluster()
+			k = b.NewCluster()
 		}
 		for _, name := range c.Reflectors {
-			ids[name] = b.Reflector(name, ci)
+			b.Reflector(name, k)
 		}
 		for _, name := range c.Clients {
-			ids[name] = b.Client(name, ci)
+			b.Client(name, k)
 		}
 	}
-	lookup := func(name string) (bgp.NodeID, error) {
-		id, ok := ids[name]
-		if !ok {
-			return -1, fmt.Errorf("topology: unknown node name %q", name)
+	lookup := func(kind string, i int, name string) bgp.NodeID {
+		if id, ok := b.ids[name]; ok {
+			return id
 		}
-		return id, nil
+		b.problems.add(ReferenceRule, []string{name}, "%s references unknown router %q", label(kind, i), name)
+		return -1
 	}
-	for _, l := range spec.Links {
-		a, err := lookup(l.A)
-		if err != nil {
-			return nil, err
-		}
-		bn, err := lookup(l.B)
-		if err != nil {
-			return nil, err
-		}
-		b.Link(a, bn, l.Cost)
+	for i, l := range spec.Links {
+		b.Link(lookup("link", i, l.A), lookup("link", i, l.B), l.Cost)
 	}
-	for _, cs := range spec.ClientSessions {
-		a, err := lookup(cs.A)
-		if err != nil {
-			return nil, err
-		}
-		bn, err := lookup(cs.B)
-		if err != nil {
-			return nil, err
-		}
-		b.ClientSession(a, bn)
+	for i, cs := range spec.ClientSessions {
+		b.ClientSession(lookup("client session", i, cs.A), lookup("client session", i, cs.B))
 	}
-	for _, e := range spec.Exits {
-		at, err := lookup(e.At)
-		if err != nil {
-			return nil, err
-		}
-		b.Exit(at, ExitSpec{
-			LocalPref: e.LocalPref,
-			ASPathLen: e.ASPathLen,
-			NextAS:    e.NextAS,
-			MED:       e.MED,
-			ExitCost:  e.ExitCost,
-			NextHopID: e.NextHopID,
-			TieBreak:  e.TieBreak,
-		})
+	for i, e := range spec.Exits {
+		b.Exit(lookup("exit", i, e.At), e.spec())
 	}
-	// Apply BGP id overrides in sorted name order so that which error is
-	// reported (and which duplicate wins the Build-time check) does not
-	// depend on map iteration order.
+	// Apply BGP id overrides in sorted name order so that the order of
+	// the problems does not depend on map iteration order.
 	names := make([]string, 0, len(spec.BGPIDs))
 	for name := range spec.BGPIDs {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		n, err := lookup(name)
-		if err != nil {
-			return nil, err
-		}
-		b.SetBGPID(n, spec.BGPIDs[name])
+		b.SetBGPID(lookup("bgpIds override", -1, name), spec.BGPIDs[name])
 	}
+	overlays := make([][]PrefixExit, len(spec.PrefixExits))
+	for pi, exits := range spec.PrefixExits {
+		kind := fmt.Sprintf("prefix %d exit", pi+1)
+		overlays[pi] = make([]PrefixExit, len(exits))
+		for i, e := range exits {
+			overlays[pi][i] = PrefixExit{At: lookup(kind, i, e.At), Spec: e.spec()}
+			b.problems.exitAttributes(kind, i, e.At, e.spec())
+		}
+	}
+	return b, overlays
+}
+
+// Check reports every violation of the model's structural rules in spec,
+// the exit lists of every prefix included (see Problem). It is empty
+// exactly when BuildSpec, BuildSpecAll and Load accept the spec, and it is
+// linear in routers, links and exits.
+func Check(spec *Spec) Problems {
+	b, _ := fromSpec(spec)
+	_, ps := b.check()
+	return ps
+}
+
+// BuildSpec converts a Spec into the System of prefix 0. It fails, with
+// the Problems Check reports, on any structural problem of any prefix.
+func BuildSpec(spec *Spec) (*System, error) {
+	b, _ := fromSpec(spec)
 	return b.Build()
 }
 
@@ -154,32 +161,17 @@ func BuildSpec(spec *Spec) (*System, error) {
 // each PrefixExits entry becomes a WithExits overlay sharing the base's
 // session graph. Single-prefix specs return a one-element slice.
 func BuildSpecAll(spec *Spec) ([]*System, error) {
-	base, err := BuildSpec(spec)
+	b, overlays := fromSpec(spec)
+	base, err := b.Build()
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*System, 1, 1+len(spec.PrefixExits))
+	out := make([]*System, 1, 1+len(overlays))
 	out[0] = base
-	for pi, exits := range spec.PrefixExits {
-		pes := make([]PrefixExit, len(exits))
-		for i, e := range exits {
-			at, ok := base.NodeByName(e.At)
-			if !ok {
-				return nil, fmt.Errorf("topology: prefix %d: unknown node name %q", pi+1, e.At)
-			}
-			pes[i] = PrefixExit{At: at, Spec: ExitSpec{
-				LocalPref: e.LocalPref,
-				ASPathLen: e.ASPathLen,
-				NextAS:    e.NextAS,
-				MED:       e.MED,
-				ExitCost:  e.ExitCost,
-				NextHopID: e.NextHopID,
-				TieBreak:  e.TieBreak,
-			}}
-		}
-		ov, err := base.WithExits(pes)
+	for _, exits := range overlays {
+		ov, err := base.WithExits(exits)
 		if err != nil {
-			return nil, fmt.Errorf("topology: prefix %d: %w", pi+1, err)
+			return nil, err
 		}
 		out = append(out, ov)
 	}
@@ -187,9 +179,10 @@ func BuildSpecAll(spec *Spec) ([]*System, error) {
 }
 
 // ParseSpec decodes a JSON Spec without validating or building it. Unknown
-// fields are rejected, so a confederation spec (package confed) does not
-// silently half-parse. The static analyzer (package lint) uses this to
-// inspect configurations too broken for Build to accept.
+// fields and anything after the spec object other than whitespace are
+// rejected, so a confederation spec (package confed) or a concatenated
+// file does not silently half-parse. The static analyzer (package lint)
+// uses this to inspect configurations too broken for Build to accept.
 func ParseSpec(r io.Reader) (*Spec, error) {
 	var spec Spec
 	dec := json.NewDecoder(r)
@@ -197,10 +190,13 @@ func ParseSpec(r io.Reader) (*Spec, error) {
 	if err := dec.Decode(&spec); err != nil {
 		return nil, fmt.Errorf("topology: decoding spec: %w", err)
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("topology: decoding spec: trailing data after the spec object")
+	}
 	return &spec, nil
 }
 
-// Load reads a JSON Spec and builds the System.
+// Load reads a JSON Spec and builds the System of prefix 0.
 func Load(r io.Reader) (*System, error) {
 	spec, err := ParseSpec(r)
 	if err != nil {

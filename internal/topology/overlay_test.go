@@ -82,8 +82,10 @@ func TestWithExitsOverlay(t *testing.T) {
 // attributes fail construction.
 func TestWithExitsRejectsInvalid(t *testing.T) {
 	sys, rr := overlayBase(t)
-	if _, err := sys.WithExits([]PrefixExit{{At: bgp.NodeID(99)}}); err == nil {
-		t.Fatal("out-of-range exit point accepted")
+	for _, at := range []bgp.NodeID{99, -1} {
+		if _, err := sys.WithExits([]PrefixExit{{At: at}}); err == nil {
+			t.Fatalf("out-of-range exit point %d accepted", at)
+		}
 	}
 	if _, err := sys.WithExits([]PrefixExit{{At: rr, Spec: ExitSpec{MED: -1}}}); err == nil {
 		t.Fatal("negative MED accepted")

@@ -9,7 +9,6 @@
 package topology
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -219,17 +218,22 @@ func (s *System) Route(u bgp.NodeID, p bgp.ExitPath, learnedFrom int) bgp.Route 
 
 // Builder assembles a System incrementally. The zero value is not usable;
 // call NewBuilder.
+//
+// The builder methods check the structural rules that concern one call as
+// they are made (see Problem) and record each violation instead of
+// stopping; Build then checks the rules over the whole configuration and
+// fails with every recorded problem.
 type Builder struct {
-	names      []string
-	roles      []Role
-	cluster    []int
-	parents    []int
-	numCluster int
-	links      []link
-	extraSess  []pair
-	exits      []bgp.ExitPath
-	bgpIDs     []int
-	err        error
+	names     []string
+	ids       map[string]bgp.NodeID
+	roles     []Role
+	cluster   []int
+	parents   []int // parent cluster per cluster; -1 for top level
+	links     []link
+	extraSess []pair
+	exits     []bgp.ExitPath
+	bgpIDs    []int
+	problems  Problems
 }
 
 type link struct {
@@ -240,48 +244,57 @@ type link struct {
 type pair struct{ u, v bgp.NodeID }
 
 // NewBuilder returns an empty Builder.
-func NewBuilder() *Builder { return &Builder{} }
+func NewBuilder() *Builder { return &Builder{ids: map[string]bgp.NodeID{}} }
 
 // NewCluster starts a new (initially empty) top-level cluster and returns
 // its index. Top-level reflectors form the full I-BGP mesh.
 func (b *Builder) NewCluster() int {
-	b.numCluster++
 	b.parents = append(b.parents, -1)
-	return b.numCluster - 1
+	return len(b.parents) - 1
 }
 
 // SubCluster starts a new cluster nested under parent, building a
 // multi-level reflection hierarchy (the deeper hierarchies Section 2
 // mentions beyond the paper's two-level analysis). The sub-cluster's
 // reflectors automatically become served clients of the parent cluster's
-// reflectors.
+// reflectors. The parent must be an earlier cluster, so the hierarchy
+// cannot contain a cycle.
 func (b *Builder) SubCluster(parent int) int {
-	if b.err == nil && (parent < 0 || parent >= b.numCluster) {
-		b.err = fmt.Errorf("topology: SubCluster references unknown cluster %d", parent)
+	k := len(b.parents)
+	if parent < 0 || parent >= k {
+		b.problems.add(ClusterRule, nil,
+			"cluster %d has invalid parent %d: a parent must be an earlier cluster, so the reflection hierarchy stays acyclic", k, parent)
 	}
-	b.numCluster++
 	b.parents = append(b.parents, parent)
-	return b.numCluster - 1
+	return k
 }
 
+// addNode declares a router. A router declared twice keeps its first
+// declaration, whose id it returns; a router in an unknown cluster is not
+// declared and gets -1.
 func (b *Builder) addNode(name string, role Role, cluster int) bgp.NodeID {
-	if b.err != nil {
-		return -1
-	}
-	if cluster < 0 || cluster >= b.numCluster {
-		b.err = fmt.Errorf("topology: node %q references unknown cluster %d", name, cluster)
-		return -1
-	}
 	if name == "" {
 		name = fmt.Sprintf("v%d", len(b.names))
 	}
-	for _, n := range b.names {
-		if n == name {
-			b.err = fmt.Errorf("topology: duplicate node name %q", name)
-			return -1
+	if cluster < 0 || cluster >= len(b.parents) {
+		b.problems.add(ClusterRule, []string{name}, "router %q references unknown cluster %d", name, cluster)
+		return -1
+	}
+	if prev, dup := b.ids[name]; dup {
+		detail := fmt.Sprintf("router %q is declared twice (clusters %d and %d)", name, b.cluster[prev], cluster)
+		if b.roles[prev] != role {
+			rc, cc := b.cluster[prev], cluster
+			if role == Reflector {
+				rc, cc = cluster, b.cluster[prev]
+			}
+			detail = fmt.Sprintf("router %q is both a reflector (cluster %d) and a client (cluster %d) — non-hierarchical reflection",
+				name, rc, cc)
 		}
+		b.problems.add(ClusterRule, []string{name}, "%s", detail)
+		return prev
 	}
 	id := bgp.NodeID(len(b.names))
+	b.ids[name] = id
 	b.names = append(b.names, name)
 	b.roles = append(b.roles, role)
 	b.cluster = append(b.cluster, cluster)
@@ -301,11 +314,7 @@ func (b *Builder) Client(name string, cluster int) bgp.NodeID {
 
 // SetBGPID overrides the BGP identifier of node u (default 1000+u).
 func (b *Builder) SetBGPID(u bgp.NodeID, id int) *Builder {
-	if b.err == nil {
-		if int(u) < 0 || int(u) >= len(b.bgpIDs) {
-			b.err = fmt.Errorf("topology: SetBGPID: unknown node %d", u)
-			return b
-		}
+	if b.problems.declared(len(b.names), "bgpIds override", -1, u) {
 		b.bgpIDs[u] = id
 	}
 	return b
@@ -313,8 +322,18 @@ func (b *Builder) SetBGPID(u bgp.NodeID, id int) *Builder {
 
 // Link adds a physical (IGP) link of cost w between u and v.
 func (b *Builder) Link(u, v bgp.NodeID, w int64) *Builder {
-	if b.err == nil {
-		b.links = append(b.links, link{u, v, w})
+	i := len(b.links)
+	b.links = append(b.links, link{u, v, w})
+	known := b.problems.declared(len(b.names), "link", i, u, v)
+	if known && u == v {
+		b.problems.add(ReferenceRule, []string{b.names[u]}, "link %d connects %q to itself", i, b.names[u])
+	}
+	if w <= 0 {
+		var at []string
+		if known {
+			at = []string{b.names[u], b.names[v]}
+		}
+		b.problems.add(AttributeRule, at, "link %d has non-positive cost %d", i, w)
 	}
 	return b
 }
@@ -322,8 +341,12 @@ func (b *Builder) Link(u, v bgp.NodeID, w int64) *Builder {
 // ClientSession adds an optional I-BGP session between two clients of the
 // same cluster (permitted by the model's constraint 4).
 func (b *Builder) ClientSession(u, v bgp.NodeID) *Builder {
-	if b.err == nil {
-		b.extraSess = append(b.extraSess, pair{u, v})
+	i := len(b.extraSess)
+	b.extraSess = append(b.extraSess, pair{u, v})
+	if b.problems.declared(len(b.names), "client session", i, u, v) &&
+		(u == v || b.roles[u] != Client || b.roles[v] != Client || b.cluster[u] != b.cluster[v]) {
+		b.problems.add(ClusterRule, []string{b.names[u], b.names[v]},
+			"client session %d (%s-%s) must join two clients of one cluster", i, b.names[u], b.names[v])
 	}
 	return b
 }
@@ -339,28 +362,11 @@ type ExitSpec struct {
 	TieBreak  int // < 0 for "use announcing peer's BGP id"
 }
 
-// Exit injects an exit path at router u and returns its PathID.
-func (b *Builder) Exit(u bgp.NodeID, spec ExitSpec) bgp.PathID {
-	if b.err != nil {
-		return bgp.None
-	}
-	if int(u) < 0 || int(u) >= len(b.names) {
-		b.err = fmt.Errorf("topology: Exit: unknown node %d", u)
-		return bgp.None
-	}
-	id := bgp.PathID(len(b.exits))
-	nh := spec.NextHopID
-	if nh == 0 {
-		nh = 2000 + int(id)
-	}
-	tb := spec.TieBreak
-	if tb == 0 {
-		tb = -1
-	}
-	if spec.ASPathLen <= 0 {
-		spec.ASPathLen = 1
-	}
-	b.exits = append(b.exits, bgp.ExitPath{
+// exitPath normalizes spec into exit path id at router u: a zero NextHopID
+// defaults to 2000+id, a zero TieBreak means "announcing peer's BGP id"
+// and a non-positive ASPathLen becomes 1.
+func exitPath(id bgp.PathID, u bgp.NodeID, spec ExitSpec) bgp.ExitPath {
+	p := bgp.ExitPath{
 		ID:        id,
 		LocalPref: spec.LocalPref,
 		ASPathLen: spec.ASPathLen,
@@ -368,66 +374,56 @@ func (b *Builder) Exit(u bgp.NodeID, spec ExitSpec) bgp.PathID {
 		MED:       spec.MED,
 		ExitPoint: u,
 		ExitCost:  spec.ExitCost,
-		NextHopID: nh,
-		TieBreak:  tb,
-	})
+		NextHopID: spec.NextHopID,
+		TieBreak:  spec.TieBreak,
+	}
+	if p.NextHopID == 0 {
+		p.NextHopID = 2000 + int(id)
+	}
+	if p.TieBreak == 0 {
+		p.TieBreak = -1
+	}
+	if p.ASPathLen <= 0 {
+		p.ASPathLen = 1
+	}
+	return p
+}
+
+// Exit injects an exit path at router u and returns its PathID.
+func (b *Builder) Exit(u bgp.NodeID, spec ExitSpec) bgp.PathID {
+	id := bgp.PathID(len(b.exits))
+	b.exits = append(b.exits, exitPath(id, u, spec))
+	at := ""
+	if b.problems.declared(len(b.names), "exit", int(id), u) {
+		at = b.names[u]
+	}
+	b.problems.exitAttributes("exit", int(id), at, spec)
 	return id
 }
 
 // Build validates the configuration and returns the immutable System.
 //
-// Validation enforces the structural constraints of Section 4: every
-// cluster has at least one reflector, the physical graph is connected, and
-// the session set is exactly the one induced by the cluster structure (full
-// reflector mesh, client-reflector within clusters, plus any declared
-// same-cluster client-client sessions).
+// Validation enforces the structural constraints of Section 4 (see
+// Problem): every cluster has a reflector, parents are earlier clusters,
+// references name declared routers, attributes are in range and the
+// physical graph is connected. The error is a Problems listing every
+// violation. The session set is the one the cluster structure induces:
+// full reflector mesh, client-reflector within clusters, plus any declared
+// same-cluster client-client sessions.
 func (b *Builder) Build() (*System, error) {
-	if b.err != nil {
-		return nil, b.err
+	phys, ps := b.check()
+	if len(ps) > 0 {
+		return nil, ps
 	}
 	n := len(b.names)
-	if n == 0 {
-		return nil, errors.New("topology: no routers")
-	}
-	// Cluster membership and reflector presence.
-	clusters := make([][]bgp.NodeID, b.numCluster)
-	hasRR := make([]bool, b.numCluster)
+	numCluster := len(b.parents)
+	clusters := make([][]bgp.NodeID, numCluster)
 	for i := 0; i < n; i++ {
-		c := b.cluster[i]
-		clusters[c] = append(clusters[c], bgp.NodeID(i))
-		if b.roles[i] == Reflector {
-			hasRR[c] = true
-		}
-	}
-	for c := 0; c < b.numCluster; c++ {
-		if len(clusters[c]) == 0 {
-			return nil, fmt.Errorf("topology: cluster %d is empty", c)
-		}
-		if !hasRR[c] {
-			return nil, fmt.Errorf("topology: cluster %d has no route reflector", c)
-		}
-	}
-	// BGP identifiers must be unique (they are selection tie-breakers).
-	seenID := make(map[int]bgp.NodeID)
-	for i, id := range b.bgpIDs {
-		if prev, dup := seenID[id]; dup {
-			return nil, fmt.Errorf("topology: nodes %q and %q share BGP id %d", b.names[prev], b.names[i], id)
-		}
-		seenID[id] = bgp.NodeID(i)
-	}
-	// Physical graph.
-	phys := igp.New(n)
-	for _, l := range b.links {
-		if err := phys.AddEdge(l.u, l.v, l.w); err != nil {
-			return nil, err
-		}
-	}
-	if !phys.Connected() {
-		return nil, errors.New("topology: physical graph is not connected")
+		clusters[b.cluster[i]] = append(clusters[b.cluster[i]], bgp.NodeID(i))
 	}
 	// Served-member sets: each cluster serves its clients plus the
 	// reflectors of its sub-clusters.
-	servedOf := make([][]bgp.NodeID, b.numCluster) // served members per cluster
+	servedOf := make([][]bgp.NodeID, numCluster) // served members per cluster
 	for i := 0; i < n; i++ {
 		if b.roles[i] == Client {
 			servedOf[b.cluster[i]] = append(servedOf[b.cluster[i]], bgp.NodeID(i))
@@ -435,7 +431,7 @@ func (b *Builder) Build() (*System, error) {
 			servedOf[p] = append(servedOf[p], bgp.NodeID(i))
 		}
 	}
-	reflectorsOf := make([][]bgp.NodeID, b.numCluster)
+	reflectorsOf := make([][]bgp.NodeID, numCluster)
 	for i := 0; i < n; i++ {
 		if b.roles[i] == Reflector {
 			reflectorsOf[b.cluster[i]] = append(reflectorsOf[b.cluster[i]], bgp.NodeID(i))
@@ -463,7 +459,7 @@ func (b *Builder) Build() (*System, error) {
 			}
 		}
 	}
-	for k := 0; k < b.numCluster; k++ {
+	for k := 0; k < numCluster; k++ {
 		for _, r := range reflectorsOf[k] {
 			for _, c := range servedOf[k] {
 				addSess(r, c)
@@ -506,13 +502,6 @@ func (b *Builder) Build() (*System, error) {
 		}
 	}
 	for _, p := range b.extraSess {
-		if int(p.u) < 0 || int(p.u) >= n || int(p.v) < 0 || int(p.v) >= n || p.u == p.v {
-			return nil, fmt.Errorf("topology: invalid client session %d-%d", p.u, p.v)
-		}
-		if b.roles[p.u] != Client || b.roles[p.v] != Client || b.cluster[p.u] != b.cluster[p.v] {
-			return nil, fmt.Errorf("topology: client session %q-%q must join two clients of one cluster",
-				b.names[p.u], b.names[p.v])
-		}
 		addSess(p.u, p.v)
 	}
 	sessions := make([][]bgp.NodeID, n)
@@ -527,9 +516,6 @@ func (b *Builder) Build() (*System, error) {
 	// Exit paths per node.
 	exitsAt := make([][]bgp.PathID, n)
 	for _, p := range b.exits {
-		if p.LocalPref < 0 || p.MED < 0 || p.ExitCost < 0 {
-			return nil, fmt.Errorf("topology: exit path %d has negative attribute", p.ID)
-		}
 		exitsAt[p.ExitPoint] = append(exitsAt[p.ExitPoint], p.ID)
 	}
 	sys := &System{
@@ -565,47 +551,27 @@ type PrefixExit struct {
 // multi-prefix domain represents P prefixes over one session graph without
 // duplicating the O(n²) topological tables P times.
 //
-// Specs are normalized exactly like Builder.Exit (PathID = index, zero
-// NextHopID defaults to 2000+id, zero TieBreak means "announcing peer's
-// BGP id", non-positive ASPathLen becomes 1) and validated like Build
-// (negative LocalPref/MED/ExitCost rejected).
+// Specs are normalized and checked exactly like Builder.Exit (PathID =
+// index); the error is a Problems listing every undeclared exit point and
+// negative attribute.
 func (s *System) WithExits(exits []PrefixExit) (*System, error) {
 	n := s.N()
 	out := *s // shallow copy: every topological table stays shared
 	out.exits = make([]bgp.ExitPath, 0, len(exits))
 	out.exitsAt = make([][]bgp.PathID, n)
+	var ps Problems
 	for i, e := range exits {
 		if int(e.At) < 0 || int(e.At) >= n {
-			return nil, fmt.Errorf("topology: WithExits: exit %d at unknown node %d", i, e.At)
+			ps.unknown("exit", i, e.At)
+			continue
 		}
-		if e.Spec.LocalPref < 0 || e.Spec.MED < 0 || e.Spec.ExitCost < 0 {
-			return nil, fmt.Errorf("topology: exit path %d has negative attribute", i)
-		}
+		ps.exitAttributes("exit", i, s.names[e.At], e.Spec)
 		id := bgp.PathID(i)
-		nh := e.Spec.NextHopID
-		if nh == 0 {
-			nh = 2000 + int(id)
-		}
-		tb := e.Spec.TieBreak
-		if tb == 0 {
-			tb = -1
-		}
-		al := e.Spec.ASPathLen
-		if al <= 0 {
-			al = 1
-		}
-		out.exits = append(out.exits, bgp.ExitPath{
-			ID:        id,
-			LocalPref: e.Spec.LocalPref,
-			ASPathLen: al,
-			NextAS:    e.Spec.NextAS,
-			MED:       e.Spec.MED,
-			ExitPoint: e.At,
-			ExitCost:  e.Spec.ExitCost,
-			NextHopID: nh,
-			TieBreak:  tb,
-		})
+		out.exits = append(out.exits, exitPath(id, e.At, e.Spec))
 		out.exitsAt[e.At] = append(out.exitsAt[e.At], id)
+	}
+	if len(ps) > 0 {
+		return nil, ps
 	}
 	return &out, nil
 }

@@ -53,10 +53,13 @@ const (
 // LintSystem statically analyses a built System.
 func LintSystem(source string, sys *System) *LintReport { return lint.LintSystem(source, sys) }
 
-// LintSpec statically analyses a raw specification: structural passes run
-// first (so configurations too broken to Build are still diagnosed), then
-// the risk and certificate passes on the built System.
-func LintSpec(source string, spec *Spec) *LintReport { return lint.LintSpec(source, spec) }
+// LintSpec statically analyses a raw specification. The model's
+// structural rules (Section 4) are checked first, over every prefix: a spec
+// that breaks any gets one FAIL report listing every problem, each under
+// its rule's pass. Otherwise the risk and certificate passes run on each
+// prefix's System, one report per prefix; a multi-prefix spec's reports
+// are sourced "<source> prefix <i>".
+func LintSpec(source string, spec *Spec) []*LintReport { return lint.LintSpec(source, spec) }
 
 // ProveSystem statically analyses a built System in exact mode: on top of
 // the heuristic passes, the SAT-backed provers decide whether a stable
@@ -64,10 +67,10 @@ func LintSpec(source string, spec *Spec) *LintReport { return lint.LintSpec(sour
 // it is unique, attaching replay-verified witnesses to their findings.
 func ProveSystem(source string, sys *System) *LintReport { return lint.ProveSystem(source, sys) }
 
-// ProveSpec is LintSpec in exact mode: structural passes on the raw
-// specification, then heuristic and SAT-backed prover passes on the built
-// System.
-func ProveSpec(source string, spec *Spec) *LintReport { return lint.ProveSpec(source, spec) }
+// ProveSpec is LintSpec in exact mode: the structural check on the raw
+// specification, then heuristic and SAT-backed prover passes on each
+// prefix's System.
+func ProveSpec(source string, spec *Spec) []*LintReport { return lint.ProveSpec(source, spec) }
 
 // LintPasses returns every registered lint pass.
 func LintPasses() []LintPass { return lint.Passes() }
