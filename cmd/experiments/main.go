@@ -5,6 +5,9 @@
 // Usage:
 //
 //	experiments [-exhaustive] [-seeds N] [-markdown] [-only E1,E8]
+//
+// A bad flag value exits 2; -h shows each flag's range or names.
+// An unknown -only id exits 1.
 package main
 
 import (
@@ -13,21 +16,18 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/experiments"
 )
 
 func main() {
 	var (
 		exhaustive = flag.Bool("exhaustive", false, "run the expensive exhaustive proofs (notably on Figure 13)")
-		seeds      = flag.Int("seeds", 8, "random schedules / delay seeds per experiment")
+		seeds      = cli.Int("seeds", 8, 1, "random schedules / delay seeds per experiment")
 		markdown   = flag.Bool("markdown", false, "emit the EXPERIMENTS.md body")
 		only       = flag.String("only", "", "comma-separated experiment ids to run (default all)")
 	)
 	flag.Parse()
-	if *seeds < 1 {
-		fmt.Fprintf(os.Stderr, "experiments: -seeds must be at least 1, got %d\n", *seeds)
-		os.Exit(2)
-	}
 
 	opts := experiments.Options{Exhaustive: *exhaustive, Seeds: *seeds}
 	var reports []experiments.Report

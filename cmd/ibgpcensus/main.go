@@ -15,6 +15,8 @@
 //	           [-mrai N] [-scale-plans N] [-checkpoint FILE] [-resume]
 //	           [-json] [-progress DUR] [-timeout DUR]
 //
+// A bad flag value exits 2; -h shows each flag's range or names.
+//
 // -shards parallelises across seeds; -workers parallelises the
 // reachable-state search within each seed. Both are deterministic: the
 // aggregate is a pure function of the job and the seed range. -max-states
@@ -44,6 +46,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"runtime"
@@ -59,76 +62,65 @@ import (
 
 func main() {
 	var (
-		jobName    = flag.String("job", "census", "job kind: census, fig13, fuzz, chaos, lint or scale")
-		shards     = flag.Int("shards", 0, "worker count (0: GOMAXPROCS); never changes the results, only the wall-clock")
-		seeds      = flag.Int("seeds", 256, "number of consecutive seeds")
-		start      = flag.Int64("start", 1, "first seed")
+		shards     = cli.Int("shards", 0, 0, "worker count (0: GOMAXPROCS); never changes the results, only the wall-clock")
+		seeds      = cli.Int("seeds", 256, 1, "number of consecutive seeds")
+		start      = cli.Int64("start", 1, math.MinInt64, "first seed")
 		params     = flag.String("params", "", "family overrides, comma-separated key=value")
-		maxStates  = flag.Int("max-states", 4000, "per-variant reachable-state budget for the census, fig13 and lint jobs (0: sampling only)")
-		workers    = flag.Int("workers", 1, "goroutines per reachable-state search (0: GOMAXPROCS); deterministic — never changes the aggregate")
-		schedules  = flag.Int("schedules", 4, "delay seeds per topology seed (fuzz job)")
-		plans      = flag.Int("plans", 3, "fault plans per topology seed (chaos job)")
+		maxStates  = cli.Int("max-states", 4000, 0, "per-variant reachable-state budget for the census, fig13 and lint jobs (0: sampling only)")
+		workers    = cli.Int("workers", 1, 0, "goroutines per reachable-state search (0: GOMAXPROCS); deterministic — never changes the aggregate")
+		schedules  = cli.Int("schedules", 4, 1, "delay seeds per topology seed (fuzz job)")
+		plans      = cli.Int("plans", 3, 1, "fault plans per topology seed (chaos job)")
 		churnSpec  = flag.String("churn", "", "churn workload overrides for the scale job, e.g. rate=40,flap=0.3 (seed and prefixes come from the campaign seed and the generated domain)")
-		rounds     = flag.Int("rounds", 3, "churn rounds per seed (scale job)")
-		mrai       = flag.Int64("mrai", 0, "per-session MRAI in virtual ticks (scale job; 0: no pacing)")
-		scalePlans = flag.Int("scale-plans", 0, "fault plans per seed for the scale job's chaos variant (0: off)")
+		rounds     = cli.Int("rounds", 3, 1, "churn rounds per seed (scale job)")
+		mrai       = cli.Int64("mrai", 0, 0, "per-session MRAI in virtual ticks (scale job; 0: no pacing)")
+		scalePlans = cli.Int("scale-plans", 0, 0, "fault plans per seed for the scale job's chaos variant (0: off)")
 		checkpoint = flag.String("checkpoint", "", "JSONL checkpoint path")
 		resume     = flag.Bool("resume", false, "resume from -checkpoint, running only missing seeds")
 		jsonOut    = flag.Bool("json", false, "write the aggregate as indented JSON on stdout")
-		progress   = flag.Duration("progress", 0, "progress report interval on stderr (0: off)")
-		timeout    = flag.Duration("timeout", 0, "overall deadline (0: none)")
+		progress   = cli.Duration("progress", 0, 0, "progress report interval on stderr (0: off)")
+		timeout    = cli.Duration("timeout", 0, 0, "overall deadline (0: none)")
 	)
+	// Each job builds itself from the parsed flags; -params is read by the
+	// job's own family parser, so it is checked only after the job is known.
+	newJob := cli.Choice("job", "census", "job kind", map[string]func() (campaign.Job, error){
+		"census": func() (campaign.Job, error) {
+			p, err := cli.ParseWorkloadParams(*params, workload.Default(3))
+			return campaign.CensusJob{Params: p, MaxStates: *maxStates, Workers: exploreWorkers(*workers)}, err
+		},
+		"fig13": func() (campaign.Job, error) {
+			base := workload.CrossedSpec{Clusters: 4, TwoClientOn: 0, ASes: 2, MaxMED: 2, DottedProb: 0.5}
+			spec, err := cli.ParseCrossedSpec(*params, base)
+			return campaign.Fig13Job{Spec: spec, MaxStates: *maxStates, Workers: exploreWorkers(*workers)}, err
+		},
+		"fuzz": func() (campaign.Job, error) {
+			p, err := cli.ParseWorkloadParams(*params, workload.Default(3))
+			return campaign.FuzzJob{Params: p, Policy: protocol.Classic, Schedules: *schedules}, err
+		},
+		"chaos": func() (campaign.Job, error) {
+			p, err := cli.ParseWorkloadParams(*params, workload.Default(3))
+			return campaign.ChaosJob{Params: p, Plans: *plans}, err
+		},
+		"lint": func() (campaign.Job, error) {
+			spec, err := cli.ParseTopogenSpec(*params, topogen.Small())
+			return campaign.LintJob{Spec: spec, MaxStates: *maxStates, Workers: exploreWorkers(*workers)}, err
+		},
+		"scale": func() (campaign.Job, error) {
+			spec, err := cli.ParseTopogenSpec(*params, topogen.Small())
+			if err != nil {
+				return nil, err
+			}
+			cs, err := cli.ParseChurnSpec(*churnSpec, churn.DefaultSpec())
+			return campaign.ScaleJob{
+				Spec: spec, Churn: cs, Rounds: *rounds, MRAI: *mrai,
+				Workers: exploreWorkers(*workers), Plans: *scalePlans,
+			}, err
+		},
+	})
 	flag.Parse()
 
-	var job campaign.Job
-	switch *jobName {
-	case "census":
-		p, err := cli.ParseWorkloadParams(*params, workload.Default(3))
-		if err != nil {
-			fatal(err)
-		}
-		job = campaign.CensusJob{Params: p, MaxStates: *maxStates, Workers: exploreWorkers(*workers)}
-	case "fig13":
-		spec, err := cli.ParseCrossedSpec(*params, workload.CrossedSpec{
-			Clusters: 4, TwoClientOn: 0, ASes: 2, MaxMED: 2, DottedProb: 0.5,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		job = campaign.Fig13Job{Spec: spec, MaxStates: *maxStates, Workers: exploreWorkers(*workers)}
-	case "fuzz":
-		p, err := cli.ParseWorkloadParams(*params, workload.Default(3))
-		if err != nil {
-			fatal(err)
-		}
-		job = campaign.FuzzJob{Params: p, Policy: protocol.Classic, Schedules: *schedules}
-	case "chaos":
-		p, err := cli.ParseWorkloadParams(*params, workload.Default(3))
-		if err != nil {
-			fatal(err)
-		}
-		job = campaign.ChaosJob{Params: p, Plans: *plans}
-	case "lint":
-		spec, err := cli.ParseTopogenSpec(*params, topogen.Small())
-		if err != nil {
-			fatal(err)
-		}
-		job = campaign.LintJob{Spec: spec, MaxStates: *maxStates, Workers: exploreWorkers(*workers)}
-	case "scale":
-		spec, err := cli.ParseTopogenSpec(*params, topogen.Small())
-		if err != nil {
-			fatal(err)
-		}
-		cs, err := cli.ParseChurnSpec(*churnSpec, churn.DefaultSpec())
-		if err != nil {
-			fatal(err)
-		}
-		job = campaign.ScaleJob{
-			Spec: spec, Churn: cs, Rounds: *rounds, MRAI: *mrai,
-			Workers: exploreWorkers(*workers), Plans: *scalePlans,
-		}
-	default:
-		fatal(fmt.Errorf("unknown -job %q (want census, fig13, fuzz, chaos, lint or scale)", *jobName))
+	job, err := (*newJob)()
+	if err != nil {
+		fatal(err)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

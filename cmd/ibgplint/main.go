@@ -7,6 +7,8 @@
 //	ibgplint [-json] [-v] [-prove] [-fail-on none|risk|fail] [-figure NAME|all]
 //	         [-gen k=v,...] [-seed N] [-gen-out FILE] [topology.json ...]
 //
+// A bad flag value exits 2; -h shows each flag's range or names.
+//
 // Each input gets a PASS/RISK/FAIL verdict: FAIL for violations of the
 // paper's structural model (Section 4), RISK when a sufficient
 // oscillation precondition is present (the Section 3 MED/cluster
@@ -48,6 +50,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"repro/internal/cli"
@@ -62,26 +65,16 @@ func main() {
 		asJSON  = flag.Bool("json", false, "emit the reports as JSON")
 		verbose = flag.Bool("v", false, "also print info-level findings (safety certificates)")
 		prove   = flag.Bool("prove", false, "run the SAT-backed exact passes (prove-stable, prove-wheel) and print witnesses")
-		failOn  = flag.String("fail-on", "none", "exit nonzero at this verdict or worse: none, risk or fail")
+		failOn  = cli.Choice("fail-on", "none", "exit 1 at this verdict or worse", map[string]lint.Verdict{
+			"none": lint.VerdictFail + 1, "risk": lint.VerdictRisk, "fail": lint.VerdictFail,
+		})
 		figure  = flag.String("figure", "", "lint a paper figure ("+fmt.Sprint(cli.FigureNames())+") or \"all\"")
 		gen     = flag.String("gen", "", "generate and lint an ISP-style topology (topogen key=value list, or \"default\"/\"small\")")
-		genSeed = flag.Int64("seed", 1, "seed for -gen")
+		genSeed = cli.Int64("seed", 1, math.MinInt64, "seed for -gen")
 		genOut  = flag.String("gen-out", "", "write the generated topology's JSON to this file (\"-\" for stdout)")
 	)
 	flag.Parse()
 
-	var threshold lint.Verdict
-	switch *failOn {
-	case "none":
-		threshold = lint.VerdictFail + 1
-	case "risk":
-		threshold = lint.VerdictRisk
-	case "fail":
-		threshold = lint.VerdictFail
-	default:
-		fmt.Fprintf(os.Stderr, "ibgplint: unknown -fail-on %q (want none, risk or fail)\n", *failOn)
-		os.Exit(2)
-	}
 	if *figure == "" && *gen == "" && flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "ibgplint: nothing to lint; pass topology JSON files, -figure and/or -gen")
 		flag.Usage()
@@ -106,15 +99,7 @@ func main() {
 		}
 	}
 	if *gen != "" {
-		base := topogen.Default()
-		args := *gen
-		switch args {
-		case "default":
-			args = ""
-		case "small":
-			base, args = topogen.Small(), ""
-		}
-		tspec, err := cli.ParseTopogenSpec(args, base)
+		tspec, err := cli.TopogenFamily(*gen)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ibgplint:", err)
 			os.Exit(2)
@@ -148,7 +133,7 @@ func main() {
 		os.Exit(2)
 	}
 	for _, r := range reports {
-		if r.Verdict >= threshold {
+		if r.Verdict >= *failOn {
 			os.Exit(1)
 		}
 	}

@@ -7,12 +7,16 @@
 //
 // Usage:
 //
-//	ibgpsim -topology sys.json [-policy classic|walton|modified]
+//	ibgpsim -topology sys.json [-policy classic|walton|modified|adaptive]
 //	        [-order paper|rfc] [-med standard|always]
-//	        [-schedule roundrobin|allatonce|random] [-seed N]
+//	        [-schedule roundrobin|allatonce|random|subsets] [-seed N]
 //	        [-max-steps N] [-trace] [-figure 1a|1b|2|3|12|13|14]
 //	        [-substrate model|sim|tcp] [-delay N] [-jitter N] [-mrai N]
 //	        [-wait D] [-faults SPEC] [-codec private|bgp4]
+//
+// A bad flag value exits 2; -h shows each flag's range or names.
+// Exit status 2 also means a sim or tcp run did not quiesce; a bad
+// topology, figure or -faults plan exits 1.
 //
 // Either -topology or -figure selects the system. -substrate=sim runs the
 // message-level simulator (virtual ticks; -delay/-jitter shape per-message
@@ -33,6 +37,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -41,102 +46,63 @@ import (
 	"repro/internal/trace"
 )
 
-func main() {
-	var (
-		topoPath  = flag.String("topology", "", "topology JSON file")
-		figure    = flag.String("figure", "", "paper figure: 1a, 1b, 2, 3, 12, 13, 14")
-		policy    = flag.String("policy", "classic", "classic, walton, modified or adaptive")
-		order     = flag.String("order", "paper", "rule order: paper or rfc")
-		med       = flag.String("med", "standard", "MED mode: standard or always")
-		schedule  = flag.String("schedule", "roundrobin", "roundrobin, allatonce or random")
-		seed      = flag.Int64("seed", 1, "seed for -schedule random and -jitter")
-		maxSteps  = flag.Int("max-steps", 10000, "activation / event budget")
-		showTr    = flag.Bool("trace", false, "print per-event trace")
-		substrate = flag.String("substrate", "model", "execution substrate: model, sim or tcp")
-		delay     = flag.Int64("delay", 10, "sim: base message delay")
-		jitter    = flag.Int64("jitter", 0, "sim: random extra delay bound")
-		mrai      = flag.Int64("mrai", 0, "minimum route advertisement interval, sim ticks / tcp ms (0 off)")
-		wait      = flag.Duration("wait", 5*time.Second, "tcp: quiescence wait bound")
-		faultSpec = flag.String("faults", "", `sim/tcp: fault plan, e.g. "seed=7,drop=0.05,dup=0.02,delay=0.2,maxdelay=30,reset=0-1@100+50,horizon=600"`)
-		codecName = flag.String("codec", "private", "tcp: wire format, private or bgp4")
-	)
-	flag.Parse()
-	if *maxSteps < 1 {
-		fmt.Fprintf(os.Stderr, "ibgpsim: -max-steps must be at least 1, got %d\n", *maxSteps)
-		os.Exit(2)
-	}
-	for _, f := range []struct {
-		name string
-		v    int64
-	}{{"delay", *delay}, {"jitter", *jitter}, {"mrai", *mrai}} {
-		if f.v < 0 {
-			fmt.Fprintf(os.Stderr, "ibgpsim: -%s must not be negative, got %d\n", f.name, f.v)
-			os.Exit(2)
-		}
-	}
+var (
+	topoPath  = flag.String("topology", "", "topology JSON file")
+	figure    = flag.String("figure", "", "paper figure: 1a, 1b, 2, 3, 12, 13, 14")
+	policy    = cli.Choice("policy", "classic", "advertisement policy", cli.Policies)
+	order     = cli.Choice("order", "paper", "rule order", cli.Orders)
+	med       = cli.Choice("med", "standard", "MED mode", cli.MEDModes)
+	schedule  = cli.Choice("schedule", "roundrobin", "model: activation schedule", cli.Schedules)
+	seed      = cli.Int64("seed", 1, math.MinInt64, "seed for -schedule random|subsets and -jitter")
+	maxSteps  = cli.Int("max-steps", 10000, 1, "activation / event budget")
+	showTr    = flag.Bool("trace", false, "print per-event trace")
+	substrate = cli.Choice("substrate", "model", "execution substrate", map[string]func(*ibgp.System, ibgp.Options, *ibgp.FaultPlan){
+		"model": runModel, "sim": runMsgsim, "tcp": runTCP,
+	})
+	delay     = cli.Int64("delay", 10, 0, "sim: base message delay")
+	jitter    = cli.Int64("jitter", 0, 0, "sim: random extra delay bound")
+	mrai      = cli.Int64("mrai", 0, 0, "minimum route advertisement interval, sim ticks / tcp ms (0 off)")
+	wait      = cli.Duration("wait", 5*time.Second, time.Nanosecond, "tcp: quiescence wait bound")
+	faultSpec = flag.String("faults", "", `sim/tcp: fault plan, e.g. "seed=7,drop=0.05,dup=0.02,delay=0.2,maxdelay=30,reset=0-1@100+50,horizon=600"`)
+	codec     = cli.Choice("codec", "private", "tcp: wire format", cli.Codecs)
+)
 
+func main() {
+	flag.Parse()
 	sys, err := cli.LoadSystem(*topoPath, *figure)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ibgpsim:", err)
-		os.Exit(1)
-	}
-	pol, err := cli.ParsePolicy(*policy)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ibgpsim:", err)
-		os.Exit(1)
-	}
-	opts, err := cli.ParseOptions(*order, *med)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ibgpsim:", err)
-		os.Exit(1)
-	}
-	codec, err := cli.ParseCodec(*codecName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ibgpsim:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	var plan *ibgp.FaultPlan
 	if *faultSpec != "" {
-		if *substrate == "model" {
-			fmt.Fprintln(os.Stderr, "ibgpsim: -faults needs an operational substrate (-substrate=sim or tcp)")
-			os.Exit(1)
-		}
 		plan, err = ibgp.ParseFaultSpec(*faultSpec)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ibgpsim:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 	}
-
-	switch *substrate {
-	case "model":
-		runModel(sys, pol, opts, *schedule, *seed, *maxSteps, *showTr)
-	case "sim":
-		runMsgsim(sys, pol, opts, plan, *delay, *jitter, *mrai, *seed, *maxSteps, *showTr)
-	case "tcp":
-		runTCP(sys, pol, opts, plan, codec, *mrai, *wait, *showTr)
-	default:
-		fmt.Fprintf(os.Stderr, "ibgpsim: unknown substrate %q (model, sim or tcp)\n", *substrate)
-		os.Exit(1)
-	}
+	(*substrate)(sys, ibgp.Options{Order: *order, MED: *med}, plan)
 }
 
-func runModel(sys *ibgp.System, pol ibgp.Policy, opts ibgp.Options, schedule string, seed int64, maxSteps int, showTr bool) {
-	sch, err := cli.ParseSchedule(schedule, sys.N(), seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ibgpsim:", err)
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "ibgpsim:", err)
+	os.Exit(1)
+}
+
+func runModel(sys *ibgp.System, opts ibgp.Options, plan *ibgp.FaultPlan) {
+	if plan != nil {
+		fmt.Fprintln(os.Stderr, "ibgpsim: -faults needs an operational substrate (-substrate=sim or tcp)")
 		os.Exit(1)
 	}
-	eng := ibgp.NewEngine(sys, pol, opts)
+	eng := ibgp.NewEngine(sys, *policy, opts)
 	rec := trace.NewRecorder(sys, 0)
-	if showTr {
+	if *showTr {
 		eng.Observe(rec.Hook())
 	}
-	res := ibgp.Run(eng, sch, ibgp.RunOptions{MaxSteps: maxSteps})
-	if showTr {
+	res := ibgp.Run(eng, (*schedule)(sys.N(), *seed), ibgp.RunOptions{MaxSteps: *maxSteps})
+	if *showTr {
 		rec.WriteTo(os.Stdout)
 	}
-	fmt.Println(trace.ResultLine(pol, res))
+	fmt.Println(trace.ResultLine(*policy, res))
 	if res.Outcome == ibgp.Converged {
 		fmt.Print(trace.Summary(sys, res.Final))
 		plane := ibgp.NewForwardingPlane(sys, res.Final)
@@ -161,31 +127,29 @@ func printBest(sys *ibgp.System, best []ibgp.PathID) {
 	}
 }
 
-func runMsgsim(sys *ibgp.System, pol ibgp.Policy, opts ibgp.Options, plan *ibgp.FaultPlan, delay, jitter, mrai, seed int64, maxEvents int, showTrace bool) {
+func runMsgsim(sys *ibgp.System, opts ibgp.Options, plan *ibgp.FaultPlan) {
 	var df ibgp.DelayFunc
-	if jitter > 0 {
+	if *jitter > 0 {
 		var err error
-		df, err = ibgp.RandomDelay(seed, delay, delay+jitter)
+		df, err = ibgp.RandomDelay(*seed, *delay, *delay+*jitter)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ibgpsim:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 	} else {
-		df = ibgp.ConstantDelay(delay)
+		df = ibgp.ConstantDelay(*delay)
 	}
-	s := ibgp.NewSim(sys, pol, opts, df)
-	s.SetMRAI(mrai)
+	s := ibgp.NewSim(sys, *policy, opts, df)
+	s.SetMRAI(*mrai)
 	if err := s.SetFaults(plan); err != nil {
-		fmt.Fprintln(os.Stderr, "ibgpsim:", err)
-		os.Exit(1)
+		fatal(err)
 	}
-	if showTrace {
+	if *showTr {
 		s.ObserveEvents(printEvents(sys))
 	}
 	s.InjectAll()
-	res := s.Run(maxEvents)
+	res := s.Run(*maxSteps)
 	fmt.Printf("policy=%-8s quiesced=%-5v events=%-7d messages=%-7d flaps=%-6d t=%d\n",
-		pol, res.Quiesced, res.Events, res.Messages, res.Flaps, res.Time)
+		*policy, res.Quiesced, res.Events, res.Messages, res.Flaps, res.Time)
 	fmt.Println(ibgp.CountersLine(s.Counters()))
 	if fl := ibgp.FaultsLine(s.Counters()); fl != "" {
 		fmt.Println(fl)
@@ -207,27 +171,25 @@ func printEvents(sys *ibgp.System) func(ibgp.RouterEvent) {
 	}
 }
 
-func runTCP(sys *ibgp.System, pol ibgp.Policy, opts ibgp.Options, plan *ibgp.FaultPlan, codec ibgp.Codec, mrai int64, wait time.Duration, showTrace bool) {
-	n := ibgp.NewTCPNetwork(sys, pol, opts)
-	n.SetCodec(codec)
-	n.SetMRAI(mrai)
+func runTCP(sys *ibgp.System, opts ibgp.Options, plan *ibgp.FaultPlan) {
+	n := ibgp.NewTCPNetwork(sys, *policy, opts)
+	n.SetCodec(*codec)
+	n.SetMRAI(*mrai)
 	if err := n.SetFaults(plan); err != nil {
-		fmt.Fprintln(os.Stderr, "ibgpsim:", err)
-		os.Exit(1)
+		fatal(err)
 	}
-	if showTrace {
+	if *showTr {
 		n.Subscribe(printEvents(sys))
 	}
 	if err := n.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, "ibgpsim:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	n.InjectAll()
-	quiesced := n.WaitQuiesce(wait, 150*time.Millisecond)
+	quiesced := n.WaitQuiesce(*wait, 150*time.Millisecond)
 	n.Stop() // nothing is traced past this point; the cores stay readable
 	c := n.Counters()
 	fmt.Printf("policy=%-8s quiesced=%-5v messages=%-7d flaps=%-6d\n",
-		pol, quiesced, c.Sent, c.Flaps)
+		*policy, quiesced, c.Sent, c.Flaps)
 	fmt.Println(ibgp.CountersLine(c))
 	if fl := ibgp.FaultsLine(c); fl != "" {
 		fmt.Println(fl)

@@ -34,13 +34,15 @@
 // byte-compares across runs.
 //
 // Exit status: 0 clean, 1 invariant violations or substrate divergence,
-// 2 usage errors.
+// 2 usage errors, a bad flag value among them; -h shows each flag's range
+// or names.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"reflect"
 	"time"
@@ -48,6 +50,7 @@ import (
 	"repro/internal/churn"
 	"repro/internal/cli"
 	"repro/internal/faults"
+	"repro/internal/selection"
 	"repro/internal/telemetry"
 	"repro/internal/topogen"
 	"repro/internal/topology"
@@ -66,15 +69,7 @@ func resolveSystem(topoPath, figure, spec string, seed int64) (*topology.System,
 		sys, err := cli.LoadSystem(topoPath, figure)
 		return sys, "loaded", err
 	}
-	base := topogen.Default()
-	kv := spec
-	switch spec {
-	case "", "default":
-		kv = ""
-	case "small":
-		base, kv = topogen.Small(), ""
-	}
-	tspec, err := cli.ParseTopogenSpec(kv, base)
+	tspec, err := cli.TopogenFamily(spec)
 	if err != nil {
 		return nil, "", err
 	}
@@ -88,36 +83,30 @@ func resolveSystem(topoPath, figure, spec string, seed int64) (*topology.System,
 
 func main() {
 	var (
-		spec       = flag.String("spec", "default", `topogen family: "default", "small", or key=value overrides (regions, rrs, pops, poprrs, clients, ases, exits, maxmed, corecost, accesscost)`)
-		topoPath   = flag.String("topology", "", "topology JSON file (overrides -spec)")
-		figure     = flag.String("figure", "", "paper figure name (overrides -spec)")
-		seed       = flag.Int64("seed", 1, "run seed: topology generation, churn stream and sim delays")
-		duration   = flag.Duration("duration", 30*time.Second, "soak length; maps onto a deterministic round count")
-		rate       = flag.Float64("rate", 0, "churn events per second (shorthand for -churn rate=R; 0 keeps the default)")
-		churnSpec  = flag.String("churn", "", `full churn workload, e.g. "prefixes=8,rate=50,period=500,burst=200,flap=0.3"`)
-		faultSpec  = flag.String("faults", "", `fault plan, e.g. "seed=7,drop=0.05,delay=0.2,maxdelay=30,horizon=600"`)
-		substrate  = flag.String("substrate", "both", "sim, tcp or both")
-		mrai       = flag.Int64("mrai", 0, "minimum route advertisement interval, sim ticks / tcp ms (0 off)")
-		workers    = flag.Int("workers", 1, "per-router refresh workers; every value yields the identical UPDATE stream, aggregate and state hash")
-		policy     = flag.String("policy", "modified", "classic, walton, modified or adaptive")
-		order      = flag.String("order", "paper", "rule order: paper or rfc")
-		med        = flag.String("med", "standard", "MED mode: standard or always")
-		codecName  = flag.String("codec", "private", "tcp wire format: private or bgp4")
+		spec      = flag.String("spec", "default", `topogen family: "default", "small", or key=value overrides (regions, rrs, pops, poprrs, clients, ases, exits, maxmed, corecost, accesscost)`)
+		topoPath  = flag.String("topology", "", "topology JSON file (overrides -spec)")
+		figure    = flag.String("figure", "", "paper figure name (overrides -spec)")
+		seed      = cli.Int64("seed", 1, math.MinInt64, "run seed: topology generation, churn stream and sim delays")
+		duration  = cli.Duration("duration", 30*time.Second, time.Nanosecond, "soak length; maps onto a deterministic round count")
+		rate      = cli.Float64("rate", 0, 0, "churn events per second (shorthand for -churn rate=R; 0 keeps the default)")
+		churnSpec = flag.String("churn", "", `full churn workload, e.g. "prefixes=8,rate=50,period=500,burst=200,flap=0.3"`)
+		faultSpec = flag.String("faults", "", `fault plan, e.g. "seed=7,drop=0.05,delay=0.2,maxdelay=30,horizon=600"`)
+		substrate = cli.Choice("substrate", "both", "substrates to soak", map[string][]func(*topology.System, churn.Config) (*churn.Report, error){
+			"sim": {churn.SoakSim}, "tcp": {churn.SoakTCP}, "both": {churn.SoakSim, churn.SoakTCP},
+		})
+		mrai       = cli.Int64("mrai", 0, 0, "minimum route advertisement interval, sim ticks / tcp ms (0 off)")
+		workers    = cli.Int("workers", 1, 1, "per-router refresh workers; every value yields the identical UPDATE stream, aggregate and state hash")
+		policy     = cli.Choice("policy", "modified", "advertisement policy", cli.Policies)
+		order      = cli.Choice("order", "paper", "rule order", cli.Orders)
+		med        = cli.Choice("med", "standard", "MED mode", cli.MEDModes)
+		codec      = cli.Choice("codec", "private", "tcp wire format", cli.Codecs)
 		listen     = flag.String("listen", "", "serve the live telemetry feed on HOST:PORT (empty disables)")
-		statsEvery = flag.Duration("stats-every", 2*time.Second, "interval between aggregate records on /events")
+		statsEvery = cli.Duration("stats-every", 2*time.Second, time.Nanosecond, "interval between aggregate records on /events")
 		aggOnly    = flag.Bool("agg", false, "print only the deterministic aggregate (for run-to-run comparison)")
 	)
 	flag.Parse()
 
 	sys, origin, err := resolveSystem(*topoPath, *figure, *spec, *seed)
-	if err != nil {
-		fatal(err)
-	}
-	pol, err := cli.ParsePolicy(*policy)
-	if err != nil {
-		fatal(err)
-	}
-	opts, err := cli.ParseOptions(*order, *med)
 	if err != nil {
 		fatal(err)
 	}
@@ -137,21 +126,17 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	codec, err := cli.ParseCodec(*codecName)
-	if err != nil {
-		fatal(err)
-	}
 
 	cfg := churn.Config{
 		Spec:      cspec,
 		Rounds:    cspec.Rounds(*duration),
-		Policy:    pol,
-		Opts:      opts,
+		Policy:    *policy,
+		Opts:      selection.Options{Order: *order, MED: *med},
 		Plan:      plan,
 		MRAI:      *mrai,
 		Workers:   *workers,
 		DelaySeed: *seed,
-		Codec:     codec,
+		Codec:     *codec,
 	}
 
 	if *listen != "" {
@@ -168,68 +153,47 @@ func main() {
 	}
 
 	fmt.Fprintf(os.Stderr, "ibgpsoak: %s, %d rounds of %s, substrate %s\n",
-		origin, cfg.Rounds, cspec, *substrate)
+		origin, cfg.Rounds, cspec, flag.Lookup("substrate").Value)
 
-	run := func(name string, drive func(*topology.System, churn.Config) (*churn.Report, error)) *churn.Report {
-		rep, err := drive(sys, cfg)
+	var reps []*churn.Report
+	ok := true
+	for _, soak := range *substrate {
+		rep, err := soak(sys, cfg)
 		if err != nil {
 			fatal(err)
 		}
 		for _, v := range rep.Violations {
-			fmt.Fprintf(os.Stderr, "ibgpsoak: %s: VIOLATION %s\n", name, v)
+			fmt.Fprintf(os.Stderr, "ibgpsoak: %s: VIOLATION %s\n", rep.Substrate, v)
 		}
 		fmt.Fprintf(os.Stderr, "ibgpsoak: %s: %d rounds, %d churn events, %d msgs, %.0f msgs/sec, convergence p50 %d p99 %d, %d violations\n",
-			name, rep.Agg.Rounds, rep.Agg.Events, rep.Measured.Counters.Sent,
+			rep.Substrate, rep.Agg.Rounds, rep.Agg.Events, rep.Measured.Counters.Sent,
 			rep.Measured.MsgsPerSec, rep.Measured.Convergence.P50, rep.Measured.Convergence.P99,
 			len(rep.Violations))
-		return rep
+		reps = append(reps, rep)
+		ok = ok && rep.OK()
 	}
 
-	out := json.NewEncoder(os.Stdout)
-	out.SetIndent("", "  ")
-	emit := func(v any) {
-		if err := out.Encode(v); err != nil {
-			fatal(err)
-		}
-	}
-
-	ok := true
-	switch *substrate {
-	case "sim":
-		rep := run("sim", churn.SoakSim)
-		ok = rep.OK()
-		if *aggOnly {
-			emit(rep.Agg)
-		} else {
-			emit(rep)
-		}
-	case "tcp":
-		rep := run("tcp", churn.SoakTCP)
-		ok = rep.OK()
-		if *aggOnly {
-			emit(rep.Agg)
-		} else {
-			emit(rep)
-		}
-	case "both":
-		sim := run("sim", churn.SoakSim)
-		tcp := run("tcp", churn.SoakTCP)
+	var out any = reps[0]
+	if len(reps) == 2 {
+		sim, tcp := reps[0], reps[1]
 		match := reflect.DeepEqual(sim.Agg, tcp.Agg)
-		ok = sim.OK() && tcp.OK() && match
+		ok = ok && match
 		if !match {
 			fmt.Fprintf(os.Stderr, "ibgpsoak: VIOLATION substrates diverged:\nsim %+v\ntcp %+v\n", sim.Agg, tcp.Agg)
 		}
-		if *aggOnly {
-			emit(sim.Agg)
-		} else {
-			emit(struct {
-				Sim            *churn.Report `json:"sim"`
-				TCP            *churn.Report `json:"tcp"`
-				AggregateMatch bool          `json:"aggregateMatch"`
-			}{sim, tcp, match})
-		}
-	default:
-		fatal(fmt.Errorf("unknown substrate %q (want sim, tcp or both)", *substrate))
+		out = struct {
+			Sim            *churn.Report `json:"sim"`
+			TCP            *churn.Report `json:"tcp"`
+			AggregateMatch bool          `json:"aggregateMatch"`
+		}{sim, tcp, match}
+	}
+	if *aggOnly {
+		out = reps[0].Agg
+	}
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(out); err != nil {
+		fatal(err)
 	}
 	if !ok {
 		os.Exit(1)

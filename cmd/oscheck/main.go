@@ -7,6 +7,8 @@
 // Usage:
 //
 //	oscheck -topology sys.json [-figure 1a|...] [-subsets] [-max-states N]
+//
+// A bad flag value exits 2; -h shows each flag's range or names.
 package main
 
 import (
@@ -26,13 +28,9 @@ func main() {
 		topoPath  = flag.String("topology", "", "topology JSON file")
 		figure    = flag.String("figure", "", "paper figure: 1a, 1b, 2, 3, 12, 13, 14")
 		subsets   = flag.Bool("subsets", false, "explore all activation subsets (exact, exponential)")
-		maxStates = flag.Int("max-states", 500000, "reachable-state budget")
+		maxStates = cli.Int("max-states", 500000, 1, "reachable-state budget")
 	)
 	flag.Parse()
-	if *maxStates < 1 {
-		fmt.Fprintf(os.Stderr, "oscheck: -max-states must be at least 1, got %d\n", *maxStates)
-		os.Exit(2)
-	}
 
 	sys, err := cli.LoadSystem(*topoPath, *figure)
 	if err != nil {

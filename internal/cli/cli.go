@@ -1,36 +1,19 @@
 // Package cli holds the option parsing shared by the command-line tools:
-// resolving a system from a topology file or a paper-figure name, and
-// parsing policy / schedule selections.
+// the checked flag values (flags.go), resolving a system from a topology
+// file or a paper-figure name, and the key=value family overrides.
 package cli
 
 import (
 	"fmt"
-	"math"
 	"os"
-	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/churn"
 	"repro/internal/figures"
-	"repro/internal/protocol"
-	"repro/internal/selection"
-	"repro/internal/speaker"
 	"repro/internal/topogen"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
-
-// Figures maps the figure names accepted by -figure flags. It is derived
-// from the figures.All registry so new figures become addressable
-// everywhere at once.
-var Figures = func() map[string]func() *figures.Fig {
-	m := make(map[string]func() *figures.Fig)
-	for _, e := range figures.All() {
-		m[e.Name] = e.Build
-	}
-	return m
-}()
 
 // FigureNames returns the accepted -figure values in figure order.
 func FigureNames() []string {
@@ -55,50 +38,15 @@ func LoadSystem(path, figure string) (*topology.System, error) {
 		defer f.Close()
 		return topology.Load(f)
 	case figure != "":
-		fn, ok := Figures[figure]
-		if !ok {
-			return nil, fmt.Errorf("unknown figure %q (want one of %v)", figure, FigureNames())
+		for _, e := range figures.All() {
+			if e.Name == figure {
+				return e.Build().Sys, nil
+			}
 		}
-		return fn().Sys, nil
+		return nil, fmt.Errorf("unknown figure %q (want one of %v)", figure, FigureNames())
 	default:
 		return nil, fmt.Errorf("need -topology FILE or -figure N")
 	}
-}
-
-// ParsePolicy maps a -policy flag value.
-func ParsePolicy(s string) (protocol.Policy, error) {
-	switch s {
-	case "classic":
-		return protocol.Classic, nil
-	case "walton":
-		return protocol.Walton, nil
-	case "modified":
-		return protocol.Modified, nil
-	case "adaptive":
-		return protocol.Adaptive, nil
-	default:
-		return 0, fmt.Errorf("unknown policy %q (want classic, walton, modified or adaptive)", s)
-	}
-}
-
-// ParseOptions maps -order and -med flag values.
-func ParseOptions(order, med string) (selection.Options, error) {
-	var opts selection.Options
-	switch order {
-	case "", "paper":
-	case "rfc":
-		opts.Order = selection.RFCOrder
-	default:
-		return opts, fmt.Errorf("unknown rule order %q (want paper or rfc)", order)
-	}
-	switch med {
-	case "", "standard":
-	case "always":
-		opts.MED = selection.AlwaysCompare
-	default:
-		return opts, fmt.Errorf("unknown MED mode %q (want standard or always)", med)
-	}
-	return opts, nil
 }
 
 // ParseWorkloadParams maps a -params flag value — a comma-separated
@@ -107,19 +55,16 @@ func ParseOptions(order, med string) (selection.Options, error) {
 func ParseWorkloadParams(s string, base workload.Params) (workload.Params, error) {
 	p := base
 	err := parseKVList("-params", s, map[string]func(string) error{
-		"clusters":   intField(&p.Clusters),
-		"minclients": intField(&p.MinClients),
-		"maxclients": intField(&p.MaxClients),
-		"ases":       intField(&p.ASes),
-		"exits":      intField(&p.Exits),
-		"maxmed":     intField(&p.MaxMED),
-		"maxcost":    int64Field(&p.MaxCost),
-		"extralinks": intField(&p.ExtraLinks),
+		"clusters":   field(&p.Clusters),
+		"minclients": field(&p.MinClients),
+		"maxclients": field(&p.MaxClients),
+		"ases":       field(&p.ASes),
+		"exits":      field(&p.Exits),
+		"maxmed":     field(&p.MaxMED),
+		"maxcost":    field(&p.MaxCost),
+		"extralinks": field(&p.ExtraLinks),
 	})
-	if err != nil {
-		return p, err
-	}
-	return p, p.Validate()
+	return p, validated(err, p.Validate)
 }
 
 // ParseCrossedSpec maps a -params value onto the crossed (Figure 13)
@@ -127,16 +72,13 @@ func ParseWorkloadParams(s string, base workload.Params) (workload.Params, error
 func ParseCrossedSpec(s string, base workload.CrossedSpec) (workload.CrossedSpec, error) {
 	spec := base
 	err := parseKVList("-params", s, map[string]func(string) error{
-		"clusters":    intField(&spec.Clusters),
-		"twoclienton": intField(&spec.TwoClientOn),
-		"ases":        intField(&spec.ASes),
-		"maxmed":      intField(&spec.MaxMED),
-		"dotted":      floatField(&spec.DottedProb),
+		"clusters":    field(&spec.Clusters),
+		"twoclienton": field(&spec.TwoClientOn),
+		"ases":        field(&spec.ASes),
+		"maxmed":      field(&spec.MaxMED),
+		"dotted":      field(&spec.DottedProb),
 	})
-	if err != nil {
-		return spec, err
-	}
-	return spec, spec.Validate()
+	return spec, validated(err, spec.Validate)
 }
 
 // ParseTopogenSpec maps a -params / -gen value onto the ISP topology
@@ -145,22 +87,33 @@ func ParseCrossedSpec(s string, base workload.CrossedSpec) (workload.CrossedSpec
 func ParseTopogenSpec(s string, base topogen.Spec) (topogen.Spec, error) {
 	spec := base
 	err := parseKVList("-params", s, map[string]func(string) error{
-		"regions":    intField(&spec.Regions),
-		"rrs":        intField(&spec.RRsPerRegion),
-		"pops":       intField(&spec.PoPs),
-		"poprrs":     intField(&spec.RRsPerPoP),
-		"clients":    intField(&spec.ClientsPerPoP),
-		"ases":       intField(&spec.ASes),
-		"exits":      intField(&spec.Exits),
-		"prefixes":   intField(&spec.Prefixes),
-		"maxmed":     intField(&spec.MaxMED),
-		"corecost":   int64Field(&spec.CoreCost),
-		"accesscost": int64Field(&spec.AccessCost),
+		"regions":    field(&spec.Regions),
+		"rrs":        field(&spec.RRsPerRegion),
+		"pops":       field(&spec.PoPs),
+		"poprrs":     field(&spec.RRsPerPoP),
+		"clients":    field(&spec.ClientsPerPoP),
+		"ases":       field(&spec.ASes),
+		"exits":      field(&spec.Exits),
+		"prefixes":   field(&spec.Prefixes),
+		"maxmed":     field(&spec.MaxMED),
+		"corecost":   field(&spec.CoreCost),
+		"accesscost": field(&spec.AccessCost),
 	})
-	if err != nil {
-		return spec, err
+	return spec, validated(err, spec.Validate)
+}
+
+// TopogenFamily maps a -gen / -spec value onto the ISP topology generator
+// family: "" or "default" selects topogen.Default(), "small" selects
+// topogen.Small(), and anything else is a key=value override list of the
+// default family (see ParseTopogenSpec).
+func TopogenFamily(s string) (topogen.Spec, error) {
+	switch s {
+	case "", "default":
+		return topogen.Default(), nil
+	case "small":
+		return topogen.Small(), nil
 	}
-	return spec, spec.Validate()
+	return ParseTopogenSpec(s, topogen.Default())
 }
 
 // ParseChurnSpec maps a -churn value — a comma-separated key=value list
@@ -171,17 +124,14 @@ func ParseTopogenSpec(s string, base topogen.Spec) (topogen.Spec, error) {
 func ParseChurnSpec(s string, base churn.Spec) (churn.Spec, error) {
 	spec := base
 	err := parseKVList("-churn", s, map[string]func(string) error{
-		"seed":     int64Field(&spec.Seed),
-		"prefixes": intField(&spec.Prefixes),
-		"rate":     floatField(&spec.Rate),
-		"period":   int64Field(&spec.Period),
-		"burst":    int64Field(&spec.Burst),
-		"flap":     floatField(&spec.FlapProb),
+		"seed":     field(&spec.Seed),
+		"prefixes": field(&spec.Prefixes),
+		"rate":     field(&spec.Rate),
+		"period":   field(&spec.Period),
+		"burst":    field(&spec.Burst),
+		"flap":     field(&spec.FlapProb),
 	})
-	if err != nil {
-		return spec, err
-	}
-	return spec, spec.Validate()
+	return spec, validated(err, spec.Validate)
 }
 
 // parseKVList applies a comma-separated key=value list via per-key
@@ -198,12 +148,7 @@ func parseKVList(flag, s string, fields map[string]func(string) error) error {
 		key = strings.ToLower(strings.TrimSpace(key))
 		set := fields[key]
 		if !ok || set == nil {
-			keys := make([]string, 0, len(fields))
-			for k := range fields {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			return fmt.Errorf("bad %s entry %q (want key=value with keys %s)", flag, kv, strings.Join(keys, ", "))
+			return fmt.Errorf("bad %s entry %q (want key=value with keys %s)", flag, kv, strings.Join(sortedKeys(fields), ", "))
 		}
 		if err := set(strings.TrimSpace(val)); err != nil {
 			return fmt.Errorf("bad %s value for %q: %v", flag, key, err)
@@ -212,64 +157,32 @@ func parseKVList(flag, s string, fields map[string]func(string) error) error {
 	return nil
 }
 
-// The field setters leave the destination untouched on a parse failure
-// and return an error naming the offending value in plain language; the
+// validated returns err, or once the override list has parsed, the
+// overridden family's validate.
+func validated(err error, validate func() error) error {
+	if err != nil {
+		return err
+	}
+	return validate()
+}
+
+// field sets *dst from a key's base-10 value. On a parse failure it leaves
+// *dst untouched and names the offending value in plain language; the
 // flag and key context is added by parseKVList.
-
-func intField(dst *int) func(string) error {
+func field[T int | int64 | float64](dst *T) func(string) error {
 	return func(v string) error {
-		n, err := strconv.Atoi(v)
+		n, err := parse[T](v, 10)
 		if err != nil {
-			return fmt.Errorf("%q is not an integer", v)
+			what := "an integer"
+			if _, ok := any(n).(float64); ok {
+				what = "a number"
+			}
+			if err == errNotFinite {
+				what = "a finite number"
+			}
+			return fmt.Errorf("%q is not %s", v, what)
 		}
 		*dst = n
 		return nil
-	}
-}
-
-func int64Field(dst *int64) func(string) error {
-	return func(v string) error {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return fmt.Errorf("%q is not an integer", v)
-		}
-		*dst = n
-		return nil
-	}
-}
-
-// floatField rejects NaN and ±Inf, which strconv.ParseFloat accepts: every
-// range check is false for NaN, so a NaN would slip past validation.
-func floatField(dst *float64) func(string) error {
-	return func(v string) error {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return fmt.Errorf("%q is not a number", v)
-		}
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return fmt.Errorf("%q is not a finite number", v)
-		}
-		*dst = f
-		return nil
-	}
-}
-
-// ParseCodec maps a -codec flag value to a speaker wire format; the
-// empty string selects the private codec.
-func ParseCodec(s string) (speaker.Codec, error) { return speaker.CodecByName(s) }
-
-// ParseSchedule maps a -schedule flag value to a schedule over n nodes.
-func ParseSchedule(s string, n int, seed int64) (protocol.Schedule, error) {
-	switch s {
-	case "", "roundrobin":
-		return protocol.RoundRobin(n), nil
-	case "allatonce":
-		return protocol.AllAtOnce(n), nil
-	case "random":
-		return protocol.PermutationRounds(n, seed), nil
-	case "subsets":
-		return protocol.SubsetRounds(n, seed), nil
-	default:
-		return nil, fmt.Errorf("unknown schedule %q (want roundrobin, allatonce, random or subsets)", s)
 	}
 }

@@ -11,8 +11,6 @@ import (
 	"repro/internal/confed"
 	"repro/internal/faults"
 	"repro/internal/figures"
-	"repro/internal/protocol"
-	"repro/internal/selection"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
@@ -61,54 +59,6 @@ func TestLoadSystemArgErrors(t *testing.T) {
 	}
 	if _, err := LoadSystem("", ""); err == nil {
 		t.Fatal("no source accepted")
-	}
-}
-
-func TestParsePolicy(t *testing.T) {
-	want := map[string]protocol.Policy{
-		"classic": protocol.Classic, "walton": protocol.Walton,
-		"modified": protocol.Modified, "adaptive": protocol.Adaptive,
-	}
-	for s, p := range want {
-		got, err := ParsePolicy(s)
-		if err != nil || got != p {
-			t.Fatalf("ParsePolicy(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParsePolicy("bogus"); err == nil {
-		t.Fatal("bogus policy accepted")
-	}
-}
-
-func TestParseOptions(t *testing.T) {
-	opts, err := ParseOptions("rfc", "always")
-	if err != nil || opts.Order != selection.RFCOrder || opts.MED != selection.AlwaysCompare {
-		t.Fatalf("opts = %+v, %v", opts, err)
-	}
-	opts, err = ParseOptions("", "")
-	if err != nil || opts != (selection.Options{}) {
-		t.Fatalf("default opts = %+v, %v", opts, err)
-	}
-	if _, err := ParseOptions("weird", ""); err == nil {
-		t.Fatal("bad order accepted")
-	}
-	if _, err := ParseOptions("", "weird"); err == nil {
-		t.Fatal("bad MED mode accepted")
-	}
-}
-
-func TestParseSchedule(t *testing.T) {
-	for _, s := range []string{"", "roundrobin", "allatonce", "random", "subsets"} {
-		sch, err := ParseSchedule(s, 3, 1)
-		if err != nil {
-			t.Fatalf("schedule %q: %v", s, err)
-		}
-		if got := sch.Next(); len(got) == 0 {
-			t.Fatalf("schedule %q produced empty set", s)
-		}
-	}
-	if _, err := ParseSchedule("bogus", 3, 1); err == nil {
-		t.Fatal("bogus schedule accepted")
 	}
 }
 
@@ -341,21 +291,5 @@ func TestParseFailureLeavesBaseUntouched(t *testing.T) {
 	spec, err := ParseChurnSpec("rate=40", base)
 	if err != nil || spec.Period != base.Period {
 		t.Fatalf("period = %d (want default %d), err %v", spec.Period, base.Period, err)
-	}
-}
-
-func TestParseCodec(t *testing.T) {
-	for name, want := range map[string]string{"": "private", "private": "private", "bgp4": "bgp4"} {
-		c, err := ParseCodec(name)
-		if err != nil {
-			t.Fatalf("ParseCodec(%q): %v", name, err)
-		}
-		if c.Name() != want {
-			t.Fatalf("ParseCodec(%q).Name() = %q, want %q", name, c.Name(), want)
-		}
-	}
-	_, err := ParseCodec("bgp5")
-	if err == nil || !strings.Contains(err.Error(), "bgp5") || !strings.Contains(err.Error(), "private") {
-		t.Fatalf("unknown codec error = %v, want the name and the valid set", err)
 	}
 }
