@@ -1,20 +1,21 @@
 // Package chaos checks the fault-horizon invariants of the modified
 // protocol: under any fault schedule that eventually ceases — drops,
-// duplicates, reorders, delays, session resets — modified I-BGP must
-// re-converge to the unique configuration of Lemma 7.4 that a fault-free
-// run reaches, withdrawn routes must be flushed everywhere (RFC 4271 §8.2
-// / Lemma 7.6), the resulting forwarding plane must be loop-free, and the
-// transport's quiescence ledger must balance. It runs the same check on
-// both substrates: the discrete-event simulator (deterministic, fit for
-// campaigns) and the TCP speakers (wall clock, fit for smoke tests).
+// duplicates, reorders, delays, session resets — I-BGP must settle in a
+// stable solution of the paper's model (§4's fixed point, which Lemma 7.4
+// makes unique under the modified protocol), withdrawn routes must be
+// flushed everywhere (RFC 4271 §8.2 / Lemma 7.6), the resulting forwarding
+// plane must be loop-free, and the transport's quiescence ledger must
+// balance. It runs the same check on both substrates: the discrete-event
+// simulator (deterministic, fit for campaigns) and the TCP speakers (wall
+// clock, fit for smoke tests).
 //
-// Reference and Grade are the repo's one Lemma 7.4 oracle: the churn soak
-// and the scale campaign grade their settled states through them too.
+// FixedPoint and Grade are the repo's one oracle: the churn soak and the
+// scale campaign grade their settled states through them too, and none of
+// them runs a second simulation to do so.
 package chaos
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"time"
 
@@ -33,7 +34,8 @@ import (
 type Config struct {
 	// Policy is the advertisement policy under test (default Modified).
 	Policy protocol.Policy
-	// Opts are the route-selection options, shared with the reference run.
+	// Opts are the route-selection options, shared with the model the
+	// settled state is graded against.
 	Opts selection.Options
 	// Plan is the fault schedule; nil checks the fault-free baseline.
 	Plan *faults.Plan
@@ -79,9 +81,9 @@ type Verdict struct {
 	// LedgerClosed: Sent == Received + Rejected + Dropped at rest — every
 	// message handed to the transport is accounted for.
 	LedgerClosed bool
-	// Diverged holds the prefixes that did not re-converge to the fault-free
-	// reference configuration (Lemma 7.4), each with the first router whose
-	// best route is off it.
+	// Diverged holds the prefixes whose settled state is not a stable
+	// solution of the model (FixedPoint), each with the first router whose
+	// best route or advertisement is off the model's induced one.
 	Diverged map[uint32]bgp.NodeID
 	// Stale holds the prefixes with unflushed routes, each with the
 	// candidates every router retains outside the live set.
@@ -105,8 +107,8 @@ func (v Verdict) OK() bool {
 // Report is the outcome of one check.
 type Report struct {
 	Verdict
-	// Best is the final best path per router; Reference the fault-free
-	// configuration it is compared against.
+	// Best is the final best path per router; Reference the model's best
+	// path per router, induced by the routers' final advertisements.
 	Best, Reference []bgp.PathID
 	// Counters snapshots the shared operational counters at the end.
 	Counters router.Snapshot
@@ -118,7 +120,8 @@ func (r Report) explain() string {
 	case !r.Quiesced:
 		return fmt.Sprintf("did not quiesce: %d messages outstanding", r.Counters.Outstanding())
 	case !r.Reconverged():
-		return fmt.Sprintf("re-converged to %v, reference %v", r.Best, r.Reference)
+		u := r.Diverged[0]
+		return fmt.Sprintf("not a stable solution: router %d best p%d, model p%d", u, r.Best[u], r.Reference[u])
 	case !r.WithdrawnFlushed():
 		return "a withdrawn route survives in some candidate set"
 	case !r.LoopFree():
@@ -131,30 +134,9 @@ func (r Report) explain() string {
 	}
 }
 
-// Reference computes the fault-free configuration a settled run must have
-// returned to: a cold, deterministic constant-delay msgsim convergence over
-// the domain with exactly each prefix's live paths announced, returning the
-// best vector per prefix. Under the modified protocol that configuration is
-// unique for a given set of announced routes (Lemma 7.4), so it serves any
-// substrate, delay model and fault history. It fails when the baseline
-// itself does not quiesce — the caller is then checking a policy with no
-// stable outcome (classic on an oscillator) and should use Oscillates
-// instead.
-func Reference(systems map[uint32]*topology.System, policy protocol.Policy, opts selection.Options,
-	live map[uint32]bgp.PathSet, maxEvents int) (map[uint32][]bgp.PathID, error) {
-	s := msgsim.NewMulti(systems, policy, opts, msgsim.ConstantDelay(1))
-	for _, prefix := range slices.Sorted(maps.Keys(systems)) {
-		live[prefix].ForEach(func(id bgp.PathID) { s.InjectPrefixAt(0, prefix, id) })
-	}
-	if !s.Run(maxEvents).Quiesced {
-		return nil, fmt.Errorf("chaos: fault-free baseline did not quiesce in %d events (policy %v)",
-			maxEvents, policy)
-	}
-	return Vectors(systems, s.BestFor), nil
-}
-
 // Vectors collects one per-(prefix, router) quantity of a settled substrate
-// — its best paths or its candidate sets — in the shape Grade judges.
+// — its best paths, candidate sets or advertisements — in the shape Grade
+// judges.
 func Vectors[T any](systems map[uint32]*topology.System, at func(uint32, bgp.NodeID) T) map[uint32][]T {
 	m := make(map[uint32][]T, len(systems))
 	for prefix, sys := range systems {
@@ -167,27 +149,69 @@ func Vectors[T any](systems map[uint32]*topology.System, at func(uint32, bgp.Nod
 	return m
 }
 
-// Grade scores one settled state against the five invariants: ref is the
-// fault-free configuration per prefix (Reference, or churn's incremental
-// replica), live the currently announced paths per prefix, best and
-// possible the state's vectors (Vectors), c and quiesced the transport's
-// counters and rest verdict.
-func Grade(systems map[uint32]*topology.System, ref map[uint32][]bgp.PathID, live map[uint32]bgp.PathSet,
-	best map[uint32][]bgp.PathID, possible map[uint32][]bgp.PathSet, c router.Snapshot, quiesced bool) Verdict {
+// FixedPoint grades settled states by the paper's definition of a stable
+// solution (§4): per prefix, the routers' advertisements (announced, the
+// substrates' AnnouncedFor) restricted to the live paths must be
+// reproduced when every router regathers its candidates through Transfer
+// and re-selects (protocol.Engine.InducedConfig), and every router's best
+// must be the model's. No second run of the code under test is needed, and
+// every policy is covered: Modified has one stable solution (Lemma 7.4),
+// Classic and Walton may have several. Under Adaptive only the bests are
+// compared, since the model has no upgrade history. Stale candidates are
+// left to Grade's flushed verdict. It returns the model's best vector per
+// prefix, and each prefix that is not a stable solution with its first
+// router off the model.
+func FixedPoint(systems map[uint32]*topology.System, policy protocol.Policy, opts selection.Options,
+	live map[uint32]bgp.PathSet, best map[uint32][]bgp.PathID, announced map[uint32][]bgp.PathSet,
+) (model map[uint32][]bgp.PathID, diverged map[uint32]bgp.NodeID) {
+	model, diverged = make(map[uint32][]bgp.PathID, len(systems)), map[uint32]bgp.NodeID{}
+	var induced protocol.Snapshot
+	for prefix, sys := range systems {
+		e := protocol.New(sys, policy, opts)
+		for _, p := range sys.Exits() {
+			if !live[prefix].Contains(p.ID) {
+				e.Withdraw(p.ID)
+			}
+		}
+		adv := make([]bgp.PathSet, sys.N())
+		for u, a := range announced[prefix] {
+			a.ForEach(func(id bgp.PathID) {
+				if live[prefix].Contains(id) {
+					adv[u].Add(id)
+				}
+			})
+		}
+		e.InducedConfig(adv)
+		e.SnapshotInto(&induced)
+		model[prefix] = slices.Clone(induced.Best)
+		for u := range adv {
+			if induced.Best[u] != best[prefix][u] || policy != protocol.Adaptive && !induced.Advertised[u].Equal(adv[u]) {
+				diverged[prefix] = bgp.NodeID(u)
+				break
+			}
+		}
+	}
+	return model, diverged
+}
+
+// Grade scores one settled state against the five invariants: live are
+// the currently announced paths per prefix, best, possible and announced
+// the state's vectors (Vectors), c and quiesced the transport's counters
+// and rest verdict. Re-convergence is FixedPoint's verdict under policy
+// and opts; Grade also returns the model's induced best vectors it was
+// judged against.
+func Grade(systems map[uint32]*topology.System, policy protocol.Policy, opts selection.Options, live map[uint32]bgp.PathSet,
+	best map[uint32][]bgp.PathID, possible, announced map[uint32][]bgp.PathSet, c router.Snapshot, quiesced bool,
+) (Verdict, map[uint32][]bgp.PathID) {
+	model, diverged := FixedPoint(systems, policy, opts, live, best, announced)
 	v := Verdict{
 		Quiesced:     quiesced,
 		LedgerClosed: c.Outstanding() == 0,
-		Diverged:     map[uint32]bgp.NodeID{},
+		Diverged:     diverged,
 		Stale:        map[uint32][]bgp.PathSet{},
 		Looping:      map[uint32]bool{},
 	}
 	for prefix, sys := range systems {
-		for u, b := range best[prefix] {
-			if b != ref[prefix][u] {
-				v.Diverged[prefix] = bgp.NodeID(u)
-				break
-			}
-		}
 		for u, ps := range possible[prefix] {
 			ps.ForEach(func(id bgp.PathID) {
 				if live[prefix].Contains(id) {
@@ -203,70 +227,38 @@ func Grade(systems map[uint32]*topology.System, ref map[uint32][]bgp.PathID, liv
 			v.Looping[prefix] = true
 		}
 	}
-	return v
-}
-
-// domain is the single-prefix domain a Check runs over and its live set:
-// every exit but the config's withdrawals.
-func (c Config) domain(sys *topology.System) (map[uint32]*topology.System, map[uint32]bgp.PathSet) {
-	live := sys.AllExitSet()
-	for _, id := range c.Withdraw {
-		live.Remove(id)
-	}
-	return map[uint32]*topology.System{0: sys}, map[uint32]bgp.PathSet{0: live}
-}
-
-// subject builds the faulted, delayed simulation under test.
-func (c Config) subject(sys *topology.System) (*msgsim.Sim, error) {
-	delay := msgsim.ConstantDelay(1)
-	if c.DelaySeed != 0 {
-		var err error
-		delay, err = msgsim.RandomDelay(c.DelaySeed, 1, c.MaxDelay)
-		if err != nil {
-			return nil, err
-		}
-	}
-	s := msgsim.New(sys, c.Policy, c.Opts, delay)
-	if err := s.SetFaults(c.Plan); err != nil {
-		return nil, err
-	}
-	s.InjectAll()
-	return s, nil
+	return v, model
 }
 
 // CheckSim runs one faulted discrete-event simulation and checks every
-// invariant against the fault-free reference. It is a pure function of
-// (sys, cfg) — no wall clock, no shared RNG — so campaign jobs can fan it
-// out and still aggregate byte-identically.
+// invariant of its settled state. It is a pure function of (sys, cfg) — no
+// wall clock, no shared RNG — so campaign jobs can fan it out and still
+// aggregate byte-identically.
 func CheckSim(sys *topology.System, cfg Config) (Report, error) {
 	cfg = cfg.fill()
-	systems, live := cfg.domain(sys)
-	ref, err := Reference(systems, cfg.Policy, cfg.Opts, live, cfg.MaxEvents)
-	if err != nil {
+	delay := msgsim.ConstantDelay(1)
+	if cfg.DelaySeed != 0 {
+		var err error
+		if delay, err = msgsim.RandomDelay(cfg.DelaySeed, 1, cfg.MaxDelay); err != nil {
+			return Report{}, err
+		}
+	}
+	s := msgsim.New(sys, cfg.Policy, cfg.Opts, delay)
+	if err := s.SetFaults(cfg.Plan); err != nil {
 		return Report{}, err
 	}
-	s, err := cfg.subject(sys)
-	if err != nil {
-		return Report{}, err
-	}
+	s.InjectAll()
 	for _, id := range cfg.Withdraw {
 		s.WithdrawPrefixAt(cfg.WithdrawAt, 0, id)
 	}
 	res := s.Run(cfg.MaxEvents)
-	best, possible := Vectors(systems, s.BestFor), Vectors(systems, s.PossibleFor)
-	c := s.Counters()
-	return Report{Grade(systems, ref, live, best, possible, c, res.Quiesced), best[0], ref[0], c}, nil
+	return cfg.report(sys, s.BestFor, s.PossibleFor, s.AnnouncedFor, s.Counters(), res.Quiesced), nil
 }
 
 // checkTCP runs the same invariant check over the TCP speakers: real
 // connections, real teardowns on reset fates, wall-clock fault horizon.
 func checkTCP(sys *topology.System, cfg Config) (Report, error) {
 	cfg = cfg.fill()
-	systems, live := cfg.domain(sys)
-	ref, err := Reference(systems, cfg.Policy, cfg.Opts, live, cfg.MaxEvents)
-	if err != nil {
-		return Report{}, err
-	}
 	n := speaker.New(sys, cfg.Policy, cfg.Opts)
 	if err := n.SetFaults(cfg.Plan); err != nil {
 		return Report{}, err
@@ -286,23 +278,24 @@ func checkTCP(sys *topology.System, cfg Config) (Report, error) {
 		}
 	}
 	quiesced := n.WaitQuiesce(cfg.Timeout, cfg.Settle)
-	best := Vectors(systems, n.BestFor)
-	possible := Vectors(systems, func(prefix uint32, u bgp.NodeID) bgp.PathSet {
-		return n.Speaker(u).PossibleFor(prefix)
-	})
-	c := n.Counters()
-	return Report{Grade(systems, ref, live, best, possible, c, quiesced), best[0], ref[0], c}, nil
+	return cfg.report(sys, n.BestFor,
+		func(prefix uint32, u bgp.NodeID) bgp.PathSet { return n.Speaker(u).PossibleFor(prefix) },
+		func(prefix uint32, u bgp.NodeID) bgp.PathSet { return n.Speaker(u).AnnouncedFor(prefix) },
+		n.Counters(), quiesced), nil
 }
 
-// Oscillates runs one faulted simulation of a policy expected to have no
-// stable outcome and reports whether it indeed failed to quiesce within
-// the budget — the guard that fault injection does not mask the paper's
-// Figure 1(a)/Figure 3 pathologies.
-func Oscillates(sys *topology.System, cfg Config) (bool, error) {
-	cfg = cfg.fill()
-	s, err := cfg.subject(sys)
-	if err != nil {
-		return false, err
+// report grades a check's settled single-prefix state, read through the
+// substrate's per-router accessors; the live set is every exit but the
+// config's withdrawals.
+func (c Config) report(sys *topology.System, best func(uint32, bgp.NodeID) bgp.PathID,
+	possible, announced func(uint32, bgp.NodeID) bgp.PathSet, counters router.Snapshot, quiesced bool) Report {
+	live := sys.AllExitSet()
+	for _, id := range c.Withdraw {
+		live.Remove(id)
 	}
-	return !s.Run(cfg.MaxEvents).Quiesced, nil
+	systems := map[uint32]*topology.System{0: sys}
+	b := Vectors(systems, best)
+	v, model := Grade(systems, c.Policy, c.Opts, map[uint32]bgp.PathSet{0: live}, b,
+		Vectors(systems, possible), Vectors(systems, announced), counters, quiesced)
+	return Report{v, b[0], model[0], counters}
 }

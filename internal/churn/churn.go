@@ -18,10 +18,10 @@
 // Time is shaped in rounds: each round opens with a burst window of length
 // Spec.Burst in which every event of the round lands, followed by a quiet
 // window to the end of the Period in which the system re-converges and the
-// rolling invariants are checked. The paper's Lemma 7.4 — the modified
-// protocol's final configuration is unique, independent of message
-// ordering and timing — is what licenses checking each quiet window
-// against an independently computed fault-free reference.
+// rolling invariants are checked: each quiet window must end in a stable
+// solution of the paper's model (chaos.FixedPoint), which Lemma 7.4 makes
+// unique under the modified protocol, independent of message ordering and
+// timing.
 package churn
 
 import (

@@ -24,12 +24,14 @@ type Config struct {
 	// Rounds is the number of churn rounds driven (Spec.Rounds maps a
 	// wall-clock duration here). At least 1.
 	Rounds int
-	// Policy is the advertisement policy. The soak's re-convergence
-	// checks presuppose Lemma 7.4 uniqueness, which Modified guarantees;
-	// the zero value is Classic, which carries no such guarantee and can
-	// only document its own oscillation as violations.
+	// Policy is the advertisement policy. Every settled round must be a
+	// stable solution of the model under it (chaos.FixedPoint): the one
+	// Lemma 7.4 guarantees under Modified, any of several under Classic.
+	// A policy with no stable outcome on the topology fails its own
+	// quiescence check instead.
 	Policy protocol.Policy
-	// Opts are the route-selection options, shared with the reference run.
+	// Opts are the route-selection options, shared with the model the
+	// settled rounds are graded against.
 	Opts selection.Options
 	// Plan is an optional fault schedule active during the soak. Rounds
 	// that start before the plan's horizon are exempt from the windowed
@@ -115,7 +117,7 @@ func (c Config) checkable(r int) bool {
 type Violation struct {
 	Round  int    `json:"round"`
 	Prefix uint32 `json:"prefix"`
-	Kind   string `json:"kind"` // quiesce, reference, reconverge, rib, loop, ledger, aggregate
+	Kind   string `json:"kind"` // quiesce, reconverge, rib, loop, ledger, aggregate
 	Detail string `json:"detail"`
 }
 
@@ -228,49 +230,6 @@ func RunRound(s *msgsim.Sim, prev msgsim.Result, evs []Event, anchor int64, perR
 	return res, max(res.Time-last, 0)
 }
 
-// reference is the incremental fault-free oracle: a msgsim run over the same
-// domain with no faults and no MRAI, fed the identical event stream round by
-// round and settled after each. Lemma 7.4 (the modified protocol's final
-// configuration is unique for a given set of announced routes, whatever
-// the message ordering) is what makes its per-round fixpoint the one the
-// faulted, delayed, MRAI-paced run must land on too — and the one a cold
-// chaos.Reference over the round's live sets would compute, at the cost of
-// a full convergence per round.
-type reference struct {
-	sim     *msgsim.Sim
-	systems map[uint32]*topology.System
-	max     int
-	last    msgsim.Result
-}
-
-func newReference(systems map[uint32]*topology.System, cfg Config) (*reference, error) {
-	// The delay draw cannot change the fixpoint (Lemma 7.4), so the
-	// reference fixes its own seed; jitter matters only to break the
-	// synchronous lockstep that stalls convergence at scale.
-	ref := &reference{
-		sim: msgsim.NewMulti(systems, cfg.Policy, cfg.Opts,
-			msgsim.MustRandomDelay(cfg.Spec.Seed+0x5eed, 1, 10)),
-		systems: systems,
-		max:     cfg.MaxEventsPerRound,
-	}
-	ref.sim.InjectAll()
-	ref.last = ref.sim.Run(ref.max)
-	if !ref.last.Quiesced {
-		return nil, fmt.Errorf("churn: fault-free reference did not quiesce at warm-up (policy has no stable outcome?)")
-	}
-	return ref, nil
-}
-
-// advance applies one round's events to the reference and settles it,
-// returning the converged best vector per prefix.
-func (ref *reference) advance(evs []Event) (map[uint32][]bgp.PathID, error) {
-	ref.last, _ = RunRound(ref.sim, ref.last, evs, 0, ref.max)
-	if !ref.last.Quiesced {
-		return nil, fmt.Errorf("churn: fault-free reference did not quiesce")
-	}
-	return chaos.Vectors(ref.systems, ref.sim.BestFor), nil
-}
-
 // checker accumulates the rolling invariant results shared by both
 // substrate drivers.
 type checker struct {
@@ -278,7 +237,6 @@ type checker struct {
 	systems    map[uint32]*topology.System // sys once per prefix
 	cfg        Config
 	stream     *Stream
-	ref        *reference
 	hash       uint64
 	rounds     int
 	checked    int
@@ -292,12 +250,8 @@ func newChecker(sys *topology.System, cfg Config) (*checker, error) {
 	if err != nil {
 		return nil, err
 	}
-	systems := domainSystems(sys, cfg.Spec.Prefixes)
-	ref, err := newReference(systems, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &checker{sys: sys, systems: systems, cfg: cfg, stream: stream, ref: ref, hash: faults.SplitMix64(uint64(cfg.Spec.Seed))}, nil
+	return &checker{sys: sys, systems: domainSystems(sys, cfg.Spec.Prefixes), cfg: cfg, stream: stream,
+		hash: faults.SplitMix64(uint64(cfg.Spec.Seed))}, nil
 }
 
 func (c *checker) violate(round int, prefix uint32, kind, format string, args ...any) {
@@ -307,30 +261,31 @@ func (c *checker) violate(round int, prefix uint32, kind, format string, args ..
 }
 
 // state is the per-round snapshot a substrate driver hands the checker:
-// the converged best path and candidate set per (prefix, router), the
-// transport's quiescence verdict and counter snapshot, and the round's
-// post-burst convergence latency (virtual ticks on msgsim, milliseconds on
-// TCP).
+// the converged best path, candidate set and advertisement per (prefix,
+// router), the transport's quiescence verdict and counter snapshot, and the
+// round's post-burst convergence latency (virtual ticks on msgsim,
+// milliseconds on TCP).
 type state struct {
-	best     map[uint32][]bgp.PathID
-	possible map[uint32][]bgp.PathSet
-	counters router.Snapshot
-	quiesced bool
-	latency  int64
+	best      map[uint32][]bgp.PathID
+	possible  map[uint32][]bgp.PathSet
+	announced map[uint32][]bgp.PathSet
+	counters  router.Snapshot
+	quiesced  bool
+	latency   int64
 }
 
 // check grades one settled round against the rolling invariants:
 // quiescence and ledger closure always; on checkable rounds also chaos.Grade's
-// per-prefix verdicts — the windowed Lemma 7.4 re-convergence against the
-// reference, the bounded-RIB containment (no candidate set may retain a
+// per-prefix verdicts — the windowed re-convergence to a stable solution of
+// the model (chaos.FixedPoint), the bounded-RIB containment (no candidate set may retain a
 // route the generator has withdrawn — the invariant that rules out
 // unbounded RIB growth under sustained churn), and forwarding-plane loop
 // freedom. Checked rounds fold their converged routing into the state hash.
 // Returns false when the round failed to quiesce (the soak cannot
 // meaningfully go on).
-func (c *checker) check(round int, evs []Event, st state) bool {
+func (c *checker) check(round, events int, st state) bool {
 	c.rounds = round + 1
-	c.events += len(evs)
+	c.events += events
 	c.samples = append(c.samples, st.latency)
 	if c.cfg.Latency != nil {
 		c.cfg.Latency(st.latency)
@@ -343,13 +298,6 @@ func (c *checker) check(round int, evs []Event, st state) bool {
 		c.violate(round, 0, "ledger", "sent=%d but received+rejected+dropped=%d at rest",
 			st.counters.Sent, st.counters.Sent-out)
 	}
-	// The reference consumes every round — checkable or not — so it stays
-	// in lockstep with the run's announced-route state.
-	refBest, err := c.ref.advance(evs)
-	if err != nil {
-		c.violate(round, 0, "reference", "%v", err)
-		return false
-	}
 	if !c.cfg.checkable(round) {
 		return true
 	}
@@ -359,13 +307,13 @@ func (c *checker) check(round int, evs []Event, st state) bool {
 	for prefix := range c.systems {
 		live[prefix] = c.stream.Live(prefix)
 	}
-	v := chaos.Grade(c.systems, refBest, live, st.best, st.possible, st.counters, st.quiesced)
+	v, model := chaos.Grade(c.systems, c.cfg.Policy, c.cfg.Opts, live, st.best, st.possible, st.announced, st.counters, st.quiesced)
 	for p := 0; p < c.cfg.Spec.Prefixes; p++ {
 		prefix := uint32(p)
 		best := st.best[prefix]
 		if u, off := v.Diverged[prefix]; off {
 			c.violate(round, prefix, "reconverge",
-				"router %s best p%d, reference p%d", c.sys.Name(u), best[u], refBest[prefix][u])
+				"router %s best p%d, model p%d", c.sys.Name(u), best[u], model[prefix][u])
 		}
 		for u, stale := range v.Stale[prefix] {
 			for _, id := range stale.IDs() {
@@ -476,8 +424,11 @@ func SoakSim(sys *topology.System, cfg Config) (*Report, error) {
 		evs := c.stream.Next()
 		var lat int64
 		res, lat = RunRound(s, res, evs, int64(r)*cfg.Spec.Period, cfg.MaxEventsPerRound)
-		best, possible := chaos.Vectors(c.systems, s.BestFor), chaos.Vectors(c.systems, s.PossibleFor)
-		if !c.check(r, evs, state{best: best, possible: possible, counters: s.Counters(), quiesced: res.Quiesced, latency: lat}) {
+		if !c.check(r, len(evs), state{
+			best: chaos.Vectors(c.systems, s.BestFor), possible: chaos.Vectors(c.systems, s.PossibleFor),
+			announced: chaos.Vectors(c.systems, s.AnnouncedFor),
+			counters:  s.Counters(), quiesced: res.Quiesced, latency: lat,
+		}) {
 			break
 		}
 	}
@@ -548,11 +499,16 @@ func SoakTCP(sys *topology.System, cfg Config) (*Report, error) {
 		// WaitQuiesce holds for a settle window after the last activity;
 		// subtract it so the sample approximates time-to-converge.
 		lat := max(time.Since(applied).Milliseconds()-cfg.Settle.Milliseconds(), 0)
-		best := chaos.Vectors(c.systems, n.BestFor)
 		possible := chaos.Vectors(c.systems, func(prefix uint32, u bgp.NodeID) bgp.PathSet {
 			return n.Speaker(u).PossibleFor(prefix)
 		})
-		if !c.check(r, evs, state{best: best, possible: possible, counters: n.Counters(), quiesced: quiesced, latency: lat}) {
+		announced := chaos.Vectors(c.systems, func(prefix uint32, u bgp.NodeID) bgp.PathSet {
+			return n.Speaker(u).AnnouncedFor(prefix)
+		})
+		if !c.check(r, len(evs), state{
+			best: chaos.Vectors(c.systems, n.BestFor), possible: possible, announced: announced,
+			counters: n.Counters(), quiesced: quiesced, latency: lat,
+		}) {
 			break
 		}
 	}

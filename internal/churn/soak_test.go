@@ -87,6 +87,21 @@ func TestSoakSimDeterministic(t *testing.T) {
 	}
 }
 
+// TestSoakSimClassicGradesClean: under Classic every settled round must be
+// a stable solution of the model, though not a unique one. The Small
+// family's seed-1 system settles in one every round.
+func TestSoakSimClassicGradesClean(t *testing.T) {
+	cfg := soakConfig()
+	cfg.Policy = protocol.Classic
+	rep, err := SoakSim(smallSys(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() || rep.Agg.Checked != cfg.Rounds {
+		t.Fatalf("classic soak: %d of %d rounds checked, violations %v", rep.Agg.Checked, cfg.Rounds, rep.Violations)
+	}
+}
+
 // TestSoakSimStateHashPinned pins the rolling state hash of the mid-size
 // reference soak (172 routers: the topogen Default family at 5 clients per
 // PoP, seed 1, the default churn spec, 8 rounds, Modified, MRAI 10). The

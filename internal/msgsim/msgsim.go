@@ -869,6 +869,12 @@ func (s *Sim) PossibleFor(prefix uint32, u bgp.NodeID) bgp.PathSet {
 	return s.routers[u].Possible(prefix)
 }
 
+// AnnouncedFor returns the set router u offers its peers for one prefix,
+// before the per-peer announcement rules.
+func (s *Sim) AnnouncedFor(prefix uint32, u bgp.NodeID) bgp.PathSet {
+	return s.routers[u].Announced(prefix)
+}
+
 // Upgraded reports whether router u switched to survivor advertisement for
 // one prefix under the Adaptive policy.
 func (s *Sim) Upgraded(prefix uint32, u bgp.NodeID) bool {

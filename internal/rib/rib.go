@@ -419,6 +419,21 @@ func (r *RIB) RecomputeBest() (bestChanged bool) {
 	return bestChanged
 }
 
+// Announced returns the set this router offers its peers before the
+// per-peer announcement rules filter it: what PrepareFlush would prepare
+// from the current candidates and best route. It leaves the decision state
+// and the shared scratch untouched, running the prepare step on a private
+// scratch, so a harness can read a settled router's advertisement.
+func (r *RIB) Announced() bgp.PathSet {
+	shared := r.scr
+	defer func() { r.scr = shared }()
+	r.scr = NewScratch(r.sys.NumExits())
+	r.possibleInto(&r.scr.possible)
+	r.dom.SurvivorsInto(&r.scr.surv, r.scr.possible)
+	r.PrepareFlush()
+	return bgp.NewPathSet(r.scr.want...)
+}
+
 // PrepareFlush computes the peer-independent half of the announcement
 // fan-out — the advertise set and each wanted path's source classification
 // — into the RIB's reusable scratch. It must run after RecomputeBest (it

@@ -817,6 +817,15 @@ func (r *Router) Possible(prefix uint32) bgp.PathSet {
 	return bgp.PathSet{}
 }
 
+// Announced returns the set this router offers its peers for one prefix,
+// before the per-peer announcement rules (rib.RIB.Announced).
+func (r *Router) Announced(prefix uint32) bgp.PathSet {
+	if i := r.dom.index(prefix); i >= 0 {
+		return r.ribs[i].Announced()
+	}
+	return bgp.PathSet{}
+}
+
 // Upgraded reports whether this router switched to survivor advertisement
 // for one prefix under the Adaptive policy.
 func (r *Router) Upgraded(prefix uint32) bool {

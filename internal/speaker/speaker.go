@@ -171,6 +171,14 @@ func (s *Speaker) PossibleFor(prefix uint32) bgp.PathSet {
 	return s.core.Possible(prefix)
 }
 
+// AnnouncedFor returns the set the speaker offers its peers for one
+// prefix, before the per-peer announcement rules.
+func (s *Speaker) AnnouncedFor(prefix uint32) bgp.PathSet {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.core.Announced(prefix)
+}
+
 // Upgraded reports whether this speaker switched to survivor advertisement
 // for the given prefix under the Adaptive policy.
 func (s *Speaker) Upgraded(prefix uint32) bool {
