@@ -18,7 +18,8 @@
 // A bad flag value exits 2; -h shows each flag's range or names.
 //
 // -shards parallelises across seeds; -workers parallelises the
-// reachable-state search within each seed. Both are deterministic: the
+// reachable-state search within each seed of the census, fig13 and lint
+// jobs (the other jobs run no such search). Both are deterministic: the
 // aggregate is a pure function of the job and the seed range. -max-states
 // bounds the census, fig13 and lint jobs' per-variant exhaustive search; a
 // census or fig13 seed whose search truncates is decided by sampled
@@ -111,8 +112,7 @@ func main() {
 			}
 			cs, err := cli.ParseChurnSpec(*churnSpec, churn.DefaultSpec())
 			return campaign.ScaleJob{
-				Spec: spec, Churn: cs, Rounds: *rounds, MRAI: *mrai,
-				Workers: exploreWorkers(*workers), Plans: *scalePlans,
+				Spec: spec, Churn: cs, Rounds: *rounds, MRAI: *mrai, Plans: *scalePlans,
 			}, err
 		},
 	})

@@ -9,7 +9,7 @@
 //
 //	ibgpsoak [-spec default|small|KVLIST] [-topology FILE | -figure N]
 //	         [-seed N] [-duration D] [-rate R] [-churn KVLIST]
-//	         [-faults SPEC] [-substrate sim|tcp|both] [-mrai N] [-workers N]
+//	         [-faults SPEC] [-substrate sim|tcp|both] [-mrai N]
 //	         [-policy modified|...] [-order paper|rfc] [-med standard|always]
 //	         [-codec private|bgp4] [-listen HOST:PORT] [-stats-every D] [-agg]
 //
@@ -95,7 +95,6 @@ func main() {
 			"sim": {churn.SoakSim}, "tcp": {churn.SoakTCP}, "both": {churn.SoakSim, churn.SoakTCP},
 		})
 		mrai       = cli.Int64("mrai", 0, 0, "minimum route advertisement interval, sim ticks / tcp ms (0 off)")
-		workers    = cli.Int("workers", 1, 1, "per-router refresh workers; every value yields the identical UPDATE stream, aggregate and state hash")
 		policy     = cli.Choice("policy", "modified", "advertisement policy", cli.Policies)
 		order      = cli.Choice("order", "paper", "rule order", cli.Orders)
 		med        = cli.Choice("med", "standard", "MED mode", cli.MEDModes)
@@ -134,7 +133,6 @@ func main() {
 		Opts:      selection.Options{Order: *order, MED: *med},
 		Plan:      plan,
 		MRAI:      *mrai,
-		Workers:   *workers,
 		DelaySeed: *seed,
 		Codec:     *codec,
 	}

@@ -341,18 +341,15 @@ func TestScaleJobAggregatePinned(t *testing.T) {
 	}
 }
 
-// TestScaleJobShardAndWorkerIndependence: like every campaign job, the
-// scale record is a function of the seed alone — shard count and the
-// per-router refresh worker count must not move a byte of the aggregate,
-// params header included.
-func TestScaleJobShardAndWorkerIndependence(t *testing.T) {
+// TestScaleJobShardIndependence: like every campaign job, the scale
+// record is a function of the seed alone — the shard count must not move
+// a byte of the aggregate, params header included.
+func TestScaleJobShardIndependence(t *testing.T) {
 	var want []byte
-	for _, tc := range []struct{ shards, workers int }{{1, 1}, {4, 1}, {2, 3}} {
-		job := scaleTestJob()
-		job.Workers = tc.workers
-		agg, err := Run(context.Background(), job, Config{Shards: tc.shards, Start: 1, Seeds: 4})
+	for _, shards := range []int{1, 4, 2} {
+		agg, err := Run(context.Background(), scaleTestJob(), Config{Shards: shards, Start: 1, Seeds: 4})
 		if err != nil {
-			t.Fatalf("shards=%d workers=%d: %v", tc.shards, tc.workers, err)
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		got := mustJSON(t, agg)
 		if want == nil {
@@ -360,8 +357,7 @@ func TestScaleJobShardAndWorkerIndependence(t *testing.T) {
 			continue
 		}
 		if string(got) != string(want) {
-			t.Errorf("shards=%d workers=%d changed the scale aggregate:\n%s\nwant:\n%s",
-				tc.shards, tc.workers, got, want)
+			t.Errorf("shards=%d changed the scale aggregate:\n%s\nwant:\n%s", shards, got, want)
 		}
 	}
 }

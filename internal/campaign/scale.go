@@ -41,11 +41,6 @@ type ScaleJob struct {
 	// MRAI is the per-session minimum route advertisement interval in
 	// virtual ticks (0 disables pacing, the default).
 	MRAI int64
-	// Workers is the per-router refresh worker count
-	// (router.Router.SetWorkers). The emitted UPDATE stream — and hence
-	// every field of the record — is identical for every value; it only
-	// changes the wall-clock of the per-prefix recompute fan-out.
-	Workers int
 	// Plans is the number of fault schedules per seed for the chaos-plan
 	// variant; 0 (the default) skips fault injection entirely.
 	Plans int
@@ -60,10 +55,9 @@ type ScaleJob struct {
 
 func (j ScaleJob) Name() string { return "scale" }
 
-// Describe names what ran, not how: Workers moves no field of the record,
-// so it stays out of the header aggregates are compared by. The churn
-// spec's Seed and Prefixes are left out too — Run overrides both per seed
-// (the seed itself, the generated family's prefix count).
+// Describe names what ran. The churn spec's Seed and Prefixes are left
+// out — Run overrides both per seed (the seed itself, the generated
+// family's prefix count).
 func (j ScaleJob) Describe() string {
 	j = j.fill()
 	c := j.Churn
@@ -115,9 +109,6 @@ func (j ScaleJob) sim(dom map[uint32]*topology.System, delay msgsim.DelayFunc) *
 	s := msgsim.NewMulti(dom, j.Policy, selection.Options{}, delay)
 	if j.MRAI > 0 {
 		s.SetMRAI(j.MRAI)
-	}
-	if j.Workers > 1 {
-		s.SetWorkers(j.Workers)
 	}
 	return s
 }

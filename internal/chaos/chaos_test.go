@@ -316,7 +316,7 @@ func TestGradeFlagsEachInvariant(t *testing.T) {
 }
 
 // TestCoReflectorWitnesses pins the co-reflector divergence (DESIGN.md §5).
-// On these two generated prefixes the shipped router settles, under
+// On these generated prefixes the shipped router settles, under
 // constant delay, in a state that is not a stable solution of the paper's
 // model: at one core reflector the router and the model hold the same
 // candidates and pick a different best, because the router attributes a
@@ -332,6 +332,8 @@ func TestCoReflectorWitnesses(t *testing.T) {
 		best, model bgp.PathID
 	}{
 		{6, 14, protocol.Modified, "core0-1", 8, 14},
+		{8, 14, protocol.Modified, "core1-0", 1, 11},
+		{10, 14, protocol.Modified, "core0-1", 8, 14},
 		{2, 4, protocol.Classic, "core1-1", 9, 3},
 	} {
 		spec := topogen.Default()

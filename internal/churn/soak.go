@@ -3,6 +3,7 @@ package churn
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 	"repro/internal/router"
 	"repro/internal/selection"
 	"repro/internal/speaker"
+	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
 
@@ -42,10 +44,6 @@ type Config struct {
 	// MRAI is the per-session minimum route advertisement interval in
 	// transport clock units (0 disables).
 	MRAI int64
-	// Workers is the per-router refresh fan-out (router.SetWorkers) on
-	// both substrates. Every value produces the identical UPDATE stream,
-	// aggregate and state hash; values below 2 run serially.
-	Workers int
 	// DelaySeed seeds msgsim's random per-message delay model; 0 derives
 	// a seed from Spec.Seed. MaxDelay bounds the delays (default 10).
 	// Delays are always jittered, never constant: perfectly synchronous
@@ -144,43 +142,13 @@ type Aggregate struct {
 	StateHash string `json:"stateHash"`
 }
 
-// LatencyStats summarises the per-round post-burst convergence latencies.
-type LatencyStats struct {
-	Count int   `json:"count"`
-	P50   int64 `json:"p50"`
-	P99   int64 `json:"p99"`
-	Max   int64 `json:"max"`
-}
-
-// percentiles computes the summary of a sample set (nearest-rank).
-func percentiles(samples []int64) LatencyStats {
-	st := LatencyStats{Count: len(samples)}
-	if len(samples) == 0 {
-		return st
-	}
-	s := append([]int64(nil), samples...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	rank := func(p float64) int64 {
-		i := int(p*float64(len(s))+0.5) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(s) {
-			i = len(s) - 1
-		}
-		return s[i]
-	}
-	st.P50, st.P99, st.Max = rank(0.50), rank(0.99), s[len(s)-1]
-	return st
-}
-
 // Measured is the wall-clock-dependent part of a soak report.
 type Measured struct {
-	WallMS      int64           `json:"wallMs"`
-	MsgsPerSec  float64         `json:"msgsPerSec"`
-	Convergence LatencyStats    `json:"convergence"`
-	Counters    router.Snapshot `json:"counters"`
-	HeapAllocMB float64         `json:"heapAllocMB"`
+	WallMS      int64                 `json:"wallMs"`
+	MsgsPerSec  float64               `json:"msgsPerSec"`
+	Convergence telemetry.Convergence `json:"convergence"`
+	Counters    router.Snapshot       `json:"counters"`
+	HeapAllocMB float64               `json:"heapAllocMB"`
 }
 
 // Report is the outcome of one soak run on one substrate.
@@ -359,7 +327,7 @@ func (c *checker) report(substrate string, start time.Time, counters router.Snap
 	runtime.ReadMemStats(&ms)
 	m := Measured{
 		WallMS:      wall.Milliseconds(),
-		Convergence: percentiles(c.samples),
+		Convergence: telemetry.Summarize(slices.Clone(c.samples)),
 		Counters:    counters,
 		HeapAllocMB: float64(ms.HeapAlloc) / (1 << 20),
 	}
@@ -404,9 +372,6 @@ func SoakSim(sys *topology.System, cfg Config) (*Report, error) {
 	}
 	if cfg.MRAI > 0 {
 		s.SetMRAI(cfg.MRAI)
-	}
-	if cfg.Workers > 1 {
-		s.SetWorkers(cfg.Workers)
 	}
 	if err := s.SetFaults(cfg.Plan); err != nil {
 		return nil, err
@@ -461,9 +426,6 @@ func SoakTCP(sys *topology.System, cfg Config) (*Report, error) {
 	}
 	if cfg.MRAI > 0 {
 		n.SetMRAI(cfg.MRAI)
-	}
-	if cfg.Workers > 1 {
-		n.SetWorkers(cfg.Workers)
 	}
 	if err := n.SetFaults(cfg.Plan); err != nil {
 		return nil, err

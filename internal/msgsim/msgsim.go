@@ -494,17 +494,6 @@ func (s *Sim) SetMRAI(d int64) {
 	}
 }
 
-// SetWorkers sets the per-router refresh fan-out (router.SetWorkers):
-// each refresh's per-prefix recompute/diff phase runs on up to n
-// goroutines. The event queue, delivery order and emitted UPDATE stream
-// are byte-identical for every value — the simulator stays deterministic.
-// Call before Run.
-func (s *Sim) SetWorkers(n int) {
-	for _, rt := range s.routers {
-		rt.SetWorkers(n)
-	}
-}
-
 // sessionIndex returns the index in s.sess of the directed session
 // u -> w; w must be a peer of u.
 func (s *Sim) sessionIndex(u, w bgp.NodeID) int {

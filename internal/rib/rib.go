@@ -53,10 +53,8 @@ func (p *Peering) Index(w bgp.NodeID) int {
 }
 
 // RIB is the state of one I-BGP speaker for one prefix. It is not safe for
-// concurrent use; callers serialise access (msgsim is single-threaded,
-// speaker routers own their RIBs from a single goroutine, and the parallel
-// refresh in package router hands each RIB to exactly one worker per
-// round).
+// concurrent use; callers serialise access (msgsim is single-threaded
+// and speaker routers own their RIBs from a single goroutine).
 type RIB struct {
 	sys    *topology.System
 	dom    *selection.Dominance // Choose^B over sys's exits; shared, immutable
@@ -92,10 +90,9 @@ type RIB struct {
 
 	// scr is the per-refresh-round reusable storage that makes the
 	// RecomputeBest → PrepareFlush → per-peer DiffInto/ApplyDiff cycle
-	// allocation-free once warm. Single-owner at any instant; a
-	// multi-prefix router shares one Scratch per worker across its RIBs
-	// (SetScratch) because the prepared state never outlives one prefix's
-	// recompute-and-diff step.
+	// allocation-free once warm. A multi-prefix router shares one Scratch
+	// across all its RIBs because the prepared state never outlives one
+	// prefix's recompute-and-diff step.
 	scr *Scratch
 }
 
@@ -103,8 +100,8 @@ type RIB struct {
 // via the append(x[:0], ...) idiom; every PathSet via Copy/Clear. The
 // prepared-flush state (surv from RecomputeBest; want/kinds/origins, and
 // target while diffing) is only valid between one RIB's RecomputeBest and
-// the next RIB touching the Scratch, which is why sharing is per-worker,
-// never per-round.
+// the next RIB touching the Scratch, which is why RIBs may share one only
+// while they run their steps one at a time.
 type Scratch struct {
 	possible bgp.PathSet  // candidate path IDs
 	surv     bgp.PathSet  // Choose^B(possible)
@@ -176,11 +173,6 @@ func NewShared(sys *topology.System, policy protocol.Policy, opts selection.Opti
 		w:      int32(w),
 	}
 }
-
-// SetScratch points the RIB at a different scratch. The parallel refresh
-// uses this to hand each worker's scratch to the RIBs of its shard; any
-// prepared-flush state in the previous scratch is abandoned.
-func (r *RIB) SetScratch(s *Scratch) { r.scr = s }
 
 // The slab's set numbering.
 const myExits = 0

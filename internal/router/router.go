@@ -13,18 +13,15 @@
 // Routers are single-owner: each is mutated from one goroutine at a time
 // (msgsim is single-threaded, each speaker owns its core under its own
 // lock). The shared Counters are atomic so a running network can be
-// observed concurrently. With SetWorkers(n>1), Refresh internally fans the
-// per-prefix recompute/diff phase over n goroutines, but the emitted
-// UPDATE stream stays byte-identical to serial: the parallel phase is
-// pure (per-prefix results land in per-prefix slots), and the send phase
-// merges them serially in sorted prefix order.
+// observed concurrently. Refresh runs in two serial phases: a pure
+// per-prefix recompute/diff phase that lands its results in per-prefix
+// slots, then a send phase that merges them in sorted prefix order.
 package router
 
 import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/bgp"
 	"repro/internal/faults"
@@ -256,7 +253,7 @@ type Deferral struct {
 }
 
 // diffSlot holds one (dirty prefix, peer) cell of a refresh round: the
-// announce/withdraw diff the parallel phase computed and the serial phase
+// announce/withdraw diff the compute phase produced and the send phase
 // either commits (ApplyDiff after a successful send) or leaves owed.
 type diffSlot struct {
 	ann, wd []bgp.PathID
@@ -307,15 +304,8 @@ type Router struct {
 	dirty    []bool
 	dirtyIdx []int
 
-	// workers is the fan-out of the per-prefix recompute/diff phase;
-	// scratches holds one decision-process scratch per worker, shared by
-	// the RIBs of that worker's shard. maxExits sizes new scratches.
-	workers   int
-	scratches []*rib.Scratch
-	maxExits  int
-
 	// Per-round reusable storage: slot(di, pj) = slots[di*numPeers+pj],
-	// the per-(dirty prefix, peer) diffs of the parallel phase; changed
+	// the per-(dirty prefix, peer) diffs of the compute phase; changed
 	// mirrors dirtyIdx; uncommitted marks peers whose owed diff was
 	// MRAI-gated or whose send failed (those prefixes stay dirty).
 	slots       []diffSlot
@@ -341,7 +331,6 @@ func (d *Domain) NewRouter(id bgp.NodeID, counters *Counters) *Router {
 		ribs:     make([]*rib.RIB, np),
 		peering:  rib.NewPeering(d.base, id),
 		counters: counters,
-		workers:  1,
 	}
 	npeers := len(r.peering.Peers())
 	r.nextSend = make([]int64, npeers)
@@ -353,10 +342,12 @@ func (d *Domain) NewRouter(id bgp.NodeID, counters *Counters) *Router {
 			maxExits = n
 		}
 	}
-	r.maxExits = maxExits
-	r.scratches = []*rib.Scratch{rib.NewScratch(maxExits)}
+	// One decision-process scratch serves every RIB: the compute phase
+	// visits one prefix at a time, and its prepared state never outlives
+	// that prefix's recompute-and-diff step.
+	scr := rib.NewScratch(maxExits)
 	for i := range d.prefixes {
-		r.ribs[i] = rib.NewShared(d.systems[i], d.policy, d.opts, id, r.peering, r.scratches[0], d.doms[i])
+		r.ribs[i] = rib.NewShared(d.systems[i], d.policy, d.opts, id, r.peering, scr, d.doms[i])
 	}
 	// Everything starts dirty: the first refresh after construction must
 	// look at every prefix (an empty RIB flushes to nothing, so this only
@@ -411,25 +402,11 @@ func (r *Router) SetMRAI(d int64) {
 // MRAI returns the configured interval.
 func (r *Router) MRAI() int64 { return r.mrai }
 
-// SetWorkers sets how many goroutines Refresh fans the per-prefix
-// recompute/diff phase over (values below 2, or rounds with fewer dirty
-// prefixes than workers, run serially with zero goroutines). The emitted
-// UPDATE stream is byte-identical for every value: the parallel phase is
-// pure and lands per-prefix results in per-prefix slots, and the send
-// phase merges them serially in sorted prefix order. Configure before the
-// substrate starts, like SetMRAI.
-func (r *Router) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	r.workers = n
-	for len(r.scratches) < n {
-		r.scratches = append(r.scratches, rib.NewScratch(r.maxExits))
-	}
-}
-
-// Workers returns the configured refresh fan-out.
-func (r *Router) Workers() int { return r.workers }
+// SetWorkers does nothing: Refresh runs serially.
+//
+// Deprecated: the refresh worker pool is gone; the per-layer probe in
+// bench/probes.go is the only caller left.
+func (r *Router) SetWorkers(int) {}
 
 // markAllDirty schedules every prefix for the next refresh (peer
 // transitions invalidate per-peer advertisement memory across the board).
@@ -563,15 +540,13 @@ func (r *Router) bounds(prefix uint32) wire.System {
 // subject to per-session MRAI gating. It returns the newly created
 // deferrals the transport must schedule.
 //
-// The work splits into a pure parallel phase and a serial merge. Phase A
-// fans the dirty prefixes over the worker pool: each worker recomputes
-// best routes, prepares the flush, and writes per-(prefix, peer)
-// announce/withdraw diffs into its shard's slots — no events, no
-// counters, no sends. Phase B then walks peers in session order, merging
-// each peer's slots in ascending prefix order into one coalesced UPDATE
-// and committing the diff only after the transport accepted it. Because
-// the slots are keyed by (prefix, peer) and the merge order is fixed, the
-// byte stream is identical for every worker count.
+// The work splits into a pure compute phase and a merge. Phase A walks
+// the dirty prefixes in ascending order: for each it recomputes the best
+// route, prepares the flush, and writes the per-(prefix, peer)
+// announce/withdraw diffs into slots — no events, no counters, no sends.
+// Phase B then walks peers in session order, merging each peer's slots in
+// ascending prefix order into one coalesced UPDATE and committing the diff
+// only after the transport accepted it.
 func (r *Router) Refresh(now int64, send SendFunc) []Deferral {
 	r.started = true
 	nd := len(r.dirtyIdx)
@@ -591,35 +566,9 @@ func (r *Router) Refresh(now int64, send SendFunc) []Deferral {
 	}
 
 	// Phase A: pure per-prefix computation.
-	workers := r.workers
-	if workers > nd {
-		workers = nd
-	}
-	if workers <= 1 {
-		r.computeShard(0, 0, nd)
-	} else {
-		var wg sync.WaitGroup
-		chunk := (nd + workers - 1) / workers
-		for wk := 0; wk < workers; wk++ {
-			lo := wk * chunk
-			hi := lo + chunk
-			if hi > nd {
-				hi = nd
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(wk, lo, hi int) {
-				defer wg.Done()
-				r.computeShard(wk, lo, hi)
-			}(wk, lo, hi)
-		}
-		wg.Wait()
-	}
+	r.compute(nd)
 
-	// Phase B: serial merge. Best-route events first, in ascending prefix
-	// order (the order the serial recompute loop used to emit them in).
+	// Phase B: merge. Best-route events first, in ascending prefix order.
 	for di := 0; di < nd; di++ {
 		if c := r.changed[di]; c.changed {
 			r.counters.Flaps.Add(1)
@@ -718,17 +667,14 @@ func (r *Router) Refresh(now int64, send SendFunc) []Deferral {
 	return defs
 }
 
-// computeShard runs phase A for dirtyIdx[lo:hi] with worker wk's scratch:
-// recompute best, prepare the flush, and fill the per-peer diff slots. It
-// touches no counters, emits no events and sends nothing, so shards are
-// free of cross-worker effects; down-peer slots stay empty (what a dead
+// compute runs phase A for dirtyIdx[:nd]: recompute best, prepare the
+// flush, and fill the per-peer diff slots. It touches no counters, emits
+// no events and sends nothing; down-peer slots stay empty (what a dead
 // session is owed is recomputed from scratch at PeerUp).
-func (r *Router) computeShard(wk, lo, hi int) {
-	scr := r.scratches[wk]
+func (r *Router) compute(nd int) {
 	np := len(r.peering.Peers())
-	for di := lo; di < hi; di++ {
+	for di := 0; di < nd; di++ {
 		rb := r.ribs[r.dirtyIdx[di]]
-		rb.SetScratch(scr)
 		old := rb.Best()
 		ch := rb.RecomputeBest()
 		r.changed[di] = bestChange{old: old, nw: rb.Best(), changed: ch}

@@ -305,16 +305,6 @@ func (n *Network) SetMRAI(ms int64) {
 	}
 }
 
-// SetWorkers sets the per-router refresh fan-out (router.SetWorkers):
-// each speaker's refresh runs its per-prefix recompute/diff phase on up
-// to workers goroutines, under that speaker's own lock, so the network's
-// observable behaviour is unchanged for every value. Call before Start.
-func (n *Network) SetWorkers(workers int) {
-	for _, sp := range n.speakers {
-		sp.core.SetWorkers(workers)
-	}
-}
-
 // SetFaults installs a fault plan, validated against the topology, on the
 // router core, which books every UPDATE's fate (router.Router.BookFate);
 // the sessions apply its timing, and the plan's resets tear real TCP

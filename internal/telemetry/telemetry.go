@@ -210,9 +210,10 @@ func (f *Feed) RecordConvergence(lat int64) {
 	f.mu.Unlock()
 }
 
-// Convergence summarises the convergence-latency samples (substrate clock
-// units): Count and Max cover every sample of the run, the nearest-rank
-// percentiles the most recent latWindow of them.
+// Convergence summarises convergence-latency samples (substrate clock
+// units). A soak report summarises every sample of the run; a Feed's
+// Stats keeps Count and Max over every sample and the nearest-rank
+// percentiles over the most recent latWindow of them.
 type Convergence struct {
 	Count int   `json:"count"`
 	P50   int64 `json:"p50"`
@@ -248,8 +249,7 @@ func (f *Feed) Stats() Stats {
 	f.mu.Lock()
 	get := f.counters
 	samples := slices.Clone(f.lat[:min(f.latCount, latWindow)])
-	st.Convergence.Count = f.latCount
-	st.Convergence.Max = f.latMax
+	count, maxLat := f.latCount, f.latMax
 	f.mu.Unlock()
 	if get != nil {
 		st.Counters = get()
@@ -257,20 +257,22 @@ func (f *Feed) Stats() Stats {
 			st.MsgsPerSec = float64(st.Counters.Sent) / secs
 		}
 	}
-	if len(samples) > 0 {
-		slices.Sort(samples)
-		rank := func(p float64) int64 {
-			i := int(p*float64(len(samples))+0.5) - 1
-			if i < 0 {
-				i = 0
-			}
-			if i >= len(samples) {
-				i = len(samples) - 1
-			}
-			return samples[i]
-		}
-		st.Convergence.P50 = rank(0.50)
-		st.Convergence.P99 = rank(0.99)
+	st.Convergence = Summarize(samples)
+	st.Convergence.Count, st.Convergence.Max = count, maxLat
+	return st
+}
+
+// Summarize sorts samples in place and returns their count, maximum and
+// nearest-rank P50 and P99: the P-th percentile of n samples is the
+// ceil(P*n/100)-th smallest, so P99 of fewer than 100 samples is the
+// maximum.
+func Summarize(samples []int64) Convergence {
+	st := Convergence{Count: len(samples)}
+	if len(samples) == 0 {
+		return st
 	}
+	slices.Sort(samples)
+	rank := func(pct int) int64 { return samples[(pct*len(samples)+99)/100-1] }
+	st.P50, st.P99, st.Max = rank(50), rank(99), samples[len(samples)-1]
 	return st
 }

@@ -36,6 +36,35 @@ func TestFeedCountsWithoutSubscribers(t *testing.T) {
 	}
 }
 
+// TestSummarizeNearestRank: the P-th percentile of n samples is the
+// ceil(P*n/100)-th smallest. Rounding P*n instead reads one rank low
+// whenever n mod 100 is 51-99: at n = 60 it returned the second-largest
+// sample as P99.
+func TestSummarizeNearestRank(t *testing.T) {
+	for _, tc := range []struct {
+		n             int
+		p50, p99, max int64
+	}{
+		{0, 0, 0, 0},
+		{1, 1, 1, 1},
+		{4, 2, 4, 4},
+		{60, 30, 60, 60},
+		{99, 50, 99, 99},
+		{100, 50, 99, 100},
+		{160, 80, 159, 160},
+		{4096, 2048, 4056, 4096},
+	} {
+		samples := make([]int64, tc.n)
+		for i := range samples {
+			samples[i] = int64(tc.n - i) // 1..n, reversed: Summarize sorts
+		}
+		c := Summarize(samples)
+		if c.Count != tc.n || c.P50 != tc.p50 || c.P99 != tc.p99 || c.Max != tc.max {
+			t.Errorf("n=%d: %+v, want p50 %d p99 %d max %d", tc.n, c, tc.p50, tc.p99, tc.max)
+		}
+	}
+}
+
 // TestConvergenceSamplesBounded: a long soak records a sample per round
 // forever, so neither recording nor Stats may grow with the run. Count and
 // Max still cover every sample; the percentiles cover the latest window.
@@ -71,8 +100,9 @@ func TestConvergenceSamplesBounded(t *testing.T) {
 	}
 	// The window holds i%100 for the last 4096 values of i: residues 0-3
 	// forty times, 4-99 forty-one times, so the ranks read off that scale.
-	if c := st.Convergence; c.Count != total || c.Max != 1<<40 || c.P50 != 50 || c.P99 != 98 {
-		t.Errorf("convergence %+v, want count %d max %d p50 50 p99 98", c, total, int64(1)<<40)
+	// P99 is the ceil(0.99*4096) = 4056th smallest sample, residue 99.
+	if c := st.Convergence; c.Count != total || c.Max != 1<<40 || c.P50 != 50 || c.P99 != 99 {
+		t.Errorf("convergence %+v, want count %d max %d p50 50 p99 99", c, total, int64(1)<<40)
 	}
 }
 

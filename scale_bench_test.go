@@ -3,12 +3,12 @@ package ibgp
 // BenchmarkScale pins the prefix-sharded operational core at ISP scale: a
 // routers x prefixes grid of generated provider topologies, each brought
 // through a full warm-up convergence and a few churn rounds on the msgsim
-// substrate with the parallel refresh fan-out enabled, plus one
-// chaos-plan variant through campaign.ScaleJob. Sustained msgs/sec per
-// grid point goes to BENCH_scale.json; the 1012-router x 256-prefix
-// flagship point must complete its warm-up quiescence within the
-// benchmark's time bound, which is what keeps "domain of R routers and P
-// prefixes" an operational claim rather than an extrapolation.
+// substrate, plus one chaos-plan variant through campaign.ScaleJob.
+// Sustained msgs/sec per grid point goes to BENCH_scale.json; the
+// 1012-router x 256-prefix flagship point must complete its warm-up
+// quiescence within the benchmark's time bound, which is what keeps
+// "domain of R routers and P prefixes" an operational claim rather than
+// an extrapolation.
 
 import (
 	"context"
@@ -75,7 +75,6 @@ func scalePoint(b *testing.B, name string, spec topogen.Spec, prefixes, rounds i
 
 	const maxEvents = 100_000_000
 	s := msgsim.NewMulti(dom, protocol.Modified, selection.Options{}, msgsim.ConstantDelay(1))
-	s.SetWorkers(runtime.GOMAXPROCS(0))
 
 	start := time.Now()
 	s.InjectAll()
@@ -185,7 +184,6 @@ func BenchmarkScale(b *testing.B) {
 
 	record := struct {
 		Job         string        `json:"job"`
-		Workers     int           `json:"workers"`
 		Grid        []scaleResult `json:"grid"`
 		ChaosPlans  int           `json:"chaos_plans"`
 		Reconverged int           `json:"chaos_reconverged"`
@@ -193,7 +191,6 @@ func BenchmarkScale(b *testing.B) {
 		Env         benchEnv      `json:"env"`
 	}{
 		Job:         "scale/topogen-grid-seed1",
-		Workers:     runtime.GOMAXPROCS(0),
 		Grid:        grid,
 		ChaosPlans:  chaosRes.ChaosPlans,
 		Reconverged: chaosRes.Reconverged,
