@@ -15,13 +15,14 @@
 //	           [-mrai N] [-scale-plans N] [-checkpoint FILE] [-resume]
 //	           [-json] [-progress DUR] [-timeout DUR]
 //
-// A bad flag value exits 2; -h shows each flag's range or names.
+// A bad flag value exits 2, and so does a flag the chosen job does not
+// read; -h shows each flag's range or names, and which jobs read it.
 //
-// -shards parallelises across seeds; -workers parallelises the
-// reachable-state search within each seed of the census, fig13 and lint
-// jobs (the other jobs run no such search). Both are deterministic: the
-// aggregate is a pure function of the job and the seed range. -max-states
-// bounds the census, fig13 and lint jobs' per-variant exhaustive search; a
+// -shards parallelises across seeds. -workers parallelises the
+// reachable-state search within each seed; only the census, fig13 and
+// lint jobs run such a search, so only they read it. Both are
+// deterministic: the aggregate is a pure function of the job and the seed
+// range. -max-states bounds those jobs' per-variant exhaustive search; a
 // census or fig13 seed whose search truncates is decided by sampled
 // schedules instead.
 //
@@ -56,7 +57,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/churn"
 	"repro/internal/cli"
-	"repro/internal/protocol"
 	"repro/internal/topogen"
 	"repro/internal/workload"
 )
@@ -67,14 +67,14 @@ func main() {
 		seeds      = cli.Int("seeds", 256, 1, "number of consecutive seeds")
 		start      = cli.Int64("start", 1, math.MinInt64, "first seed")
 		params     = flag.String("params", "", "family overrides, comma-separated key=value")
-		maxStates  = cli.Int("max-states", 4000, 0, "per-variant reachable-state budget for the census, fig13 and lint jobs (0: sampling only)")
+		maxStates  = cli.Int("max-states", 4000, 0, "per-variant reachable-state budget (0: sampling only)")
 		workers    = cli.Int("workers", 1, 0, "goroutines per reachable-state search (0: GOMAXPROCS); deterministic — never changes the aggregate")
-		schedules  = cli.Int("schedules", 4, 1, "delay seeds per topology seed (fuzz job)")
-		plans      = cli.Int("plans", 3, 1, "fault plans per topology seed (chaos job)")
-		churnSpec  = flag.String("churn", "", "churn workload overrides for the scale job, e.g. rate=40,flap=0.3 (seed and prefixes come from the campaign seed and the generated domain)")
-		rounds     = cli.Int("rounds", 3, 1, "churn rounds per seed (scale job)")
-		mrai       = cli.Int64("mrai", 0, 0, "per-session MRAI in virtual ticks (scale job; 0: no pacing)")
-		scalePlans = cli.Int("scale-plans", 0, 0, "fault plans per seed for the scale job's chaos variant (0: off)")
+		schedules  = cli.Int("schedules", 4, 1, "delay seeds per topology seed")
+		plans      = cli.Int("plans", 3, 1, "fault plans per topology seed")
+		churnSpec  = flag.String("churn", "", "churn workload overrides, e.g. rate=40,flap=0.3 (seed and prefixes come from the campaign seed and the generated domain)")
+		rounds     = cli.Int("rounds", 3, 1, "churn rounds per seed")
+		mrai       = cli.Int64("mrai", 0, 0, "per-session MRAI in virtual ticks (0: no pacing)")
+		scalePlans = cli.Int("scale-plans", 0, 0, "fault plans per seed for the chaos variant (0: off)")
 		checkpoint = flag.String("checkpoint", "", "JSONL checkpoint path")
 		resume     = flag.Bool("resume", false, "resume from -checkpoint, running only missing seeds")
 		jsonOut    = flag.Bool("json", false, "write the aggregate as indented JSON on stdout")
@@ -86,16 +86,16 @@ func main() {
 	newJob := cli.Choice("job", "census", "job kind", map[string]func() (campaign.Job, error){
 		"census": func() (campaign.Job, error) {
 			p, err := cli.ParseWorkloadParams(*params, workload.Default(3))
-			return campaign.CensusJob{Params: p, MaxStates: *maxStates, Workers: exploreWorkers(*workers)}, err
+			return campaign.CensusJob{Params: p, MaxStates: *maxStates, Workers: *workers}, err
 		},
 		"fig13": func() (campaign.Job, error) {
 			base := workload.CrossedSpec{Clusters: 4, TwoClientOn: 0, ASes: 2, MaxMED: 2, DottedProb: 0.5}
 			spec, err := cli.ParseCrossedSpec(*params, base)
-			return campaign.Fig13Job{Spec: spec, MaxStates: *maxStates, Workers: exploreWorkers(*workers)}, err
+			return campaign.Fig13Job{Spec: spec, MaxStates: *maxStates, Workers: *workers}, err
 		},
 		"fuzz": func() (campaign.Job, error) {
 			p, err := cli.ParseWorkloadParams(*params, workload.Default(3))
-			return campaign.FuzzJob{Params: p, Policy: protocol.Classic, Schedules: *schedules}, err
+			return campaign.FuzzJob{Params: p, Schedules: *schedules}, err
 		},
 		"chaos": func() (campaign.Job, error) {
 			p, err := cli.ParseWorkloadParams(*params, workload.Default(3))
@@ -103,7 +103,7 @@ func main() {
 		},
 		"lint": func() (campaign.Job, error) {
 			spec, err := cli.ParseTopogenSpec(*params, topogen.Small())
-			return campaign.LintJob{Spec: spec, MaxStates: *maxStates, Workers: exploreWorkers(*workers)}, err
+			return campaign.LintJob{Spec: spec, MaxStates: *maxStates, Workers: *workers}, err
 		},
 		"scale": func() (campaign.Job, error) {
 			spec, err := cli.ParseTopogenSpec(*params, topogen.Small())
@@ -116,7 +116,14 @@ func main() {
 			}, err
 		},
 	})
-	flag.Parse()
+	// The job-specific flags each job reads; every other flag is read by all.
+	cli.Parse(cli.Modes("job", map[string][]string{
+		"census": {"max-states", "workers"}, "fig13": {"max-states", "workers"}, "lint": {"max-states", "workers"},
+		"fuzz": {"schedules"}, "chaos": {"plans"}, "scale": {"churn", "rounds", "mrai", "scale-plans"},
+	}))
+	if *workers == 0 {
+		*workers = runtime.GOMAXPROCS(0)
+	}
 
 	job, err := (*newJob)()
 	if err != nil {
@@ -162,15 +169,6 @@ func main() {
 		return
 	}
 	fmt.Print(agg)
-}
-
-// exploreWorkers resolves the -workers flag: 0 means one goroutine per
-// available CPU.
-func exploreWorkers(n int) int {
-	if n == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
 }
 
 func fatal(err error) {

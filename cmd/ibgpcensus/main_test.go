@@ -27,9 +27,10 @@ func TestMain(m *testing.M) {
 
 // TestGolden pins the census aggregate and the exit status: the lint job
 // over 20 seeds (lint's verdicts against the exhaustive search), and each
-// out-of-range or unknown flag value, which is a usage error (exit 2,
-// nothing on stdout, stderr naming the flag and its bound or names) rather
-// than a default or a run. -update rewrites testdata/<name>.golden.
+// out-of-range or unknown flag value or flag the job does not read, which
+// is a usage error (exit 2, nothing on stdout, stderr naming the flag and
+// its bound, names or jobs) rather than a default or a run. -update
+// rewrites testdata/<name>.golden.
 func TestGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -48,6 +49,13 @@ func TestGolden(t *testing.T) {
 		{"seeds-zero", []string{"-seeds", "0"}, nil, "flag -seeds: must be at least 1"},
 		{"progress-negative", []string{"-progress", "-1s"}, nil, "flag -progress: must be at least 0s"},
 		{"job-unknown", []string{"-job", "bogus"}, nil, "flag -job: must be one of census, chaos, fig13, fuzz, lint or scale"},
+		// A flag the chosen job does not read is a usage error too, never a
+		// silent no-op.
+		{"chaos-unread-flags", []string{"-job", "chaos", "-seeds", "2", "-plans", "1", "-workers", "7",
+			"-max-states", "9", "-rounds", "4", "-scale-plans", "3"}, nil,
+			"flag -workers is not read by -job chaos, only by -job census, fig13 or lint"},
+		{"census-churn", []string{"-job", "census", "-churn", "rate=40"}, nil,
+			"flag -churn is not read by -job census, only by -job scale"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got, stderr := runMain(t, tc.args)

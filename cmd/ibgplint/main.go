@@ -7,7 +7,8 @@
 //	ibgplint [-json] [-v] [-prove] [-fail-on none|risk|fail] [-figure NAME|all]
 //	         [-gen k=v,...] [-seed N] [-gen-out FILE] [topology.json ...]
 //
-// A bad flag value exits 2; -h shows each flag's range or names.
+// A bad flag value exits 2, and so does -seed or -gen-out without -gen,
+// the flag that reads them; -h shows each flag's range or names.
 //
 // Each input gets a PASS/RISK/FAIL verdict: FAIL for violations of the
 // paper's structural model (Section 4), RISK when a sufficient
@@ -70,10 +71,10 @@ func main() {
 		})
 		figure  = flag.String("figure", "", "lint a paper figure ("+fmt.Sprint(cli.FigureNames())+") or \"all\"")
 		gen     = flag.String("gen", "", "generate and lint an ISP-style topology (topogen key=value list, or \"default\"/\"small\")")
-		genSeed = cli.Int64("seed", 1, math.MinInt64, "seed for -gen")
+		genSeed = cli.Int64("seed", 1, math.MinInt64, "generator seed")
 		genOut  = flag.String("gen-out", "", "write the generated topology's JSON to this file (\"-\" for stdout)")
 	)
-	flag.Parse()
+	cli.Parse(cli.Gate("gen", "seed", "gen-out"))
 
 	if *figure == "" && *gen == "" && flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "ibgplint: nothing to lint; pass topology JSON files, -figure and/or -gen")

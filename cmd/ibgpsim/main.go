@@ -14,8 +14,9 @@
 //	        [-substrate model|sim|tcp] [-delay N] [-jitter N] [-mrai N]
 //	        [-wait D] [-faults SPEC] [-codec private|bgp4]
 //
-// A bad flag value exits 2; -h shows each flag's range or names.
-// Exit status 2 also means a sim or tcp run did not quiesce; a bad
+// A bad flag value exits 2, and so does a flag the chosen substrate does
+// not read; -h shows each flag's range or names, and which substrates read
+// it. Exit status 2 also means a sim or tcp run did not quiesce; a bad
 // topology, figure or -faults plan exits 1.
 //
 // Either -topology or -figure selects the system. -substrate=sim runs the
@@ -52,23 +53,29 @@ var (
 	policy    = cli.Choice("policy", "classic", "advertisement policy", cli.Policies)
 	order     = cli.Choice("order", "paper", "rule order", cli.Orders)
 	med       = cli.Choice("med", "standard", "MED mode", cli.MEDModes)
-	schedule  = cli.Choice("schedule", "roundrobin", "model: activation schedule", cli.Schedules)
+	schedule  = cli.Choice("schedule", "roundrobin", "activation schedule", cli.Schedules)
 	seed      = cli.Int64("seed", 1, math.MinInt64, "seed for -schedule random|subsets and -jitter")
 	maxSteps  = cli.Int("max-steps", 10000, 1, "activation / event budget")
 	showTr    = flag.Bool("trace", false, "print per-event trace")
 	substrate = cli.Choice("substrate", "model", "execution substrate", map[string]func(*ibgp.System, ibgp.Options, *ibgp.FaultPlan){
 		"model": runModel, "sim": runMsgsim, "tcp": runTCP,
 	})
-	delay     = cli.Int64("delay", 10, 0, "sim: base message delay")
-	jitter    = cli.Int64("jitter", 0, 0, "sim: random extra delay bound")
+	delay     = cli.Int64("delay", 10, 0, "base message delay")
+	jitter    = cli.Int64("jitter", 0, 0, "random extra delay bound")
 	mrai      = cli.Int64("mrai", 0, 0, "minimum route advertisement interval, sim ticks / tcp ms (0 off)")
-	wait      = cli.Duration("wait", 5*time.Second, time.Nanosecond, "tcp: quiescence wait bound")
-	faultSpec = flag.String("faults", "", `sim/tcp: fault plan, e.g. "seed=7,drop=0.05,dup=0.02,delay=0.2,maxdelay=30,reset=0-1@100+50,horizon=600"`)
-	codec     = cli.Choice("codec", "private", "tcp: wire format", cli.Codecs)
+	wait      = cli.Duration("wait", 5*time.Second, time.Nanosecond, "quiescence wait bound")
+	faultSpec = flag.String("faults", "", `fault plan, e.g. "seed=7,drop=0.05,dup=0.02,delay=0.2,maxdelay=30,reset=0-1@100+50,horizon=600"`)
+	codec     = cli.Choice("codec", "private", "wire format", cli.Codecs)
 )
 
 func main() {
-	flag.Parse()
+	// The substrate-specific flags each substrate reads; every other flag is
+	// read by all.
+	cli.Parse(cli.Modes("substrate", map[string][]string{
+		"model": {"schedule", "seed", "max-steps"},
+		"sim":   {"delay", "jitter", "seed", "max-steps", "mrai", "faults"},
+		"tcp":   {"wait", "codec", "mrai", "faults"},
+	}))
 	sys, err := cli.LoadSystem(*topoPath, *figure)
 	if err != nil {
 		fatal(err)
@@ -88,11 +95,7 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-func runModel(sys *ibgp.System, opts ibgp.Options, plan *ibgp.FaultPlan) {
-	if plan != nil {
-		fmt.Fprintln(os.Stderr, "ibgpsim: -faults needs an operational substrate (-substrate=sim or tcp)")
-		os.Exit(1)
-	}
+func runModel(sys *ibgp.System, opts ibgp.Options, _ *ibgp.FaultPlan) {
 	eng := ibgp.NewEngine(sys, *policy, opts)
 	rec := trace.NewRecorder(sys, 0)
 	if *showTr {

@@ -65,6 +65,13 @@ func TestGolden(t *testing.T) {
 		{"policy-unknown", []string{"-figure", "1a", "-policy", "bogus"}, nil,
 			"flag -policy: must be one of adaptive, classic, modified or walton"},
 		{"wait-zero", []string{"-figure", "1a", "-wait", "0", "-substrate", "tcp"}, nil, "flag -wait: must be at least 1ns"},
+		// A flag the chosen substrate does not read is a usage error too.
+		{"model-delay", []string{"-figure", "1a", "-delay", "7"}, nil,
+			"flag -delay is not read by -substrate model, only by -substrate sim"},
+		{"model-faults", []string{"-figure", "1a", "-faults", "seed=1,drop=0.1"}, nil,
+			"flag -faults is not read by -substrate model, only by -substrate sim or tcp"},
+		{"tcp-max-steps", []string{"-figure", "1a", "-substrate", "tcp", "-max-steps", "3"}, nil,
+			"flag -max-steps is not read by -substrate tcp, only by -substrate model or sim"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got, stderr := runMain(t, tc.args)

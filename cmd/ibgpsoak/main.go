@@ -34,8 +34,9 @@
 // byte-compares across runs.
 //
 // Exit status: 0 clean, 1 invariant violations or substrate divergence,
-// 2 usage errors, a bad flag value among them; -h shows each flag's range
-// or names.
+// 2 usage errors: a bad flag value, or a flag the run does not read
+// (-codec under -substrate sim, -stats-every without -listen); -h shows
+// each flag's range or names, and when it is read.
 package main
 
 import (
@@ -98,12 +99,13 @@ func main() {
 		policy     = cli.Choice("policy", "modified", "advertisement policy", cli.Policies)
 		order      = cli.Choice("order", "paper", "rule order", cli.Orders)
 		med        = cli.Choice("med", "standard", "MED mode", cli.MEDModes)
-		codec      = cli.Choice("codec", "private", "tcp wire format", cli.Codecs)
+		codec      = cli.Choice("codec", "private", "wire format", cli.Codecs)
 		listen     = flag.String("listen", "", "serve the live telemetry feed on HOST:PORT (empty disables)")
 		statsEvery = cli.Duration("stats-every", 2*time.Second, time.Nanosecond, "interval between aggregate records on /events")
 		aggOnly    = flag.Bool("agg", false, "print only the deterministic aggregate (for run-to-run comparison)")
 	)
-	flag.Parse()
+	cli.Parse(cli.Modes("substrate", map[string][]string{"tcp": {"codec"}, "both": {"codec"}}),
+		cli.Gate("listen", "stats-every"))
 
 	sys, origin, err := resolveSystem(*topoPath, *figure, *spec, *seed)
 	if err != nil {

@@ -29,9 +29,9 @@ func TestMain(m *testing.M) {
 // TestGolden pins the deterministic simulator soak aggregate — event
 // counts, checked rounds and the rolling state hash — and the exit status,
 // once fault-free and once under a drop/delay plan; and each out-of-range
-// flag value, which is a usage error (exit 2, nothing on stdout, stderr
-// naming the flag and its bound) rather than a default. -update rewrites
-// testdata/<name>.golden.
+// flag value or flag the run does not read, which is a usage error (exit
+// 2, nothing on stdout, stderr naming the flag and its bound or reader)
+// rather than a default. -update rewrites testdata/<name>.golden.
 func TestGolden(t *testing.T) {
 	soak := []string{"-spec", "small", "-seed", "1", "-duration", "4s", "-substrate", "sim", "-agg"}
 	for _, tc := range []struct {
@@ -46,6 +46,12 @@ func TestGolden(t *testing.T) {
 		{"rate-nan", append([]string{"-rate", "NaN"}, soak...), "flag -rate: not a finite number"},
 		{"duration-negative", append([]string{"-duration", "-1s"}, soak...), "flag -duration: must be at least 1ns"},
 		{"stats-every-zero", append([]string{"-stats-every", "0"}, soak...), "flag -stats-every: must be at least 1ns"},
+		// A flag the run does not read is a usage error too, named with the
+		// flag that would read it.
+		{"sim-codec", append([]string{"-codec", "bgp4"}, soak...),
+			"flag -codec is not read by -substrate sim, only by -substrate both or tcp"},
+		{"stats-every-without-listen", append([]string{"-stats-every", "1s"}, soak...),
+			"flag -stats-every is read only with -listen"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got, stderr := runMain(t, tc.args)

@@ -35,7 +35,7 @@ type SeedResult struct {
 	FixedPoints int  `json:"fixed_points,omitempty"`
 	Truncated   bool `json:"truncated,omitempty"`
 
-	// Message-level fuzz fields. Messages, Flaps and Deferrals come from
+	// Message-level fuzz fields. Messages and Flaps come from
 	// the router core's shared operational counters, identical in meaning
 	// on the TCP substrate.
 	Schedules        int `json:"schedules,omitempty"`
@@ -43,7 +43,6 @@ type SeedResult struct {
 	DistinctOutcomes int `json:"distinct_outcomes,omitempty"`
 	Messages         int `json:"messages,omitempty"`
 	Flaps            int `json:"flaps,omitempty"`
-	Deferrals        int `json:"deferrals,omitempty"`
 
 	// Chaos fields (fault-injection job): fault plans checked on this seed
 	// and how many satisfied each invariant; Quiesced and Messages above
@@ -116,7 +115,6 @@ type Aggregate struct {
 	TimingDependent int `json:"timing_dependent,omitempty"`
 	Messages        int `json:"messages,omitempty"`
 	Flaps           int `json:"flaps,omitempty"`
-	Deferrals       int `json:"deferrals,omitempty"`
 
 	// Chaos statistics (fault-injection jobs only). ChaosViolations counts
 	// seeds where any invariant failed on any plan; examples carry the
@@ -206,7 +204,6 @@ func (a *Aggregate) fold(r SeedResult, hist map[int]int) {
 	}
 	a.Messages += r.Messages
 	a.Flaps += r.Flaps
-	a.Deferrals += r.Deferrals
 	a.ChaosPlans += r.ChaosPlans
 	a.Reconverged += r.Reconverged
 	a.LoopFree += r.LoopFree
@@ -283,8 +280,8 @@ func (a *Aggregate) String() string {
 		fmt.Fprintf(&b, "  states explored: %d (max %d per seed)  reachable fixed points: %d\n",
 			a.TotalStates, a.MaxStates, a.FixedPoints)
 		if a.Schedules > 0 {
-			fmt.Fprintf(&b, "  fuzz: %d/%d schedules quiesced, %d timing-dependent seeds, %d messages, %d flaps, %d deferrals\n",
-				a.Quiesced, a.Schedules, a.TimingDependent, a.Messages, a.Flaps, a.Deferrals)
+			fmt.Fprintf(&b, "  fuzz: %d/%d schedules quiesced, %d timing-dependent seeds, %d messages, %d flaps\n",
+				a.Quiesced, a.Schedules, a.TimingDependent, a.Messages, a.Flaps)
 		}
 		if a.ChaosPlans > 0 {
 			fmt.Fprintf(&b, "  chaos: %d plans — %d quiesced, %d reconverged, %d loop-free, %d ledger-broken; %d violating seeds\n",

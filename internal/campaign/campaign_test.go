@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/churn"
-	"repro/internal/protocol"
 	"repro/internal/topogen"
 	"repro/internal/workload"
 )
@@ -247,7 +246,7 @@ func TestCensusExhaustiveVsSampling(t *testing.T) {
 // TestFuzzJobDeterminism runs the message-level fuzz twice and requires
 // identical aggregates, including message counts.
 func TestFuzzJobDeterminism(t *testing.T) {
-	job := FuzzJob{Params: testParams, Policy: protocol.Classic, Schedules: 3, MaxEvents: 5000, MaxDelay: 50}
+	job := FuzzJob{Params: testParams, Schedules: 3}
 	a, err := Run(context.Background(), job, Config{Shards: 3, Start: 1, Seeds: 12})
 	if err != nil {
 		t.Fatal(err)
@@ -265,12 +264,12 @@ func TestFuzzJobDeterminism(t *testing.T) {
 	}
 }
 
-// TestChaosJobShardAndWorkerIndependence: the chaos aggregate must be
+// TestChaosJobShardIndependence: the chaos aggregate must be
 // byte-identical no matter the shard count — fault fates are hashed from
 // the plan seed, never drawn from shared RNG state, so the whole record is
 // a function of the seed range.
-func TestChaosJobShardAndWorkerIndependence(t *testing.T) {
-	job := ChaosJob{Params: testParams, Plans: 2, MaxEvents: 50000}
+func TestChaosJobShardIndependence(t *testing.T) {
+	job := ChaosJob{Params: testParams, Plans: 2}
 	var want *Aggregate
 	var wantJSON []byte
 	for _, shards := range []int{1, 4} {

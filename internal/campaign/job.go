@@ -116,38 +116,30 @@ func classify(ctx context.Context, seed int64, sys *topology.System, err error, 
 // simulator over one random system under several seeded delay models and
 // record how often it quiesces and whether timing alone changes the final
 // routing outcome (the Figure 3 / Table 1 phenomenon, surveyed at scale).
+// It runs classic I-BGP without MRAI pacing, each simulation bounded by
+// fuzzMaxEvents with per-message delays drawn from [1, fuzzMaxDelay].
 type FuzzJob struct {
 	// Params selects the random family (workload.Generate).
 	Params workload.Params
-	// Policy is the advertisement policy under test (default Classic).
-	Policy protocol.Policy
 	// Schedules is the number of delay seeds per topology seed (default 4).
 	Schedules int
-	// MaxEvents bounds each simulation (default 20000).
-	MaxEvents int
-	// MaxDelay bounds the random per-message delays (default 100).
-	MaxDelay int64
-	// MRAI is the per-session minimum route advertisement interval in
-	// virtual ticks (0 disables pacing, the default).
-	MRAI int64
 }
+
+const (
+	fuzzMaxEvents = 20000
+	fuzzMaxDelay  = 100
+)
 
 func (j FuzzJob) Name() string { return "fuzz" }
 
 func (j FuzzJob) Describe() string {
-	return fmt.Sprintf("%+v policy=%v schedules=%d maxEvents=%d mrai=%d",
-		j.Params, j.Policy, j.Schedules, j.MaxEvents, j.MRAI)
+	return fmt.Sprintf("%+v policy=%v schedules=%d maxEvents=%d",
+		j.Params, protocol.Classic, j.Schedules, fuzzMaxEvents)
 }
 
 func (j FuzzJob) fill() FuzzJob {
 	if j.Schedules <= 0 {
 		j.Schedules = 4
-	}
-	if j.MaxEvents <= 0 {
-		j.MaxEvents = 20000
-	}
-	if j.MaxDelay <= 0 {
-		j.MaxDelay = 100
 	}
 	return j
 }
@@ -158,65 +150,45 @@ func (j FuzzJob) fill() FuzzJob {
 // loop-freedom, ledger closure. Fault plans come from faults.RandomPlan and
 // the checks run on the deterministic msgsim substrate, so the whole record
 // is a pure function of the seed and aggregates are byte-identical across
-// shard and worker counts.
+// shard counts. It tests modified I-BGP, whose convergence guarantee the
+// re-convergence invariant presupposes, under defaultChaosFaults.
 type ChaosJob struct {
 	// Params selects the random family (workload.Generate).
 	Params workload.Params
-	// Policy is the advertisement policy under test. The zero value
-	// (Classic) is coerced to Modified: the re-convergence invariant is a
-	// property of policies with a convergence guarantee, and classic I-BGP
-	// has none. Set Walton or Adaptive explicitly to chaos-test those.
-	Policy protocol.Policy
 	// Plans is the number of fault schedules per topology seed (default 3).
 	Plans int
-	// Faults is the fault intensity; the zero value gets moderate defaults
-	// (drop 0.1, duplicate 0.05, reorder 0.05, delay 0.2, 2 resets,
-	// horizon 500).
-	Faults faults.RandomConfig
-	// MaxEvents bounds each simulation (default 200000).
-	MaxEvents int
 }
 
 func (j ChaosJob) Name() string { return "chaos" }
 
 func (j ChaosJob) Describe() string {
 	j = j.fill()
-	return fmt.Sprintf("%+v policy=%v plans=%d faults=%+v", j.Params, j.Policy, j.Plans, j.Faults)
+	return fmt.Sprintf("%+v policy=%v plans=%d faults=%+v", j.Params, protocol.Modified, j.Plans, defaultChaosFaults)
 }
 
-// defaultChaosFaults is the moderate fault mix a chaos job with zero Faults
-// runs under.
+// defaultChaosFaults is the moderate fault mix of the chaos and scale jobs.
 var defaultChaosFaults = faults.RandomConfig{
 	Drop: 0.1, Duplicate: 0.05, Reorder: 0.05, Delay: 0.2,
 	MaxExtraDelay: 15, Resets: 2, Horizon: 500,
 }
 
 func (j ChaosJob) fill() ChaosJob {
-	if j.Policy == 0 {
-		j.Policy = protocol.Modified
-	}
 	if j.Plans <= 0 {
 		j.Plans = 3
-	}
-	if j.Faults == (faults.RandomConfig{}) {
-		j.Faults = defaultChaosFaults
-	}
-	if j.MaxEvents <= 0 {
-		j.MaxEvents = 200000
 	}
 	return j
 }
 
 // runPlans is the chaos-plan loop of ChaosJob and ScaleJob: derive plans
-// fault schedules for a seed's routers, run each through check, and tally
-// the oracle's verdicts into res.
-func runPlans(ctx context.Context, seed int64, plans, routers int, cfg faults.RandomConfig, m *Meter, res *SeedResult,
+// defaultChaosFaults schedules for a seed's routers, run each through
+// check, and tally the oracle's verdicts into res.
+func runPlans(ctx context.Context, seed int64, plans, routers int, m *Meter, res *SeedResult,
 	check func(planSeed int64, plan *faults.Plan) (chaos.Report, error)) {
 	for i := 0; i < plans && ctx.Err() == nil; i++ {
 		// Plan seeds are derived from the topology seed so the record is a
 		// function of the seed alone, like FuzzJob's delay seeds.
 		planSeed := seed*int64(plans) + int64(i)
-		plan, err := faults.RandomPlan(planSeed, routers, cfg)
+		plan, err := faults.RandomPlan(planSeed, routers, defaultChaosFaults)
 		var rep chaos.Report
 		if err == nil {
 			rep, err = check(planSeed, plan)
@@ -253,11 +225,8 @@ func (j ChaosJob) Run(ctx context.Context, seed int64, m *Meter) SeedResult {
 		return res
 	}
 	res.Nodes = sys.N()
-	runPlans(ctx, seed, j.Plans, sys.N(), j.Faults, m, &res, func(planSeed int64, plan *faults.Plan) (chaos.Report, error) {
-		return chaos.CheckSim(sys, chaos.Config{
-			Policy: j.Policy, Plan: plan,
-			DelaySeed: planSeed + 1, MaxEvents: j.MaxEvents,
-		})
+	runPlans(ctx, seed, j.Plans, sys.N(), m, &res, func(planSeed int64, plan *faults.Plan) (chaos.Report, error) {
+		return chaos.CheckSim(sys, chaos.Config{Policy: protocol.Modified, Plan: plan, DelaySeed: planSeed + 1})
 	})
 	return res
 }
@@ -277,18 +246,15 @@ func (j FuzzJob) Run(ctx context.Context, seed int64, m *Meter) SeedResult {
 			break
 		}
 		// Delay seeds are derived from the topology seed so the whole
-		// record is a function of the seed alone. fill() guarantees a
-		// valid [1, MaxDelay] range, so construction cannot fail.
-		delay := msgsim.MustRandomDelay(seed*int64(j.Schedules)+int64(i), 1, j.MaxDelay)
-		sim := msgsim.New(sys, j.Policy, selection.Options{}, delay)
-		sim.SetMRAI(j.MRAI)
+		// record is a function of the seed alone.
+		delay := msgsim.MustRandomDelay(seed*int64(j.Schedules)+int64(i), 1, fuzzMaxDelay)
+		sim := msgsim.New(sys, protocol.Classic, selection.Options{}, delay)
 		sim.InjectAll()
-		r := sim.Run(j.MaxEvents)
+		r := sim.Run(fuzzMaxEvents)
 		c := sim.Counters()
 		res.Schedules++
 		res.Messages += r.Messages
 		res.Flaps += int(c.Flaps)
-		res.Deferrals += int(c.Deferrals)
 		m.Steps.Add(int64(r.Events))
 		if r.Quiesced {
 			res.Quiesced++

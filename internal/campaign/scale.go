@@ -22,15 +22,13 @@ import (
 // fault schedules and grade the chaos invariants per prefix. Everything
 // runs on the deterministic msgsim substrate with seed-derived delay
 // models, so the record is a pure function of the seed and aggregates are
-// byte-identical across shard, worker and refresh-worker counts.
+// byte-identical across shard counts. It tests modified I-BGP, as ChaosJob
+// does: the warm-up and re-convergence gates presuppose a convergence
+// guarantee. Its chaos-plan variant runs under defaultChaosFaults.
 type ScaleJob struct {
 	// Spec selects the generated provider family, including the Prefixes
 	// knob (topogen.Generate).
 	Spec topogen.Spec
-	// Policy is the advertisement policy under test. The zero value
-	// (Classic) is coerced to Modified, as in ChaosJob: the warm-up and
-	// re-convergence gates presuppose a convergence guarantee.
-	Policy protocol.Policy
 	// Churn shapes the per-round event workload; the zero value gets
 	// churn.DefaultSpec. Seed and Prefixes are overridden per seed so the
 	// record stays a function of the campaign seed and the generated
@@ -44,14 +42,11 @@ type ScaleJob struct {
 	// Plans is the number of fault schedules per seed for the chaos-plan
 	// variant; 0 (the default) skips fault injection entirely.
 	Plans int
-	// Faults is the fault intensity of the chaos-plan variant; the zero
-	// value gets ChaosJob's moderate defaults.
-	Faults faults.RandomConfig
-	// MaxEvents bounds the warm-up and each subsequent run extension
-	// (default 500000 — scale domains move R*P prefixes' worth of
-	// messages per convergence).
-	MaxEvents int
 }
+
+// scaleMaxEvents bounds the warm-up and each run extension after it: scale
+// domains move R*P prefixes' worth of messages per convergence.
+const scaleMaxEvents = 500000
 
 func (j ScaleJob) Name() string { return "scale" }
 
@@ -62,24 +57,15 @@ func (j ScaleJob) Describe() string {
 	j = j.fill()
 	c := j.Churn
 	return fmt.Sprintf("%+v policy=%v churn={rate=%v period=%d burst=%d flap=%v} rounds=%d mrai=%d plans=%d",
-		j.Spec, j.Policy, c.Rate, c.Period, c.Burst, c.FlapProb, j.Rounds, j.MRAI, j.Plans)
+		j.Spec, protocol.Modified, c.Rate, c.Period, c.Burst, c.FlapProb, j.Rounds, j.MRAI, j.Plans)
 }
 
 func (j ScaleJob) fill() ScaleJob {
-	if j.Policy == 0 {
-		j.Policy = protocol.Modified
-	}
 	if (j.Churn == churn.Spec{}) {
 		j.Churn = churn.DefaultSpec()
 	}
 	if j.Rounds <= 0 {
 		j.Rounds = 3
-	}
-	if j.Faults == (faults.RandomConfig{}) {
-		j.Faults = defaultChaosFaults
-	}
-	if j.MaxEvents <= 0 {
-		j.MaxEvents = 500000
 	}
 	return j
 }
@@ -106,10 +92,8 @@ func (j ScaleJob) domain(seed int64) (map[uint32]*topology.System, error) {
 
 // sim builds one configured simulator over the domain.
 func (j ScaleJob) sim(dom map[uint32]*topology.System, delay msgsim.DelayFunc) *msgsim.Sim {
-	s := msgsim.NewMulti(dom, j.Policy, selection.Options{}, delay)
-	if j.MRAI > 0 {
-		s.SetMRAI(j.MRAI)
-	}
+	s := msgsim.NewMulti(dom, protocol.Modified, selection.Options{}, delay)
+	s.SetMRAI(j.MRAI)
 	return s
 }
 
@@ -132,7 +116,7 @@ func (j ScaleJob) Run(ctx context.Context, seed int64, m *Meter) SeedResult {
 	// Warm-up and churn under a seed-derived random delay model.
 	s := j.sim(dom, msgsim.MustRandomDelay(seed+1, 1, 10))
 	s.InjectAll()
-	r := s.Run(j.MaxEvents)
+	r := s.Run(scaleMaxEvents)
 	if r.Quiesced {
 		res.Quiesced++
 	}
@@ -146,7 +130,7 @@ func (j ScaleJob) Run(ctx context.Context, seed int64, m *Meter) SeedResult {
 		return res
 	}
 	for rd := 0; rd < j.Rounds && ctx.Err() == nil; rd++ {
-		r, _ = churn.RunRound(s, r, st.Next(), int64(rd)*spec.Period, j.MaxEvents)
+		r, _ = churn.RunRound(s, r, st.Next(), int64(rd)*spec.Period, scaleMaxEvents)
 		if r.Quiesced {
 			res.Quiesced++
 		}
@@ -166,15 +150,15 @@ func (j ScaleJob) Run(ctx context.Context, seed int64, m *Meter) SeedResult {
 	for prefix, sys := range dom {
 		live[prefix] = sys.AllExitSet()
 	}
-	runPlans(ctx, seed, j.Plans, base.N(), j.Faults, m, &res, func(planSeed int64, plan *faults.Plan) (chaos.Report, error) {
+	runPlans(ctx, seed, j.Plans, base.N(), m, &res, func(planSeed int64, plan *faults.Plan) (chaos.Report, error) {
 		fs := j.sim(dom, msgsim.MustRandomDelay(planSeed+1, 1, 10))
 		if err := fs.SetFaults(plan); err != nil {
 			return chaos.Report{}, err
 		}
 		fs.InjectAll()
-		quiesced := fs.Run(j.MaxEvents).Quiesced
+		quiesced := fs.Run(scaleMaxEvents).Quiesced
 		fc := fs.Counters()
-		v, _ := chaos.Grade(dom, j.Policy, selection.Options{}, live, chaos.Vectors(dom, fs.BestFor),
+		v, _ := chaos.Grade(dom, protocol.Modified, selection.Options{}, live, chaos.Vectors(dom, fs.BestFor),
 			chaos.Vectors(dom, fs.PossibleFor), chaos.Vectors(dom, fs.AnnouncedFor), fc, quiesced)
 		return chaos.Report{Verdict: v, Counters: fc}, nil
 	})

@@ -30,46 +30,22 @@ import (
 	"repro/internal/topology"
 )
 
-// Config parameterises one invariant check.
+// Config parameterises one invariant check. Routes are selected with the
+// default selection.Options, in the run and in the model it is graded
+// against.
 type Config struct {
-	// Policy is the advertisement policy under test (default Modified).
+	// Policy is the advertisement policy under test.
 	Policy protocol.Policy
-	// Opts are the route-selection options, shared with the model the
-	// settled state is graded against.
-	Opts selection.Options
 	// Plan is the fault schedule; nil checks the fault-free baseline.
 	Plan *faults.Plan
-	// DelaySeed seeds the msgsim random per-message delay model; 0 uses
-	// constant unit delay.
+	// DelaySeed seeds the msgsim random per-message delay model, delays
+	// drawn from [1, 10]; 0 uses constant unit delay.
 	DelaySeed int64
-	// MaxDelay bounds the random delays when DelaySeed != 0 (default 10).
-	MaxDelay int64
-	// MaxEvents bounds the msgsim run (default 200000).
-	MaxEvents int
 	// Withdraw lists E-BGP routes withdrawn mid-run, exercising the
 	// flush-everywhere invariant under faults; WithdrawAt is the virtual
 	// tick (msgsim) or millisecond (TCP) of the withdrawal.
 	Withdraw   []bgp.PathID
 	WithdrawAt int64
-	// Timeout and Settle drive speaker.WaitQuiesce on the TCP substrate
-	// (defaults 15s / 150ms).
-	Timeout, Settle time.Duration
-}
-
-func (c Config) fill() Config {
-	if c.MaxEvents <= 0 {
-		c.MaxEvents = 200000
-	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 10
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 15 * time.Second
-	}
-	if c.Settle <= 0 {
-		c.Settle = 150 * time.Millisecond
-	}
-	return c
 }
 
 // Verdict is the oracle's judgement of one settled state: the five
@@ -235,15 +211,11 @@ func Grade(systems map[uint32]*topology.System, policy protocol.Policy, opts sel
 // wall clock, no shared RNG — so campaign jobs can fan it out and still
 // aggregate byte-identically.
 func CheckSim(sys *topology.System, cfg Config) (Report, error) {
-	cfg = cfg.fill()
 	delay := msgsim.ConstantDelay(1)
 	if cfg.DelaySeed != 0 {
-		var err error
-		if delay, err = msgsim.RandomDelay(cfg.DelaySeed, 1, cfg.MaxDelay); err != nil {
-			return Report{}, err
-		}
+		delay = msgsim.MustRandomDelay(cfg.DelaySeed, 1, 10)
 	}
-	s := msgsim.New(sys, cfg.Policy, cfg.Opts, delay)
+	s := msgsim.New(sys, cfg.Policy, selection.Options{}, delay)
 	if err := s.SetFaults(cfg.Plan); err != nil {
 		return Report{}, err
 	}
@@ -251,15 +223,14 @@ func CheckSim(sys *topology.System, cfg Config) (Report, error) {
 	for _, id := range cfg.Withdraw {
 		s.WithdrawPrefixAt(cfg.WithdrawAt, 0, id)
 	}
-	res := s.Run(cfg.MaxEvents)
+	res := s.Run(200000)
 	return cfg.report(sys, s.BestFor, s.PossibleFor, s.AnnouncedFor, s.Counters(), res.Quiesced), nil
 }
 
 // checkTCP runs the same invariant check over the TCP speakers: real
 // connections, real teardowns on reset fates, wall-clock fault horizon.
 func checkTCP(sys *topology.System, cfg Config) (Report, error) {
-	cfg = cfg.fill()
-	n := speaker.New(sys, cfg.Policy, cfg.Opts)
+	n := speaker.New(sys, cfg.Policy, selection.Options{})
 	if err := n.SetFaults(cfg.Plan); err != nil {
 		return Report{}, err
 	}
@@ -277,7 +248,7 @@ func checkTCP(sys *topology.System, cfg Config) (Report, error) {
 			n.WithdrawPrefix(0, id)
 		}
 	}
-	quiesced := n.WaitQuiesce(cfg.Timeout, cfg.Settle)
+	quiesced := n.WaitQuiesce(15*time.Second, 150*time.Millisecond)
 	return cfg.report(sys, n.BestFor,
 		func(prefix uint32, u bgp.NodeID) bgp.PathSet { return n.Speaker(u).PossibleFor(prefix) },
 		func(prefix uint32, u bgp.NodeID) bgp.PathSet { return n.Speaker(u).AnnouncedFor(prefix) },
@@ -295,7 +266,7 @@ func (c Config) report(sys *topology.System, best func(uint32, bgp.NodeID) bgp.P
 	}
 	systems := map[uint32]*topology.System{0: sys}
 	b := Vectors(systems, best)
-	v, model := Grade(systems, c.Policy, c.Opts, map[uint32]bgp.PathSet{0: live}, b,
+	v, model := Grade(systems, c.Policy, selection.Options{}, map[uint32]bgp.PathSet{0: live}, b,
 		Vectors(systems, possible), Vectors(systems, announced), counters, quiesced)
 	return Report{v, b[0], model[0], counters}
 }

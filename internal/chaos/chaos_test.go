@@ -3,8 +3,11 @@ package chaos
 import (
 	"fmt"
 	"maps"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/bgp"
@@ -91,7 +94,7 @@ func TestCheckSimWithdrawUnderFaults(t *testing.T) {
 func TestClassicPathologiesSurviveFaults(t *testing.T) {
 	plan := &faults.Plan{Seed: 4, Drop: 0.05, Delay: 0.2, MaxExtraDelay: 8, Horizon: 300}
 	rep, err := CheckSim(figures.Fig1a().Sys, Config{
-		Policy: protocol.Classic, Plan: plan, DelaySeed: 11, MaxEvents: 20000,
+		Policy: protocol.Classic, Plan: plan, DelaySeed: 11,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -375,6 +378,72 @@ func TestCoReflectorWitnesses(t *testing.T) {
 			t.Errorf("seed %d prefix %d (%v): %s, want %s", w.seed, w.prefix, w.policy, got, want)
 		}
 	}
+}
+
+// TestCoReflectorFixture pins the smallest co-reflector divergence
+// (testdata/coreflector3.json): co-reflectors r0_0 and r0_1 of one cluster,
+// client c0_0 below r0_0, exit p0 at c0_0 and exit p1 at r0_1. Under
+// Modified and Walton the router settles with r0_0 on p0 where the model,
+// from the same advertisements, picks p1; every Modified run lands there —
+// constant delay, five random-delay draws and the TCP speakers. Under
+// Classic the settled state is a stable solution of the model. When the
+// announcement rules are reconciled this expectation flips, as
+// TestCoReflectorWitnesses's does.
+func TestCoReflectorFixture(t *testing.T) {
+	f, err := os.Open(filepath.Join("testdata", "coreflector3.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sys, err := topology.Load(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := func(ids []bgp.PathID) string {
+		names := make([]string, len(ids))
+		for i, id := range ids {
+			names[i] = fmt.Sprintf("p%d", id)
+		}
+		return "[" + strings.Join(names, " ") + "]"
+	}
+	for _, tc := range []struct {
+		policy         protocol.Policy
+		diverged, best string
+	}{
+		{protocol.Modified, "router r0_0 best p0, model p1", "[p0 p1 p0]"},
+		{protocol.Walton, "router r0_0 best p0, model p1", "[p0 p1 p0]"},
+		{protocol.Classic, "", "[p1 p1 p0]"},
+	} {
+		rep, err := CheckSim(sys, Config{Policy: tc.policy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := ""
+		if u, ok := rep.Diverged[0]; ok {
+			got = fmt.Sprintf("router %s best p%d, model p%d", sys.Name(u), rep.Best[u], rep.Reference[u])
+		}
+		if !rep.Quiesced || got != tc.diverged || paths(rep.Best) != tc.best {
+			t.Errorf("%v: quiesced %v, best %s, divergence %q; want best %s, divergence %q",
+				tc.policy, rep.Quiesced, paths(rep.Best), got, tc.best, tc.diverged)
+		}
+		if tc.diverged == "" && paths(rep.Reference) != tc.best {
+			t.Errorf("%v: model best %s, want %s", tc.policy, paths(rep.Reference), tc.best)
+		}
+	}
+	check := func(name string, rep Report, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Quiesced || paths(rep.Best) != "[p0 p1 p0]" {
+			t.Errorf("Modified %s: quiesced %v, best %s, want [p0 p1 p0]", name, rep.Quiesced, paths(rep.Best))
+		}
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		rep, err := CheckSim(sys, Config{Policy: protocol.Modified, DelaySeed: seed})
+		check(fmt.Sprintf("random delay seed %d", seed), rep, err)
+	}
+	rep, err := checkTCP(sys, Config{Policy: protocol.Modified})
+	check("TCP", rep, err)
 }
 
 // coldReference is the oracle FixedPoint replaced, kept here as its

@@ -33,7 +33,7 @@ func TestCheckerViolationOrder(t *testing.T) {
 	// A genuinely settled round 0: warm up, apply the round's events, rest.
 	s := msgsim.NewMulti(domainSystems(f.Sys, cfg.Spec.Prefixes), cfg.Policy, selection.Options{}, msgsim.ConstantDelay(1))
 	s.InjectAll()
-	res := s.Run(cfg.MaxEventsPerRound)
+	res := s.Run(maxEventsPerRound)
 	evs := c.stream.Next()
 	base := s.Now() + 1
 	for _, ev := range evs {
@@ -43,7 +43,7 @@ func TestCheckerViolationOrder(t *testing.T) {
 			s.InjectPrefixAt(base+ev.At, ev.Prefix, ev.Path)
 		}
 	}
-	res = s.Run(res.Events + cfg.MaxEventsPerRound)
+	res = s.Run(res.Events + maxEventsPerRound)
 	if !res.Quiesced {
 		t.Fatal("round did not quiesce")
 	}

@@ -44,20 +44,14 @@ type Config struct {
 	// MRAI is the per-session minimum route advertisement interval in
 	// transport clock units (0 disables).
 	MRAI int64
-	// DelaySeed seeds msgsim's random per-message delay model; 0 derives
-	// a seed from Spec.Seed. MaxDelay bounds the delays (default 10).
-	// Delays are always jittered, never constant: perfectly synchronous
-	// delivery makes every router re-select in lockstep, a pathological
-	// schedule under which path exploration at scale practically never
-	// settles — while Lemma 7.4 makes the settled outcome independent of
-	// the delay draw, so jitter costs no determinism.
+	// DelaySeed seeds msgsim's random per-message delay model, delays
+	// drawn from [1, 10]; 0 derives a seed from Spec.Seed. Delays are
+	// always jittered, never constant: perfectly synchronous delivery
+	// makes every router re-select in lockstep, a pathological schedule
+	// under which path exploration at scale practically never settles —
+	// while Lemma 7.4 makes the settled outcome independent of the delay
+	// draw, so jitter costs no determinism.
 	DelaySeed int64
-	MaxDelay  int64
-	// MaxEventsPerRound bounds each msgsim round (default 2,000,000).
-	MaxEventsPerRound int
-	// Timeout and Settle drive speaker.WaitQuiesce per round on the TCP
-	// substrate (defaults 30s / 150ms).
-	Timeout, Settle time.Duration
 	// EventsBatch, when set, receives each dispatch round's events as one
 	// slice (valid only until it returns) — the hook a telemetry feed's
 	// SinkBatch plugs into.
@@ -80,20 +74,16 @@ func (c Config) fill() Config {
 	if c.Rounds < 1 {
 		c.Rounds = 1
 	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 10
-	}
-	if c.MaxEventsPerRound <= 0 {
-		c.MaxEventsPerRound = 2_000_000
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 30 * time.Second
-	}
-	if c.Settle <= 0 {
-		c.Settle = 150 * time.Millisecond
-	}
 	return c
 }
+
+// The budgets of one soak round: msgsim events, and the TCP substrate's
+// speaker.WaitQuiesce timeout and settle window.
+const (
+	maxEventsPerRound = 2_000_000
+	timeout           = 30 * time.Second
+	settle            = 150 * time.Millisecond
+)
 
 // checkable reports whether round r's quiet window carries the windowed
 // Lemma 7.4 invariants. The formula is shared by both substrates — both
@@ -359,36 +349,30 @@ func SoakSim(sys *topology.System, cfg Config) (*Report, error) {
 	if seed == 0 {
 		seed = cfg.Spec.Seed + 1
 	}
-	delay, err := msgsim.RandomDelay(seed, 1, cfg.MaxDelay)
-	if err != nil {
-		return nil, err
-	}
-	s := msgsim.NewMulti(c.systems, cfg.Policy, cfg.Opts, delay)
+	s := msgsim.NewMulti(c.systems, cfg.Policy, cfg.Opts, msgsim.MustRandomDelay(seed, 1, 10))
 	if cfg.EventsBatch != nil {
 		s.ObserveEventsBatch(cfg.EventsBatch)
 	}
 	if cfg.BindCounters != nil {
 		cfg.BindCounters(s.Counters)
 	}
-	if cfg.MRAI > 0 {
-		s.SetMRAI(cfg.MRAI)
-	}
+	s.SetMRAI(cfg.MRAI)
 	if err := s.SetFaults(cfg.Plan); err != nil {
 		return nil, err
 	}
 
 	start := time.Now()
 	s.InjectAll()
-	res := s.Run(cfg.MaxEventsPerRound)
+	res := s.Run(maxEventsPerRound)
 	if !res.Quiesced {
-		c.violate(0, 0, "quiesce", "warm-up did not quiesce within %d events", cfg.MaxEventsPerRound)
+		c.violate(0, 0, "quiesce", "warm-up did not quiesce within %d events", maxEventsPerRound)
 		return c.report("sim", start, s.Counters()), nil
 	}
 
 	for r := 0; r < cfg.Rounds; r++ {
 		evs := c.stream.Next()
 		var lat int64
-		res, lat = RunRound(s, res, evs, int64(r)*cfg.Spec.Period, cfg.MaxEventsPerRound)
+		res, lat = RunRound(s, res, evs, int64(r)*cfg.Spec.Period, maxEventsPerRound)
 		if !c.check(r, len(evs), state{
 			best: chaos.Vectors(c.systems, s.BestFor), possible: chaos.Vectors(c.systems, s.PossibleFor),
 			announced: chaos.Vectors(c.systems, s.AnnouncedFor),
@@ -424,9 +408,7 @@ func SoakTCP(sys *topology.System, cfg Config) (*Report, error) {
 	if cfg.BindCounters != nil {
 		cfg.BindCounters(n.Counters)
 	}
-	if cfg.MRAI > 0 {
-		n.SetMRAI(cfg.MRAI)
-	}
+	n.SetMRAI(cfg.MRAI)
 	if err := n.SetFaults(cfg.Plan); err != nil {
 		return nil, err
 	}
@@ -437,8 +419,8 @@ func SoakTCP(sys *topology.System, cfg Config) (*Report, error) {
 	}
 	defer n.Stop()
 	n.InjectAll()
-	if !n.WaitQuiesce(cfg.Timeout, cfg.Settle) {
-		c.violate(0, 0, "quiesce", "warm-up did not quiesce within %v", cfg.Timeout)
+	if !n.WaitQuiesce(timeout, settle) {
+		c.violate(0, 0, "quiesce", "warm-up did not quiesce within %v", timeout)
 		return c.report("tcp", start, n.Counters()), nil
 	}
 
@@ -457,10 +439,10 @@ func SoakTCP(sys *topology.System, cfg Config) (*Report, error) {
 			}
 		}
 		applied := time.Now()
-		quiesced := n.WaitQuiesce(cfg.Timeout, cfg.Settle)
+		quiesced := n.WaitQuiesce(timeout, settle)
 		// WaitQuiesce holds for a settle window after the last activity;
 		// subtract it so the sample approximates time-to-converge.
-		lat := max(time.Since(applied).Milliseconds()-cfg.Settle.Milliseconds(), 0)
+		lat := max(time.Since(applied).Milliseconds()-settle.Milliseconds(), 0)
 		possible := chaos.Vectors(c.systems, func(prefix uint32, u bgp.NodeID) bgp.PathSet {
 			return n.Speaker(u).PossibleFor(prefix)
 		})

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/faults"
 	"repro/internal/protocol"
@@ -50,9 +49,6 @@ func soakConfig() Config {
 		Policy:    protocol.Modified,
 		MRAI:      10,
 		DelaySeed: 5,
-		MaxDelay:  6,
-		Timeout:   20 * time.Second,
-		Settle:    80 * time.Millisecond,
 	}
 }
 

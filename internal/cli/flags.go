@@ -5,6 +5,8 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -131,9 +133,14 @@ func (c *choice[T]) Set(s string) error {
 func (c *choice[T]) String() string { return c.name }
 
 // list renders the sorted names as "a, b or c".
-func (c *choice[T]) list() string {
-	names := sortedKeys(c.names)
+func (c *choice[T]) list() string { return orList(sortedKeys(c.names)) }
+
+// orList renders names as "a, b or c".
+func orList(names []string) string {
 	last := len(names) - 1
+	if last == 0 {
+		return names[0]
+	}
 	return strings.Join(names[:last], ", ") + " or " + names[last]
 }
 
@@ -156,6 +163,93 @@ func Choice[T any](name, def, usage string, names map[string]T) *T {
 	}
 	flag.Var(c, name, usage+" ("+c.list()+")")
 	return c.p
+}
+
+// A Scope names the flags that only some modes of a command read: Parse
+// rejects such a flag set on the command line when the chosen mode does not
+// read it, and its -h line says which modes do. A flag no Scope names is
+// read in every mode.
+type Scope struct {
+	flag  string
+	reads map[string][]string // mode -> the flags it reads
+	gate  bool
+}
+
+// Modes scopes flags to the values of the mode flag name: reads maps each
+// value to the mode-specific flags it reads.
+func Modes(name string, reads map[string][]string) Scope { return Scope{name, reads, false} }
+
+// Gate scopes flags to the gate flag name: they are read only when it holds
+// a non-empty value.
+func Gate(name string, reads ...string) Scope {
+	return Scope{name, map[string][]string{name: reads}, true}
+}
+
+// readers renders the modes that read flag f ("with -gen" or "by -job
+// census, fig13 or lint", "" if the scope does not name f) and reports
+// whether mode, the mode flag's value, reads it.
+func (s Scope) readers(f, mode string) (string, bool) {
+	var modes []string
+	for m, flags := range s.reads {
+		if slices.Contains(flags, f) {
+			modes = append(modes, m)
+		}
+	}
+	if modes == nil {
+		return "", true
+	}
+	if s.gate {
+		return "with -" + s.flag, mode != ""
+	}
+	sort.Strings(modes)
+	return "by -" + s.flag + " " + orList(modes), slices.Contains(modes, mode)
+}
+
+// note adds "(read only ...)" to each scoped flag's -h line, once. A scope
+// naming an undefined flag panics here, before any command runs.
+func note(fs *flag.FlagSet, scopes []Scope) {
+	for _, s := range scopes {
+		for _, flags := range s.reads {
+			for _, f := range flags {
+				where, _ := s.readers(f, "")
+				if fl := fs.Lookup(f); !strings.HasSuffix(fl.Usage, where+")") {
+					fl.Usage += " (read only " + where + ")"
+				}
+			}
+		}
+	}
+}
+
+// unread reports each flag set on fs's command line that the chosen mode
+// of its scope does not read.
+func unread(fs *flag.FlagSet, scopes []Scope) error {
+	var errs []error
+	fs.Visit(func(fl *flag.Flag) {
+		for _, s := range scopes {
+			mode := fs.Lookup(s.flag).Value.String()
+			switch where, ok := s.readers(fl.Name, mode); {
+			case ok:
+			case s.gate:
+				errs = append(errs, fmt.Errorf("flag -%s is read only %s", fl.Name, where))
+			default:
+				errs = append(errs, fmt.Errorf("flag -%s is not read by -%s %s, only %s", fl.Name, s.flag, mode, where))
+			}
+		}
+	})
+	return errors.Join(errs...)
+}
+
+// Parse is flag.Parse under scopes: a flag set on the command line that the
+// chosen mode does not read is a usage error, reported like a bad value
+// (the flag, the modes that read it, then the usage; exit 2).
+func Parse(scopes ...Scope) {
+	note(flag.CommandLine, scopes)
+	flag.Parse()
+	if err := unread(flag.CommandLine, scopes); err != nil {
+		fmt.Fprintln(flag.CommandLine.Output(), err)
+		flag.Usage()
+		os.Exit(2)
+	}
 }
 
 // Policies are the -policy names.

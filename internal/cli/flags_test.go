@@ -3,6 +3,7 @@ package cli
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -247,6 +248,57 @@ func TestParseCodec(t *testing.T) {
 	err := fs.Parse([]string{"-codec", "bgp5"})
 	if err == nil || err.Error() != `invalid value "bgp5" for flag -codec: must be one of bgp4 or private` {
 		t.Fatalf("unknown codec error = %v, want the name and the valid set", err)
+	}
+}
+
+// TestScopes: a scoped flag set under a mode or gate that does not read it
+// is reported with the flag, the chosen mode and the modes that read it;
+// one that is read, or a flag no scope names, is not. The -h line of each
+// scoped flag names its readers.
+func TestScopes(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-workers", "2", "-seeds", "3"}, ""},
+		{[]string{"-job", "fuzz", "-plans", "2"}, ""},
+		{[]string{"-job", "chaos", "-workers", "2", "-seeds", "3"},
+			"flag -workers is not read by -job chaos, only by -job census or lint"},
+		{[]string{"-job", "lint", "-plans", "2", "-workers", "2"},
+			"flag -plans is not read by -job lint, only by -job chaos or fuzz"},
+		{[]string{"-gen", "small", "-seed", "2"}, ""},
+		{[]string{"-seed", "2"}, "flag -seed is read only with -gen"},
+		{[]string{"-gen", "", "-seed", "2"}, "flag -seed is read only with -gen"},
+	} {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			fs := newCommandLine(t)
+			Choice("job", "census", "job kind", map[string]bool{"census": true, "chaos": true, "fuzz": true, "lint": true})
+			Int("seeds", 1, 1, "seeds")
+			Int("workers", 1, 0, "workers")
+			Int("plans", 1, 1, "plans")
+			fs.String("gen", "", "generator")
+			Int64("seed", 1, math.MinInt64, "seed")
+			scopes := []Scope{
+				Modes("job", map[string][]string{"census": {"workers"}, "lint": {"workers"}, "chaos": {"plans"}, "fuzz": {"plans"}}),
+				Gate("gen", "seed"),
+			}
+			note(fs, scopes)
+			if err := fs.Parse(tc.args); err != nil {
+				t.Fatal(err)
+			}
+			err := unread(fs, scopes)
+			if got := fmt.Sprint(err); tc.want == "" && err != nil || tc.want != "" && got != tc.want {
+				t.Errorf("got %v, want %q", err, tc.want)
+			}
+			for f, want := range map[string]string{
+				"workers": "(read only by -job census or lint)", "plans": "(read only by -job chaos or fuzz)",
+				"seed": "(read only with -gen)", "seeds": "seeds (`int`, at least 1)",
+			} {
+				if u := fs.Lookup(f).Usage; !strings.HasSuffix(u, want) {
+					t.Errorf("-%s -h line %q, want it to end in %q", f, u, want)
+				}
+			}
+		})
 	}
 }
 
