@@ -15,8 +15,9 @@
 //	        [-wait D] [-faults SPEC] [-codec private|bgp4]
 //
 // A bad flag value exits 2, and so does a flag the chosen substrate does
-// not read; -h shows each flag's range or names, and which substrates read
-// it. Exit status 2 also means a sim or tcp run did not quiesce; a bad
+// not read (-seed too, unless -schedule random|subsets or -jitter uses
+// it); -h shows each flag's range or names, and which substrates read it.
+// Exit status 2 also means a sim or tcp run did not quiesce; a bad
 // topology, figure or -faults plan exits 1.
 //
 // Either -topology or -figure selects the system. -substrate=sim runs the
@@ -76,6 +77,12 @@ func main() {
 		"sim":   {"delay", "jitter", "seed", "max-steps", "mrai", "faults"},
 		"tcp":   {"wait", "codec", "mrai", "faults"},
 	}))
+	if need := seedReader(); need != "" {
+		fmt.Fprintf(flag.CommandLine.Output(), "flag -seed is not read by -substrate %s unless %s\n",
+			flag.Lookup("substrate").Value, need)
+		flag.Usage()
+		os.Exit(2)
+	}
 	sys, err := cli.LoadSystem(*topoPath, *figure)
 	if err != nil {
 		fatal(err)
@@ -88,6 +95,22 @@ func main() {
 		}
 	}
 	(*substrate)(sys, ibgp.Options{Order: *order, MED: *med}, plan)
+}
+
+// seedReader returns what would make the chosen substrate read an
+// explicitly set -seed, or "" when it is read or unset: the model reads it
+// only for its random and subsets schedules, the simulator only for jitter.
+func seedReader() string {
+	set := false
+	flag.Visit(func(f *flag.Flag) { set = set || f.Name == "seed" })
+	sched := flag.Lookup("schedule").Value.String()
+	switch sub := flag.Lookup("substrate").Value.String(); {
+	case set && sub == "model" && sched != "random" && sched != "subsets":
+		return "-schedule is random or subsets"
+	case set && sub == "sim" && *jitter == 0:
+		return "-jitter is above 0"
+	}
+	return ""
 }
 
 func fatal(err error) {

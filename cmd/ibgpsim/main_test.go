@@ -70,6 +70,10 @@ func TestGolden(t *testing.T) {
 			"flag -delay is not read by -substrate model, only by -substrate sim"},
 		{"model-faults", []string{"-figure", "1a", "-faults", "seed=1,drop=0.1"}, nil,
 			"flag -faults is not read by -substrate model, only by -substrate sim or tcp"},
+		{"sim-seed", []string{"-figure", "1a", "-substrate", "sim", "-seed", "5"}, nil,
+			"flag -seed is not read by -substrate sim unless -jitter is above 0"},
+		{"model-seed-roundrobin", []string{"-figure", "1a", "-schedule", "roundrobin", "-seed", "5"}, nil,
+			"flag -seed is not read by -substrate model unless -schedule is random or subsets"},
 		{"tcp-max-steps", []string{"-figure", "1a", "-substrate", "tcp", "-max-steps", "3"}, nil,
 			"flag -max-steps is not read by -substrate tcp, only by -substrate model or sim"},
 	} {

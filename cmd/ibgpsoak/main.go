@@ -8,17 +8,17 @@
 // Usage:
 //
 //	ibgpsoak [-spec default|small|KVLIST] [-topology FILE | -figure N]
-//	         [-seed N] [-duration D] [-rate R] [-churn KVLIST]
+//	         [-seed N] [-duration D] [-churn KVLIST]
 //	         [-faults SPEC] [-substrate sim|tcp|both] [-mrai N]
 //	         [-policy modified|...] [-order paper|rfc] [-med standard|always]
 //	         [-codec private|bgp4] [-listen HOST:PORT] [-stats-every D] [-agg]
 //
 // The topology comes from the ISP generator family (-spec, seeded by
 // -seed) unless -topology or -figure names one explicitly. The churn
-// workload is DefaultSpec with the run seed, -rate as a shorthand for its
-// event rate, and -churn for full control ("seed=2,prefixes=8,rate=50,
-// period=500,burst=200,flap=0.3"). -duration maps onto a deterministic
-// round count, so the final aggregate is a pure function of the seed:
+// workload is DefaultSpec with the run seed, and -churn overrides any of
+// its fields ("seed=2,prefixes=8,rate=50,period=500,burst=200,flap=0.3").
+// -duration maps onto a deterministic round count, so the final aggregate
+// is a pure function of the seed:
 // "-substrate both" runs the discrete-event simulator and the loopback
 // TCP speakers on the identical stream and fails if their aggregates
 // differ.
@@ -89,7 +89,6 @@ func main() {
 		figure    = flag.String("figure", "", "paper figure name (overrides -spec)")
 		seed      = cli.Int64("seed", 1, math.MinInt64, "run seed: topology generation, churn stream and sim delays")
 		duration  = cli.Duration("duration", 30*time.Second, time.Nanosecond, "soak length; maps onto a deterministic round count")
-		rate      = cli.Float64("rate", 0, 0, "churn events per second (shorthand for -churn rate=R; 0 keeps the default)")
 		churnSpec = flag.String("churn", "", `full churn workload, e.g. "prefixes=8,rate=50,period=500,burst=200,flap=0.3"`)
 		faultSpec = flag.String("faults", "", `fault plan, e.g. "seed=7,drop=0.05,delay=0.2,maxdelay=30,horizon=600"`)
 		substrate = cli.Choice("substrate", "both", "substrates to soak", map[string][]func(*topology.System, churn.Config) (*churn.Report, error){
@@ -120,9 +119,6 @@ func main() {
 	}
 	cspec := churn.DefaultSpec()
 	cspec.Seed = *seed
-	if *rate > 0 {
-		cspec.Rate = *rate
-	}
 	cspec, err = cli.ParseChurnSpec(*churnSpec, cspec)
 	if err != nil {
 		fatal(err)

@@ -42,8 +42,8 @@ func TestGolden(t *testing.T) {
 		{"small-sim", soak, ""},
 		{"small-sim-faults", append([]string{"-faults", "seed=7,drop=0.05,delay=0.2,maxdelay=30,horizon=600"}, soak...), ""},
 		{"mrai-negative", append([]string{"-mrai", "-5"}, soak...), "flag -mrai: must be at least 0"},
-		{"rate-negative", append([]string{"-rate", "-3"}, soak...), "flag -rate: must be at least 0"},
-		{"rate-nan", append([]string{"-rate", "NaN"}, soak...), "flag -rate: not a finite number"},
+		{"rate-negative", append([]string{"-churn", "rate=-3"}, soak...), "churn: Rate = -3, need a positive finite event rate"},
+		{"rate-nan", append([]string{"-churn", "rate=NaN"}, soak...), `bad -churn value for "rate": "NaN" is not a finite number`},
 		{"duration-negative", append([]string{"-duration", "-1s"}, soak...), "flag -duration: must be at least 1ns"},
 		{"stats-every-zero", append([]string{"-stats-every", "0"}, soak...), "flag -stats-every: must be at least 1ns"},
 		// A flag the run does not read is a usage error too, named with the

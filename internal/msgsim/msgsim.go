@@ -437,9 +437,10 @@ func NewMulti(systems map[uint32]*topology.System, policy protocol.Policy, opts 
 	// ObserveEvents before Run. The routers' streams hook in
 	// lazily on the first registration — see wireEvents — so a sim nobody
 	// watches never pays for event emission at all.
-	for u := 0; u < dom.Base().N(); u++ {
-		rt := dom.NewRouter(bgp.NodeID(u), &s.counters)
-		s.routers = append(s.routers, rt)
+	// The routers share one refresh workspace: the simulator drives one
+	// router at a time.
+	s.routers = dom.NewRouters(&s.counters)
+	for _, rt := range s.routers {
 		s.sends = append(s.sends, s.sendFrom(rt))
 	}
 	return s

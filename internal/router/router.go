@@ -12,8 +12,11 @@
 //
 // Routers are single-owner: each is mutated from one goroutine at a time
 // (msgsim is single-threaded, each speaker owns its core under its own
-// lock). The shared Counters are atomic so a running network can be
-// observed concurrently. Refresh runs in two serial phases: a pure
+// lock). The routers of one Domain.NewRouters call share one refresh
+// workspace, so one goroutine at a time drives them all: msgsim builds its
+// routers that way, and each campaign shard, soak and chaos run builds its
+// own simulator. The shared Counters are atomic so a running network can
+// be observed concurrently. Refresh runs in two serial phases: a pure
 // per-prefix recompute/diff phase that lands its results in per-prefix
 // slots, then a send phase that merges them in sorted prefix order.
 package router
@@ -304,26 +307,58 @@ type Router struct {
 	dirty    []bool
 	dirtyIdx []int
 
-	// Per-round reusable storage: slot(di, pj) = slots[di*numPeers+pj],
-	// the per-(dirty prefix, peer) diffs of the compute phase; changed
-	// mirrors dirtyIdx; uncommitted marks peers whose owed diff was
-	// MRAI-gated or whose send failed (those prefixes stay dirty).
-	slots       []diffSlot
-	changed     []bestChange
-	uncommitted []bool
-
-	// Refresh/apply scratch, reused across rounds: the outbound coalesced
-	// UPDATE handed to the transport and the event sink (both must consume
-	// it before the call returns) and the received-update materialisation
-	// for UpdateReceived events on the view path. Single-owner like the
-	// Router itself.
-	txUpd wire.Update
-	rxUpd wire.Update
+	ws *workspace // shared by the routers of one NewRouters call
 }
 
-// NewRouter builds the core for node id, accumulating into counters
-// (shared across the substrate's routers; must be non-nil).
+// workspace is the working set of one Refresh or ApplyUpdateView call:
+// the decision-process scratch every RIB computes in, the compute phase's
+// diff slots (slot(di, pj) = slots[di*numPeers+pj]), changed mirroring
+// dirtyIdx, uncommitted marking peers whose owed diff was MRAI-gated or
+// whose send failed, and the outbound and received UPDATEs the sinks
+// consume before the call returns. Every call overwrites what it reads,
+// so routers driven one at a time can share one workspace.
+type workspace struct {
+	scr          *rib.Scratch
+	slots        []diffSlot
+	changed      []bestChange
+	uncommitted  []bool // indexed by peer position; any router has fewer than N peers
+	txUpd, rxUpd wire.Update
+}
+
+// newWorkspace sizes a workspace for any router of the domain, so fresh
+// routers don't pay append-growth allocations on their first refreshes.
+func (d *Domain) newWorkspace() *workspace {
+	maxExits := 0
+	for _, sys := range d.systems {
+		maxExits = max(maxExits, sys.NumExits())
+	}
+	ws := &workspace{scr: rib.NewScratch(maxExits), changed: make([]bestChange, 0, len(d.prefixes)),
+		uncommitted: make([]bool, d.base.N())}
+	ws.txUpd.Withdrawn = make([]wire.WithdrawnRoute, 0, maxExits)
+	ws.txUpd.Announced = make([]wire.RouteRecord, 0, maxExits)
+	return ws
+}
+
+// NewRouter builds the core for node id over its own workspace,
+// accumulating into counters (shared across the substrate's routers; must
+// be non-nil).
 func (d *Domain) NewRouter(id bgp.NodeID, counters *Counters) *Router {
+	return d.newRouter(id, counters, d.newWorkspace())
+}
+
+// NewRouters builds the cores of every node, in node order, over one
+// shared workspace, so the domain's refresh working set stays one router's
+// worth and cache-hot. The routers must be driven by one goroutine at a
+// time, together.
+func (d *Domain) NewRouters(counters *Counters) []*Router {
+	ws, rts := d.newWorkspace(), make([]*Router, d.base.N())
+	for u := range rts {
+		rts[u] = d.newRouter(bgp.NodeID(u), counters, ws)
+	}
+	return rts
+}
+
+func (d *Domain) newRouter(id bgp.NodeID, counters *Counters, ws *workspace) *Router {
 	np := len(d.prefixes)
 	r := &Router{
 		dom:      d,
@@ -331,23 +366,14 @@ func (d *Domain) NewRouter(id bgp.NodeID, counters *Counters) *Router {
 		ribs:     make([]*rib.RIB, np),
 		peering:  rib.NewPeering(d.base, id),
 		counters: counters,
+		ws:       ws,
 	}
 	npeers := len(r.peering.Peers())
 	r.nextSend = make([]int64, npeers)
 	r.pending = make([]bool, npeers)
 	r.down = make([]bool, npeers)
-	maxExits := 0
 	for i := range d.prefixes {
-		if n := d.systems[i].NumExits(); n > maxExits {
-			maxExits = n
-		}
-	}
-	// One decision-process scratch serves every RIB: the compute phase
-	// visits one prefix at a time, and its prepared state never outlives
-	// that prefix's recompute-and-diff step.
-	scr := rib.NewScratch(maxExits)
-	for i := range d.prefixes {
-		r.ribs[i] = rib.NewShared(d.systems[i], d.policy, d.opts, id, r.peering, scr, d.doms[i])
+		r.ribs[i] = rib.NewShared(d.systems[i], d.policy, d.opts, id, r.peering, ws.scr, d.doms[i])
 	}
 	// Everything starts dirty: the first refresh after construction must
 	// look at every prefix (an empty RIB flushes to nothing, so this only
@@ -355,12 +381,6 @@ func (d *Domain) NewRouter(id bgp.NodeID, counters *Counters) *Router {
 	r.dirty = make([]bool, np)
 	r.dirtyIdx = make([]int, 0, np)
 	r.markAllDirty()
-	r.changed = make([]bestChange, 0, np)
-	r.uncommitted = make([]bool, npeers)
-	// Pre-size the flush scratch to the topology's bounds so fresh routers
-	// don't pay append-growth allocations on their first refreshes.
-	r.txUpd.Withdrawn = make([]wire.WithdrawnRoute, 0, maxExits)
-	r.txUpd.Announced = make([]wire.RouteRecord, 0, maxExits)
 	return r
 }
 
@@ -490,7 +510,7 @@ func (r *Router) ApplyUpdate(now int64, from bgp.NodeID, upd *wire.Update) error
 // ApplyUpdate for transports that decode with wire.DecodeView. The view's
 // backing buffer must stay untouched for the duration of the call; nothing
 // of it is retained. When an event sink is installed, the records are
-// copied into the router's own scratch Update for the UpdateReceived
+// copied into the workspace's scratch Update for the UpdateReceived
 // event, so recycling the buffer afterwards is always safe.
 func (r *Router) ApplyUpdateView(now int64, from bgp.NodeID, v wire.UpdateView) error {
 	r.started = true
@@ -521,8 +541,8 @@ func (r *Router) ApplyUpdateView(now int64, from bgp.NodeID, v wire.UpdateView) 
 	}
 	r.counters.Received.Add(1)
 	if r.sink != nil {
-		v.AppendTo(&r.rxUpd)
-		r.sink(Event{Kind: UpdateReceived, Time: now, Node: r.id, Peer: from, Update: &r.rxUpd})
+		v.AppendTo(&r.ws.rxUpd)
+		r.sink(Event{Kind: UpdateReceived, Time: now, Node: r.id, Peer: from, Update: &r.ws.rxUpd})
 	}
 	return nil
 }
@@ -558,11 +578,12 @@ func (r *Router) Refresh(now int64, send SendFunc) []Deferral {
 	}
 	peers := r.peering.Peers()
 	np := len(peers)
-	for len(r.slots) < nd*np {
-		r.slots = append(r.slots, diffSlot{})
+	ws := r.ws
+	for len(ws.slots) < nd*np {
+		ws.slots = append(ws.slots, diffSlot{})
 	}
-	for len(r.changed) < nd {
-		r.changed = append(r.changed, bestChange{})
+	for len(ws.changed) < nd {
+		ws.changed = append(ws.changed, bestChange{})
 	}
 
 	// Phase A: pure per-prefix computation.
@@ -570,7 +591,7 @@ func (r *Router) Refresh(now int64, send SendFunc) []Deferral {
 
 	// Phase B: merge. Best-route events first, in ascending prefix order.
 	for di := 0; di < nd; di++ {
-		if c := r.changed[di]; c.changed {
+		if c := ws.changed[di]; c.changed {
 			r.counters.Flaps.Add(1)
 			r.emit(Event{Kind: BestChanged, Time: now, Node: r.id,
 				Prefix: r.dom.prefixes[r.dirtyIdx[di]], OldBest: c.old, NewBest: c.nw})
@@ -578,13 +599,13 @@ func (r *Router) Refresh(now int64, send SendFunc) []Deferral {
 	}
 	var defs []Deferral
 	for pj, w := range peers {
-		r.uncommitted[pj] = false
+		ws.uncommitted[pj] = false
 		if r.down[pj] {
 			continue
 		}
 		owed := false
 		for di := 0; di < nd; di++ {
-			if s := &r.slots[di*np+pj]; len(s.ann) > 0 || len(s.wd) > 0 {
+			if s := &ws.slots[di*np+pj]; len(s.ann) > 0 || len(s.wd) > 0 {
 				owed = true
 				break
 			}
@@ -593,7 +614,7 @@ func (r *Router) Refresh(now int64, send SendFunc) []Deferral {
 			continue
 		}
 		if r.mrai > 0 && now < r.nextSend[pj] {
-			r.uncommitted[pj] = true
+			ws.uncommitted[pj] = true
 			if !r.pending[pj] {
 				r.pending[pj] = true
 				r.counters.Deferrals.Add(1)
@@ -602,13 +623,13 @@ func (r *Router) Refresh(now int64, send SendFunc) []Deferral {
 			}
 			continue
 		}
-		upd := &r.txUpd
+		upd := &ws.txUpd
 		upd.Withdrawn = upd.Withdrawn[:0]
 		upd.Announced = upd.Announced[:0]
 		for di := 0; di < nd; di++ {
 			pi := r.dirtyIdx[di]
 			prefix := r.dom.prefixes[pi]
-			s := &r.slots[di*np+pj]
+			s := &ws.slots[di*np+pj]
 			for _, id := range s.wd {
 				upd.Withdrawn = append(upd.Withdrawn, wire.WithdrawnRoute{Prefix: prefix, PathID: uint32(id)})
 			}
@@ -632,12 +653,12 @@ func (r *Router) Refresh(now int64, send SendFunc) []Deferral {
 			// owed (the prefix stays dirty) and a later refresh re-sends it
 			// — the same repair TCP retransmission gives a real speaker.
 			// Without it one lost UPDATE would leave the peer stale forever.
-			r.uncommitted[pj] = true
+			ws.uncommitted[pj] = true
 			r.counters.Dropped.Add(1)
 			continue
 		}
 		for di := 0; di < nd; di++ {
-			if s := &r.slots[di*np+pj]; len(s.ann) > 0 || len(s.wd) > 0 {
+			if s := &ws.slots[di*np+pj]; len(s.ann) > 0 || len(s.wd) > 0 {
 				r.ribs[r.dirtyIdx[di]].ApplyDiffAt(pj, s.ann, s.wd)
 			}
 		}
@@ -652,7 +673,7 @@ func (r *Router) Refresh(now int64, send SendFunc) []Deferral {
 		still := false
 		base := di * np
 		for pj := range peers {
-			if s := &r.slots[base+pj]; (len(s.ann) > 0 || len(s.wd) > 0) && r.uncommitted[pj] {
+			if s := &ws.slots[base+pj]; (len(s.ann) > 0 || len(s.wd) > 0) && ws.uncommitted[pj] {
 				still = true
 				break
 			}
@@ -672,16 +693,16 @@ func (r *Router) Refresh(now int64, send SendFunc) []Deferral {
 // no events and sends nothing; down-peer slots stay empty (what a dead
 // session is owed is recomputed from scratch at PeerUp).
 func (r *Router) compute(nd int) {
-	np := len(r.peering.Peers())
+	np, ws := len(r.peering.Peers()), r.ws
 	for di := 0; di < nd; di++ {
 		rb := r.ribs[r.dirtyIdx[di]]
 		old := rb.Best()
 		ch := rb.RecomputeBest()
-		r.changed[di] = bestChange{old: old, nw: rb.Best(), changed: ch}
+		ws.changed[di] = bestChange{old: old, nw: rb.Best(), changed: ch}
 		rb.PrepareFlush()
 		base := di * np
 		for pj := 0; pj < np; pj++ {
-			s := &r.slots[base+pj]
+			s := &ws.slots[base+pj]
 			s.ann, s.wd = s.ann[:0], s.wd[:0]
 			if r.down[pj] {
 				continue
