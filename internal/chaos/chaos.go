@@ -5,9 +5,9 @@
 // makes unique under the modified protocol), withdrawn routes must be
 // flushed everywhere (RFC 4271 §8.2 / Lemma 7.6), the resulting forwarding
 // plane must be loop-free, and the transport's quiescence ledger must
-// balance. It runs the same check on both substrates: the discrete-event
-// simulator (deterministic, fit for campaigns) and the TCP speakers (wall
-// clock, fit for smoke tests).
+// balance. CheckSim runs the check on the discrete-event simulator
+// (deterministic, fit for campaigns); the package's tests also run it over
+// the TCP speakers.
 //
 // FixedPoint and Grade are the repo's one oracle: the churn soak and the
 // scale campaign grade their settled states through them too, and none of
@@ -15,9 +15,7 @@
 package chaos
 
 import (
-	"fmt"
 	"slices"
-	"time"
 
 	"repro/internal/bgp"
 	"repro/internal/faults"
@@ -26,7 +24,6 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/router"
 	"repro/internal/selection"
-	"repro/internal/speaker"
 	"repro/internal/topology"
 )
 
@@ -41,11 +38,6 @@ type Config struct {
 	// DelaySeed seeds the msgsim random per-message delay model, delays
 	// drawn from [1, 10]; 0 uses constant unit delay.
 	DelaySeed int64
-	// Withdraw lists E-BGP routes withdrawn mid-run, exercising the
-	// flush-everywhere invariant under faults; WithdrawAt is the virtual
-	// tick (msgsim) or millisecond (TCP) of the withdrawal.
-	Withdraw   []bgp.PathID
-	WithdrawAt int64
 }
 
 // Verdict is the oracle's judgement of one settled state: the five
@@ -88,26 +80,6 @@ type Report struct {
 	Best, Reference []bgp.PathID
 	// Counters snapshots the shared operational counters at the end.
 	Counters router.Snapshot
-}
-
-// explain renders the first violated invariant, or "ok".
-func (r Report) explain() string {
-	switch {
-	case !r.Quiesced:
-		return fmt.Sprintf("did not quiesce: %d messages outstanding", r.Counters.Outstanding())
-	case !r.Reconverged():
-		u := r.Diverged[0]
-		return fmt.Sprintf("not a stable solution: router %d best p%d, model p%d", u, r.Best[u], r.Reference[u])
-	case !r.WithdrawnFlushed():
-		return "a withdrawn route survives in some candidate set"
-	case !r.LoopFree():
-		return fmt.Sprintf("forwarding plane has a loop under %v", r.Best)
-	case !r.LedgerClosed:
-		return fmt.Sprintf("ledger broken: sent=%d received=%d rejected=%d dropped=%d",
-			r.Counters.Sent, r.Counters.Received, r.Counters.Rejected, r.Counters.Dropped)
-	default:
-		return "ok"
-	}
 }
 
 // Vectors collects one per-(prefix, router) quantity of a settled substrate
@@ -220,53 +192,17 @@ func CheckSim(sys *topology.System, cfg Config) (Report, error) {
 		return Report{}, err
 	}
 	s.InjectAll()
-	for _, id := range cfg.Withdraw {
-		s.WithdrawPrefixAt(cfg.WithdrawAt, 0, id)
-	}
 	res := s.Run(200000)
 	return cfg.report(sys, s.BestFor, s.PossibleFor, s.AnnouncedFor, s.Counters(), res.Quiesced), nil
 }
 
-// checkTCP runs the same invariant check over the TCP speakers: real
-// connections, real teardowns on reset fates, wall-clock fault horizon.
-func checkTCP(sys *topology.System, cfg Config) (Report, error) {
-	n := speaker.New(sys, cfg.Policy, selection.Options{})
-	if err := n.SetFaults(cfg.Plan); err != nil {
-		return Report{}, err
-	}
-	if err := n.Start(); err != nil {
-		return Report{}, err
-	}
-	defer n.Stop()
-	start := time.Now()
-	n.InjectAll()
-	if len(cfg.Withdraw) > 0 {
-		if wait := time.Duration(cfg.WithdrawAt)*time.Millisecond - time.Since(start); wait > 0 {
-			time.Sleep(wait)
-		}
-		for _, id := range cfg.Withdraw {
-			n.WithdrawPrefix(0, id)
-		}
-	}
-	quiesced := n.WaitQuiesce(15*time.Second, 150*time.Millisecond)
-	return cfg.report(sys, n.BestFor,
-		func(prefix uint32, u bgp.NodeID) bgp.PathSet { return n.Speaker(u).PossibleFor(prefix) },
-		func(prefix uint32, u bgp.NodeID) bgp.PathSet { return n.Speaker(u).AnnouncedFor(prefix) },
-		n.Counters(), quiesced), nil
-}
-
 // report grades a check's settled single-prefix state, read through the
-// substrate's per-router accessors; the live set is every exit but the
-// config's withdrawals.
+// substrate's per-router accessors; every exit is live.
 func (c Config) report(sys *topology.System, best func(uint32, bgp.NodeID) bgp.PathID,
 	possible, announced func(uint32, bgp.NodeID) bgp.PathSet, counters router.Snapshot, quiesced bool) Report {
-	live := sys.AllExitSet()
-	for _, id := range c.Withdraw {
-		live.Remove(id)
-	}
 	systems := map[uint32]*topology.System{0: sys}
 	b := Vectors(systems, best)
-	v, model := Grade(systems, c.Policy, selection.Options{}, map[uint32]bgp.PathSet{0: live}, b,
+	v, model := Grade(systems, c.Policy, selection.Options{}, map[uint32]bgp.PathSet{0: sys.AllExitSet()}, b,
 		Vectors(systems, possible), Vectors(systems, announced), counters, quiesced)
 	return Report{v, b[0], model[0], counters}
 }

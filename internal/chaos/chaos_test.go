@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/bgp"
 	"repro/internal/explore"
@@ -18,10 +19,50 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/router"
 	"repro/internal/selection"
+	"repro/internal/speaker"
 	"repro/internal/topogen"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
+
+// explain renders the first violated invariant, or "ok".
+func (r Report) explain() string {
+	switch {
+	case !r.Quiesced:
+		return fmt.Sprintf("did not quiesce: %d messages outstanding", r.Counters.Outstanding())
+	case !r.Reconverged():
+		u := r.Diverged[0]
+		return fmt.Sprintf("not a stable solution: router %d best p%d, model p%d", u, r.Best[u], r.Reference[u])
+	case !r.WithdrawnFlushed():
+		return "a withdrawn route survives in some candidate set"
+	case !r.LoopFree():
+		return fmt.Sprintf("forwarding plane has a loop under %v", r.Best)
+	case !r.LedgerClosed:
+		return fmt.Sprintf("ledger broken: sent=%d received=%d rejected=%d dropped=%d",
+			r.Counters.Sent, r.Counters.Received, r.Counters.Rejected, r.Counters.Dropped)
+	default:
+		return "ok"
+	}
+}
+
+// checkTCP runs CheckSim's invariant check over the TCP speakers: real
+// connections, real teardowns on reset fates, wall-clock fault horizon.
+func checkTCP(sys *topology.System, cfg Config) (Report, error) {
+	n := speaker.New(sys, cfg.Policy, selection.Options{})
+	if err := n.SetFaults(cfg.Plan); err != nil {
+		return Report{}, err
+	}
+	if err := n.Start(); err != nil {
+		return Report{}, err
+	}
+	defer n.Stop()
+	n.InjectAll()
+	quiesced := n.WaitQuiesce(15*time.Second, 150*time.Millisecond)
+	return cfg.report(sys, n.BestFor,
+		func(prefix uint32, u bgp.NodeID) bgp.PathSet { return n.Speaker(u).PossibleFor(prefix) },
+		func(prefix uint32, u bgp.NodeID) bgp.PathSet { return n.Speaker(u).AnnouncedFor(prefix) },
+		n.Counters(), quiesced), nil
+}
 
 // TestCheckSimModifiedUnderRandomPlans: the headline invariant — modified
 // I-BGP re-converges to the Lemma 7.4 configuration under any fault mix
@@ -57,30 +98,35 @@ func TestCheckSimModifiedUnderRandomPlans(t *testing.T) {
 }
 
 // TestCheckSimWithdrawUnderFaults: an E-BGP withdrawal racing drops and a
-// session reset must still flush the route from every candidate set.
+// session reset must still flush the route from every candidate set. The
+// test drives msgsim itself, withdrawing r2 at tick 40, and grades the
+// settled state with r2 outside the live set.
 func TestCheckSimWithdrawUnderFaults(t *testing.T) {
 	f := figures.Fig14()
 	u := bgp.NodeID(0)
 	w := f.Sys.Peers(u)[0]
-	rep, err := CheckSim(f.Sys, Config{
-		Policy: protocol.Modified,
-		Plan: &faults.Plan{
-			Seed: 9, Drop: 0.2, Delay: 0.3, MaxExtraDelay: 10,
-			Resets:  []faults.Reset{{A: u, B: w, At: 60, Downtime: 50}},
-			Horizon: 800,
-		},
-		Withdraw:   []bgp.PathID{f.Path("r2")},
-		WithdrawAt: 40,
-		DelaySeed:  2,
-	})
-	if err != nil {
+	s := msgsim.New(f.Sys, protocol.Modified, selection.Options{}, msgsim.MustRandomDelay(2, 1, 10))
+	if err := s.SetFaults(&faults.Plan{
+		Seed: 9, Drop: 0.2, Delay: 0.3, MaxExtraDelay: 10,
+		Resets:  []faults.Reset{{A: u, B: w, At: 60, Downtime: 50}},
+		Horizon: 800,
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if !rep.OK() {
+	s.InjectAll()
+	s.WithdrawPrefixAt(40, 0, f.Path("r2"))
+	res := s.Run(200000)
+	systems := map[uint32]*topology.System{0: f.Sys}
+	live := f.Sys.AllExitSet()
+	live.Remove(f.Path("r2"))
+	best := Vectors(systems, s.BestFor)
+	v, model := Grade(systems, protocol.Modified, selection.Options{}, map[uint32]bgp.PathSet{0: live}, best,
+		Vectors(systems, s.PossibleFor), Vectors(systems, s.AnnouncedFor), s.Counters(), res.Quiesced)
+	if rep := (Report{v, best[0], model[0], s.Counters()}); !rep.OK() {
 		t.Fatal(rep.explain())
 	}
-	if rep.Counters.Resets != 1 {
-		t.Fatalf("Resets = %d, want 1", rep.Counters.Resets)
+	if got := s.Counters().Resets; got != 1 {
+		t.Fatalf("Resets = %d, want 1", got)
 	}
 }
 

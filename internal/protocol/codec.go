@@ -142,15 +142,17 @@ func (e *Engine) DecodeState(src []uint64) error {
 }
 
 // Clone returns an independent engine over the same (shared, read-only)
-// system with a deep copy of all mutable state. The observer and scratch
-// buffers are not shared, so a clone may run on another goroutine as long
-// as the two engines are not used concurrently with each other's results.
+// system and dominance table with a deep copy of all mutable state. The
+// observer and scratch buffers are not shared, so a clone may run on
+// another goroutine as long as the two engines are not used concurrently
+// with each other's results.
 func (e *Engine) Clone() *Engine {
 	n := len(e.possible)
 	c := &Engine{
 		sys:        e.sys,
 		policy:     e.policy,
 		opts:       e.opts,
+		dom:        e.dom,
 		myExits:    make([]bgp.PathSet, n),
 		possible:   make([]bgp.PathSet, n),
 		best:       append([]bgp.PathID(nil), e.best...),

@@ -80,6 +80,7 @@ type Engine struct {
 	sys    *topology.System
 	policy Policy
 	opts   selection.Options
+	dom    *selection.Dominance // Choose^B over sys.Exits(); immutable, shared by clones
 
 	myExits    []bgp.PathSet // mutable copy (withdraw/restore events)
 	possible   []bgp.PathSet // PossibleExits(u, t)
@@ -101,14 +102,12 @@ type Engine struct {
 	// the state codec run allocation-free by reusing these buffers; they
 	// carry no state between calls and are never shared between engines
 	// (Clone starts its copy with fresh scratch).
-	gatherSet    bgp.PathSet     // gather target, swapped into possible[u]
-	advNext      bgp.PathSet     // recompute target, swapped into advertised[u]
-	advFrozen    []bgp.PathSet   // pre-step advertised sets (ActivateSet, InducedConfig)
-	lfScratch    []int           // learnedFrom scratch for WouldChange
-	routeScratch []bgp.Route     // candidate materialisation
-	bestScratch  []bgp.Route     // selection.BestInPlace target in recompute
-	pathScratch  []bgp.ExitPath  // survivor-set materialisation
-	byAS         map[bgp.ASN]int // MED minima scratch for SurvivorsBInPlace
+	gatherSet    bgp.PathSet   // gather target, swapped into possible[u]
+	advNext      bgp.PathSet   // recompute target, swapped into advertised[u]
+	advFrozen    []bgp.PathSet // pre-step advertised sets (ActivateSet, InducedConfig)
+	surv         bgp.PathSet   // Choose^B of the set being decided
+	lfScratch    []int         // learnedFrom scratch for WouldChange
+	routeScratch []bgp.Route   // route materialisation (routesInto)
 }
 
 // New returns an engine in the paper's initial configuration:
@@ -119,6 +118,7 @@ func New(sys *topology.System, policy Policy, opts selection.Options) *Engine {
 		sys:        sys,
 		policy:     policy,
 		opts:       opts,
+		dom:        selection.NewDominance(sys.Exits(), opts.MED),
 		myExits:    make([]bgp.PathSet, n),
 		possible:   make([]bgp.PathSet, n),
 		best:       make([]bgp.PathID, n),
@@ -209,48 +209,34 @@ func (e *Engine) bestRoute(u bgp.NodeID) (bgp.Route, bool) {
 	return e.sys.Route(u, e.sys.Exit(id), e.learned[u][id]), true
 }
 
-// goodExitsInto adds Choose^B(PossibleExits(u)) — GoodExits(u), the set the
-// modified protocol advertises from u — to out. The exit paths are
-// materialised into the engine's private path scratch, which the in-place
-// Choose^B may reorder freely: only the surviving IDs leave this function.
-func (e *Engine) goodExitsInto(out *bgp.PathSet, u bgp.NodeID) {
-	e.pathScratch = e.pathScratch[:0]
-	e.possible[u].ForEach(func(id bgp.PathID) {
-		e.pathScratch = append(e.pathScratch, e.sys.Exit(id))
-	})
-	if e.byAS == nil {
-		e.byAS = make(map[bgp.ASN]int, 4)
-	}
-	for _, p := range selection.SurvivorsBInPlace(e.pathScratch, e.opts.MED, e.byAS) {
-		out.Add(p.ID)
-	}
-}
-
-// candidatesInto materialises the routes of u's PossibleExits with their
-// learnedFrom attribution into the engine's route scratch slice. The result
-// is valid until the next candidatesInto call.
-func (e *Engine) candidatesInto(u bgp.NodeID) []bgp.Route {
+// routesInto materialises the routes of the paths in s at u, with
+// learnedFrom attribution from lf, into the engine's route scratch slice.
+// The result is valid until the next routesInto call.
+func (e *Engine) routesInto(u bgp.NodeID, s bgp.PathSet, lf []int) []bgp.Route {
 	e.routeScratch = e.routeScratch[:0]
-	e.possible[u].ForEach(func(id bgp.PathID) {
-		e.routeScratch = append(e.routeScratch, e.sys.Route(u, e.sys.Exit(id), e.learned[u][id]))
+	s.ForEach(func(id bgp.PathID) {
+		e.routeScratch = append(e.routeScratch, e.sys.Route(u, e.sys.Exit(id), lf[id]))
 	})
 	return e.routeScratch
+}
+
+// decide sets e.surv to Choose^B(possible), read off the dominance table,
+// and returns the exit path of u's best route: rules 4-6 over the
+// survivors alone, which is the full selection procedure over every
+// candidate (selection.BestOfSurvivors).
+func (e *Engine) decide(u bgp.NodeID, possible bgp.PathSet, lf []int) bgp.PathID {
+	e.dom.SurvivorsInto(&e.surv, possible)
+	if w, ok := selection.BestOfSurvivors(e.routesInto(u, e.surv, lf), e.opts.Order); ok {
+		return w.Path.ID
+	}
+	return bgp.None
 }
 
 // recompute refreshes BestRoute(u) and the advertised set of u from the
 // current PossibleExits(u). It returns true when either changed.
 func (e *Engine) recompute(u bgp.NodeID) bool {
 	oldBest := e.best[u]
-
-	cands := e.candidatesInto(u)
-	// cands must survive for WaltonSet below, so selection compacts a
-	// second scratch copy rather than cands itself.
-	e.bestScratch = append(e.bestScratch[:0], cands...)
-	if w, ok := selection.BestInPlace(e.bestScratch, e.opts); ok {
-		e.best[u] = w.Path.ID
-	} else {
-		e.best[u] = bgp.None
-	}
+	e.best[u] = e.decide(u, e.possible[u], e.learned[u])
 
 	if oldBest != e.best[u] && e.best[u] != bgp.None {
 		if e.heldBest[u].Contains(e.best[u]) {
@@ -266,9 +252,11 @@ func (e *Engine) recompute(u bgp.NodeID) bool {
 	adv.Clear()
 	switch {
 	case e.policy == Modified || (e.policy == Adaptive && e.upgraded[u]):
-		e.goodExitsInto(adv, u)
+		adv.Copy(e.surv) // GoodExits(u) = Choose^B(PossibleExits(u))
 	case e.policy == Walton && e.sys.Role(u) == topology.Reflector:
-		for _, r := range selection.WaltonSet(cands, e.opts) {
+		// The per-AS winners are not a function of the survivors: only
+		// here is every candidate materialised.
+		for _, r := range selection.WaltonSet(e.routesInto(u, e.possible[u], e.learned[u]), e.opts) {
 			adv.Add(r.Path.ID)
 		}
 	default:
@@ -377,15 +365,7 @@ func (e *Engine) WouldChange(u bgp.NodeID) bool {
 	}
 	// Same PossibleExits: best/advertised can still change if attribution
 	// changed for a path involved in tie-breaking.
-	e.routeScratch = e.routeScratch[:0]
-	e.gatherSet.ForEach(func(id bgp.PathID) {
-		e.routeScratch = append(e.routeScratch, e.sys.Route(u, e.sys.Exit(id), lf[id]))
-	})
-	newBest := bgp.None
-	if w, ok := selection.BestInPlace(e.routeScratch, e.opts); ok {
-		newBest = w.Path.ID
-	}
-	return newBest != e.best[u]
+	return e.decide(u, e.gatherSet, lf) != e.best[u]
 }
 
 // Stable reports whether the current configuration is a fixed point: no

@@ -39,10 +39,11 @@ type cell struct {
 // a non-client peer goes down to served members only. The eight absent
 // cells cannot occur: an E-BGP route has no originating peer, a served-peer
 // route originates at a served member, a non-client route never does. Note
-// the co-reflector cell under fromServed: the operational rule announces,
-// as Section 2 states it, where the model's topology.Transfers prunes the
-// copy because a co-reflector hears the shared client directly — the
-// deliberate difference between the two formulations (DESIGN.md).
+// the co-reflector cell under fromServed (modelPrunes): the operational
+// rule announces, as Section 2 states it, where the model's
+// topology.Transfers prunes the copy because a co-reflector hears the
+// shared client directly — the deliberate difference between the two
+// formulations (DESIGN.md).
 var section2 = map[cell]bool{
 	{ebgp, servedMember, false}: true,
 	{ebgp, ownReflector, false}: true,
@@ -63,6 +64,12 @@ var section2 = map[cell]bool{
 	{fromNonClient, coReflector, false}:  false,
 	{fromNonClient, coReflector, true}:   false,
 }
+
+// modelPrunes is the one cell where the model's topology.Transfers and
+// the operational rule part: a route from a served peer is announced to a
+// co-reflector (Section 2), but the model prunes it, since the
+// co-reflector serves the same subtree and hears the route there itself.
+var modelPrunes = cell{fromServed, coReflector, false}
 
 // announceCase is one concrete (holder, source, peer) triple of a fixture,
 // labelled by hand with the section2 cell it realises.
@@ -132,6 +139,13 @@ func nodeIDs(sys *topology.System) map[string]bgp.NodeID {
 	return node
 }
 
+// TestAnnouncementRuleTable holds the operational rule (mayAnnounce) to
+// Section 2 on every cell, and records the model's answer for the same
+// case: topology.Transfers(holder, to, p) for a path p exiting where the
+// case's route entered (the holder for an E-BGP route, else the first
+// source the holder serves, else the first source; Transfers reads no
+// other attribute). The model agrees with Section 2 on every cell but
+// modelPrunes, where it is pinned to prune.
 func TestAnnouncementRuleTable(t *testing.T) {
 	fixtures := []struct {
 		name  string
@@ -212,6 +226,21 @@ func TestAnnouncementRuleTable(t *testing.T) {
 			}
 			if got := r.mayAnnounce(path, to); got != want {
 				t.Errorf("%s: mayAnnounce = %v, Section 2 says %v", name, got, want)
+			}
+
+			exit := bgp.ExitPath{ExitPoint: holder}
+			if len(c.from) > 0 {
+				exit.ExitPoint = node[c.from[0]]
+				for _, f := range c.from {
+					if sys.ServedBy(node[f], holder) {
+						exit.ExitPoint = node[f]
+						break
+					}
+				}
+			}
+			wantModel := want && c.cell != modelPrunes
+			if got := sys.Transfers(holder, to, exit); got != wantModel {
+				t.Errorf("%s: the model's Transfers = %v, want %v (rib announces: %v)", name, got, wantModel, want)
 			}
 		}
 	}

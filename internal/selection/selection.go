@@ -65,135 +65,6 @@ type Options struct {
 // them: a bgp.Route is 96 bytes, and a by-value range copies every element
 // just to read one field.
 
-// filterMaxLocalPref keeps the routes with the highest LOCAL-PREF (rule 1).
-func filterMaxLocalPref(rs []bgp.Route) []bgp.Route {
-	best := rs[0].Path.LocalPref
-	for i := 1; i < len(rs); i++ {
-		if v := rs[i].Path.LocalPref; v > best {
-			best = v
-		}
-	}
-	// Skip the already-in-place matching prefix before compacting: when
-	// every route survives (the common case on this rule) no Route values
-	// are copied at all.
-	n := 0
-	for n < len(rs) && rs[n].Path.LocalPref == best {
-		n++
-	}
-	if n == len(rs) {
-		return rs
-	}
-	out := rs[:n]
-	for i := n + 1; i < len(rs); i++ {
-		if rs[i].Path.LocalPref == best {
-			out = append(out, rs[i])
-		}
-	}
-	return out
-}
-
-// filterMinASPathLen keeps the routes with the shortest AS-PATH (rule 2).
-func filterMinASPathLen(rs []bgp.Route) []bgp.Route {
-	best := rs[0].Path.ASPathLen
-	for i := 1; i < len(rs); i++ {
-		if v := rs[i].Path.ASPathLen; v < best {
-			best = v
-		}
-	}
-	n := 0
-	for n < len(rs) && rs[n].Path.ASPathLen == best {
-		n++
-	}
-	if n == len(rs) {
-		return rs
-	}
-	out := rs[:n]
-	for i := n + 1; i < len(rs); i++ {
-		if rs[i].Path.ASPathLen == best {
-			out = append(out, rs[i])
-		}
-	}
-	return out
-}
-
-// filterMED applies rule 3: for each neighbouring AS, keep only the routes
-// with the minimum MED among routes through that AS. Under AlwaysCompare
-// the minimum is taken over all routes. Small inputs use a quadratic scan
-// to stay allocation-free.
-func filterMED(rs []bgp.Route, mode MEDMode) []bgp.Route {
-	if mode == AlwaysCompare {
-		best := rs[0].Path.MED
-		for i := 1; i < len(rs); i++ {
-			if v := rs[i].Path.MED; v < best {
-				best = v
-			}
-		}
-		n := 0
-		for n < len(rs) && rs[n].Path.MED == best {
-			n++
-		}
-		if n == len(rs) {
-			return rs
-		}
-		out := rs[:n]
-		for i := n + 1; i < len(rs); i++ {
-			if rs[i].Path.MED == best {
-				out = append(out, rs[i])
-			}
-		}
-		return out
-	}
-	if len(rs) <= 16 {
-		var keep [16]bool
-		for i := range rs {
-			as, med := rs[i].Path.NextAS, rs[i].Path.MED
-			keep[i] = true
-			for j := range rs {
-				if i != j && rs[j].Path.NextAS == as && rs[j].Path.MED < med {
-					keep[i] = false
-					break
-				}
-			}
-		}
-		n := 0
-		for n < len(rs) && keep[n] {
-			n++
-		}
-		if n == len(rs) {
-			return rs
-		}
-		out := rs[:n]
-		for i := n + 1; i < len(rs); i++ {
-			if keep[i] {
-				out = append(out, rs[i])
-			}
-		}
-		return out
-	}
-	minByAS := make(map[bgp.ASN]int, 4)
-	for i := range rs {
-		p := &rs[i].Path
-		cur, ok := minByAS[p.NextAS]
-		if !ok || p.MED < cur {
-			minByAS[p.NextAS] = p.MED
-		}
-	}
-	n := 0
-	for n < len(rs) && rs[n].Path.MED == minByAS[rs[n].Path.NextAS] {
-		n++
-	}
-	if n == len(rs) {
-		return rs
-	}
-	out := rs[:n]
-	for i := n + 1; i < len(rs); i++ {
-		if rs[i].Path.MED == minByAS[rs[i].Path.NextAS] {
-			out = append(out, rs[i])
-		}
-	}
-	return out
-}
-
 // filterMetric keeps the routes with the minimum metric (IGP cost to the
 // next hop plus exit cost).
 func filterMetric(rs []bgp.Route) []bgp.Route {
@@ -259,26 +130,21 @@ func Best(cands []bgp.Route, opts Options) (bgp.Route, bool) {
 	return BestInPlace(rs, opts)
 }
 
-// BestInPlace is Best without the defensive copy: the filters reorder and
-// truncate rs. Callers that feed a reusable scratch slice (the engine's
-// per-activation hot path) avoid Best's per-call allocation.
+// BestInPlace is Best without the defensive copy: rules 1-3 (the one body
+// survivorsInPlace) and then rules 4-6 (BestOfSurvivors) reorder and
+// truncate rs.
 func BestInPlace(rs []bgp.Route, opts Options) (bgp.Route, bool) {
-	if len(rs) == 0 {
-		return bgp.Route{}, false
-	}
-	rs = filterMaxLocalPref(rs)
-	rs = filterMinASPathLen(rs)
-	rs = filterMED(rs, opts.MED)
-	return BestOfSurvivors(rs, opts.Order)
+	return BestOfSurvivors(survivorsInPlace(rs, routeExit, true, opts.MED, nil), opts.Order)
 }
 
 // BestOfSurvivors is the tail of BestInPlace: rules 4-6 over routes that
 // already survived rules 1-3. A caller that obtained the Choose^B
-// survivors another way (the operational RIB reads them off a Dominance
-// table) materialises just those routes and still gets exactly
-// BestInPlace's winner: the filters are set-valued and the final tie-break
-// is a total order, so neither the order of rs nor how rules 1-3 were
-// evaluated can show. Like BestInPlace it reorders and truncates rs.
+// survivors another way (the operational RIB and the model engine read
+// them off a Dominance table) materialises just those routes and still
+// gets exactly BestInPlace's winner: the filters are set-valued and the
+// final tie-break is a total order, so neither the order of rs nor how
+// rules 1-3 were evaluated can show. Like BestInPlace it reorders and
+// truncates rs.
 func BestOfSurvivors(rs []bgp.Route, order Order) (bgp.Route, bool) {
 	if len(rs) == 0 {
 		return bgp.Route{}, false
@@ -309,7 +175,7 @@ func BestOfSurvivors(rs []bgp.Route, order Order) (bgp.Route, bool) {
 // set the static oscillation-risk passes of package lint reason about.
 // The returned slice is freshly allocated and keeps the input order.
 func Survivors12(paths []bgp.ExitPath) []bgp.ExitPath {
-	return survivorsInPlace(slices.Clone(paths), false, PerNeighborAS, nil)
+	return survivorsInPlace(slices.Clone(paths), exitOf, false, PerNeighborAS, nil)
 }
 
 // SurvivorsB runs Choose^B (Figure 10): the prefix of the selection
@@ -321,117 +187,102 @@ func Survivors12(paths []bgp.ExitPath) []bgp.ExitPath {
 // length, NextAS, MED), so Choose^B is well-defined on exit paths without
 // reference to a particular router.
 func SurvivorsB(paths []bgp.ExitPath, mode MEDMode) []bgp.ExitPath {
-	return bgp.SortPaths(survivorsInPlace(slices.Clone(paths), true, mode, make(map[bgp.ASN]int, 4)))
+	return bgp.SortPaths(survivorsInPlace(slices.Clone(paths), exitOf, true, mode, nil))
 }
 
 // SurvivorsBInPlace is Choose^B without SurvivorsB's fresh allocations:
 // it compacts paths in place (reordering and truncating the slice) and
 // returns the surviving prefix, UNSORTED — callers feeding a PathSet do not
 // need SurvivorsB's by-ID order. byAS is a caller-owned scratch map for the
-// per-neighbour-AS MED minima, cleared on entry; it may be nil under
-// AlwaysCompare, which never consults it.
+// per-neighbour-AS MED minima, cleared on entry; when it is nil, a call
+// that needs one makes its own.
 func SurvivorsBInPlace(paths []bgp.ExitPath, mode MEDMode, byAS map[bgp.ASN]int) []bgp.ExitPath {
-	return survivorsInPlace(paths, true, mode, byAS)
+	return survivorsInPlace(paths, exitOf, true, mode, byAS)
 }
 
-// survivorsInPlace is the one spelling of rules 1-3 over exit paths: rules
-// 1 and 2 always, rule 3 when med is set. Every Survivors* entry point
-// above is a copy and/or sort around it, so Choose^B cannot drift between
-// the model engines, the operational RIB and the static analyser.
-func survivorsInPlace(paths []bgp.ExitPath, med bool, mode MEDMode, byAS map[bgp.ASN]int) []bgp.ExitPath {
-	if len(paths) == 0 {
+// survivorsInPlace is the one spelling of rules 1-3: rules 1 and 2 always,
+// rule 3 when med is set. It compacts xs in place, keeping the survivors'
+// order, and returns the surviving prefix. It runs over exit paths
+// (exitOf) and over routes (routeExit): exit projects an element onto the
+// injection-time attributes the rules read. Every Survivors* entry point
+// above is a copy and/or sort around it, BestInPlace is it followed by
+// BestOfSurvivors, WaltonSet runs it over the per-AS winners, and
+// Dominance is tabulated from it, so Choose^B cannot drift between the
+// model engines, the operational RIB and the static analyser. byAS holds the per-neighbour-AS MED minima, cleared on entry;
+// when it is nil, a call that needs it makes its own.
+func survivorsInPlace[T any](xs []T, exit func(*T) *bgp.ExitPath, med bool, mode MEDMode, byAS map[bgp.ASN]int) []T {
+	if len(xs) == 0 {
 		return nil
 	}
-	// Rule 1.
-	bestLP := paths[0].LocalPref
-	for _, p := range paths[1:] {
-		if p.LocalPref > bestLP {
-			bestLP = p.LocalPref
+	// Rules 1 and 2: the highest LOCAL-PREF and, among the paths that have
+	// it, the shortest AS-PATH.
+	bestLP, bestLen := exit(&xs[0]).LocalPref, exit(&xs[0]).ASPathLen
+	for i := 1; i < len(xs); i++ {
+		p := exit(&xs[i])
+		if p.LocalPref > bestLP || p.LocalPref == bestLP && p.ASPathLen < bestLen {
+			bestLP, bestLen = p.LocalPref, p.ASPathLen
 		}
 	}
-	// Compactions skip the already-in-place matching prefix, same as the
-	// Route filters above: the common all-survive case copies nothing.
-	n := 0
-	for n < len(paths) && paths[n].LocalPref == bestLP {
-		n++
-	}
-	step := paths
-	if n < len(paths) {
-		step = paths[:n]
-		for _, p := range paths[n+1:] {
-			if p.LocalPref == bestLP {
-				step = append(step, p)
+	top := func(p *bgp.ExitPath) bool { return p.LocalPref == bestLP && p.ASPathLen == bestLen }
+	// Rule 3, among the survivors of rules 1 and 2: the least MED through
+	// each neighbouring AS, or the least of all under AlwaysCompare. The
+	// two agree while the survivors share one neighbouring AS, so only
+	// survivors through several ASes need the per-AS minima.
+	bestMED, perAS := 0, false
+	if med {
+		var as bgp.ASN
+		seen := false
+		for i := range xs {
+			switch p := exit(&xs[i]); {
+			case !top(p):
+			case !seen:
+				bestMED, as, seen = p.MED, p.NextAS, true
+			default:
+				bestMED = min(bestMED, p.MED)
+				perAS = perAS || mode == PerNeighborAS && p.NextAS != as
+			}
+		}
+		if perAS {
+			if byAS == nil {
+				byAS = make(map[bgp.ASN]int, 4)
+			}
+			clear(byAS)
+			for i := range xs {
+				if p := exit(&xs[i]); top(p) {
+					if cur, ok := byAS[p.NextAS]; !ok || p.MED < cur {
+						byAS[p.NextAS] = p.MED
+					}
+				}
 			}
 		}
 	}
-	// Rule 2.
-	bestLen := step[0].ASPathLen
-	for _, p := range step[1:] {
-		if p.ASPathLen < bestLen {
-			bestLen = p.ASPathLen
+	keep := func(p *bgp.ExitPath) bool {
+		switch {
+		case !top(p):
+			return false
+		case !med:
+			return true
+		case perAS:
+			return p.MED == byAS[p.NextAS]
 		}
+		return p.MED == bestMED
 	}
-	n = 0
-	for n < len(step) && step[n].ASPathLen == bestLen {
-		n++
-	}
-	if n < len(step) {
-		out := step[:n]
-		for _, p := range step[n+1:] {
-			if p.ASPathLen == bestLen {
-				out = append(out, p)
+	n := 0 // an element already in place is not copied
+	for i := range xs {
+		if keep(exit(&xs[i])) {
+			if n != i {
+				xs[n] = xs[i]
 			}
-		}
-		step = out
-	}
-	if !med {
-		return step
-	}
-	// Rule 3.
-	if mode == AlwaysCompare {
-		bestMED := step[0].MED
-		for _, p := range step[1:] {
-			if p.MED < bestMED {
-				bestMED = p.MED
-			}
-		}
-		n = 0
-		for n < len(step) && step[n].MED == bestMED {
 			n++
 		}
-		if n == len(step) {
-			return step
-		}
-		out := step[:n]
-		for _, p := range step[n+1:] {
-			if p.MED == bestMED {
-				out = append(out, p)
-			}
-		}
-		return out
 	}
-	clear(byAS)
-	for _, p := range step {
-		cur, ok := byAS[p.NextAS]
-		if !ok || p.MED < cur {
-			byAS[p.NextAS] = p.MED
-		}
-	}
-	n = 0
-	for n < len(step) && step[n].MED == byAS[step[n].NextAS] {
-		n++
-	}
-	if n == len(step) {
-		return step
-	}
-	out := step[:n]
-	for _, p := range step[n+1:] {
-		if p.MED == byAS[p.NextAS] {
-			out = append(out, p)
-		}
-	}
-	return out
+	return xs[:n]
 }
+
+// exitOf and routeExit are survivorsInPlace's projections for its two
+// element types.
+func exitOf(p *bgp.ExitPath) *bgp.ExitPath { return p }
+func routeExit(r *bgp.Route) *bgp.ExitPath { return &r.Path }
 
 // Dominance is Choose^B tabulated for one exit-path set. Rules 1-3 form a
 // lexicographic preference over injection-time attributes, so they
@@ -455,7 +306,7 @@ func NewDominance(exits []bgp.ExitPath, mode MEDMode) *Dominance {
 	for p := range exits {
 		for q := range exits {
 			pair[0], pair[1] = exits[p], exits[q]
-			surv := survivorsInPlace(pair[:], true, mode, byAS)
+			surv := survivorsInPlace(pair[:], exitOf, true, mode, byAS)
 			if len(surv) == 1 && surv[0].ID == exits[q].ID {
 				d.rows[p*w+q/64] |= 1 << (uint(q) % 64)
 			}
@@ -515,18 +366,10 @@ func BestPerAS(cands []bgp.Route, opts Options) []bgp.Route {
 // WaltonSet returns the routes a Walton et al. route reflector announces:
 // its best route through each neighbouring AS, kept only when that route
 // has the same LOCAL-PREF and AS-PATH length as the overall best route
-// (Section 8, "Brief Overview of the Walton et al. Solution").
+// (Section 8, "Brief Overview of the Walton et al. Solution"). The overall
+// best is one of the per-AS winners and has the best LOCAL-PREF and
+// AS-PATH length of all, so rules 1 and 2 over the winners keep exactly
+// those routes.
 func WaltonSet(cands []bgp.Route, opts Options) []bgp.Route {
-	overall, ok := Best(cands, opts)
-	if !ok {
-		return nil
-	}
-	per := BestPerAS(cands, opts)
-	out := per[:0]
-	for _, r := range per {
-		if r.Path.LocalPref == overall.Path.LocalPref && r.Path.ASPathLen == overall.Path.ASPathLen {
-			out = append(out, r)
-		}
-	}
-	return out
+	return survivorsInPlace(BestPerAS(cands, opts), routeExit, false, opts.MED, nil)
 }

@@ -2,6 +2,7 @@ package selection
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -359,17 +360,29 @@ func TestWaltonSetEmpty(t *testing.T) {
 	}
 }
 
+// TestQuickWaltonContainsOverallBest: the Walton set holds the overall
+// best route, and it is exactly Section 8's definition: the per-AS winners
+// with the overall best's LOCAL-PREF and AS-PATH length.
 func TestQuickWaltonContainsOverallBest(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		rs := randomRoutes(rng, 1+rng.Intn(8))
-		w, _ := Best(rs, Options{})
-		for _, r := range WaltonSet(rs, Options{}) {
-			if r.Path.ID == w.Path.ID {
-				return true
+		rs := randomRoutes(rng, 1+rng.Intn(24))
+		for _, opts := range []Options{{}, {Order: RFCOrder}, {MED: AlwaysCompare}, {Order: RFCOrder, MED: AlwaysCompare}} {
+			w, _ := Best(rs, opts)
+			var want, got []bgp.PathID
+			for _, r := range BestPerAS(rs, opts) {
+				if r.Path.LocalPref == w.Path.LocalPref && r.Path.ASPathLen == w.Path.ASPathLen {
+					want = append(want, r.Path.ID)
+				}
+			}
+			for _, r := range WaltonSet(rs, opts) {
+				got = append(got, r.Path.ID)
+			}
+			if !slices.Equal(got, want) || !slices.Contains(got, w.Path.ID) {
+				return false
 			}
 		}
-		return false
+		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -461,14 +474,13 @@ func referenceBest(cands []bgp.Route, opts Options) (bgp.Route, bool) {
 	return win, true
 }
 
-// TestQuickBestMatchesReference differential-tests the optimised in-place
-// Best against the naive transcription, including inputs larger than the
-// 16-route fast path so the map-based MED branch is exercised.
+// TestQuickBestMatchesReference differential-tests the in-place Best
+// against the naive transcription on random inputs of up to 64 routes,
+// and on every size from 17 to 64 with a fixed seed, so inputs on both
+// sides of 16 routes (where a MED filter could switch strategy) are
+// always covered.
 func TestQuickBestMatchesReference(t *testing.T) {
-	check := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(30)
-		rs := randomRoutes(rng, n)
+	agree := func(rs []bgp.Route) bool {
 		for _, opts := range []Options{{}, {Order: RFCOrder}, {MED: AlwaysCompare}, {Order: RFCOrder, MED: AlwaysCompare}} {
 			got, ok1 := Best(rs, opts)
 			want, ok2 := referenceBest(rs, opts)
@@ -478,8 +490,20 @@ func TestQuickBestMatchesReference(t *testing.T) {
 		}
 		return true
 	}
+	check := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		return agree(randomRoutes(rng, 1+rng.Intn(64)))
+	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(17))
+	for n := 17; n <= 64; n++ {
+		for i := 0; i < 20; i++ {
+			if rs := randomRoutes(rng, n); !agree(rs) {
+				t.Fatalf("%d routes: Best disagrees with the reference on %v", n, rs)
+			}
+		}
 	}
 }
 
