@@ -108,43 +108,6 @@ func BenchmarkAblationAdvertisedSetSize(b *testing.B) {
 
 // --- substrate micro-benchmarks ------------------------------------------------
 
-func BenchmarkSelectionBest(b *testing.B) {
-	routes := make([]bgp.Route, 0, 16)
-	for i := 0; i < 16; i++ {
-		routes = append(routes, bgp.Route{
-			Path: bgp.ExitPath{
-				ID: bgp.PathID(i), LocalPref: 100, ASPathLen: 2,
-				NextAS: bgp.ASN(1 + i%3), MED: i % 4, ExitPoint: bgp.NodeID(i % 5),
-			},
-			At: 0, Metric: int64(10 + i*3%17), LearnedFrom: 1000 + i,
-		})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := selection.Best(routes, selection.Options{}); !ok {
-			b.Fatal("no best")
-		}
-	}
-}
-
-func BenchmarkSelectionSurvivorsB(b *testing.B) {
-	paths := make([]bgp.ExitPath, 0, 16)
-	for i := 0; i < 16; i++ {
-		paths = append(paths, bgp.ExitPath{
-			ID: bgp.PathID(i), LocalPref: 100, ASPathLen: 2,
-			NextAS: bgp.ASN(1 + i%3), MED: i % 4, ExitPoint: bgp.NodeID(i % 5),
-		})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(selection.SurvivorsB(paths, selection.PerNeighborAS)) == 0 {
-			b.Fatal("no survivors")
-		}
-	}
-}
-
 func BenchmarkIGPDijkstra(b *testing.B) {
 	sys := workload.MustGenerate(workload.Default(12), 5)
 	g := sys.Phys()

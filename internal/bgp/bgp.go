@@ -14,7 +14,6 @@ package bgp
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"strings"
 )
 
@@ -243,6 +242,17 @@ func (s *PathSet) Union(t PathSet) {
 	}
 }
 
+// Intersect removes from s every member that is not in t.
+func (s *PathSet) Intersect(t PathSet) {
+	for i := range s.words {
+		if i < len(t.words) {
+			s.words[i] &= t.words[i]
+		} else {
+			s.words[i] = 0
+		}
+	}
+}
+
 // Clone returns an independent copy of the set.
 func (s PathSet) Clone() PathSet {
 	c := PathSet{words: make([]uint64, len(s.words))}
@@ -343,11 +353,4 @@ func (s PathSet) String() string {
 		parts[i] = fmt.Sprintf("p%d", id)
 	}
 	return "{" + strings.Join(parts, ",") + "}"
-}
-
-// SortPaths orders paths deterministically by ID, in place, and returns the
-// slice for convenience.
-func SortPaths(ps []ExitPath) []ExitPath {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].ID < ps[j].ID })
-	return ps
 }

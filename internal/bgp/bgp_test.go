@@ -62,6 +62,10 @@ func TestPathSetUnionCloneEqual(t *testing.T) {
 	if !c.Equal(NewPathSet(1, 2, 3)) {
 		t.Fatalf("clone altered: %v", c)
 	}
+	// Intersect keeps the common members, including against a shorter set.
+	if a.Intersect(NewPathSet(2, 3)); !a.Equal(NewPathSet(2, 3)) {
+		t.Fatalf("intersection = %v, want {p2,p3}", a)
+	}
 }
 
 func TestPathSetEqualDifferentCapacity(t *testing.T) {
@@ -172,15 +176,5 @@ func TestRouteStrings(t *testing.T) {
 	r.At = 0
 	if r.EBGP() {
 		t.Fatal("route away from exit point must be I-BGP")
-	}
-}
-
-func TestSortPaths(t *testing.T) {
-	ps := []ExitPath{{ID: 2}, {ID: 0}, {ID: 1}}
-	SortPaths(ps)
-	for i, p := range ps {
-		if p.ID != PathID(i) {
-			t.Fatalf("SortPaths: position %d has ID %d", i, p.ID)
-		}
 	}
 }

@@ -263,6 +263,7 @@ type Engine struct {
 	sys    *System
 	policy Policy
 	opts   selection.Options
+	dom    *selection.Dominance // Choose^B over sys.exits
 
 	myExits    []bgp.PathSet
 	possible   []map[bgp.PathID]entry
@@ -277,6 +278,7 @@ func New(sys *System, policy Policy, opts selection.Options) *Engine {
 		sys:        sys,
 		policy:     policy,
 		opts:       opts,
+		dom:        selection.NewDominance(sys.exits, opts.MED),
 		myExits:    make([]bgp.PathSet, n),
 		possible:   make([]map[bgp.PathID]entry, n),
 		best:       make([]bgp.PathID, n),
@@ -305,27 +307,20 @@ func (e *Engine) Withdraw(id bgp.PathID) {
 	e.myExits[e.sys.Exit(id).ExitPoint].Remove(id)
 }
 
-// candidates materialises the selection input of u.
-func (e *Engine) candidates(u bgp.NodeID) []bgp.Route {
-	ids := make([]bgp.PathID, 0, len(e.possible[u]))
-	for id := range e.possible[u] {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	rs := make([]bgp.Route, 0, len(ids))
-	for _, id := range ids {
-		p := e.sys.Exit(id)
-		rs = append(rs, bgp.Route{
-			Path: p, At: u, Metric: e.sys.Metric(u, p), LearnedFrom: e.possible[u][id].lf,
-		})
-	}
-	return rs
-}
-
-// recompute refreshes u's best route and advertised offers.
+// recompute refreshes u's best route and advertised offers: Choose^B read
+// off the dominance table, then rules 4-6 over the survivors' routes.
 func (e *Engine) recompute(u bgp.NodeID) {
-	cands := e.candidates(u)
-	if w, ok := selection.Best(cands, e.opts); ok {
+	var possible, surv bgp.PathSet
+	for id := range e.possible[u] {
+		possible.Add(id)
+	}
+	e.dom.SurvivorsInto(&surv, possible)
+	var rs []bgp.Route
+	surv.ForEach(func(id bgp.PathID) {
+		p := e.sys.Exit(id)
+		rs = append(rs, bgp.Route{Path: p, At: u, Metric: e.sys.Metric(u, p), LearnedFrom: e.possible[u][id].lf})
+	})
+	if w, ok := selection.BestOfSurvivors(rs, e.opts.Order); ok {
 		e.best[u] = w.Path.ID
 	} else {
 		e.best[u] = bgp.None
@@ -333,13 +328,7 @@ func (e *Engine) recompute(u bgp.NodeID) {
 	adv := map[bgp.PathID]entry{}
 	switch e.policy {
 	case Survivors:
-		paths := make([]bgp.ExitPath, len(cands))
-		for i, c := range cands {
-			paths[i] = c.Path
-		}
-		for _, p := range selection.SurvivorsB(paths, e.opts.MED) {
-			adv[p.ID] = e.possible[u][p.ID]
-		}
+		surv.ForEach(func(id bgp.PathID) { adv[id] = e.possible[u][id] })
 	default:
 		if e.best[u] != bgp.None {
 			adv[e.best[u]] = e.possible[u][e.best[u]]

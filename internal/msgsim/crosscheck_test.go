@@ -1,6 +1,7 @@
 package msgsim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -102,7 +103,7 @@ func TestModifiedGoodExitsAreGlobalSurvivors(t *testing.T) {
 		if res.Outcome != protocol.Converged {
 			t.Fatalf("seed %d: %v", seed, res.Outcome)
 		}
-		sPrime := selection.SurvivorsB(sys.Exits(), selection.PerNeighborAS)
+		sPrime := selection.SurvivorsBInPlace(slices.Clone(sys.Exits()), selection.PerNeighborAS, nil)
 		for u := 0; u < sys.N(); u++ {
 			good := res.Final.Advertised[u]
 			if good.Len() != len(sPrime) {

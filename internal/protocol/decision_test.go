@@ -3,6 +3,7 @@ package protocol_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bgp"
@@ -13,6 +14,31 @@ import (
 	"repro/internal/workload"
 )
 
+// keepUnbeaten returns the candidates that no candidate is better than.
+func keepUnbeaten(cur []bgp.Route, better func(a, b bgp.Route) bool) []bgp.Route {
+	var next []bgp.Route
+	for _, r := range cur {
+		if !slices.ContainsFunc(cur, func(q bgp.Route) bool { return better(q, r) }) {
+			next = append(next, r)
+		}
+	}
+	return next
+}
+
+// naiveTop12 keeps the candidates with the highest LOCAL-PREF and, among
+// them, the shortest AS-PATH: rules 1 and 2.
+func naiveTop12(cands []bgp.Route) []bgp.Route {
+	cur := keepUnbeaten(cands, func(a, b bgp.Route) bool { return a.Path.LocalPref > b.Path.LocalPref })
+	return keepUnbeaten(cur, func(a, b bgp.Route) bool { return a.Path.ASPathLen < b.Path.ASPathLen })
+}
+
+// naiveChooseB is Choose^B, rules 1-3, over every candidate.
+func naiveChooseB(cands []bgp.Route, opts selection.Options) []bgp.Route {
+	return keepUnbeaten(naiveTop12(cands), func(a, b bgp.Route) bool {
+		return a.Path.MED < b.Path.MED && (opts.MED == selection.AlwaysCompare || a.Path.NextAS == b.Path.NextAS)
+	})
+}
+
 // naiveBest is the six-rule selection procedure written for clarity over
 // speed: each rule keeps the candidates that are best on its attribute,
 // over every candidate the router holds, with no Dominance table and no
@@ -21,30 +47,9 @@ func naiveBest(cands []bgp.Route, opts selection.Options) bgp.PathID {
 	if len(cands) == 0 {
 		return bgp.None
 	}
-	cur := append([]bgp.Route(nil), cands...)
-	keep := func(better func(a, b bgp.Route) bool) {
-		var next []bgp.Route
-		for _, r := range cur {
-			beaten := false
-			for _, q := range cur {
-				if better(q, r) {
-					beaten = true
-					break
-				}
-			}
-			if !beaten {
-				next = append(next, r)
-			}
-		}
-		cur = next
-	}
-	keep(func(a, b bgp.Route) bool { return a.Path.LocalPref > b.Path.LocalPref })
-	keep(func(a, b bgp.Route) bool { return a.Path.ASPathLen < b.Path.ASPathLen })
-	keep(func(a, b bgp.Route) bool {
-		return a.Path.MED < b.Path.MED && (opts.MED == selection.AlwaysCompare || a.Path.NextAS == b.Path.NextAS)
-	})
-	ebgp := func() { keep(func(a, b bgp.Route) bool { return a.EBGP() && !b.EBGP() }) }
-	metric := func() { keep(func(a, b bgp.Route) bool { return a.Metric < b.Metric }) }
+	cur := naiveChooseB(cands, opts)
+	ebgp := func() { cur = keepUnbeaten(cur, func(a, b bgp.Route) bool { return a.EBGP() && !b.EBGP() }) }
+	metric := func() { cur = keepUnbeaten(cur, func(a, b bgp.Route) bool { return a.Metric < b.Metric }) }
 	if opts.Order == selection.RFCOrder {
 		metric()
 		ebgp()
@@ -52,17 +57,42 @@ func naiveBest(cands []bgp.Route, opts selection.Options) bgp.PathID {
 		ebgp()
 		metric()
 	}
-	keep(func(a, b bgp.Route) bool {
+	cur = keepUnbeaten(cur, func(a, b bgp.Route) bool {
 		return a.LearnedFrom < b.LearnedFrom || (a.LearnedFrom == b.LearnedFrom && a.Path.ID < b.Path.ID)
 	})
 	return cur[0].Path.ID
 }
 
+// naiveWalton is Section 8's definition: group the candidates by
+// neighbouring AS, take naiveBest of each group, and keep the winners at
+// the top on LOCAL-PREF and AS-PATH length.
+func naiveWalton(cands []bgp.Route, opts selection.Options) bgp.PathSet {
+	var winners []bgp.Route
+	for i, c := range cands {
+		if slices.ContainsFunc(cands[:i], func(q bgp.Route) bool { return q.Path.NextAS == c.Path.NextAS }) {
+			continue
+		}
+		var group []bgp.Route
+		for _, q := range cands {
+			if q.Path.NextAS == c.Path.NextAS {
+				group = append(group, q)
+			}
+		}
+		id := naiveBest(group, opts)
+		winners = append(winners, group[slices.IndexFunc(group, func(q bgp.Route) bool { return q.Path.ID == id })])
+	}
+	var out bgp.PathSet
+	for _, w := range naiveTop12(winners) {
+		out.Add(w.Path.ID)
+	}
+	return out
+}
+
 // checkDecision holds every router's best route and advertised set to the
 // naive selection over all of its candidates: best is naiveBest; a router
 // advertising survivors (Modified, upgraded Adaptive) advertises exactly
-// SurvivorsB(PossibleExits); a Walton reflector its WaltonSet; every
-// other router {best}.
+// naiveChooseB(PossibleExits); a Walton reflector naiveWalton; every other
+// router {best}.
 func checkDecision(e *protocol.Engine) error {
 	sys := e.Sys()
 	var s protocol.Snapshot
@@ -70,11 +100,8 @@ func checkDecision(e *protocol.Engine) error {
 	for v := 0; v < sys.N(); v++ {
 		u := bgp.NodeID(v)
 		var cands []bgp.Route
-		var paths []bgp.ExitPath
 		for _, id := range s.Possible[u].IDs() {
-			p := sys.Exit(id)
-			paths = append(paths, p)
-			cands = append(cands, sys.Route(u, p, e.LearnedFrom(u, id)))
+			cands = append(cands, sys.Route(u, sys.Exit(id), e.LearnedFrom(u, id)))
 		}
 		if want := naiveBest(cands, e.Options()); s.Best[u] != want {
 			return fmt.Errorf("%s: best p%d, naive selection over %v picks p%d", sys.Name(u), s.Best[u], s.Possible[u], want)
@@ -82,13 +109,11 @@ func checkDecision(e *protocol.Engine) error {
 		var want bgp.PathSet
 		switch {
 		case e.Policy() == protocol.Modified || (e.Policy() == protocol.Adaptive && e.Upgraded(u)):
-			for _, p := range selection.SurvivorsB(paths, e.Options().MED) {
-				want.Add(p.ID)
-			}
-		case e.Policy() == protocol.Walton && sys.Role(u) == topology.Reflector:
-			for _, r := range selection.WaltonSet(cands, e.Options()) {
+			for _, r := range naiveChooseB(cands, e.Options()) {
 				want.Add(r.Path.ID)
 			}
+		case e.Policy() == protocol.Walton && sys.Role(u) == topology.Reflector:
+			want = naiveWalton(cands, e.Options())
 		default:
 			want.Add(s.Best[u])
 		}
@@ -99,14 +124,49 @@ func checkDecision(e *protocol.Engine) error {
 	return nil
 }
 
+// checkAttribution derives the learnedFrom of every path u holds from the
+// advertised sets as they stood before u's activation, independently of
+// the engine's gather: the path's fixed tie-break if set, the external
+// next hop for u's own exit, otherwise the lowest BGP ID among the peers
+// that advertised the path and that Transfer lets it through from.
+func checkAttribution(e *protocol.Engine, u bgp.NodeID, pre protocol.Snapshot) error {
+	sys := e.Sys()
+	own := e.MyExits(u)
+	for _, id := range e.PossibleExits(u).IDs() {
+		p := sys.Exit(id)
+		want := -1
+		switch {
+		case p.TieBreak >= 0:
+			want = p.TieBreak
+		case own.Contains(id):
+			want = p.NextHopID
+		default:
+			for _, w := range sys.Peers(u) {
+				if pre.Advertised[w].Contains(id) && sys.Transfers(w, u, p) && (want < 0 || sys.BGPID(w) < want) {
+					want = sys.BGPID(w)
+				}
+			}
+		}
+		if got := e.LearnedFrom(u, id); got != want {
+			return fmt.Errorf("%s: p%d learnedFrom %d, the pre-step advertisements give %d", sys.Name(u), id, got, want)
+		}
+	}
+	return nil
+}
+
 // TestEngineDecisionMatchesReference differential-tests the engine's
 // decision (Choose^B read off the Dominance table, rules 4-6 over the
 // survivors alone) against the naive selection over every candidate,
 // after every step of random schedules that also withdraw and restore
-// exits and reset routers. Each step also checks WouldChange for one
+// exits and reset routers. After each activation step every activated
+// router's learnedFrom is derived afresh from the pre-step advertisements
+// (checkDecision reads the engine's own attribution, so it cannot catch a
+// rule-6 attribution bug). Each step also checks WouldChange for one
 // random router against a clone that performs the activation. Systems:
-// every paper figure and workload.Generate seeds 1-24 of a MED-rich
-// family, under all four policies, both rule orders and both MED modes.
+// every paper figure, the learnedFrom fixture (a client of two
+// co-reflectors, so a path arrives from two peers) and workload.Generate
+// seeds 1-24 of a MED-rich family, under all four policies, both rule
+// orders and both MED modes.
 func TestEngineDecisionMatchesReference(t *testing.T) {
 	family := workload.Params{Clusters: 3, MinClients: 1, MaxClients: 2, ASes: 2,
 		Exits: 6, MaxMED: 2, MaxCost: 8, ExtraLinks: 2}
@@ -118,6 +178,8 @@ func TestEngineDecisionMatchesReference(t *testing.T) {
 	for _, f := range figures.All() {
 		systems = append(systems, system{"fig" + f.Name, f.Build().Sys})
 	}
+	fix, _, _ := learnedFromFixture(t)
+	systems = append(systems, system{"learnedFrom-fixture", fix})
 	for seed := int64(1); seed <= 24; seed++ {
 		sys, err := workload.Generate(family, seed)
 		if err != nil {
@@ -153,7 +215,15 @@ func TestEngineDecisionMatchesReference(t *testing.T) {
 						case k == 2:
 							e.ResetNode(bgp.NodeID(rng.Intn(n)))
 						default:
-							e.ActivateSet(sch.Next())
+							var pre protocol.Snapshot
+							e.SnapshotInto(&pre)
+							set := sch.Next()
+							e.ActivateSet(set)
+							for _, u := range set {
+								if err := checkAttribution(e, u, pre); err != nil {
+									t.Fatalf("%s %v %v/%v step %d: %v", s.name, policy, order, med, step, err)
+								}
+							}
 						}
 						if err := checkDecision(e); err != nil {
 							t.Fatalf("%s %v %v/%v step %d: %v", s.name, policy, order, med, step, err)

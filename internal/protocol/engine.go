@@ -105,7 +105,8 @@ type Engine struct {
 	gatherSet    bgp.PathSet   // gather target, swapped into possible[u]
 	advNext      bgp.PathSet   // recompute target, swapped into advertised[u]
 	advFrozen    []bgp.PathSet // pre-step advertised sets (ActivateSet, InducedConfig)
-	surv         bgp.PathSet   // Choose^B of the set being decided
+	surv         bgp.PathSet   // Choose^B of the set being decided; WaltonInto's per-AS scratch
+	asIn         bgp.PathSet   // one neighbouring AS's candidates (WaltonInto)
 	lfScratch    []int         // learnedFrom scratch for WouldChange
 	routeScratch []bgp.Route   // route materialisation (routesInto)
 }
@@ -254,11 +255,9 @@ func (e *Engine) recompute(u bgp.NodeID) bool {
 	case e.policy == Modified || (e.policy == Adaptive && e.upgraded[u]):
 		adv.Copy(e.surv) // GoodExits(u) = Choose^B(PossibleExits(u))
 	case e.policy == Walton && e.sys.Role(u) == topology.Reflector:
-		// The per-AS winners are not a function of the survivors: only
-		// here is every candidate materialised.
-		for _, r := range selection.WaltonSet(e.routesInto(u, e.possible[u], e.learned[u]), e.opts) {
-			adv.Add(r.Path.ID)
-		}
+		e.dom.WaltonInto(adv, &e.asIn, &e.surv, e.possible[u], e.opts.Order, func(s bgp.PathSet) []bgp.Route {
+			return e.routesInto(u, s, e.learned[u])
+		})
 	default:
 		adv.Add(e.best[u])
 	}

@@ -16,8 +16,8 @@ import (
 // reference is the decision process as it was before the dominance kernel,
 // kept test-local as the differential oracle: materialise every candidate
 // as a route through topology.System.Route, run selection.BestInPlace over
-// all of them, compute the advertise set with SurvivorsBInPlace / WaltonSet
-// / {best}, and classify and filter per peer through System.ServedBy on
+// all of them, compute the advertise set with SurvivorsBInPlace / the
+// naive Walton set / {best}, and classify and filter per peer through System.ServedBy on
 // NodeIDs. It reads the RIB's contents only through its set accessors.
 type reference struct {
 	r     *RIB
@@ -68,11 +68,39 @@ func (ref *reference) advertise() bgp.PathSet {
 			out.Add(p.ID)
 		}
 	case r.policy == protocol.Walton && r.sys.Role(r.id) == topology.Reflector:
-		for _, w := range selection.WaltonSet(ref.cands, r.opts) {
-			out.Add(w.Path.ID)
-		}
+		out = naiveWalton(ref.cands, r.opts)
 	default:
 		if w, ok := selection.BestInPlace(slices.Clone(ref.cands), r.opts); ok {
+			out.Add(w.Path.ID)
+		}
+	}
+	return out
+}
+
+// naiveWalton is Section 8's definition over every candidate: group the
+// candidates by neighbouring AS, take each group's best route, and keep
+// the winners no other winner beats on LOCAL-PREF, then AS-PATH length.
+func naiveWalton(cands []bgp.Route, opts selection.Options) bgp.PathSet {
+	var winners []bgp.Route
+	for i, c := range cands {
+		if slices.ContainsFunc(cands[:i], func(q bgp.Route) bool { return q.Path.NextAS == c.Path.NextAS }) {
+			continue
+		}
+		var group []bgp.Route
+		for _, q := range cands {
+			if q.Path.NextAS == c.Path.NextAS {
+				group = append(group, q)
+			}
+		}
+		w, _ := selection.BestInPlace(group, opts)
+		winners = append(winners, w)
+	}
+	var out bgp.PathSet
+	for _, w := range winners {
+		if !slices.ContainsFunc(winners, func(v bgp.Route) bool {
+			return v.Path.LocalPref > w.Path.LocalPref ||
+				v.Path.LocalPref == w.Path.LocalPref && v.Path.ASPathLen < w.Path.ASPathLen
+		}) {
 			out.Add(w.Path.ID)
 		}
 	}

@@ -104,7 +104,8 @@ type RIB struct {
 // while they run their steps one at a time.
 type Scratch struct {
 	possible bgp.PathSet  // candidate path IDs
-	surv     bgp.PathSet  // Choose^B(possible)
+	surv     bgp.PathSet  // Choose^B(possible); WaltonInto's per-AS scratch in PrepareFlush
+	asIn     bgp.PathSet  // one neighbouring AS's candidates (WaltonInto)
 	ids      []bgp.PathID // the set being materialised, flattened
 	cands    []bgp.Route  // materialised routes (consumed by selection)
 
@@ -131,6 +132,7 @@ func NewScratch(n int) *Scratch {
 	s.origins = make([]int32, 0, n)
 	s.possible.Grow(n)
 	s.surv.Grow(n)
+	s.asIn.Grow(n)
 	s.target.Grow(n)
 	return s
 }
@@ -353,13 +355,13 @@ func (r *RIB) possibleInto(out *bgp.PathSet) {
 }
 
 // materialise fills scr.cands with the routes of the paths in set, as seen
-// from this router.
-func (r *RIB) materialise(set bgp.PathSet) {
+// from this router, and returns them.
+func (r *RIB) materialise(set bgp.PathSet) []bgp.Route {
 	scr := r.scr
 	scr.ids = set.AppendIDs(scr.ids[:0])
 	scr.cands = scr.cands[:0]
 	if len(scr.ids) == 0 {
-		return
+		return nil
 	}
 	if r.metric == nil {
 		r.metric = make([]int32, r.sys.NumExits())
@@ -375,6 +377,7 @@ func (r *RIB) materialise(set bgp.PathSet) {
 		}
 		scr.cands = append(scr.cands, bgp.Route{Path: *p, At: r.id, Metric: m, LearnedFrom: r.learnedFrom(p)})
 	}
+	return scr.cands
 }
 
 // Upgraded reports whether this router has switched to survivor
@@ -392,8 +395,7 @@ func (r *RIB) RecomputeBest() (bestChanged bool) {
 	scr := r.scr
 	r.possibleInto(&scr.possible)
 	r.dom.SurvivorsInto(&scr.surv, scr.possible)
-	r.materialise(scr.surv)
-	if w, ok := selection.BestOfSurvivors(scr.cands, r.opts.Order); ok {
+	if w, ok := selection.BestOfSurvivors(r.materialise(scr.surv), r.opts.Order); ok {
 		r.best = w.Path.ID
 	} else {
 		r.best = bgp.None
@@ -440,13 +442,10 @@ func (r *RIB) PrepareFlush() {
 	case r.policy == protocol.Modified || (r.policy == protocol.Adaptive && r.upgraded):
 		scr.want = scr.surv.AppendIDs(scr.want)
 	case r.policy == protocol.Walton && r.sys.Role(r.id) == topology.Reflector:
-		// The per-AS winners are not a function of the survivors, so this
-		// one branch still materialises every candidate.
-		r.materialise(scr.possible)
-		for _, w := range selection.WaltonSet(scr.cands, r.opts) {
-			scr.want = append(scr.want, w.Path.ID)
-		}
-		slices.Sort(scr.want) // WaltonSet orders by neighbouring AS
+		// target is free until DiffAt refills it per peer; nothing reads
+		// surv after this.
+		r.dom.WaltonInto(&scr.target, &scr.asIn, &scr.surv, scr.possible, r.opts.Order, r.materialise)
+		scr.want = scr.target.AppendIDs(scr.want)
 	case r.best != bgp.None:
 		scr.want = append(scr.want, r.best)
 	}

@@ -12,15 +12,18 @@ import (
 	"repro/internal/bgp"
 	"repro/internal/protocol"
 	"repro/internal/selection"
+	"repro/internal/topology"
 	"repro/internal/wire"
 )
 
 // TestRefreshAllocFloor pins the steady-state withdraw/inject refresh
-// cycle at zero heap allocations per refresh, under Classic and under
-// Modified (the policy every benchmark workload runs): the dominance pass,
-// survivor materialisation, flush preparation, per-peer diff and coalesced
-// encode all run on the router's workspace, and the Adaptive detector's
-// history — the one lazily grown per-RIB set — is only kept under Adaptive.
+// cycle at zero heap allocations per refresh, under Classic, under
+// Modified (the policy every benchmark workload runs) and on a Walton
+// reflector whose candidates span two neighbouring ASes: the dominance
+// pass (per AS under Walton), survivor materialisation, flush preparation,
+// per-peer diff and coalesced encode all run on the router's workspace,
+// and the Adaptive detector's history — the one lazily grown per-RIB set —
+// is only kept under Adaptive.
 // Each cycle also delivers the reflector's UPDATE to a client and refreshes
 // it, so under NewRouters two routers with different peer counts take
 // turns on one shared workspace; NewRouter gives each its own.
@@ -37,9 +40,12 @@ func TestRefreshAllocFloor(t *testing.T) {
 			return []*Router{all[ids[0]], all[ids[1]]}
 		}},
 	}
-	for _, policy := range []protocol.Policy{protocol.Classic, protocol.Modified} {
+	for _, policy := range []protocol.Policy{protocol.Classic, protocol.Modified, protocol.Walton} {
 		for _, b := range builders {
 			sys, rr, paths := star(t)
+			if policy == protocol.Walton {
+				sys, rr, paths = starTwoAS(t)
+			}
 			client := sys.Peers(rr)[0]
 			var c Counters
 			rts := b.build(Single(sys, policy, selection.Options{}), []bgp.NodeID{rr, client}, &c)
@@ -65,6 +71,9 @@ func TestRefreshAllocFloor(t *testing.T) {
 			}
 
 			// Warm the workspace, then measure.
+			if policy == protocol.Walton {
+				r.Inject(0, 0, paths[1]) // stays: the cycle's candidates span AS 1 and AS 2
+			}
 			r.Inject(0, 0, paths[0])
 			r.Refresh(0, toClient)
 			deliver()
@@ -86,4 +95,22 @@ func TestRefreshAllocFloor(t *testing.T) {
 			}
 		}
 	}
+}
+
+// starTwoAS is star with the reflector's second exit through AS 2.
+func starTwoAS(t *testing.T) (*topology.System, bgp.NodeID, []bgp.PathID) {
+	t.Helper()
+	b := topology.NewBuilder()
+	c0 := b.NewCluster()
+	rr := b.Reflector("RR", c0)
+	c1 := b.Client("c1", c0)
+	c2 := b.Client("c2", c0)
+	b.Link(rr, c1, 10).Link(rr, c2, 10)
+	r1 := b.Exit(rr, topology.ExitSpec{NextAS: 1, MED: 10})
+	r2 := b.Exit(rr, topology.ExitSpec{NextAS: 2, MED: 0})
+	sys, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys, rr, []bgp.PathID{r1, r2}
 }

@@ -71,7 +71,7 @@ func exitSets(t *testing.T) map[string][]bgp.ExitPath {
 
 // TestDominanceMatchesSurvivorsB is the pairwise-dominance lemma as a
 // property: over random subsets S of each exit set, under both MED modes,
-// {p in S : dom[p] misses S} is exactly SurvivorsB(S).
+// {p in S : dom[p] misses S} is exactly survivorsB(S).
 func TestDominanceMatchesSurvivorsB(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for name, exits := range exitSets(t) {
@@ -89,12 +89,32 @@ func TestDominanceMatchesSurvivorsB(t *testing.T) {
 					}
 				}
 				var want bgp.PathSet
-				for _, p := range SurvivorsB(paths, mode) {
+				for _, p := range survivorsB(paths, mode) {
 					want.Add(p.ID)
 				}
 				dom.SurvivorsInto(&got, s)
 				if !got.Equal(want) {
 					t.Fatalf("%s, %v, S = %v: kernel %v, SurvivorsB %v", name, mode, s, got, want)
+				}
+				// Each AS mask restricts the table to rules 1-3 over that
+				// AS's members of S alone, whatever the MED mode.
+				for m := 0; m < len(dom.masks); m += dom.w {
+					mask := bgp.PathSetOver(dom.masks[m : m+dom.w])
+					var sub []bgp.ExitPath
+					for _, p := range paths {
+						if mask.Contains(p.ID) {
+							sub = append(sub, p)
+						}
+					}
+					want = bgp.PathSet{}
+					for _, p := range survivorsB(sub, PerNeighborAS) {
+						want.Add(p.ID)
+					}
+					in := s.Clone()
+					in.Intersect(mask)
+					if dom.SurvivorsInto(&got, in); !got.Equal(want) {
+						t.Fatalf("%s, %v, S = %v, AS mask %v: kernel %v, SurvivorsB %v", name, mode, s, mask, got, want)
+					}
 				}
 			}
 		}
@@ -118,11 +138,11 @@ func TestBestOfSurvivorsEqualsBestInPlace(t *testing.T) {
 		}
 		opts := Options{Order: Order(rng.Intn(2)), MED: MEDMode(rng.Intn(2))}
 		var surv []bgp.Route
-		for _, p := range SurvivorsB(paths, opts.MED) {
+		for _, p := range survivorsB(paths, opts.MED) {
 			surv = append(surv, rs[p.ID])
 		}
 		rng.Shuffle(len(surv), func(i, j int) { surv[i], surv[j] = surv[j], surv[i] })
-		want, _ := Best(rs, opts)
+		want, _ := best(rs, opts)
 		got, ok := BestOfSurvivors(surv, opts.Order)
 		if !ok || got != want {
 			t.Fatalf("trial %d (%+v): BestOfSurvivors %v, Best %v", trial, opts, got, want)

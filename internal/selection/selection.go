@@ -2,14 +2,13 @@
 // paper: the full six-rule Choose_best of Section 2/Figure 6, the truncated
 // Choose^B of Section 6/Figure 10 (rules 1-3, the "MED survivors"), the
 // alternative rule ordering of RFC 1771/[11] discussed around Figure 1(b),
-// the always-compare-MED variant, and the per-neighbouring-AS computation
-// used by the Walton et al. proposal (Section 8).
+// the always-compare-MED variant, and the per-neighbouring-AS advertise set
+// of the Walton et al. proposal (Section 8).
 package selection
 
 import (
 	"math/bits"
 	"slices"
-	"sort"
 
 	"repro/internal/bgp"
 )
@@ -112,39 +111,20 @@ func filterEBGP(rs []bgp.Route) []bgp.Route {
 	return out
 }
 
-// Best runs the full route selection procedure over the candidate routes of
-// one router and returns the winner. ok is false when cands is empty.
-//
-// Rules, in the paper's order: (1) highest LOCAL-PREF; (2) shortest
-// AS-PATH; (3) per-neighbouring-AS minimum MED; (4)/(5) prefer E-BGP routes
-// and take the minimum metric (PaperOrder) or take the minimum metric and
-// prefer E-BGP among ties (RFCOrder); (6) lowest learnedFrom identifier.
-// Any remaining tie breaks on PathID for determinism.
-func Best(cands []bgp.Route, opts Options) (bgp.Route, bool) {
-	if len(cands) == 0 {
-		return bgp.Route{}, false
-	}
-	// One defensive copy; BestInPlace compacts it.
-	rs := make([]bgp.Route, len(cands))
-	copy(rs, cands)
-	return BestInPlace(rs, opts)
-}
-
-// BestInPlace is Best without the defensive copy: rules 1-3 (the one body
-// survivorsInPlace) and then rules 4-6 (BestOfSurvivors) reorder and
-// truncate rs.
+// BestInPlace runs the full selection procedure over one router's candidate
+// routes, reordering and truncating rs; ok is false when rs is empty. The
+// rules: (1) highest LOCAL-PREF; (2) shortest AS-PATH; (3) least MED per
+// neighbouring AS; (4)/(5) E-BGP first, then least metric (PaperOrder), or
+// least metric, then E-BGP (RFCOrder); (6) lowest learnedFrom; then PathID.
 func BestInPlace(rs []bgp.Route, opts Options) (bgp.Route, bool) {
 	return BestOfSurvivors(survivorsInPlace(rs, routeExit, true, opts.MED, nil), opts.Order)
 }
 
-// BestOfSurvivors is the tail of BestInPlace: rules 4-6 over routes that
-// already survived rules 1-3. A caller that obtained the Choose^B
-// survivors another way (the operational RIB and the model engine read
-// them off a Dominance table) materialises just those routes and still
-// gets exactly BestInPlace's winner: the filters are set-valued and the
-// final tie-break is a total order, so neither the order of rs nor how
-// rules 1-3 were evaluated can show. Like BestInPlace it reorders and
-// truncates rs.
+// BestOfSurvivors is rules 4-6 over routes that survived rules 1-3, in
+// place. The engines read the survivors off a Dominance table, materialise
+// just those and still get BestInPlace's winner: the filters are
+// set-valued and the last tie-break is a total order, so neither the order
+// of rs nor how rules 1-3 were evaluated can show.
 func BestOfSurvivors(rs []bgp.Route, order Order) (bgp.Route, bool) {
 	if len(rs) == 0 {
 		return bgp.Route{}, false
@@ -167,63 +147,42 @@ func BestOfSurvivors(rs []bgp.Route, order Order) (bgp.Route, bool) {
 	return rs[win], true
 }
 
-// Survivors12 applies rules 1 and 2 of the selection procedure to exit
-// paths: the routes with maximal LOCAL-PREF and, among those, minimal
-// AS-PATH length. Both rules read only injection-time attributes, so the
-// result is router-independent — it is the candidate set within which MED
-// comparison (rule 3) and IGP metrics (rule 5) decide, and therefore the
-// set the static oscillation-risk passes of package lint reason about.
-// The returned slice is freshly allocated and keeps the input order.
+// Survivors12 returns a fresh slice of the exit paths that survive rules 1
+// and 2 (maximal LOCAL-PREF, then minimal AS-PATH length), in input order.
+// The result is router-independent: the set within which MED (rule 3) and
+// IGP metrics (rule 5) decide, which package lint's risk passes read.
 func Survivors12(paths []bgp.ExitPath) []bgp.ExitPath {
 	return survivorsInPlace(slices.Clone(paths), exitOf, false, PerNeighborAS, nil)
 }
 
-// SurvivorsB runs Choose^B (Figure 10): the prefix of the selection
-// procedure through the MED rule, applied to exit paths. These are the
-// routes the modified protocol advertises. The result is freshly allocated
-// and sorted by PathID.
-//
-// Rules 1-3 read only injection-time attributes (LOCAL-PREF, AS-PATH
-// length, NextAS, MED), so Choose^B is well-defined on exit paths without
-// reference to a particular router.
-func SurvivorsB(paths []bgp.ExitPath, mode MEDMode) []bgp.ExitPath {
-	return bgp.SortPaths(survivorsInPlace(slices.Clone(paths), exitOf, true, mode, nil))
-}
-
-// SurvivorsBInPlace is Choose^B without SurvivorsB's fresh allocations:
-// it compacts paths in place (reordering and truncating the slice) and
-// returns the surviving prefix, UNSORTED — callers feeding a PathSet do not
-// need SurvivorsB's by-ID order. byAS is a caller-owned scratch map for the
-// per-neighbour-AS MED minima, cleared on entry; when it is nil, a call
-// that needs one makes its own.
+// SurvivorsBInPlace runs Choose^B (Figure 10), rules 1-3, over exit paths:
+// the set the modified protocol advertises, well-defined without a router
+// because the rules read only injection-time attributes. It compacts paths
+// in place and returns the surviving prefix; byAS is survivorsInPlace's.
 func SurvivorsBInPlace(paths []bgp.ExitPath, mode MEDMode, byAS map[bgp.ASN]int) []bgp.ExitPath {
 	return survivorsInPlace(paths, exitOf, true, mode, byAS)
 }
 
-// survivorsInPlace is the one spelling of rules 1-3: rules 1 and 2 always,
-// rule 3 when med is set. It compacts xs in place, keeping the survivors'
-// order, and returns the surviving prefix. It runs over exit paths
-// (exitOf) and over routes (routeExit): exit projects an element onto the
-// injection-time attributes the rules read. Every Survivors* entry point
-// above is a copy and/or sort around it, BestInPlace is it followed by
-// BestOfSurvivors, WaltonSet runs it over the per-AS winners, and
-// Dominance is tabulated from it, so Choose^B cannot drift between the
-// model engines, the operational RIB and the static analyser. byAS holds the per-neighbour-AS MED minima, cleared on entry;
-// when it is nil, a call that needs it makes its own.
+// survivorsInPlace is the one spelling of rules 1-3 (rule 3 only when med
+// is set): it compacts xs in place, in order, and returns the survivors.
+// exit projects an element, an exit path (exitOf) or a route (routeExit),
+// onto the attributes the rules read. The Survivors* entry points,
+// BestInPlace and Dominance run it, and WaltonInto ranks its per-AS
+// winners by its rules-1-2 comparison, beats12, so Choose^B cannot drift
+// between the engines, the RIB and lint. byAS holds the per-AS MED minima,
+// cleared on entry; nil makes its own.
 func survivorsInPlace[T any](xs []T, exit func(*T) *bgp.ExitPath, med bool, mode MEDMode, byAS map[bgp.ASN]int) []T {
 	if len(xs) == 0 {
 		return nil
 	}
-	// Rules 1 and 2: the highest LOCAL-PREF and, among the paths that have
-	// it, the shortest AS-PATH.
-	bestLP, bestLen := exit(&xs[0]).LocalPref, exit(&xs[0]).ASPathLen
+	// Rules 1 and 2: the paths that no path beats.
+	best := *exit(&xs[0])
 	for i := 1; i < len(xs); i++ {
-		p := exit(&xs[i])
-		if p.LocalPref > bestLP || p.LocalPref == bestLP && p.ASPathLen < bestLen {
-			bestLP, bestLen = p.LocalPref, p.ASPathLen
+		if p := exit(&xs[i]); beats12(p, &best) {
+			best = *p
 		}
 	}
-	top := func(p *bgp.ExitPath) bool { return p.LocalPref == bestLP && p.ASPathLen == bestLen }
+	top := func(p *bgp.ExitPath) bool { return !beats12(&best, p) }
 	// Rule 3, among the survivors of rules 1 and 2: the least MED through
 	// each neighbouring AS, or the least of all under AlwaysCompare. The
 	// two agree while the survivors share one neighbouring AS, so only
@@ -279,21 +238,28 @@ func survivorsInPlace[T any](xs []T, exit func(*T) *bgp.ExitPath, med bool, mode
 	return xs[:n]
 }
 
+// beats12 reports whether p beats q on rules 1 and 2: a higher LOCAL-PREF,
+// or the same and a shorter AS-PATH.
+func beats12(p, q *bgp.ExitPath) bool {
+	return p.LocalPref > q.LocalPref || p.LocalPref == q.LocalPref && p.ASPathLen < q.ASPathLen
+}
+
 // exitOf and routeExit are survivorsInPlace's projections for its two
 // element types.
 func exitOf(p *bgp.ExitPath) *bgp.ExitPath { return p }
 func routeExit(r *bgp.Route) *bgp.ExitPath { return &r.Path }
 
 // Dominance is Choose^B tabulated for one exit-path set. Rules 1-3 form a
-// lexicographic preference over injection-time attributes, so they
-// decompose pairwise: p survives Choose^B(S) iff no q in S eliminates p
-// from Choose^B({p, q}) (DESIGN.md, "The decision kernel"). Row p is the
-// set of such q, read off survivorsInPlace by probing every ordered pair —
-// derived from the one rule body, not a second spelling of it. The table
-// is immutable, so every router of a domain shares one per prefix.
+// lexicographic preference over injection-time attributes, so p survives
+// Choose^B(S) iff no q in S eliminates p from Choose^B({p, q}) (DESIGN.md,
+// "The decision kernel"). Row p is the set of such q, probed pair by pair
+// through survivorsInPlace. The two MED modes agree within one neighbouring
+// AS, so the rows under one AS's mask are rules 1-3 over that AS alone
+// (WaltonInto). The table is immutable: a domain shares one per prefix.
 type Dominance struct {
-	w    int      // words per row
-	rows []uint64 // row p is rows[p*w : (p+1)*w]
+	w     int      // words per row
+	rows  []uint64 // row p is rows[p*w : (p+1)*w]
+	masks []uint64 // mask a is masks[a*w : (a+1)*w]: the exits through one neighbouring AS
 }
 
 // NewDominance tabulates Choose^B over exits, which must be indexed by
@@ -311,6 +277,16 @@ func NewDominance(exits []bgp.ExitPath, mode MEDMode) *Dominance {
 				d.rows[p*w+q/64] |= 1 << (uint(q) % 64)
 			}
 		}
+	}
+	at := make(map[bgp.ASN]int, 2) // neighbouring AS -> offset of its mask
+	for p := range exits {
+		m, ok := at[exits[p].NextAS]
+		if !ok {
+			m = len(d.masks)
+			at[exits[p].NextAS] = m
+			d.masks = append(d.masks, make([]uint64, w)...)
+		}
+		d.masks[m+p/64] |= 1 << (uint(p) % 64)
 	}
 	return d
 }
@@ -336,40 +312,28 @@ func (d *Dominance) SurvivorsInto(out *bgp.PathSet, s bgp.PathSet) {
 	}
 }
 
-// BestPerAS returns, for each neighbouring AS present among the candidates,
-// the route the full selection procedure would pick if only routes through
-// that AS existed. The result is ordered by AS number. This is the
-// computation underlying the Walton et al. advertisement rule.
-func BestPerAS(cands []bgp.Route, opts Options) []bgp.Route {
-	// Collect the AS list while grouping rather than ranging over the map
-	// afterwards: map iteration order is nondeterministic, and this
-	// function feeds the advertisement sets whose determinism Lemma 7.4
-	// relies on.
-	byAS := make(map[bgp.ASN][]bgp.Route)
-	asns := make([]bgp.ASN, 0, 4)
-	for _, r := range cands {
-		if _, ok := byAS[r.Path.NextAS]; !ok {
-			asns = append(asns, r.Path.NextAS)
+// WaltonInto sets out to what a Walton et al. reflector announces from
+// candidates s (Section 8): its best route through each neighbouring AS,
+// kept when it has the overall best's LOCAL-PREF and AS-PATH length. Per
+// AS, surv gets Choose^B of s under the AS's mask (in is scratch), routes
+// materialises just those and BestOfSurvivors picks the AS winner. Rules 1
+// and 2 then keep the winners no winner beats; the overall best is one of
+// them. Nothing is allocated once out, in and surv have grown to s's width.
+func (d *Dominance) WaltonInto(out, in, surv *bgp.PathSet, s bgp.PathSet, order Order, routes func(bgp.PathSet) []bgp.Route) {
+	out.Clear()
+	var top bgp.ExitPath // a kept winner
+	for m := 0; m < len(d.masks); m += d.w {
+		in.Copy(s)
+		in.Intersect(bgp.PathSetOver(d.masks[m : m+d.w]))
+		d.SurvivorsInto(surv, *in)
+		w, ok := BestOfSurvivors(routes(*surv), order)
+		if !ok || out.Len() > 0 && beats12(&top, &w.Path) {
+			continue
 		}
-		byAS[r.Path.NextAS] = append(byAS[r.Path.NextAS], r)
-	}
-	sort.Slice(asns, func(i, j int) bool { return asns[i] < asns[j] })
-	out := make([]bgp.Route, 0, len(asns))
-	for _, a := range asns {
-		if w, ok := Best(byAS[a], opts); ok {
-			out = append(out, w)
+		if out.Len() == 0 || beats12(&w.Path, &top) {
+			out.Clear()
+			top = w.Path
 		}
+		out.Add(w.Path.ID)
 	}
-	return out
-}
-
-// WaltonSet returns the routes a Walton et al. route reflector announces:
-// its best route through each neighbouring AS, kept only when that route
-// has the same LOCAL-PREF and AS-PATH length as the overall best route
-// (Section 8, "Brief Overview of the Walton et al. Solution"). The overall
-// best is one of the per-AS winners and has the best LOCAL-PREF and
-// AS-PATH length of all, so rules 1 and 2 over the winners keep exactly
-// those routes.
-func WaltonSet(cands []bgp.Route, opts Options) []bgp.Route {
-	return survivorsInPlace(BestPerAS(cands, opts), routeExit, false, opts.MED, nil)
 }

@@ -26,9 +26,58 @@ func mk(id bgp.PathID, lp, aspl int, as bgp.ASN, med int, metric int64, ebgp boo
 	}
 }
 
+// best is the full selection procedure over a copy of rs.
+func best(rs []bgp.Route, opts Options) (bgp.Route, bool) {
+	return BestInPlace(slices.Clone(rs), opts)
+}
+
+// survivorsB is Choose^B over a copy of paths, sorted by PathID.
+func survivorsB(paths []bgp.ExitPath, mode MEDMode) []bgp.ExitPath {
+	surv := SurvivorsBInPlace(slices.Clone(paths), mode, nil)
+	slices.SortFunc(surv, func(a, b bgp.ExitPath) int { return int(a.ID) - int(b.ID) })
+	return surv
+}
+
+// walton runs WaltonInto over every route of rs, whose path IDs must be
+// 0..len(rs)-1 in order, and returns the advertise set in PathID order.
+func walton(rs []bgp.Route, opts Options) []bgp.PathID {
+	exits := make([]bgp.ExitPath, len(rs))
+	var all, out, in, surv bgp.PathSet
+	for i, r := range rs {
+		exits[i] = r.Path
+		all.Add(r.Path.ID)
+	}
+	NewDominance(exits, opts.MED).WaltonInto(&out, &in, &surv, all, opts.Order, func(s bgp.PathSet) []bgp.Route {
+		var sel []bgp.Route
+		s.ForEach(func(id bgp.PathID) { sel = append(sel, rs[id]) })
+		return sel
+	})
+	return out.IDs()
+}
+
+// bestPerAS is Section 8's per-AS step: for each neighbouring AS among
+// rs, the winner of the full procedure over that AS's routes alone.
+func bestPerAS(rs []bgp.Route, opts Options) []bgp.Route {
+	var out []bgp.Route
+	for i, r := range rs {
+		if slices.ContainsFunc(rs[:i], func(q bgp.Route) bool { return q.Path.NextAS == r.Path.NextAS }) {
+			continue
+		}
+		var group []bgp.Route
+		for _, q := range rs {
+			if q.Path.NextAS == r.Path.NextAS {
+				group = append(group, q)
+			}
+		}
+		w, _ := best(group, opts)
+		out = append(out, w)
+	}
+	return out
+}
+
 func bestID(t *testing.T, rs []bgp.Route, opts Options) bgp.PathID {
 	t.Helper()
-	w, ok := Best(rs, opts)
+	w, ok := best(rs, opts)
 	if !ok {
 		t.Fatal("Best returned no route")
 	}
@@ -36,7 +85,7 @@ func bestID(t *testing.T, rs []bgp.Route, opts Options) bgp.PathID {
 }
 
 func TestBestEmpty(t *testing.T) {
-	if _, ok := Best(nil, Options{}); ok {
+	if _, ok := best(nil, Options{}); ok {
 		t.Fatal("Best of empty set returned a route")
 	}
 }
@@ -197,7 +246,7 @@ func TestQuickBestIsAMEDSurvivor(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		rs := randomRoutes(rng, 1+rng.Intn(8))
 		for _, mode := range []MEDMode{PerNeighborAS, AlwaysCompare} {
-			w, ok := Best(rs, Options{MED: mode})
+			w, ok := best(rs, Options{MED: mode})
 			if !ok {
 				return false
 			}
@@ -206,7 +255,7 @@ func TestQuickBestIsAMEDSurvivor(t *testing.T) {
 				paths[i] = r.Path
 			}
 			found := false
-			for _, p := range SurvivorsB(paths, mode) {
+			for _, p := range survivorsB(paths, mode) {
 				if p.ID == w.Path.ID {
 					found = true
 				}
@@ -231,8 +280,8 @@ func TestQuickSurvivorsBIdempotent(t *testing.T) {
 			paths[i] = r.Path
 		}
 		for _, mode := range []MEDMode{PerNeighborAS, AlwaysCompare} {
-			once := SurvivorsB(paths, mode)
-			twice := SurvivorsB(once, mode)
+			once := survivorsB(paths, mode)
+			twice := survivorsB(once, mode)
 			if len(once) != len(twice) {
 				return false
 			}
@@ -260,7 +309,7 @@ func TestQuickSurvivorsBSoundness(t *testing.T) {
 		for i, r := range rs {
 			paths[i] = r.Path
 		}
-		surv := SurvivorsB(paths, PerNeighborAS)
+		surv := survivorsB(paths, PerNeighborAS)
 		in := map[bgp.PathID]bool{}
 		for _, p := range surv {
 			in[p.ID] = true
@@ -302,26 +351,23 @@ func TestQuickSurvivorsBSoundness(t *testing.T) {
 }
 
 func TestSurvivorsBEmpty(t *testing.T) {
-	if got := SurvivorsB(nil, PerNeighborAS); got != nil {
-		t.Fatalf("SurvivorsB(nil) = %v", got)
+	var out bgp.PathSet
+	NewDominance(nil, PerNeighborAS).SurvivorsInto(&out, bgp.PathSet{})
+	if got := survivorsB(nil, PerNeighborAS); got != nil || out.Len() != 0 {
+		t.Fatalf("Choose^B of nothing = %v, %v", got, out)
 	}
 }
 
+// TestBestPerAS: one winner per neighbouring AS, each the best through
+// that AS alone; both tie on rules 1 and 2, so Walton announces both.
 func TestBestPerAS(t *testing.T) {
 	rs := []bgp.Route{
 		mk(0, 100, 1, 1, 0, 10, false, 1),
 		mk(1, 100, 1, 1, 0, 5, false, 2),
 		mk(2, 100, 1, 2, 0, 50, false, 3),
 	}
-	per := BestPerAS(rs, Options{})
-	if len(per) != 2 {
-		t.Fatalf("BestPerAS returned %d routes, want 2", len(per))
-	}
-	if per[0].Path.NextAS != 1 || per[0].Path.ID != 1 {
-		t.Fatalf("AS 1 best = p%d, want p1", per[0].Path.ID)
-	}
-	if per[1].Path.NextAS != 2 || per[1].Path.ID != 2 {
-		t.Fatalf("AS 2 best = p%d, want p2", per[1].Path.ID)
+	if ws := walton(rs, Options{}); !slices.Equal(ws, []bgp.PathID{1, 2}) {
+		t.Fatalf("Walton set = %v, want p1 (AS 1) and p2 (AS 2)", ws)
 	}
 }
 
@@ -332,9 +378,8 @@ func TestWaltonSetFiltersByOverallBestAttrs(t *testing.T) {
 		mk(0, 100, 1, 1, 0, 5, false, 1),
 		mk(1, 100, 2, 2, 0, 1, false, 2),
 	}
-	ws := WaltonSet(rs, Options{})
-	if len(ws) != 1 || ws[0].Path.ID != 0 {
-		t.Fatalf("WaltonSet = %v, want just p0", ws)
+	if ws := walton(rs, Options{}); !slices.Equal(ws, []bgp.PathID{0}) {
+		t.Fatalf("Walton set = %v, want just p0", ws)
 	}
 }
 
@@ -345,18 +390,14 @@ func TestWaltonSetOnePerAS(t *testing.T) {
 		mk(2, 100, 1, 2, 0, 1, false, 3),
 		mk(3, 100, 1, 2, 0, 2, false, 4),
 	}
-	ws := WaltonSet(rs, Options{})
-	if len(ws) != 2 {
-		t.Fatalf("WaltonSet size = %d, want 2 (one per AS)", len(ws))
-	}
-	if ws[0].Path.ID != 0 || ws[1].Path.ID != 2 {
-		t.Fatalf("WaltonSet = p%d, p%d; want p0, p2", ws[0].Path.ID, ws[1].Path.ID)
+	if ws := walton(rs, Options{}); !slices.Equal(ws, []bgp.PathID{0, 2}) {
+		t.Fatalf("Walton set = %v; want p0, p2 (one per AS)", ws)
 	}
 }
 
 func TestWaltonSetEmpty(t *testing.T) {
-	if ws := WaltonSet(nil, Options{}); ws != nil {
-		t.Fatalf("WaltonSet(nil) = %v", ws)
+	if ws := walton(nil, Options{}); len(ws) != 0 {
+		t.Fatalf("Walton set of nothing = %v", ws)
 	}
 }
 
@@ -368,17 +409,15 @@ func TestQuickWaltonContainsOverallBest(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		rs := randomRoutes(rng, 1+rng.Intn(24))
 		for _, opts := range []Options{{}, {Order: RFCOrder}, {MED: AlwaysCompare}, {Order: RFCOrder, MED: AlwaysCompare}} {
-			w, _ := Best(rs, opts)
-			var want, got []bgp.PathID
-			for _, r := range BestPerAS(rs, opts) {
+			w, _ := best(rs, opts)
+			var want []bgp.PathID
+			for _, r := range bestPerAS(rs, opts) {
 				if r.Path.LocalPref == w.Path.LocalPref && r.Path.ASPathLen == w.Path.ASPathLen {
 					want = append(want, r.Path.ID)
 				}
 			}
-			for _, r := range WaltonSet(rs, opts) {
-				got = append(got, r.Path.ID)
-			}
-			if !slices.Equal(got, want) || !slices.Contains(got, w.Path.ID) {
+			slices.Sort(want)
+			if got := walton(rs, opts); !slices.Equal(got, want) || !slices.Contains(got, w.Path.ID) {
 				return false
 			}
 		}
@@ -482,7 +521,7 @@ func referenceBest(cands []bgp.Route, opts Options) (bgp.Route, bool) {
 func TestQuickBestMatchesReference(t *testing.T) {
 	agree := func(rs []bgp.Route) bool {
 		for _, opts := range []Options{{}, {Order: RFCOrder}, {MED: AlwaysCompare}, {Order: RFCOrder, MED: AlwaysCompare}} {
-			got, ok1 := Best(rs, opts)
+			got, ok1 := best(rs, opts)
 			want, ok2 := referenceBest(rs, opts)
 			if ok1 != ok2 || got.Path.ID != want.Path.ID {
 				return false
@@ -507,18 +546,31 @@ func TestQuickBestMatchesReference(t *testing.T) {
 	}
 }
 
-// TestBestDoesNotMutateInput: the in-place filters operate on a private
-// copy; the caller's slice must come back untouched.
+// TestBestDoesNotMutateInput: the entry points that are not *InPlace —
+// Survivors12, SurvivorsInto and WaltonInto — leave their input untouched.
 func TestBestDoesNotMutateInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	rs := randomRoutes(rng, 12)
-	orig := append([]bgp.Route(nil), rs...)
-	Best(rs, Options{})
-	Best(rs, Options{Order: RFCOrder, MED: AlwaysCompare})
-	for i := range rs {
-		if rs[i] != orig[i] {
-			t.Fatalf("Best mutated its input at %d", i)
-		}
+	paths := make([]bgp.ExitPath, len(rs))
+	var all bgp.PathSet
+	for i, r := range rs {
+		paths[i] = r.Path
+		all.Add(r.Path.ID)
+	}
+	origPaths, origAll := slices.Clone(paths), all.Clone()
+	Survivors12(paths)
+	for _, opts := range []Options{{}, {Order: RFCOrder, MED: AlwaysCompare}} {
+		d := NewDominance(paths, opts.MED)
+		var out, in, surv bgp.PathSet
+		d.SurvivorsInto(&out, all)
+		d.WaltonInto(&out, &in, &surv, all, opts.Order, func(s bgp.PathSet) []bgp.Route {
+			var sel []bgp.Route
+			s.ForEach(func(id bgp.PathID) { sel = append(sel, rs[id]) })
+			return sel
+		})
+	}
+	if !slices.Equal(paths, origPaths) || !all.Equal(origAll) {
+		t.Fatal("a copying entry point mutated its input")
 	}
 }
 
@@ -535,23 +587,23 @@ func TestMEDSelectionNotRankable(t *testing.T) {
 	r2 := mk(1, 100, 1, 1, 1, 4, false, 2)
 	r3 := mk(2, 100, 1, 1, 0, 11, false, 3)
 
-	small, _ := Best([]bgp.Route{r1, r2}, Options{})
+	small, _ := best([]bgp.Route{r1, r2}, Options{})
 	if small.Path.ID != r2.Path.ID {
-		t.Fatalf("Best({r1,r2}) = p%d, want r2", small.Path.ID)
+		t.Fatalf("best({r1,r2}) = p%d, want r2", small.Path.ID)
 	}
-	big, _ := Best([]bgp.Route{r1, r2, r3}, Options{})
+	big, _ := best([]bgp.Route{r1, r2, r3}, Options{})
 	if big.Path.ID != r1.Path.ID {
-		t.Fatalf("Best({r1,r2,r3}) = p%d, want r1", big.Path.ID)
+		t.Fatalf("best({r1,r2,r3}) = p%d, want r1", big.Path.ID)
 	}
-	// IIA violation: Best(S2) = r1 lies in S1 = {r1, r2} ⊂ S2, yet
-	// Best(S1) = r2 ≠ r1. A fixed ranking would force Best(S1) = r1.
+	// IIA violation: best(S2) = r1 lies in S1 = {r1, r2} ⊂ S2, yet
+	// best(S1) = r2 ≠ r1. A fixed ranking would force best(S1) = r1.
 	if big.Path.ID == small.Path.ID {
 		t.Fatal("expected an IIA violation; MED selection looked rankable")
 	}
 	// And indeed no strict order over three routes is consistent with
-	// both observed choices plus Best({r2, r3}) — verify by brute force
+	// both observed choices plus best({r2, r3}) — verify by brute force
 	// over all 6 permutations.
-	pair23, _ := Best([]bgp.Route{r2, r3}, Options{})
+	pair23, _ := best([]bgp.Route{r2, r3}, Options{})
 	choices := []struct {
 		set  []bgp.Route
 		best bgp.PathID
