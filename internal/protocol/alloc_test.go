@@ -15,12 +15,12 @@ import (
 	"repro/internal/topology"
 )
 
-// TestActivateAllocFloor pins a warm Engine.Activate, with no observer, at
-// zero heap allocations under every policy: gather, the dominance pass,
-// survivor materialisation and — on the Walton reflectors, whose
-// candidates span two neighbouring ASes — the per-AS Walton set all run on
-// the engine's scratch. The cycle withdraws and restores an exit so the
-// candidate sets really move.
+// TestActivateAllocFloor pins a warm Engine.Activate, with no observer,
+// and a warm Stable (every router's WouldChange) at zero heap allocations
+// under every policy: gather, the dominance pass, survivor materialisation
+// and — on the Walton reflectors, whose candidates span two neighbouring
+// ASes — the per-AS Walton set all run on the engine's scratch. The cycle
+// withdraws and restores an exit so the candidate sets really move.
 func TestActivateAllocFloor(t *testing.T) {
 	fix, _, paths := learnedFromFixture(t)
 	for _, sys := range []*topology.System{fix, figures.Fig1a().Sys, figures.Fig13().Sys} {
@@ -47,6 +47,9 @@ func TestActivateAllocFloor(t *testing.T) {
 			cycle()
 			if perActivate := testing.AllocsPerRun(50, cycle) / float64(4*sys.N()); perActivate > 0 {
 				t.Errorf("%d routers, %v: warm Activate allocates %.2f per call, want 0", sys.N(), policy, perActivate)
+			}
+			if perStable := testing.AllocsPerRun(50, func() { e.Stable() }); perStable > 0 {
+				t.Errorf("%d routers, %v: warm Stable allocates %.2f per call, want 0", sys.N(), policy, perStable)
 			}
 		}
 	}

@@ -9,9 +9,9 @@ package protocol
 //	    W words   PossibleExits(u)   (bitset, zero-padded to W)
 //	    1 word    best[u]            (uint64(int64(PathID)); None = all ones)
 //	    W words   advertised(u)      (bitset, zero-padded to W)
-//	then, only under the Adaptive policy, per node u:
-//	    1 word    min(flaps[u], AdaptiveThreshold) | upgraded[u]<<32
-//	    W words   heldBest(u)        (bitset, zero-padded to W)
+//	then, only under the Adaptive policy, per node u (its Revisits):
+//	    1 word    min(count, AdaptiveThreshold) | upgraded<<32
+//	    W words   held best routes   (bitset, zero-padded to W)
 //
 // Equal configurations encode to equal words (path sets are normalized:
 // trailing zero words never vary with storage capacity), so the vector is
@@ -60,20 +60,15 @@ func (e *Engine) EncodeState(dst []uint64) []uint64 {
 		dst = appendPadded(dst, e.advertised[u], w)
 	}
 	if e.policy == Adaptive {
-		// Below the threshold the revisit count and history steer future
+		// Below the threshold the revisit count and held routes steer future
 		// behaviour; past it only the upgrade flag does, so the count is
 		// capped to keep equal-behaving states equal.
-		for u := range e.flaps {
-			f := e.flaps[u]
-			if f > AdaptiveThreshold {
-				f = AdaptiveThreshold
-			}
-			word := uint64(f)
-			if e.upgraded[u] {
+		for _, d := range e.revisits {
+			word := uint64(min(d.count, AdaptiveThreshold))
+			if d.upgraded {
 				word |= 1 << 32
 			}
-			dst = append(dst, word)
-			dst = appendPadded(dst, e.heldBest[u], w)
+			dst = appendPadded(append(dst, word), d.held, w)
 		}
 	}
 	return dst
@@ -122,20 +117,19 @@ func (e *Engine) DecodeState(src []uint64) error {
 		src = src[w:]
 	}
 	if e.policy == Adaptive {
-		for u := range e.flaps {
-			word := src[0]
-			f := word &^ (1 << 32)
-			if f > AdaptiveThreshold || word>>33 != 0 {
+		for u := range e.revisits {
+			word, held := src[0], src[1:1+w]
+			count := word &^ (1 << 32)
+			if count > AdaptiveThreshold || word>>33 != 0 {
 				return fmt.Errorf("protocol: DecodeState: malformed detector word %#x at node %d", word, u)
 			}
-			e.flaps[u] = int(f)
-			e.upgraded[u] = word&(1<<32) != 0
-			src = src[1:]
-			if !e.validPathWords(src[:w]) {
-				return fmt.Errorf("protocol: DecodeState: heldBest[%d] names nonexistent paths", u)
+			if !e.validPathWords(held) {
+				return fmt.Errorf("protocol: DecodeState: held routes of node %d name nonexistent paths", u)
 			}
-			e.heldBest[u].SetWords(src[:w])
-			src = src[w:]
+			d := &e.revisits[u]
+			d.count, d.upgraded = int32(count), word&(1<<32) != 0
+			d.held.SetWords(held)
+			src = src[1+w:]
 		}
 	}
 	return nil
@@ -158,17 +152,16 @@ func (e *Engine) Clone() *Engine {
 		best:       append([]bgp.PathID(nil), e.best...),
 		advertised: make([]bgp.PathSet, n),
 		learned:    make([][]int, n),
-		flaps:      append([]int(nil), e.flaps...),
-		heldBest:   make([]bgp.PathSet, n),
-		upgraded:   append([]bool(nil), e.upgraded...),
+		revisits:   make([]Revisits, n),
 		step:       e.step,
-		lfScratch:  make([]int, e.sys.NumExits()),
+		lfNext:     make([]int, e.sys.NumExits()),
 	}
 	for u := 0; u < n; u++ {
 		c.myExits[u] = e.myExits[u].Clone()
 		c.possible[u] = e.possible[u].Clone()
 		c.advertised[u] = e.advertised[u].Clone()
-		c.heldBest[u] = e.heldBest[u].Clone()
+		c.revisits[u] = e.revisits[u]
+		c.revisits[u].held = e.revisits[u].held.Clone()
 		c.learned[u] = append([]int(nil), e.learned[u]...)
 	}
 	return c

@@ -59,8 +59,8 @@ func fig1aEngine(policy protocol.Policy) *protocol.Engine {
 // under a random policy and asserts the codec round-trips: encode →
 // decode into a fresh engine → re-encode is word-identical, and the
 // restored engine agrees on its Snapshot. The Adaptive policy is
-// in rotation, so the detector block (flaps, heldBest, upgraded) is
-// covered too.
+// in rotation, so the detector block (revisit count, held routes,
+// upgrade flag) is covered too.
 func FuzzStateCodec(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2, 0x83, 1}, uint8(0))
 	f.Add(int64(7), []byte{0x81, 3, 3, 2, 1, 0}, uint8(1))

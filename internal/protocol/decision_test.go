@@ -164,9 +164,10 @@ func checkAttribution(e *protocol.Engine, u bgp.NodeID, pre protocol.Snapshot) e
 // rule-6 attribution bug). Each step also checks WouldChange for one
 // random router against a clone that performs the activation. Systems:
 // every paper figure, the learnedFrom fixture (a client of two
-// co-reflectors, so a path arrives from two peers) and workload.Generate
-// seeds 1-24 of a MED-rich family, under all four policies, both rule
-// orders and both MED modes.
+// co-reflectors, so a path arrives from two peers), the Walton rule-6
+// fixture (a reflector whose Walton set moves through learnedFrom alone)
+// and workload.Generate seeds 1-24 of a MED-rich family, under all four
+// policies, both rule orders and both MED modes.
 func TestEngineDecisionMatchesReference(t *testing.T) {
 	family := workload.Params{Clusters: 3, MinClients: 1, MaxClients: 2, ASes: 2,
 		Exits: 6, MaxMED: 2, MaxCost: 8, ExtraLinks: 2}
@@ -179,7 +180,7 @@ func TestEngineDecisionMatchesReference(t *testing.T) {
 		systems = append(systems, system{"fig" + f.Name, f.Build().Sys})
 	}
 	fix, _, _ := learnedFromFixture(t)
-	systems = append(systems, system{"learnedFrom-fixture", fix})
+	systems = append(systems, system{"learnedFrom-fixture", fix}, system{"walton-rule6-fixture", waltonRule6Fixture(t)})
 	for seed := int64(1); seed <= 24; seed++ {
 		sys, err := workload.Generate(family, seed)
 		if err != nil {
@@ -232,9 +233,10 @@ func TestEngineDecisionMatchesReference(t *testing.T) {
 						would := e.WouldChange(u)
 						c := e.Clone()
 						c.Activate(u)
-						moved := !c.PossibleExits(u).Equal(e.PossibleExits(u)) || bestOf(c, u) != bestOf(e, u)
+						moved := !c.PossibleExits(u).Equal(e.PossibleExits(u)) || bestOf(c, u) != bestOf(e, u) ||
+							!c.Advertised(u).Equal(e.Advertised(u))
 						if would != moved {
-							t.Fatalf("%s %v %v/%v step %d: WouldChange(%s) = %v, activating it moves possible/best: %v",
+							t.Fatalf("%s %v %v/%v step %d: WouldChange(%s) = %v, activating it moves possible/best/advertised: %v",
 								s.name, policy, order, med, step, s.sys.Name(u), would, moved)
 						}
 						if err := checkDecision(c); err != nil {

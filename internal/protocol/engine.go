@@ -87,13 +87,7 @@ type Engine struct {
 	best       []bgp.PathID  // exit path of BestRoute(u, t), or None
 	advertised []bgp.PathSet // paths u currently offers its peers
 	learned    [][]int       // learnedFrom per (node, path); -1 unknown
-
-	// Adaptive-policy state: per-node revisit counts, the set of best
-	// routes held before, and whether the node has switched to survivor
-	// advertisement.
-	flaps    []int
-	heldBest []bgp.PathSet
-	upgraded []bool
+	revisits   []Revisits    // Adaptive oscillation detector per node
 
 	step     int
 	observer func(Event)
@@ -102,12 +96,13 @@ type Engine struct {
 	// the state codec run allocation-free by reusing these buffers; they
 	// carry no state between calls and are never shared between engines
 	// (Clone starts its copy with fresh scratch).
-	gatherSet    bgp.PathSet   // gather target, swapped into possible[u]
-	advNext      bgp.PathSet   // recompute target, swapped into advertised[u]
+	possNext     bgp.PathSet   // next's PossibleExits(u), installed by commit
+	lfNext       []int         // next's learnedFrom of u's paths
+	bestNext     bgp.PathID    // next's best route of u
+	advNext      bgp.PathSet   // next's advertised set of u
 	advFrozen    []bgp.PathSet // pre-step advertised sets (ActivateSet, InducedConfig)
 	surv         bgp.PathSet   // Choose^B of the set being decided; WaltonInto's per-AS scratch
 	asIn         bgp.PathSet   // one neighbouring AS's candidates (WaltonInto)
-	lfScratch    []int         // learnedFrom scratch for WouldChange
 	routeScratch []bgp.Route   // route materialisation (routesInto)
 }
 
@@ -125,15 +120,13 @@ func New(sys *topology.System, policy Policy, opts selection.Options) *Engine {
 		best:       make([]bgp.PathID, n),
 		advertised: make([]bgp.PathSet, n),
 		learned:    make([][]int, n),
-		flaps:      make([]int, n),
-		heldBest:   make([]bgp.PathSet, n),
-		upgraded:   make([]bool, n),
+		revisits:   make([]Revisits, n),
+		lfNext:     make([]int, sys.NumExits()),
 	}
 	for u := 0; u < n; u++ {
 		e.myExits[u] = sys.MyExitSet(bgp.NodeID(u))
 		e.learned[u] = make([]int, sys.NumExits())
 	}
-	e.lfScratch = make([]int, sys.NumExits())
 	e.ResetAll()
 	return e
 }
@@ -162,20 +155,12 @@ func (e *Engine) ResetAll() {
 }
 
 // ResetNode models a crash-and-restart of router u: all learned state is
-// lost — including the adaptive-policy flap history — and u retains only
-// its own E-BGP routes.
+// lost — including the adaptive-policy revisit history — and u retains only
+// its own E-BGP routes: a gather against no advertisements.
 func (e *Engine) ResetNode(u bgp.NodeID) {
-	e.flaps[u] = 0
-	e.heldBest[u] = bgp.PathSet{}
-	e.upgraded[u] = false
-	e.possible[u] = e.myExits[u].Clone()
-	for i := range e.learned[u] {
-		e.learned[u][i] = -1
-	}
-	for _, id := range e.possible[u].IDs() {
-		e.learned[u][id] = ownLearnedFrom(e.sys.Exit(id))
-	}
-	e.recompute(u)
+	e.revisits[u] = Revisits{}
+	e.next(u, nil, false)
+	e.commit(u)
 }
 
 // Withdraw removes an exit path from the system input: the exit point stops
@@ -210,6 +195,31 @@ func (e *Engine) bestRoute(u bgp.NodeID) (bgp.Route, bool) {
 	return e.sys.Route(u, e.sys.Exit(id), e.learned[u][id]), true
 }
 
+// next computes u's next state against the advertised sets adv into the
+// next-state fields — the whole router step: gather PossibleExits and
+// learnedFrom, decide, work out the revisit detector's would-be upgrade and
+// compute the advertisement — and reports whether it differs from u's
+// current state. It changes no model state; commit installs the result. A
+// probe only needs the answer, so it stops once PossibleExits has moved:
+// the state then changes whatever the decision says.
+func (e *Engine) next(u bgp.NodeID, adv []bgp.PathSet, probe bool) bool {
+	e.gather(u, adv)
+	moved := !e.possNext.Equal(e.possible[u])
+	if moved && probe {
+		return true
+	}
+	e.dom.SurvivorsInto(&e.surv, e.possNext)
+	e.bestNext = bgp.None
+	if w, ok := selection.BestOfSurvivors(e.routesInto(u, e.surv, e.lfNext), e.opts.Order); ok {
+		e.bestNext = w.Path.ID // rules 4-6 over the survivors: the full procedure
+	}
+	routes := func(s bgp.PathSet) []bgp.Route { return e.routesInto(u, s, e.lfNext) }
+	upgraded := e.revisits[u].upgradedAfter(e.policy, e.best[u], e.bestNext)
+	e.policy.AdvertiseInto(&e.advNext, e.sys.Role(u), upgraded, e.bestNext,
+		e.possNext, &e.surv, &e.asIn, e.dom, e.opts.Order, routes)
+	return moved || e.bestNext != e.best[u] || !e.advNext.Equal(e.advertised[u])
+}
+
 // routesInto materialises the routes of the paths in s at u, with
 // learnedFrom attribution from lf, into the engine's route scratch slice.
 // The result is valid until the next routesInto call.
@@ -221,57 +231,22 @@ func (e *Engine) routesInto(u bgp.NodeID, s bgp.PathSet, lf []int) []bgp.Route {
 	return e.routeScratch
 }
 
-// decide sets e.surv to Choose^B(possible), read off the dominance table,
-// and returns the exit path of u's best route: rules 4-6 over the
-// survivors alone, which is the full selection procedure over every
-// candidate (selection.BestOfSurvivors).
-func (e *Engine) decide(u bgp.NodeID, possible bgp.PathSet, lf []int) bgp.PathID {
-	e.dom.SurvivorsInto(&e.surv, possible)
-	if w, ok := selection.BestOfSurvivors(e.routesInto(u, e.surv, lf), e.opts.Order); ok {
-		return w.Path.ID
-	}
-	return bgp.None
-}
-
-// recompute refreshes BestRoute(u) and the advertised set of u from the
-// current PossibleExits(u). It returns true when either changed.
-func (e *Engine) recompute(u bgp.NodeID) bool {
-	oldBest := e.best[u]
-	e.best[u] = e.decide(u, e.possible[u], e.learned[u])
-
-	if oldBest != e.best[u] && e.best[u] != bgp.None {
-		if e.heldBest[u].Contains(e.best[u]) {
-			e.flaps[u]++ // a revisit: oscillation evidence
-			if e.policy == Adaptive && e.flaps[u] >= AdaptiveThreshold {
-				e.upgraded[u] = true
-			}
-		}
-		e.heldBest[u].Add(e.best[u])
-	}
-
-	adv := &e.advNext
-	adv.Clear()
-	switch {
-	case e.policy == Modified || (e.policy == Adaptive && e.upgraded[u]):
-		adv.Copy(e.surv) // GoodExits(u) = Choose^B(PossibleExits(u))
-	case e.policy == Walton && e.sys.Role(u) == topology.Reflector:
-		e.dom.WaltonInto(adv, &e.asIn, &e.surv, e.possible[u], e.opts.Order, func(s bgp.PathSet) []bgp.Route {
-			return e.routesInto(u, s, e.learned[u])
-		})
-	default:
-		adv.Add(e.best[u])
-	}
-	changed := oldBest != e.best[u] || !e.advertised[u].Equal(*adv)
+// commit installs the state the last next call computed for u. It is the
+// one place a router's model state changes.
+func (e *Engine) commit(u bgp.NodeID) {
+	e.revisits[u].Note(e.policy, e.best[u], e.bestNext)
+	e.best[u] = e.bestNext
+	e.possible[u], e.possNext = e.possNext, e.possible[u]
 	e.advertised[u], e.advNext = e.advNext, e.advertised[u]
-	return changed
+	e.learned[u], e.lfNext = e.lfNext, e.learned[u]
 }
 
-// gatherInto computes the new PossibleExits(u) into dst (reusing its
-// storage) and records learnedFrom attribution per received path into lf
-// (which must have NumExits entries): u's own exits plus everything its
-// peers currently offer that the Transfer relation lets through. dst must
-// not alias any of the advertised sets.
-func (e *Engine) gatherInto(dst *bgp.PathSet, u bgp.NodeID, advertised []bgp.PathSet, lf []int) {
+// gather computes u's next PossibleExits into possNext and the learnedFrom
+// of each path it holds into lfNext: u's own exits plus everything its
+// peers offer in advertised that the Transfer relation lets through. A nil
+// advertised offers nothing.
+func (e *Engine) gather(u bgp.NodeID, advertised []bgp.PathSet) {
+	dst, lf := &e.possNext, e.lfNext
 	dst.Copy(e.myExits[u])
 	for i := range lf {
 		lf[i] = -1
@@ -279,6 +254,9 @@ func (e *Engine) gatherInto(dst *bgp.PathSet, u bgp.NodeID, advertised []bgp.Pat
 	dst.ForEach(func(id bgp.PathID) {
 		lf[id] = ownLearnedFrom(e.sys.Exit(id))
 	})
+	if advertised == nil {
+		return
+	}
 	for _, w := range e.sys.Peers(u) {
 		bid := e.sys.BGPID(w)
 		advertised[w].ForEach(func(id bgp.PathID) {
@@ -304,10 +282,8 @@ func (e *Engine) Activate(u bgp.NodeID) bool {
 
 func (e *Engine) activateAgainst(u bgp.NodeID, adv []bgp.PathSet) bool {
 	oldBest := e.best[u]
-	e.gatherInto(&e.gatherSet, u, adv, e.learned[u])
-	samePossible := e.gatherSet.Equal(e.possible[u])
-	e.possible[u], e.gatherSet = e.gatherSet, e.possible[u]
-	changed := e.recompute(u) || !samePossible
+	changed := e.next(u, adv, false)
+	e.commit(u)
 	e.step++
 	if e.observer != nil {
 		e.observer(Event{
@@ -342,7 +318,7 @@ func (e *Engine) ActivateSet(set []bgp.NodeID) bool {
 
 // frozenAdvertised copies adv into the engine's advFrozen scratch so a
 // multi-node step can gather against the pre-step advertisements while
-// recompute swaps the live ones underneath. Callers must take the copy once
+// commit swaps the live ones underneath. Callers must take the copy once
 // at the start of the step; activateAgainst never writes into advFrozen.
 func (e *Engine) frozenAdvertised(adv []bgp.PathSet) []bgp.PathSet {
 	if len(e.advFrozen) < len(adv) {
@@ -355,17 +331,9 @@ func (e *Engine) frozenAdvertised(adv []bgp.PathSet) []bgp.PathSet {
 }
 
 // WouldChange reports whether activating u right now would alter u's state,
-// without performing the activation.
-func (e *Engine) WouldChange(u bgp.NodeID) bool {
-	lf := e.lfScratch
-	e.gatherInto(&e.gatherSet, u, e.advertised, lf)
-	if !e.gatherSet.Equal(e.possible[u]) {
-		return true
-	}
-	// Same PossibleExits: best/advertised can still change if attribution
-	// changed for a path involved in tie-breaking.
-	return e.decide(u, e.gatherSet, lf) != e.best[u]
-}
+// without performing the activation: it runs Activate's step and only
+// compares the result.
+func (e *Engine) WouldChange(u bgp.NodeID) bool { return e.next(u, e.advertised, true) }
 
 // Stable reports whether the current configuration is a fixed point: no
 // node's state would change under any further activation. This is the
@@ -397,10 +365,12 @@ func (e *Engine) Valid() bool {
 
 // Upgraded reports whether node u has switched to survivor advertisement
 // under the Adaptive policy.
-func (e *Engine) Upgraded(u bgp.NodeID) bool { return e.upgraded[u] }
+func (e *Engine) Upgraded(u bgp.NodeID) bool { return e.revisits[u].Upgraded() }
 
-// Flaps returns the number of best-route changes node u has seen.
-func (e *Engine) Flaps(u bgp.NodeID) int { return e.flaps[u] }
+// Flaps returns the number of best-route revisits node u has seen — its
+// best route moving back to a route it held before. Only the Adaptive
+// policy counts them; under the others it is 0.
+func (e *Engine) Flaps(u bgp.NodeID) int { return int(e.revisits[u].count) }
 
 // Snapshot captures the externally visible routing outcome.
 type Snapshot struct {
@@ -485,15 +455,12 @@ func (e *Engine) RestoreFrom(s *Snapshot) {
 // adv is a fixed point of the protocol, which characterises the stable
 // solutions. The engine is left in the induced configuration.
 func (e *Engine) InducedConfig(adv []bgp.PathSet) bool {
-	n := e.sys.N()
 	frozen := e.frozenAdvertised(adv)
 	fixed := true
-	for u := 0; u < n; u++ {
-		id := bgp.NodeID(u)
-		e.gatherInto(&e.gatherSet, id, frozen, e.learned[id])
-		e.possible[id], e.gatherSet = e.gatherSet, e.possible[id]
-		e.recompute(id)
-		if !e.advertised[id].Equal(frozen[u]) {
+	for u := 0; u < e.sys.N(); u++ {
+		e.next(bgp.NodeID(u), frozen, false)
+		e.commit(bgp.NodeID(u))
+		if !e.advertised[u].Equal(frozen[u]) {
 			fixed = false
 		}
 	}

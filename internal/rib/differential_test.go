@@ -59,7 +59,7 @@ func (ref *reference) advertise() bgp.PathSet {
 	r := ref.r
 	var out bgp.PathSet
 	switch {
-	case r.policy == protocol.Modified || (r.policy == protocol.Adaptive && r.upgraded):
+	case r.policy == protocol.Modified || (r.policy == protocol.Adaptive && r.Upgraded()):
 		var paths []bgp.ExitPath
 		for _, c := range ref.cands {
 			paths = append(paths, c.Path)

@@ -78,15 +78,9 @@ type RIB struct {
 	// metric too wide for an entry is recomputed every time.
 	metric []int32
 
-	best bgp.PathID
-
-	// Adaptive-policy state (protocol.Adaptive only): revisit count, the
-	// set of best routes held before, and whether this router has switched
-	// to survivor advertisement.
-	flaps    int
-	heldBest bgp.PathSet
-	upgraded bool
-	w        int32 // words per set
+	best     bgp.PathID
+	revisits protocol.Revisits // Adaptive oscillation detector
+	w        int32             // words per set
 
 	// scr is the per-refresh-round reusable storage that makes the
 	// RecomputeBest → PrepareFlush → per-peer DiffInto/ApplyDiff cycle
@@ -382,7 +376,7 @@ func (r *RIB) materialise(set bgp.PathSet) []bgp.Route {
 
 // Upgraded reports whether this router has switched to survivor
 // advertisement under the Adaptive policy.
-func (r *RIB) Upgraded() bool { return r.upgraded }
+func (r *RIB) Upgraded() bool { return r.revisits.Upgraded() }
 
 // RecomputeBest re-runs the decision process and reports whether the best
 // route moved (a "flap"). Rules 1-3 are one pass over the shared dominance
@@ -400,17 +394,8 @@ func (r *RIB) RecomputeBest() (bestChanged bool) {
 	} else {
 		r.best = bgp.None
 	}
-	bestChanged = r.best != oldBest
-	if bestChanged && r.best != bgp.None && r.policy == protocol.Adaptive {
-		if r.heldBest.Contains(r.best) {
-			r.flaps++ // a revisit: oscillation evidence
-			if r.flaps >= protocol.AdaptiveThreshold {
-				r.upgraded = true
-			}
-		}
-		r.heldBest.Add(r.best)
-	}
-	return bestChanged
+	r.revisits.Note(r.policy, oldBest, r.best)
+	return r.best != oldBest
 }
 
 // Announced returns the set this router offers its peers before the
@@ -437,18 +422,11 @@ func (r *RIB) Announced() bgp.PathSet {
 // once the scratch is warm.
 func (r *RIB) PrepareFlush() {
 	scr := r.scr
-	scr.want = scr.want[:0]
-	switch {
-	case r.policy == protocol.Modified || (r.policy == protocol.Adaptive && r.upgraded):
-		scr.want = scr.surv.AppendIDs(scr.want)
-	case r.policy == protocol.Walton && r.sys.Role(r.id) == topology.Reflector:
-		// target is free until DiffAt refills it per peer; nothing reads
-		// surv after this.
-		r.dom.WaltonInto(&scr.target, &scr.asIn, &scr.surv, scr.possible, r.opts.Order, r.materialise)
-		scr.want = scr.target.AppendIDs(scr.want)
-	case r.best != bgp.None:
-		scr.want = append(scr.want, r.best)
-	}
+	// target is free until DiffAt refills it per peer; nothing reads surv
+	// after this.
+	r.policy.AdvertiseInto(&scr.target, r.sys.Role(r.id), r.revisits.Upgraded(), r.best,
+		scr.possible, &scr.surv, &scr.asIn, r.dom, r.opts.Order, r.materialise)
+	scr.want = scr.target.AppendIDs(scr.want[:0])
 	scr.kinds = scr.kinds[:0]
 	scr.origins = scr.origins[:0]
 	for _, id := range scr.want {
